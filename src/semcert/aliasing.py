@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ImageTensor
-from .transforms import center_coords, rotate_many, scale_many
+from .transforms import _pixel_geometry, center_coords, rotate_many, scale_many
 
 __all__ = [
     "ConfigurationError",
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _MAX_SOURCE_STEP = 0.25  # px of source motion between trajectory supersamples
+_BLOCK_IMAGES = 4096  # transformed inner-point images held at once by aliasing_bound
 
 
 class ConfigurationError(ValueError):
@@ -278,21 +279,6 @@ def max_color_stats(x: ImageTensor, k: int, cells) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Interval Lipschitz constants
 
-def _rotation_pixels(x: ImageTensor):
-    """Integer pixels strictly inside the rotation disk (the rest are 0)."""
-    c_w, c_h = center_coords(x.width, x.height)
-    ii, jj = np.meshgrid(np.arange(x.width, dtype=np.float64),
-                         np.arange(x.height, dtype=np.float64), indexing="ij")
-    mask = np.sqrt((ii - c_w) ** 2 + (jj - c_h) ** 2) < min(c_w, c_h)
-    return ii[mask], jj[mask]
-
-
-def _all_pixels(x: ImageTensor):
-    ii, jj = np.meshgrid(np.arange(x.width, dtype=np.float64),
-                         np.arange(x.height, dtype=np.float64), indexing="ij")
-    return ii.ravel(), jj.ravel()
-
-
 def _interval_constants(x: ImageTensor, kind: str, lo: float, hi: float,
                         stats=None) -> tuple[float, float]:
     """(exposed, slack) Lipschitz constants of g(alpha) = ||phi(x,alpha) -
@@ -305,10 +291,10 @@ def _interval_constants(x: ImageTensor, kind: str, lo: float, hi: float,
     transform cannot move further from its anchor than its own Lipschitz
     constant allows -- and is the constant used in the aliasing bound.
     """
-    if kind == "rotation":
-        rr, ss = _rotation_pixels(x)
-    else:
-        rr, ss = _all_pixels(x)
+    rr, ss, _, _, disk = _pixel_geometry(x.width, x.height)
+    if kind == "rotation":  # pixels outside the disk are 0 at every angle
+        rr, ss = rr[disk], ss[disk]
+    rr, ss = rr.ravel(), ss.ravel()
     if len(rr) == 0:
         return 0.0, 0.0
     cell_max, cell_spread = _cell_stats(x) if stats is None else stats
@@ -417,8 +403,7 @@ def _transform_batch(x: ImageTensor, kind: str, params: np.ndarray) -> np.ndarra
 
 
 def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
-                   keep_per_interval: bool = True,
-                   chunk: int = 200) -> AliasingBound:
+                   keep_per_interval: bool = True) -> AliasingBound:
     """Upper bound M >= (maximum l2 sampling error)^2 over grid's range.
 
     For every outer interval the squared distances to its two anchors
@@ -458,8 +443,9 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
     lipschitz_l = 0.0
     records: list[IntervalBound] = []
 
-    for block_lo in range(0, n_int, chunk):
-        block_hi = min(block_lo + chunk, n_int)
+    per_block = max(1, _BLOCK_IMAGES // grid.n_inner)
+    for block_lo in range(0, n_int, per_block):
+        block_hi = min(block_lo + per_block, n_int)
         block = range(block_lo, block_hi)
         inner = np.stack([grid.inner_points(*intervals[i]) for i in block])
         flat_imgs = _transform_batch(x, kind, inner.ravel())

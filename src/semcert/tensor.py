@@ -13,11 +13,11 @@ every pixel and would accumulate rounding error in lower precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ImageTensor", "PixelCoord", "bilinear", "bilinear_many", "l1_distance", "l2_distance"]
+__all__ = ["ImageTensor", "bilinear", "bilinear_many", "l1_distance", "l2_distance"]
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,6 @@ class ImageTensor:
         return cls(arr.reshape(channels, width, height), normalized=normalized)
 
 
-@dataclass(frozen=True)
-class PixelCoord:
-    """A (channel, continuous-x, continuous-y) query point."""
-
-    k: int
-    i: float
-    j: float
-
-
 def _check_channel(x: ImageTensor, k: int) -> None:
     if not 0 <= k < x.channels:
         raise ValueError(f"channel index {k} out of range for {x.channels} channels")
@@ -104,9 +95,13 @@ def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.
     """Vectorized bilinear interpolation over arrays of coordinates.
 
     ``ii`` and ``jj`` must have the same shape; the result has that
-    shape.  Points on the far edge (i == W-1 or j == H-1) are folded to
-    the last interior cell with fractional part 1 so no out-of-range
-    neighbour is read.
+    shape.  Points outside Omega evaluate to +0.0.  The lower cell
+    corner is clamped to the last interior cell, min(floor(c), W-2), so
+    a point on the far edge (i == W-1 or j == H-1) is interpolated in
+    that cell with fractional part 1 and no out-of-range neighbour is
+    read; a 1-pixel-wide axis has a single corner.  The four corners
+    are read by flat gathers from one base index, and outside points
+    are masked only when some point lies outside Omega.
     """
     _check_channel(x, k)
     ii = np.asarray(ii, dtype=np.float64)
@@ -115,36 +110,37 @@ def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.
         raise ValueError("coordinate arrays must have matching shapes")
     W, H = x.width, x.height
 
-    inside = (ii >= 0.0) & (ii <= W - 1) & (jj >= 0.0) & (jj <= H - 1)
-    ic = np.where(inside, ii, 0.0)
-    jc = np.where(inside, jj, 0.0)
+    inside = None
+    if ii.size and not (ii.min() >= 0.0 and ii.max() <= W - 1
+                        and jj.min() >= 0.0 and jj.max() <= H - 1):
+        inside = (ii >= 0.0) & (ii <= W - 1) & (jj >= 0.0) & (jj <= H - 1)
+        ii = np.where(inside, ii, 0.0)
+        jj = np.where(inside, jj, 0.0)
 
-    i0 = np.floor(ic).astype(np.int64)
-    j0 = np.floor(jc).astype(np.int64)
-    # fold the far edge into the previous cell so i0+1 stays in range
-    if W > 1:
-        edge = i0 >= W - 1
-        i0 = np.where(edge, W - 2, i0)
-    else:
-        i0 = np.zeros_like(i0)
-    if H > 1:
-        edge = j0 >= H - 1
-        j0 = np.where(edge, H - 2, j0)
-    else:
-        j0 = np.zeros_like(j0)
-    fi = ic - i0
-    fj = jc - j0
+    i0 = np.minimum(np.floor(ii), max(W - 2, 0))
+    j0 = np.minimum(np.floor(jj), max(H - 2, 0))
+    fi = ii - i0
+    fj = jj - j0
+    i0 *= H
+    i0 += j0
+    base = i0.astype(np.intp)
 
-    plane = x.data[k]
-    i1 = np.minimum(i0 + 1, W - 1)
-    j1 = np.minimum(j0 + 1, H - 1)
-    v00 = plane[i0, j0]
-    v01 = plane[i0, j1]
-    v10 = plane[i1, j0]
-    v11 = plane[i1, j1]
-    out = ((1.0 - fi) * ((1.0 - fj) * v00 + fj * v01)
-           + fi * ((1.0 - fj) * v10 + fj * v11))
-    return np.where(inside, out, 0.0)
+    # corner (i0 + a, j0 + b) is flat[base + a * di + b * dj]: gather it
+    # from the flat plane shifted by that offset
+    flat = x.data[k].reshape(-1)
+    di = H if W > 1 else 0
+    dj = 1 if H > 1 else 0
+    gj = 1.0 - fj
+    out = gj * flat.take(base)
+    out += fj * flat[dj:].take(base)
+    far = gj * flat[di:].take(base)
+    far += fj * flat[di + dj:].take(base)
+    out *= 1.0 - fi
+    far *= fi
+    out += far
+    if inside is not None:
+        out = np.where(inside, out, 0.0)
+    return out
 
 
 def _check_same_shape(a: ImageTensor, b: ImageTensor) -> None:

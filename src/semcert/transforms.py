@@ -35,7 +35,6 @@ from .tensor import ImageTensor, bilinear_many
 
 __all__ = [
     "Transform",
-    "TransformParams",
     "transform_spec",
     "additive_pixel_transform",
     "gaussian_blur",
@@ -77,16 +76,6 @@ class Transform:
 
     def apply(self, x: ImageTensor, params) -> ImageTensor:
         return apply_transform(self.kind, x, params)
-
-
-@dataclass(frozen=True)
-class TransformParams:
-    """Parameter vector for one transform application."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
 
 _SPECS = {
@@ -254,30 +243,49 @@ def center_coords(width: int, height: int) -> tuple[float, float]:
     return (width - 1) / 2.0, (height - 1) / 2.0
 
 
+# Interpolated points per kernel call.  Each temporary of a call then
+# stays near 256 KB, small enough to stay in cache, and a warp over many
+# parameters needs little memory beyond its output.
+_BLOCK_POINTS = 1 << 15
+
+
 def _pixel_geometry(width: int, height: int):
-    """Radius and angle of every pixel relative to the image center."""
+    """Grid coordinates, center distance and angle of every pixel, and the disk.
+
+    Returns (ii, jj, d, g, disk), each W x H.  ``disk`` marks the pixels
+    strictly inside the centered disk of radius min(c_W, c_H): rotation
+    keeps only these, and the rotation aliasing bound sums over exactly
+    these, so the predicate is written here once.
+    """
     c_w, c_h = center_coords(width, height)
     ii, jj = np.meshgrid(np.arange(width, dtype=np.float64),
                          np.arange(height, dtype=np.float64), indexing="ij")
     d = np.sqrt((ii - c_w) ** 2 + (jj - c_h) ** 2)
     g = np.arctan2(jj - c_h, ii - c_w)
-    return c_w, c_h, d, g
+    return ii, jj, d, g, d < min(c_w, c_h)
 
 
 def rotate_many(x: ImageTensor, angles) -> np.ndarray:
     """Rotate one image by many angles (radians, CCW); returns (B, K, W, H).
 
-    Output pixels outside the centered disk of radius min(c_W, c_H) are 0.
+    Output pixels outside the centered disk of radius min(c_W, c_H) are
+    +0.0 and are never interpolated.  A disk pixel lies at distance
+    d < min(c_W, c_H) from the center, so its source c + d * (cos, sin)
+    lies strictly inside Omega at every angle and the interpolation
+    needs no outside-Omega mask for it.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=np.float64))
-    c_w, c_h, d, g = _pixel_geometry(x.width, x.height)
-    mask = d < min(c_w, c_h)
-    src_i = c_w + d[None, :, :] * np.cos(g[None, :, :] - angles[:, None, None])
-    src_j = c_h + d[None, :, :] * np.sin(g[None, :, :] - angles[:, None, None])
-    out = np.empty((len(angles), x.channels, x.width, x.height))
-    for k in range(x.channels):
-        out[:, k] = bilinear_many(x, k, src_i, src_j)
-    out *= mask[None, None, :, :]
+    c_w, c_h = center_coords(x.width, x.height)
+    _, _, d, g, disk = _pixel_geometry(x.width, x.height)
+    d, g = d[disk], g[disk]
+    out = np.zeros((len(angles),) + x.shape)
+    block = max(1, _BLOCK_POINTS // max(d.size, 1))
+    for lo in range(0, len(angles), block):
+        a = angles[lo:lo + block, None]
+        src_i = c_w + d * np.cos(g - a)
+        src_j = c_h + d * np.sin(g - a)
+        for k in range(x.channels):
+            out[lo:lo + block, k][:, disk] = bilinear_many(x, k, src_i, src_j)
     return out
 
 
@@ -292,13 +300,15 @@ def scale_many(x: ImageTensor, factors) -> np.ndarray:
     if np.any(factors <= 0.0):
         raise ValueError("scaling factor must be > 0")
     c_w, c_h = center_coords(x.width, x.height)
-    ii, jj = np.meshgrid(np.arange(x.width, dtype=np.float64),
-                         np.arange(x.height, dtype=np.float64), indexing="ij")
-    src_i = c_w + (ii[None, :, :] - c_w) / factors[:, None, None]
-    src_j = c_h + (jj[None, :, :] - c_h) / factors[:, None, None]
-    out = np.empty((len(factors), x.channels, x.width, x.height))
-    for k in range(x.channels):
-        out[:, k] = bilinear_many(x, k, src_i, src_j)
+    ii, jj, _, _, _ = _pixel_geometry(x.width, x.height)
+    out = np.empty((len(factors),) + x.shape)
+    block = max(1, _BLOCK_POINTS // ii.size)
+    for lo in range(0, len(factors), block):
+        f = factors[lo:lo + block, None, None]
+        src_i = c_w + (ii - c_w) / f
+        src_j = c_h + (jj - c_h) / f
+        for k in range(x.channels):
+            out[lo:lo + block, k] = bilinear_many(x, k, src_i, src_j)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from semcert.aliasing import (ConfigurationError, IntervalGrid, aliasing_bound,
                               grid_pixel_trajectory, max_color_stats,
                               rotation_interval_lipschitz, scaling_discontinuities,
                               scaling_interval_lipschitz)
+from semcert import aliasing
 from semcert.aliasing import _source_curves
 from semcert.tensor import ImageTensor, bilinear
 from semcert.transforms import center_coords, rotate_many, scale_many
@@ -266,6 +268,25 @@ class TestAliasingBound:
             max(rec.bound for rec in bound.per_interval))
         assert bound.lipschitz_l == pytest.approx(
             max(rec.exposed_lipschitz for rec in bound.per_interval))
+
+    def test_blocking_does_not_change_bounds(self, image_9x9, monkeypatch):
+        g = IntervalGrid("scaling", 0.9, 1.1, 12, 5)
+        whole = aliasing_bound(image_9x9, "scaling", g)
+        monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 15)  # 3 of 11 intervals a block
+        blocked = aliasing_bound(image_9x9, "scaling", g)
+        assert blocked == whole
+
+    def test_memory_flat_in_inner_points(self, image_9x9):
+        peaks = []
+        for n_inner in (500, 4000):
+            g = IntervalGrid("rotation", -0.1, 0.1, 11, n_inner)
+            tracemalloc.start()
+            try:
+                aliasing_bound(image_9x9, "rotation", g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
 
     def test_discontinuity_density_check(self, image_9x9):
         # [0.5, 1.0] holds crossings {0.5, 0.75, 1.0}: two anchors leave

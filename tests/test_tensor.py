@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,20 @@ class TestImageTensor:
         vals = rng.random(12)
         x = ImageTensor.from_flat(vals, 1, 3, 4)
         np.testing.assert_array_equal(x.flat(), vals)
+
+
+def _bilinear_reference(plane, i, j):
+    """Per-point bilinear value in pure Python, same formula and operation order."""
+    W, H = len(plane), len(plane[0])
+    if not (0.0 <= i <= W - 1 and 0.0 <= j <= H - 1):
+        return 0.0
+    i0 = min(math.floor(i), max(W - 2, 0))
+    j0 = min(math.floor(j), max(H - 2, 0))
+    i1 = min(i0 + 1, W - 1)
+    j1 = min(j0 + 1, H - 1)
+    fi, fj = i - i0, j - j0
+    return ((1.0 - fi) * ((1.0 - fj) * plane[i0][j0] + fj * plane[i0][j1])
+            + fi * ((1.0 - fj) * plane[i1][j0] + fj * plane[i1][j1]))
 
 
 class TestBilinear:
@@ -90,6 +106,27 @@ class TestBilinear:
         x = ImageTensor(rng.random((1, 5, 5)))
         assert bilinear(x, 0, 4.0, 2.0) == x.data[0, 4, 2]
         assert bilinear(x, 0, 4.0, 4.0) == x.data[0, 4, 4]
+
+    @pytest.mark.parametrize("shape", [(2, 6, 7), (1, 1, 6), (1, 6, 1), (1, 1, 1)])
+    def test_matches_pure_python_reference(self, rng, shape):
+        K, W, H = shape
+        x = ImageTensor(rng.random(shape) - 0.5)
+        ii = np.concatenate([rng.uniform(-1.5, W + 0.5, 400),  # inside and outside
+                             np.full(20, W - 1.0), rng.uniform(0, W - 1, 20),  # far edges
+                             rng.integers(0, W, 20).astype(float),  # grid points
+                             [-1e-12, W - 1 + 1e-12, 0.0]])
+        jj = np.concatenate([rng.uniform(-1.5, H + 0.5, 400),
+                             rng.uniform(0, H - 1, 20), np.full(20, H - 1.0),
+                             rng.integers(0, H, 20).astype(float),
+                             [0.0, H - 1.0, -1e-12]])
+        for k in range(K):
+            plane = x.data[k].tolist()
+            expected = [_bilinear_reference(plane, i, j) for i, j in zip(ii, jj)]
+            np.testing.assert_array_equal(bilinear_many(x, k, ii, jj), expected)
+            # an all-inside batch takes the unmasked path
+            inside = (ii >= 0) & (ii <= W - 1) & (jj >= 0) & (jj <= H - 1)
+            np.testing.assert_array_equal(bilinear_many(x, k, ii[inside], jj[inside]),
+                                          np.asarray(expected)[inside])
 
     def test_vectorized_matches_scalar(self, rng):
         x = ImageTensor(rng.random((1, 7, 7)))

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from semcert.tensor import ImageTensor, l2_distance
-from semcert.transforms import (additive_pixel_transform, apply_transform, blur_many,
-                                brightness_contrast, center_coords, gaussian_blur,
-                                rotate, rotate_many, scale, scale_many, transform_spec,
-                                translate)
+from semcert.transforms import (_BLOCK_POINTS, additive_pixel_transform, apply_transform,
+                                blur_many, brightness_contrast, center_coords,
+                                gaussian_blur, rotate, rotate_many, scale, scale_many,
+                                transform_spec, translate)
 
 
 class TestTransformSpecs:
@@ -168,10 +169,22 @@ class TestRotate:
         assert math.isfinite(dev) and dev >= 0.0
 
     def test_batch_matches_single(self, image_9x9, rng):
-        angles = rng.uniform(-1, 1, 8)
+        # three kernel blocks' worth of angles, so block boundaries are crossed
+        angles = rng.uniform(-1, 1, 3 * _BLOCK_POINTS // int(_disk_mask(9, 9).sum()))
         batch = rotate_many(image_9x9, angles)
         for idx, a in enumerate(angles):
             np.testing.assert_array_equal(batch[idx], rotate(image_9x9, a).data)
+
+    def test_memory_bounded_by_output(self, rng):
+        x = ImageTensor(rng.random((1, 28, 28)))
+        angles = rng.uniform(-math.pi, math.pi, 4096)
+        tracemalloc.start()
+        try:
+            out = rotate_many(x, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
 
 
 class TestScale:
@@ -196,7 +209,9 @@ class TestScale:
             scale(image_9x9, -1.0)
 
     def test_batch_matches_single(self, image_9x9, rng):
-        factors = rng.uniform(0.6, 1.6, 8)
+        # three kernel blocks; shrinking and stretching factors share each
+        # block, so sources inside and outside Omega meet in one call
+        factors = rng.uniform(0.5, 2.0, 3 * _BLOCK_POINTS // 81)
         batch = scale_many(image_9x9, factors)
         for idx, s in enumerate(factors):
             np.testing.assert_array_equal(batch[idx], scale(image_9x9, s).data)

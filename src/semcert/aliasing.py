@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ImageTensor
-from .transforms import _pixel_geometry, center_coords, rotate_many, scale_many
+from .transforms import _BLOCK_IMAGES, _pixel_geometry, center_coords, transform_spec
 
 __all__ = [
     "ConfigurationError",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _MAX_SOURCE_STEP = 0.25  # px of source motion between trajectory supersamples
-_BLOCK_IMAGES = 4096  # transformed inner-point images held at once by aliasing_bound
 
 
 class ConfigurationError(ValueError):
@@ -397,11 +396,6 @@ def _at_and_above_crossing_bound(points: np.ndarray, values: np.ndarray, lip: fl
     return _pairwise_envelope(pts, vals, lip)
 
 
-def _transform_batch(x: ImageTensor, kind: str, params: np.ndarray) -> np.ndarray:
-    many = rotate_many if kind == "rotation" else scale_many
-    return many(x, params).reshape(len(params), -1)
-
-
 def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
                    keep_per_interval: bool = True) -> AliasingBound:
     """Upper bound M >= (maximum l2 sampling error)^2 over grid's range.
@@ -420,8 +414,9 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
     if grid.kind != kind:
         raise ValueError(f"grid is for {grid.kind!r}, not {kind!r}")
 
+    spec = transform_spec(kind)
     anchors = grid.anchors()
-    anchor_imgs = _transform_batch(x, kind, anchors)
+    anchor_imgs = spec.apply_many(x, anchors).reshape(len(anchors), -1)
     intervals = grid.intervals()
     n_int = len(intervals)
 
@@ -448,8 +443,7 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
         block_hi = min(block_lo + per_block, n_int)
         block = range(block_lo, block_hi)
         inner = np.stack([grid.inner_points(*intervals[i]) for i in block])
-        flat_imgs = _transform_batch(x, kind, inner.ravel())
-        flat_imgs = flat_imgs.reshape(len(inner), grid.n_inner, -1)
+        flat_imgs = spec.apply_many(x, inner.ravel()).reshape(len(inner), grid.n_inner, -1)
 
         for row, i in enumerate(block):
             lo, hi = intervals[i]
@@ -467,7 +461,7 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
                 pair_min = np.minimum(g_lo[:-1] + g_lo[1:], g_hi[:-1] + g_hi[1:])
                 bound = float(np.max(0.5 * pair_min + 0.5 * slack * widths))
             else:
-                img_t = _transform_batch(x, kind, np.asarray([t]))[0]
+                img_t = spec.apply_many(x, [t]).reshape(-1)
                 g_hi_t = float(np.sum((img_t - anchor_imgs[hi_idx]) ** 2))
                 left = _below_crossing_bound(pts, g_lo, slack, t)
                 right = _at_and_above_crossing_bound(pts, g_hi, slack, t, g_hi_t)

@@ -28,10 +28,10 @@ import numpy as np
 
 from .aliasing import AliasingBound, IntervalGrid, aliasing_bound
 from .radii import ConfidencePair, RadiusResult, bc_condition, bc_confidence_shift, closed_form_radius
-from .smoothing import (ABSTAIN, BaseClassifier, SmoothedQuery, certify, predict,
-                        progressive_certify)
+from .smoothing import (ABSTAIN, BaseClassifier, SmoothedQuery, _isotropic_sigma,
+                        certify, predict, progressive_certify)
 from .tensor import ImageTensor
-from .transforms import rotate, scale, translate
+from .transforms import transform_spec, translate
 
 __all__ = [
     "ParameterSet",
@@ -125,13 +125,6 @@ class PipelineConfigError(ValueError):
 _BLUR_FAMILIES = ("exponential", "uniform", "folded_gaussian", "laplace")
 
 
-def _isotropic_sigma(q: SmoothedQuery) -> float:
-    sig = q.noise.sigmas()
-    if not np.all(sig == sig[0]) or sig[0] <= 0.0:
-        raise PipelineConfigError("need isotropic gaussian noise with sigma > 0")
-    return float(sig[0])
-
-
 def certify_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
                        region: ParameterSet) -> CertificationResult:
     """Certify blur or reflect-padded translation via a closed-form radius.
@@ -173,7 +166,7 @@ def certify_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
         bound = rr.value
         requested = region.bounds[0]
     else:
-        bound = _isotropic_sigma(q) * rr.value
+        bound = _isotropic_sigma(q.noise) * rr.value
         requested = region.bounds[0]
     certified = outcome.label == label and requested < bound
     verdict = CERTIFIED if certified else NOT_CERTIFIED
@@ -258,19 +251,19 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
         raise PipelineConfigError("rotation/scaling certification needs an interval region")
     if not (math.isclose(region.bounds[0], grid.a) and math.isclose(region.bounds[1], grid.b)):
         raise PipelineConfigError("grid range must equal the requested interval")
-    _isotropic_sigma(q)
+    _isotropic_sigma(q.noise)
 
     bound = aliasing_bound(x, grid.kind, grid, keep_per_interval=False)
     target = bound.sqrt_m
     anchors = grid.anchors()
     joint_alpha = min(1.0, len(anchors) * q.conf.alpha)
-    apply_anchor = rotate if grid.kind == "rotation" else scale
+    anchor_transform = transform_spec(grid.kind)
 
     samples = 0
     min_radius = math.inf
     min_p = 1.0
     for i, alpha_i in enumerate(anchors):
-        xi = apply_anchor(x, float(alpha_i))
+        xi = anchor_transform.apply(x, float(alpha_i))
         prog = progressive_certify(anchor_query(q, i), xi, target, batch=batch)
         samples += prog.samples_used
         if prog.certified:
@@ -340,9 +333,6 @@ class ReportTable:
     samples: tuple[SampleReport, ...]
     robust_accuracy: float | None
     clean_accuracy: float
-
-    def rows(self):
-        return list(self.samples)
 
 
 def robust_accuracy_report(dataset, query_for_clean, certifier=None) -> ReportTable:

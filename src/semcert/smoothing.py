@@ -28,7 +28,7 @@ from .statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
                      std_normal_quantile)
 from .streams import draw_params
 from .tensor import ImageTensor
-from .transforms import Transform, blur_many, rotate_many, scale_many, translate
+from .transforms import _BLOCK_IMAGES, Transform
 
 __all__ = [
     "ABSTAIN",
@@ -45,8 +45,6 @@ __all__ = [
 
 # returned instead of a class label when the statistical test is inconclusive
 ABSTAIN = -1
-
-_CLASSIFY_CHUNK = 20_000
 
 
 class BaseClassifier:
@@ -106,56 +104,22 @@ class CountVector:
         return int(order[0]), int(order[1])
 
 
-def _labels_for_flats(classifier: BaseClassifier, flats: np.ndarray,
-                      shape: tuple[int, int, int]) -> np.ndarray:
-    labels = np.empty(len(flats), dtype=np.int64)
-    for lo in range(0, len(flats), _CLASSIFY_CHUNK):
-        hi = min(lo + _CLASSIFY_CHUNK, len(flats))
-        labels[lo:hi] = classifier.classify_flat_batch(flats[lo:hi], shape)
-    return labels
-
-
 def _sample_labels(q: SmoothedQuery, x: ImageTensor, params: np.ndarray) -> np.ndarray:
-    """Label of the base classifier on each transformed draw."""
-    kind = q.transform.kind
-    n = len(params)
-    if kind == "additive_pixel":
-        flats = x.flat()[None, :] + params
-        return _labels_for_flats(q.classifier, flats, x.shape)
-    if kind == "brightness_contrast":
-        flats = np.exp(params[:, 0])[:, None] * (x.flat()[None, :] + params[:, 1][:, None])
-        return _labels_for_flats(q.classifier, flats, x.shape)
-    if kind in ("translation_reflect", "translation_black"):
+    """Label of the base classifier on each transformed draw.
+
+    Images are built and classified ``_BLOCK_IMAGES`` at a time, so
+    memory stays flat in the number of draws.
+    """
+    inverse = None
+    if q.transform.kind in ("translation_reflect", "translation_black"):
         # integer shifts repeat heavily: classify each distinct shift once
-        shifts = np.floor(params + 0.5).astype(np.int64)
-        mode = "reflect" if kind == "translation_reflect" else "black"
-        uniq, inverse = np.unique(shifts, axis=0, return_inverse=True)
-        uniq_labels = np.asarray(
-            [q.classifier.classify(translate(x, int(m1), int(m2), mode))
-             for m1, m2 in uniq], dtype=np.int64)
-        return uniq_labels[inverse]
-    if kind == "gaussian_blur":
-        if np.any(params[:, 0] < 0.0):
-            raise ValueError("blur parameter must be >= 0; drew a negative "
-                             "value from a two-sided noise family")
-        labels = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, 4096):
-            hi = min(lo + 4096, n)
-            imgs = blur_many(x, params[lo:hi, 0])
-            labels[lo:hi] = _labels_for_flats(
-                q.classifier, imgs.reshape(hi - lo, -1), x.shape)
-        return labels
-    if kind in ("rotation", "scaling"):
-        many = rotate_many if kind == "rotation" else scale_many
-        labels = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, 4096):
-            hi = min(lo + 4096, n)
-            imgs = many(x, params[lo:hi, 0])
-            labels[lo:hi] = _labels_for_flats(
-                q.classifier, imgs.reshape(hi - lo, -1), x.shape)
-        return labels
-    return np.asarray([q.classifier.classify(q.transform.apply(x, p)) for p in params],
-                      dtype=np.int64)
+        params, inverse = np.unique(np.floor(params + 0.5), axis=0, return_inverse=True)
+    labels = np.empty(len(params), dtype=np.int64)
+    for lo in range(0, len(params), _BLOCK_IMAGES):
+        imgs = q.transform.apply_many(x, params[lo:lo + _BLOCK_IMAGES])
+        labels[lo:lo + len(imgs)] = q.classifier.classify_flat_batch(
+            imgs.reshape(len(imgs), -1), x.shape)
+    return labels if inverse is None else labels[inverse]
 
 
 def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0) -> CountVector:
@@ -233,11 +197,12 @@ class ProgressiveOutcome:
 
 
 def _isotropic_sigma(noise: DistributionSpec) -> float:
+    """The common scale of isotropic gaussian noise; ValueError otherwise."""
     if noise.family != "gaussian":
-        raise ValueError("progressive certification requires gaussian noise")
+        raise ValueError(f"need isotropic gaussian noise, got {noise.family}")
     sig = noise.sigmas()
     if not np.all(sig == sig[0]) or sig[0] <= 0.0:
-        raise ValueError("progressive certification requires isotropic gaussian noise")
+        raise ValueError("need isotropic gaussian noise with sigma > 0")
     return float(sig[0])
 
 

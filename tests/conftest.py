@@ -13,9 +13,3 @@ def rng():
 def image_9x9(rng):
     return ImageTensor(rng.random((1, 9, 9)))
 
-
-@pytest.fixture
-def corpus_9x9():
-    """20 fixed random 1x9x9 images shared across aliasing tests."""
-    gen = np.random.default_rng(555)
-    return [ImageTensor(gen.random((1, 9, 9))) for _ in range(20)]

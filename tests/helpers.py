@@ -1,17 +1,16 @@
-"""Shared test oracles: dense enumeration and structured attack evaluators.
+"""Shared test oracle: dense enumeration of the sampling error.
 
-These deliberately avoid the bound machinery they validate; distances
-and labels are recomputed from the raw transforms.
+It deliberately avoids the bound machinery it validates; distances are
+recomputed from the raw transforms.
 """
 
 import numpy as np
 
-from semcert.transforms import blur_many, rotate_many, scale_many
+from semcert.transforms import transform_spec
 
 
 def transform_flat_batch(x, kind, params):
-    many = rotate_many if kind == "rotation" else scale_many
-    return many(x, params).reshape(len(params), -1)
+    return transform_spec(kind).apply_many(x, params).reshape(len(params), -1)
 
 
 def dense_max_min_error(x, kind, grid, n_dense=10_000, chunk=2_000):
@@ -26,69 +25,3 @@ def dense_max_min_error(x, kind, grid, n_dense=10_000, chunk=2_000):
         d2 = (t ** 2).sum(axis=1)[:, None] + a_sq[None, :] - 2.0 * t @ anchors.T
         worst = max(worst, float(np.sqrt(np.maximum(d2, 0.0)).min(axis=1).max()))
     return worst
-
-
-def smoothed_frequencies_additive(classifier, flat_images, noise_matrix, label):
-    """Fraction of additive-noise draws classified as ``label``, per image.
-
-    Exploits structure instead of materializing every noisy image:
-    linear scores shift linearly in the noise, mean thresholds shift by
-    the noise mean, and ball memberships expand into three dot-product
-    terms.  Falls back to direct batch classification otherwise.
-    """
-    from semcert.classifiers import (L2BallClassifier, LinearClassifier,
-                                     MeanThresholdClassifier)
-    n = len(noise_matrix)
-    if isinstance(classifier, LinearClassifier):
-        noise_scores = noise_matrix @ classifier.weights.T + classifier.bias
-        base_scores = flat_images @ classifier.weights.T
-        out = np.empty(len(flat_images))
-        for idx, base in enumerate(base_scores):
-            labels = np.argmax(noise_scores + base, axis=1)
-            out[idx] = np.mean(labels == label)
-        return out
-    if isinstance(classifier, MeanThresholdClassifier):
-        noise_mean = noise_matrix.mean(axis=1)
-        mu = flat_images.mean(axis=1)
-        hit = (mu[:, None] + noise_mean[None, :]) > classifier.threshold
-        freq1 = hit.mean(axis=1)
-        return freq1 if label == 1 else 1.0 - freq1
-    if isinstance(classifier, L2BallClassifier):
-        c = classifier.center.flat()
-        noise_sq = (noise_matrix ** 2).sum(axis=1)
-        out = np.empty(len(flat_images))
-        for idx, flat in enumerate(flat_images):
-            d = flat - c
-            dist_sq = d @ d + 2.0 * (noise_matrix @ d) + noise_sq
-            inside = dist_sq <= classifier.radius ** 2
-            out[idx] = np.mean(inside == (label == 1)) if label in (0, 1) else 0.0
-        return out
-    out = np.empty(len(flat_images))
-    shape = classifier.shape if hasattr(classifier, "shape") else None
-    for idx, flat in enumerate(flat_images):
-        labels = classifier.classify_flat_batch(flat[None, :] + noise_matrix, shape)
-        out[idx] = np.mean(labels == label)
-    return out
-
-
-def linear_blur_scores(x, classifier, alphas):
-    """Scores of a linear classifier on blur(x, alpha) for many alphas.
-
-    Uses the Fourier diagonalization of the periodic blur: the score is
-    a bilinear form in the per-axis kernel spectra.  Exactly equals
-    scoring blur_many output (verified in tests), at a fraction of the
-    cost.
-    """
-    from semcert.transforms import _wrapped_kernels
-    W, H = x.width, x.height
-    x_hat = np.fft.fft2(x.data, axes=(1, 2))
-    cross = []
-    for row in classifier.weights:
-        w_img = row.reshape(x.shape)
-        w_hat = np.fft.fft2(w_img, axes=(1, 2))
-        cross.append(np.real(np.conj(w_hat) * x_hat).sum(axis=0) / (W * H))
-    cross = np.stack(cross)  # (C, W, H)
-    aw = np.fft.fft(_wrapped_kernels(np.asarray(alphas, float), W), axis=1).real
-    ah = np.fft.fft(_wrapped_kernels(np.asarray(alphas, float), H), axis=1).real
-    scores = np.einsum("bw,cwh,bh->bc", aw, cross, ah)
-    return scores + classifier.bias[None, :]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson
                             std_normal_quantile)
 from semcert.streams import draw_params, uniforms_per_draw
 from semcert.tensor import ImageTensor
-from semcert.transforms import additive_pixel_transform, transform_spec
+from semcert.transforms import (additive_pixel_transform, brightness_contrast, gaussian_blur,
+                                rotate, scale, transform_spec, translate)
 
 
 class TestStreams:
@@ -63,6 +65,18 @@ def _bc_query(classifier, sigma_k=0.0, sigma_b=0.3, conf=None, seed=0):
                          conf or ConfidenceParams(0.001, 10_000, 100), seed)
 
 
+# independent reference for sampling: the public scalar transforms, one draw at a time
+_SCALAR_TRANSFORMS = {
+    "brightness_contrast": lambda x, p: brightness_contrast(x, p[0], p[1]),
+    "translation_reflect": lambda x, p: translate(x, p[0], p[1], "reflect"),
+    "translation_black": lambda x, p: translate(x, p[0], p[1], "black"),
+    "gaussian_blur": lambda x, p: gaussian_blur(x, p[0]),
+    "rotation": lambda x, p: rotate(x, p[0]),
+    "scaling": lambda x, p: scale(x, p[0]),
+    "additive_pixel": lambda x, p: ImageTensor(x.data + p.reshape(x.shape), normalized=False),
+}
+
+
 class TestSampleCounts:
     def test_constant_classifier(self, image_9x9):
         q = _bc_query(ConstantClassifier(3, num_classes=5))
@@ -90,32 +104,34 @@ class TestSampleCounts:
         ("translation_black", DistributionSpec("gaussian", (2.0,), dim=2)),
         ("gaussian_blur", DistributionSpec("exponential", (0.5,), dim=1)),
         ("rotation", DistributionSpec("gaussian", (0.2,), dim=1)),
+        ("scaling", DistributionSpec("uniform", (0.8, 1.25), dim=1)),
+        ("additive_pixel", DistributionSpec("gaussian", (0.25,), dim=81)),
     ])
     def test_fast_paths_match_naive_loop(self, image_9x9, kind, noise):
-        # vectorized/grouped sampling must tally exactly like a plain loop
+        # blocked sampling must tally exactly like a loop over the scalar transforms
         clf = MeanThresholdClassifier(0.5)
-        transform = transform_spec(kind)
+        transform = (additive_pixel_transform(image_9x9.shape) if kind == "additive_pixel"
+                     else transform_spec(kind))
         q = SmoothedQuery(clf, transform, noise,
                           ConfidenceParams(0.05, 400, 50), seed=31)
         counts = sample_counts(q, image_9x9, 300)
         params = draw_params(noise, 31, 0, 300)
         naive = np.zeros(clf.num_classes, dtype=np.int64)
         for row in params:
-            naive[clf.classify(transform.apply(image_9x9, row))] += 1
+            naive[clf.classify(_SCALAR_TRANSFORMS[kind](image_9x9, row))] += 1
         np.testing.assert_array_equal(counts.counts, naive)
 
-    def test_additive_pixel_path(self, image_9x9):
-        transform = additive_pixel_transform(image_9x9.shape)
-        noise = DistributionSpec("gaussian", (0.25,), dim=transform.param_dim)
-        clf = MeanThresholdClassifier(0.5)
-        q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.05, 400, 50),
-                          seed=5)
-        counts = sample_counts(q, image_9x9, 200)
-        params = draw_params(noise, 5, 0, 200)
-        naive = np.zeros(2, dtype=np.int64)
-        for row in params:
-            naive[clf.classify(transform.apply(image_9x9, row))] += 1
-        np.testing.assert_array_equal(counts.counts, naive)
+    def test_memory_flat_in_samples(self):
+        # sampling holds one block of transformed images, not all n draws
+        x = ImageTensor(np.random.default_rng(3).random((1, 28, 28)))
+        q = _bc_query(MeanThresholdClassifier(0.5), sigma_k=0.2, sigma_b=0.2)
+        peaks = []
+        for n in (10_000, 40_000):
+            tracemalloc.start()
+            sample_counts(q, x, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_dimension_mismatch_rejected(self, image_9x9):
         with pytest.raises(ValueError):

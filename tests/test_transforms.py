@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semcert.tensor import ImageTensor, l2_distance
-from semcert.transforms import (_BLOCK_POINTS, additive_pixel_transform, apply_transform,
+from semcert.transforms import (_BLOCK_POINTS, Transform, additive_pixel_transform,
                                 blur_many, brightness_contrast, center_coords,
                                 gaussian_blur, rotate, rotate_many, scale, scale_many,
                                 transform_spec, translate)
@@ -35,8 +35,21 @@ class TestTransformSpecs:
     def test_unknown_kind(self, image_9x9):
         with pytest.raises(ValueError):
             transform_spec("shear")
-        with pytest.raises(ValueError):
-            apply_transform("shear", image_9x9, [0.1])
+        with pytest.raises(ValueError, match="unknown transform kind"):
+            Transform("shear", 1, reversible=False).apply_many(image_9x9, [0.1])
+
+    @pytest.mark.parametrize("transform,params,message", [
+        (transform_spec("brightness_contrast"), [0.1, 0.2], "got shape"),
+        (transform_spec("brightness_contrast"), [[0.1, 0.2, 0.3]], "got shape"),
+        (transform_spec("rotation"), [[0.1, 0.2]], "got shape"),
+        (transform_spec("translation_black"), [[[1.0, 2.0]]], "got shape"),
+        (additive_pixel_transform((1, 9, 9)), np.zeros((2, 80)), "got shape"),
+        (additive_pixel_transform((1, 8, 10)), np.zeros((2, 80)), "pixel count"),
+    ], ids=["flat_pair", "three_wide", "rotation_two_wide", "three_dim",
+            "additive_short", "additive_other_image"])
+    def test_wrong_parameter_width(self, image_9x9, transform, params, message):
+        with pytest.raises(ValueError, match=message):
+            transform.apply_many(image_9x9, params)
 
 
 class TestGaussianBlur:

@@ -112,15 +112,22 @@ class IntervalBound:
 
 @dataclass(frozen=True)
 class AliasingBound:
-    """Upper bound M on the squared maximum l2 sampling error."""
+    """Upper bound M on the squared maximum l2 sampling error.
 
-    m_value: float
+    ``worst`` is the outer interval that attains M (the first, on ties);
+    ``lipschitz_l`` is the largest exposed constant over all intervals.
+    """
+
+    worst: IntervalBound
     lipschitz_l: float
-    per_interval: tuple[IntervalBound, ...] | None = None
 
     def __post_init__(self):
         if self.m_value < 0.0:
             raise ValueError("aliasing bound must be >= 0")
+
+    @property
+    def m_value(self) -> float:
+        return self.worst.bound
 
     @property
     def sqrt_m(self) -> float:
@@ -176,7 +183,13 @@ def _cell_stats(x: ImageTensor):
     coordinate domain, up to the measure-zero boundary line whose jumps
     the discontinuity handling owns), so those cells contribute nothing.
     Returned arrays have shape (K, max(W-1, 1), max(H-1, 1)).
+
+    The corner max bounds |colour| only when no pixel is negative, so a
+    negative pixel is rejected here, where every bound starts.
     """
+    if np.any(x.data < 0.0):
+        raise ValueError("aliasing bounds need pixel values >= 0, got a minimum of "
+                         f"{float(x.data.min())!r}")
     if x.width < 2 or x.height < 2:
         shape = (x.channels, max(x.width - 1, 1), max(x.height - 1, 1))
         return np.zeros(shape), np.zeros(shape)
@@ -258,20 +271,19 @@ def max_color_stats(x: ImageTensor, k: int, cells) -> tuple[float, float]:
     interpolation is 0 outside Omega: its surface is identically 0 up to
     the boundary line, whose values the 8-neighborhood closure already
     takes from the adjacent interior cell.  Such cells are skipped, not
-    clipped onto the nearest interior cell.
+    clipped onto the nearest interior cell.  This is the cell rule of
+    the bound itself: ``_cell_stats`` then ``_gather_stats``.
     """
-    cells = list(cells)
-    if not cells:
+    cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
+    if not len(cells):
         raise ValueError("cell set must be nonempty")
     if not 0 <= k < x.channels:
         raise ValueError(f"channel index {k} out of range")
-    cell_max, cell_spread = _cell_stats(x)
-    m_bar = 0.0
-    m_delta = 0.0
-    for ci, cj in cells:
-        if 0 <= ci <= x.width - 2 and 0 <= cj <= x.height - 2:
-            m_bar = max(m_bar, float(cell_max[k, ci, cj]))
-            m_delta = max(m_delta, float(cell_spread[k, ci, cj]))
+    # one "pixel" whose cell set is ``cells``: (1, n_cells, 1) index arrays
+    ci, cj = cells[None, :, 0, None], cells[None, :, 1, None]
+    in_box = np.ones(ci.shape, dtype=bool)
+    m_bar, m_delta = (float(_gather_stats(stats, ci, cj, in_box, x.width, x.height)[k, 0])
+                      for stats in _cell_stats(x))
     return m_bar, m_delta
 
 
@@ -396,8 +408,7 @@ def _at_and_above_crossing_bound(points: np.ndarray, values: np.ndarray, lip: fl
     return _pairwise_envelope(pts, vals, lip)
 
 
-def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
-                   keep_per_interval: bool = True) -> AliasingBound:
+def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBound:
     """Upper bound M >= (maximum l2 sampling error)^2 over grid's range.
 
     For every outer interval the squared distances to its two anchors
@@ -434,9 +445,8 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
                 discs[i] = t
 
     stats = _cell_stats(x)
-    m_value = 0.0
+    worst = None
     lipschitz_l = 0.0
-    records: list[IntervalBound] = []
 
     per_block = max(1, _BLOCK_IMAGES // grid.n_inner)
     for block_lo in range(0, n_int, per_block):
@@ -467,9 +477,7 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid,
                 right = _at_and_above_crossing_bound(pts, g_hi, slack, t, g_hi_t)
                 bound = max(left, right)
 
-            m_value = max(m_value, bound)
-            if keep_per_interval:
-                records.append(IntervalBound(lo, hi, bound, slack, exposed, t))
+            if worst is None or bound > worst.bound:
+                worst = IntervalBound(lo, hi, bound, slack, exposed, t)
 
-    return AliasingBound(m_value, lipschitz_l,
-                         tuple(records) if keep_per_interval else None)
+    return AliasingBound(worst, lipschitz_l)

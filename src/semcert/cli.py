@@ -22,7 +22,7 @@ from .classifiers import ConstantClassifier, MeanThresholdClassifier
 from .pipeline import (ParameterSet, certify_bc_rectangle, certify_diff_resolvable,
                        certify_resolvable, certify_translation_enum,
                        robust_accuracy_report)
-from .radii import ConfidencePair, DistributionSpec, closed_form_radius
+from .radii import NOISE_FAMILIES, ConfidencePair, DistributionSpec, closed_form_radius
 from .smoothing import ABSTAIN, SmoothedQuery, predict
 from .statfn import ConfidenceParams
 from .transforms import additive_pixel_transform, transform_spec
@@ -60,6 +60,25 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="synthetic classifier: constant:<label>[:<classes>] "
                             "or mean:<threshold>")
 
+    def add_noise(p):
+        p.add_argument("--noise-family", default=None, choices=NOISE_FAMILIES,
+                       help="blur smoothing noise family (default exponential)")
+        p.add_argument("--noise-scale", type=float, default=1.0,
+                       help="blur noise scale: rate for exponential, upper end for "
+                            "uniform [0,a], scale otherwise")
+        p.add_argument("--noise-sigma", type=float, default=0.25,
+                       help="gaussian sigma for translation / additive smoothing")
+        p.add_argument("--sigma-k", type=float, default=0.3,
+                       help="contrast noise std for brightness-contrast")
+        p.add_argument("--sigma-b", type=float, default=0.3,
+                       help="brightness noise std for brightness-contrast")
+
+    def add_grid(p):
+        p.add_argument("--grid-n", type=int, default=None,
+                       help="outer anchors for rotation/scaling (default 10000/1000)")
+        p.add_argument("--grid-r", type=int, default=None,
+                       help="inner subsamples for rotation/scaling (default 1000/250)")
+
     cert = sub.add_parser("certify", help="certify a dataset against one transform")
     cert.add_argument("--transform", required=True,
                       choices=["blur", "brightness-contrast", "translation-reflect",
@@ -80,31 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="brightness/contrast region: brightness range")
     cert.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"),
                       help="rotation (degrees) or scaling (factor) interval")
-    cert.add_argument("--noise-family", default=None,
-                      choices=["gaussian", "exponential", "uniform", "laplace",
-                               "folded_gaussian"],
-                      help="blur smoothing noise family (default exponential)")
-    cert.add_argument("--noise-scale", type=float, default=1.0,
-                      help="blur noise scale: rate for exponential, upper end for "
-                           "uniform [0,a], scale otherwise")
-    cert.add_argument("--noise-sigma", type=float, default=0.25,
-                      help="gaussian sigma for translation / additive smoothing")
-    cert.add_argument("--sigma-k", type=float, default=0.3,
-                      help="contrast noise std for brightness-contrast")
-    cert.add_argument("--sigma-b", type=float, default=0.3,
-                      help="brightness noise std for brightness-contrast")
-    cert.add_argument("--grid-n", type=int, default=None,
-                      help="outer anchors for rotation/scaling (default 10000/1000)")
-    cert.add_argument("--grid-r", type=int, default=None,
-                      help="inner subsamples for rotation/scaling (default 1000/250)")
+    add_noise(cert)
+    add_grid(cert)
     cert.add_argument("--output", required=True,
                       help="output prefix: writes <prefix>.csv and <prefix>.json")
 
     table = sub.add_parser("radius-table",
                            help="closed-form radius over a p_A grid as CSV")
-    table.add_argument("--family", required=True,
-                       choices=["gaussian", "exponential", "uniform", "laplace",
-                                "folded_gaussian"])
+    table.add_argument("--family", required=True, choices=NOISE_FAMILIES)
     table.add_argument("--sigma", type=float, help="gaussian / folded gaussian sigma")
     table.add_argument("--lambda", dest="rate", type=float, help="exponential rate")
     table.add_argument("--uniform-range", type=float, nargs=2, metavar=("A", "B"))
@@ -119,8 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     alias.add_argument("--interval", type=float, nargs=2, required=True,
                        metavar=("LO", "HI"),
                        help="rotation interval in degrees, scaling in factors")
-    alias.add_argument("--grid-n", type=int, default=None)
-    alias.add_argument("--grid-r", type=int, default=None)
+    add_grid(alias)
 
     pred = sub.add_parser("predict", help="single-sample smoothed prediction")
     pred.add_argument("--image", required=True, help="SEMT1 tensor file")
@@ -129,14 +130,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--transform", required=True,
                       choices=["blur", "brightness-contrast", "translation-reflect",
                                "additive"])
-    pred.add_argument("--noise-family", default=None,
-                      choices=["gaussian", "exponential", "uniform", "laplace",
-                               "folded_gaussian"])
-    pred.add_argument("--noise-scale", type=float, default=1.0)
-    pred.add_argument("--noise-sigma", type=float, default=0.25)
-    pred.add_argument("--sigma-k", type=float, default=0.3)
-    pred.add_argument("--sigma-b", type=float, default=0.3)
+    add_noise(pred)
     return parser
+
+
+def _require_paths(what: str, *paths) -> None:
+    """Raise a named error for the first given path that does not exist."""
+    for path in paths:
+        if path is not None and not os.path.exists(path):
+            raise FileNotFoundError(f"{what} path not found: {path}")
 
 
 def _classifier_from_args(args):
@@ -152,24 +154,22 @@ def _classifier_from_args(args):
     raise ValueError(f"unknown synthetic classifier spec {args.synthetic!r}")
 
 
-def _blur_noise(args) -> DistributionSpec:
-    family = args.noise_family or "exponential"
-    if family == "uniform":
-        return DistributionSpec("uniform", (0.0, args.noise_scale), dim=1)
-    if family == "gaussian":
-        raise ValueError("blur smoothing needs a one-sided or symmetric scalar family")
-    return DistributionSpec(family, (args.noise_scale,), dim=1)
-
-
 def _smoothing_setup(args, shape):
-    """(transform, noise) for the certify/predict transform choice."""
+    """(transform, noise) of the smoothed classifier for ``--transform``.
+
+    translation-black is certified by enumeration; its clean prediction
+    smooths with reflect padding.  Blur noise is checked by
+    ``SmoothedQuery``.
+    """
     t = args.transform
     if t == "blur":
-        return transform_spec("gaussian_blur"), _blur_noise(args)
+        family = args.noise_family or "exponential"
+        scale = (0.0, args.noise_scale) if family == "uniform" else (args.noise_scale,)
+        return transform_spec("gaussian_blur"), DistributionSpec(family, scale, dim=1)
     if t == "brightness-contrast":
         return (transform_spec("brightness_contrast"),
                 DistributionSpec("gaussian", (args.sigma_k, args.sigma_b), dim=2))
-    if t == "translation-reflect":
+    if t in ("translation-reflect", "translation-black"):
         return (transform_spec("translation_reflect"),
                 DistributionSpec("gaussian", (args.noise_sigma,), dim=2))
     if t in ("rotation", "scaling", "additive"):
@@ -179,6 +179,17 @@ def _smoothing_setup(args, shape):
     raise ValueError(f"no smoothing setup for transform {t!r}")
 
 
+def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
+    """Anchor grid over a CLI interval: degrees for rotation, factors for scaling."""
+    lo, hi = interval
+    if kind == "rotation":
+        lo, hi = math.radians(lo), math.radians(hi)
+        default_n, default_r = 10_000, 1_000
+    else:
+        default_n, default_r = 1_000, 250
+    return IntervalGrid(kind, lo, hi, grid_n or default_n, grid_r or default_r)
+
+
 def _require(value, flag: str, transform: str):
     if value is None:
         raise ValueError(f"--{flag} is required for --transform {transform}")
@@ -186,98 +197,61 @@ def _require(value, flag: str, transform: str):
 
 
 def _cmd_certify(args) -> int:
-    for path in (args.dataset, args.labels):
-        if not os.path.exists(path):
-            print(f"error: dataset path not found: {path}", file=sys.stderr)
-            return 2
-    if args.weights is not None and not os.path.exists(args.weights):
-        print(f"error: classifier path not found: {args.weights}", file=sys.stderr)
-        return 2
+    _require_paths("dataset", args.dataset, args.labels)
+    _require_paths("classifier", args.weights)
     images, labels = semio.read_idx(args.dataset, args.labels)
     if args.stride < 1:
         raise ValueError("--stride must be >= 1")
     dataset = [(images[i], int(labels[i])) for i in range(0, len(images), args.stride)]
     classifier = _classifier_from_args(args)
     conf = ConfidenceParams(args.alpha, args.n, args.n0)
-    shape = dataset[0][0].shape
+    transform, noise = _smoothing_setup(args, dataset[0][0].shape)
+    query = SmoothedQuery(classifier, transform, noise, conf, args.seed)
 
     t = args.transform
     grid = None
-    if t == "translation-black":
+    if t in ("translation-reflect", "translation-black"):
         region = ParameterSet.translation_disk(_require(args.rho, "rho", t))
+    elif t == "blur":
+        region = ParameterSet.blur_interval(_require(args.alpha_max, "alpha-max", t))
+    elif t == "brightness-contrast":
+        region = ParameterSet.bc_rect(*_require(args.k_range, "k-range", t),
+                                      *_require(args.b_range, "b-range", t))
+    else:  # rotation / scaling
+        grid = _interval_grid(t, _require(args.interval, "interval", t),
+                              args.grid_n, args.grid_r)
+        region = ParameterSet.interval(grid.a, grid.b)
 
-        def certifier(x, label):
+    def certifier(x, label):
+        # the pipelines are looked up when called, so a wrapper installed
+        # on this module's attribute sees every row
+        if t == "translation-black":
             return certify_translation_enum(x, label, classifier, region)
-
-        # clean predictions still need a smoothed query; use reflect smoothing
-        def query_for_clean(x):
-            return SmoothedQuery(classifier, transform_spec("translation_reflect"),
-                                 DistributionSpec("gaussian", (args.noise_sigma,), dim=2),
-                                 conf, args.seed)
-    else:
-        transform, noise = _smoothing_setup(args, shape)
-
-        def query_for_clean(x):
-            return SmoothedQuery(classifier, transform, noise, conf, args.seed)
-
-        if t == "blur":
-            region = ParameterSet.blur_interval(_require(args.alpha_max, "alpha-max", t))
-
-            def certifier(x, label):
-                return certify_resolvable(x, label, query_for_clean(x), region)
-        elif t == "translation-reflect":
-            region = ParameterSet.translation_disk(_require(args.rho, "rho", t))
-
-            def certifier(x, label):
-                return certify_resolvable(x, label, query_for_clean(x), region)
-        elif t == "brightness-contrast":
-            k_lo, k_hi = _require(args.k_range, "k-range", t)
-            b_lo, b_hi = _require(args.b_range, "b-range", t)
-            region = ParameterSet.bc_rect(k_lo, k_hi, b_lo, b_hi)
-
-            def certifier(x, label):
-                return certify_bc_rectangle(x, label, query_for_clean(x), region)
-        else:  # rotation / scaling
-            lo, hi = _require(args.interval, "interval", t)
-            if t == "rotation":
-                lo, hi = math.radians(lo), math.radians(hi)
-            region = ParameterSet.interval(lo, hi)
-            n_outer = args.grid_n or (10_000 if t == "rotation" else 1_000)
-            n_inner = args.grid_r or (1_000 if t == "rotation" else 250)
-            grid = IntervalGrid(t, lo, hi, n_outer, n_inner)
-
-            def certifier(x, label):
-                return certify_diff_resolvable(x, label, query_for_clean(x),
-                                               region, grid, batch=args.batch)
+        if t in ("blur", "translation-reflect"):
+            return certify_resolvable(x, label, query, region)
+        if t == "brightness-contrast":
+            return certify_bc_rectangle(x, label, query, region)
+        return certify_diff_resolvable(x, label, query, region, grid, batch=args.batch)
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    report = robust_accuracy_report(dataset, query_for_clean, certifier)
+    report = robust_accuracy_report(dataset, query, certifier)
     rows = semio.rows_from_table(report)
     echo = {k: v for k, v in vars(args).items() if k != "command"}
     semio.write_report_csv(rows, args.output + ".csv")
     semio.write_summary_json(semio.report_summary(report, echo, started),
                              args.output + ".json")
     print(f"wrote {args.output}.csv and {args.output}.json "
-          f"({len(rows)} samples, robust accuracy "
-          f"{report.robust_accuracy if report.robust_accuracy is not None else 'n/a'})")
+          f"({len(rows)} samples, robust accuracy {report.robust_accuracy})")
     return 0
 
 
 def _radius_table_dist(args) -> DistributionSpec:
+    """The family's own scale flag, else its unit-variance default."""
     family = args.family
-    if family in ("gaussian", "folded_gaussian"):
-        scale = (args.sigma,) if args.sigma is not None else _UNIT_VARIANCE_SCALES[family]
-        return DistributionSpec(family, scale, dim=1)
-    if family == "exponential":
-        scale = (args.rate,) if args.rate is not None else _UNIT_VARIANCE_SCALES[family]
-        return DistributionSpec(family, scale, dim=1)
-    if family == "uniform":
-        rng = tuple(args.uniform_range) if args.uniform_range else \
-            _UNIT_VARIANCE_SCALES[family]
-        return DistributionSpec(family, rng, dim=1)
-    scale = ((args.laplace_scale,) if args.laplace_scale is not None
-             else _UNIT_VARIANCE_SCALES["laplace"])
-    return DistributionSpec("laplace", scale, dim=1)
+    flag = {"gaussian": args.sigma, "folded_gaussian": args.sigma, "exponential": args.rate,
+            "uniform": args.uniform_range, "laplace": args.laplace_scale}[family]
+    params = _UNIT_VARIANCE_SCALES[family] if flag is None else np.atleast_1d(flag)
+    return DistributionSpec(family, tuple(params), dim=1)
 
 
 def _cmd_radius_table(args) -> int:
@@ -300,26 +274,17 @@ def _cmd_radius_table(args) -> int:
 
 
 def _cmd_aliasing(args) -> int:
-    if not os.path.exists(args.image):
-        print(f"error: image path not found: {args.image}", file=sys.stderr)
-        return 2
+    _require_paths("image", args.image)
     x = semio.read_tensor(args.image)
-    lo, hi = args.interval
-    if args.kind == "rotation":
-        lo, hi = math.radians(lo), math.radians(hi)
-    n_outer = args.grid_n or (10_000 if args.kind == "rotation" else 1_000)
-    n_inner = args.grid_r or (1_000 if args.kind == "rotation" else 250)
-    grid = IntervalGrid(args.kind, lo, hi, n_outer, n_inner)
-    bound = aliasing_bound(x, args.kind, grid, keep_per_interval=False)
+    grid = _interval_grid(args.kind, args.interval, args.grid_n, args.grid_r)
+    bound = aliasing_bound(x, args.kind, grid)
     print("m,sqrt_m,lipschitz_l")
     print(f"{bound.m_value!r},{bound.sqrt_m!r},{bound.lipschitz_l!r}")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    if not os.path.exists(args.image):
-        print(f"error: image path not found: {args.image}", file=sys.stderr)
-        return 2
+    _require_paths("image", args.image)
     x = semio.read_tensor(args.image)
     classifier = _classifier_from_args(args)
     transform, noise = _smoothing_setup(args, x.shape)

@@ -215,12 +215,11 @@ def rows_from_table(table: ReportTable) -> list[ReportRow]:
             index=s.index,
             true_label=s.true_label,
             predicted=s.predicted,
-            verdict=r.verdict if r is not None else "",
-            p_a_lower=r.p_a_lower if r is not None else None,
-            radius=(r.region_bound if r is not None else None),
-            sqrt_m=(r.aliasing.sqrt_m if r is not None and r.aliasing is not None
-                    else None),
-            samples_used=r.samples_used if r is not None else 0,
+            verdict=r.verdict,
+            p_a_lower=r.p_a_lower,
+            radius=r.region_bound,
+            sqrt_m=r.aliasing.sqrt_m if r.aliasing is not None else None,
+            samples_used=r.samples_used,
         ))
     return rows
 
@@ -269,15 +268,11 @@ def read_report_csv(path) -> list[ReportRow]:
 def report_summary(table: ReportTable, config_echo: dict, started_at: str) -> dict:
     """JSON-ready run summary: accuracies, verdict counts, timing stats."""
     verdicts: dict[str, int] = {}
-    elapsed = []
     for s in table.samples:
-        if s.result is not None:
-            verdicts[s.result.verdict] = verdicts.get(s.result.verdict, 0) + 1
-            elapsed.append(s.result.elapsed)
-    timing = None
-    if elapsed:
-        timing = {"avg_s": sum(elapsed) / len(elapsed),
-                  "min_s": min(elapsed), "max_s": max(elapsed)}
+        verdicts[s.result.verdict] = verdicts.get(s.result.verdict, 0) + 1
+    elapsed = [s.result.elapsed for s in table.samples]
+    timing = {"avg_s": sum(elapsed) / len(elapsed),
+              "min_s": min(elapsed), "max_s": max(elapsed)}
     return {
         "started_at": started_at,
         "config": config_echo,

@@ -122,28 +122,22 @@ class PipelineConfigError(ValueError):
     """Incompatible transform / noise / region combination."""
 
 
-_BLUR_FAMILIES = ("exponential", "uniform", "folded_gaussian", "laplace")
-
-
 def certify_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
                        region: ParameterSet) -> CertificationResult:
     """Certify blur or reflect-padded translation via a closed-form radius.
 
-    Blur pairs with a one-sided or symmetric scalar noise family and
-    certifies [0, alpha_max] when alpha_max is under the family's
-    radius; translation pairs with isotropic 2-d gaussian noise and
-    certifies the displacement disk of radius rho when rho < sigma *
-    (quantile gap)/2.
+    Blur pairs with a scalar noise family that draws no negative
+    parameter (``SmoothedQuery`` enforces this) and certifies
+    [0, alpha_max] when alpha_max is under the family's radius;
+    translation pairs with isotropic 2-d gaussian noise and certifies
+    the displacement disk of radius rho when rho < sigma * (quantile
+    gap)/2.
     """
     t0 = time.perf_counter()
     kind = q.transform.kind
     if kind == "gaussian_blur":
         if region.kind != "blur":
             raise PipelineConfigError("blur certification needs a blur region")
-        if q.noise.family not in _BLUR_FAMILIES or q.noise.dim != 1:
-            raise PipelineConfigError(
-                f"blur smoothing supports 1-d {_BLUR_FAMILIES}, got "
-                f"{q.noise.family}/{q.noise.dim}")
         if q.noise.family == "uniform" and q.noise.params[0] != 0.0:
             raise PipelineConfigError("blur uniform noise must start at 0")
     elif kind == "translation_reflect":
@@ -253,7 +247,7 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
         raise PipelineConfigError("grid range must equal the requested interval")
     _isotropic_sigma(q.noise)
 
-    bound = aliasing_bound(x, grid.kind, grid, keep_per_interval=False)
+    bound = aliasing_bound(x, grid.kind, grid)
     target = bound.sqrt_m
     anchors = grid.anchors()
     joint_alpha = min(1.0, len(anchors) * q.conf.alpha)
@@ -323,7 +317,7 @@ class SampleReport:
     index: int
     true_label: int
     predicted: int
-    result: CertificationResult | None
+    result: CertificationResult
 
 
 @dataclass(frozen=True)
@@ -331,18 +325,17 @@ class ReportTable:
     """Certified / clean accuracy over a dataset."""
 
     samples: tuple[SampleReport, ...]
-    robust_accuracy: float | None
+    robust_accuracy: float
     clean_accuracy: float
 
 
-def robust_accuracy_report(dataset, query_for_clean, certifier=None) -> ReportTable:
+def robust_accuracy_report(dataset, query: SmoothedQuery, certifier) -> ReportTable:
     """Per-sample certification plus clean smoothed accuracy.
 
-    ``dataset`` is a list of (ImageTensor, label); ``query_for_clean``
-    maps an image to a SmoothedQuery used for the clean prediction;
-    ``certifier`` (optional) maps (image, label) to a
-    CertificationResult.  With no certifier only clean accuracy is
-    reported.
+    ``dataset`` is a list of (ImageTensor, label); ``query`` is the
+    smoothed classifier whose prediction on each image is the clean
+    prediction; ``certifier`` maps (image, label) to a
+    CertificationResult.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -350,12 +343,10 @@ def robust_accuracy_report(dataset, query_for_clean, certifier=None) -> ReportTa
     clean_hits = 0
     robust_hits = 0
     for idx, (x, label) in enumerate(dataset):
-        predicted = predict(query_for_clean(x), x)
+        predicted = predict(query, x)
         clean_hits += int(predicted == label)
-        result = certifier(x, label) if certifier is not None else None
-        if result is not None and result.certified and result.predicted_class == label:
-            robust_hits += 1
+        result = certifier(x, label)
+        robust_hits += int(result.certified and result.predicted_class == label)
         samples.append(SampleReport(idx, label, predicted, result))
     n = len(dataset)
-    robust = robust_hits / n if certifier is not None else None
-    return ReportTable(tuple(samples), robust, clean_hits / n)
+    return ReportTable(tuple(samples), robust_hits / n, clean_hits / n)

@@ -61,7 +61,7 @@ class BaseClassifier:
         Subclasses with vectorizable decision rules override this; the
         default falls back to per-image classification.
         """
-        return np.asarray([self.classify(ImageTensor(row.reshape(shape), normalized=False))
+        return np.asarray([self.classify(ImageTensor(row.reshape(shape)))
                            for row in flats], dtype=np.int64)
 
 
@@ -80,6 +80,12 @@ class SmoothedQuery:
             raise ValueError(
                 f"noise dimension {self.noise.dim} != transform parameter "
                 f"dimension {self.transform.param_dim}")
+        noise = self.noise
+        if self.transform.kind == "gaussian_blur" and (
+                noise.family in ("gaussian", "laplace")
+                or noise.family == "uniform" and noise.params[0] < 0.0):
+            raise ValueError(f"blur takes parameters >= 0, but {noise.family} "
+                             f"noise {noise.params} draws negative ones")
 
 
 @dataclass(frozen=True)

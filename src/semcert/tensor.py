@@ -24,13 +24,12 @@ __all__ = ["ImageTensor", "bilinear", "bilinear_many", "l1_distance", "l2_distan
 class ImageTensor:
     """Immutable K x W x H real-valued image.
 
-    Values are expected in [0, 1] unless ``normalized`` is False (e.g.
-    after an unclamped brightness/contrast change).  The backing array
-    is made read-only so tensors can be shared across workers.
+    Values are not clamped: an unclamped brightness/contrast change or
+    additive noise may leave [0, 1].  The backing array is made
+    read-only so tensors can be shared across workers.
     """
 
     data: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -65,13 +64,12 @@ class ImageTensor:
         return self.data.reshape(-1)
 
     @classmethod
-    def from_flat(cls, values, channels: int, width: int, height: int,
-                  normalized: bool = True) -> "ImageTensor":
+    def from_flat(cls, values, channels: int, width: int, height: int) -> "ImageTensor":
         arr = np.asarray(values, dtype=np.float64)
         if arr.size != channels * width * height:
             raise ValueError(
                 f"expected {channels * width * height} values, got {arr.size}")
-        return cls(arr.reshape(channels, width, height), normalized=normalized)
+        return cls(arr.reshape(channels, width, height))
 
 
 def _check_channel(x: ImageTensor, k: int) -> None:

@@ -46,18 +46,7 @@ __all__ = [
     "scale",
     "scale_many",
     "center_coords",
-    "TRANSFORM_KINDS",
 ]
-
-TRANSFORM_KINDS = (
-    "gaussian_blur",
-    "brightness_contrast",
-    "translation_reflect",
-    "translation_black",
-    "rotation",
-    "scaling",
-    "additive_pixel",
-)
 
 # Transformed images held at once by a loop over many parameters: the
 # blur kernel's stages here, sampling in ``smoothing`` and inner points in
@@ -67,23 +56,14 @@ _BLOCK_IMAGES = 4096
 
 @dataclass(frozen=True)
 class Transform:
-    """A transform family: its parameter dimension and reversibility flag.
-
-    ``reversible`` marks whether for every parameter there is another
-    parameter undoing it exactly; certificates on non-reversible
-    transforms only speak about transformed copies of the input, not
-    about recovering predictions on pre-images.
-    """
+    """A transform family: its kind and parameter dimension."""
 
     kind: str
     param_dim: int
-    reversible: bool
 
     def apply(self, x: ImageTensor, params) -> ImageTensor:
         """Transform ``x`` at one parameter vector."""
-        out = self.apply_many(x, np.reshape(params, (1, -1)))[0]
-        keeps_range = self.kind not in ("brightness_contrast", "additive_pixel")
-        return ImageTensor(out, normalized=x.normalized and keeps_range)
+        return ImageTensor(self.apply_many(x, np.reshape(params, (1, -1)))[0])
 
     def apply_many(self, x: ImageTensor, params) -> np.ndarray:
         """Transform ``x`` at each row of ``params``; returns (B, K, W, H).
@@ -121,12 +101,12 @@ class Transform:
 
 
 _SPECS = {
-    "gaussian_blur": Transform("gaussian_blur", 1, reversible=False),
-    "brightness_contrast": Transform("brightness_contrast", 2, reversible=True),
-    "translation_reflect": Transform("translation_reflect", 2, reversible=True),
-    "translation_black": Transform("translation_black", 2, reversible=True),
-    "rotation": Transform("rotation", 1, reversible=False),
-    "scaling": Transform("scaling", 1, reversible=False),
+    "gaussian_blur": Transform("gaussian_blur", 1),
+    "brightness_contrast": Transform("brightness_contrast", 2),
+    "translation_reflect": Transform("translation_reflect", 2),
+    "translation_black": Transform("translation_black", 2),
+    "rotation": Transform("rotation", 1),
+    "scaling": Transform("scaling", 1),
 }
 
 
@@ -141,7 +121,7 @@ def transform_spec(kind: str) -> Transform:
 def additive_pixel_transform(shape: tuple[int, int, int]) -> Transform:
     """Additive pixel perturbation x + delta for images of ``shape``."""
     k, w, h = shape
-    return Transform("additive_pixel", k * w * h, reversible=True)
+    return Transform("additive_pixel", k * w * h)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +183,7 @@ def gaussian_blur(x: ImageTensor, alpha: float) -> ImageTensor:
         raise ValueError(f"blur parameter must be >= 0, got {alpha}")
     if alpha == 0.0:
         return x
-    return ImageTensor(blur_many(x, [alpha])[0], normalized=x.normalized)
+    return ImageTensor(blur_many(x, [alpha])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +192,8 @@ def gaussian_blur(x: ImageTensor, alpha: float) -> ImageTensor:
 def brightness_contrast(x: ImageTensor, k: float, b: float) -> ImageTensor:
     """Pixelwise v -> e^k (v + b), unclamped.
 
-    The result is flagged unnormalized whenever (k, b) != (0, 0): the
-    smoothed classifier must see exactly e^k(x + b), so no clamping back
-    into [0, 1] is applied.
+    The smoothed classifier must see exactly e^k(x + b), so no clamping
+    back into [0, 1] is applied.
     """
     if k == 0.0 and b == 0.0:
         return x
@@ -241,8 +220,7 @@ def translate(x: ImageTensor, dx: float, dy: float, padding: str = "reflect") ->
     if m1 == 0 and m2 == 0:
         return x
     if padding == "reflect":
-        return ImageTensor(np.roll(x.data, (m1, m2), axis=(1, 2)),
-                           normalized=x.normalized)
+        return ImageTensor(np.roll(x.data, (m1, m2), axis=(1, 2)))
     if padding == "black":
         out = np.zeros_like(x.data)
         W, H = x.width, x.height
@@ -252,7 +230,7 @@ def translate(x: ImageTensor, dx: float, dy: float, padding: str = "reflect") ->
             dst_j = slice(max(m2, 0), H + min(m2, 0))
             src_j = slice(max(-m2, 0), H + min(-m2, 0))
             out[:, dst_i, dst_j] = x.data[:, src_i, src_j]
-        return ImageTensor(out, normalized=x.normalized)
+        return ImageTensor(out)
     raise ValueError(f"unknown padding mode {padding!r}")
 
 
@@ -312,7 +290,7 @@ def rotate_many(x: ImageTensor, angles) -> np.ndarray:
 
 def rotate(x: ImageTensor, angle: float) -> ImageTensor:
     """Rotate counter-clockwise by ``angle`` radians with disk black-padding."""
-    return ImageTensor(rotate_many(x, [angle])[0], normalized=x.normalized)
+    return ImageTensor(rotate_many(x, [angle])[0])
 
 
 def scale_many(x: ImageTensor, factors) -> np.ndarray:
@@ -337,4 +315,4 @@ def scale(x: ImageTensor, s: float) -> ImageTensor:
     """Stretch width and height about the center by factor ``s`` > 0."""
     if s <= 0.0:
         raise ValueError(f"scaling factor must be > 0, got {s}")
-    return ImageTensor(scale_many(x, [s])[0], normalized=x.normalized)
+    return ImageTensor(scale_many(x, [s])[0])

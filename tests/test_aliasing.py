@@ -253,21 +253,31 @@ class TestAliasingBound:
 
     def test_refinement_by_ten(self, image_9x9):
         coarse = aliasing_bound(image_9x9, "rotation",
-                                IntervalGrid("rotation", -0.05, 0.05, 100, 20),
-                                keep_per_interval=False).m_value
+                                IntervalGrid("rotation", -0.05, 0.05, 100, 20)).m_value
         fine = aliasing_bound(image_9x9, "rotation",
-                              IntervalGrid("rotation", -0.05, 0.05, 1000, 20),
-                              keep_per_interval=False).m_value
+                              IntervalGrid("rotation", -0.05, 0.05, 1000, 20)).m_value
         assert coarse >= 10.0 * fine
 
     def test_per_interval_table(self, image_9x9):
+        # the bound keeps the one interval that attains M
         g = IntervalGrid("rotation", -0.02, 0.02, 6, 5)
         bound = aliasing_bound(image_9x9, "rotation", g)
-        assert len(bound.per_interval) == 5
-        assert bound.m_value == pytest.approx(
-            max(rec.bound for rec in bound.per_interval))
+        assert bound.m_value == bound.worst.bound
+        assert (bound.worst.lo, bound.worst.hi) in [tuple(iv) for iv in g.intervals()]
         assert bound.lipschitz_l == pytest.approx(
-            max(rec.exposed_lipschitz for rec in bound.per_interval))
+            max(rotation_interval_lipschitz(image_9x9, tuple(iv))
+                for iv in g.intervals()))
+
+    @pytest.mark.parametrize("kind,lo,hi", [("rotation", -0.3, 0.3),
+                                            ("scaling", 0.9, 1.1)])
+    def test_negative_pixels_rejected(self, kind, lo, hi):
+        # negated, this image gives sqrt(M) below the dense sampling error
+        # (0.1438 < 0.1489 for rotation, 0.0868 < 0.0953 for scaling) and
+        # a zero Lipschitz constant, because the cell maxima bound |colour|
+        # only for colours >= 0
+        x = ImageTensor(-np.random.default_rng(0).random((1, 9, 9)))
+        with pytest.raises(ValueError, match="pixel values >= 0"):
+            aliasing_bound(x, kind, IntervalGrid(kind, lo, hi, 20, 10))
 
     def test_blocking_does_not_change_bounds(self, image_9x9, monkeypatch):
         g = IntervalGrid("scaling", 0.9, 1.1, 12, 5)

@@ -1,0 +1,211 @@
+"""Smoke tests of the ``semcert`` command line on a tiny generated IDX set."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from semcert import io as semio
+from semcert.aliasing import IntervalGrid, aliasing_bound
+from semcert.cli import run_cli
+from semcert.radii import ConfidencePair, DistributionSpec, closed_form_radius
+from semcert.tensor import ImageTensor
+
+_HEADER = "index,true_label,predicted,verdict,p_a_lower,radius,sqrt_m,samples_used\r\n"
+
+_SMALL = ["--synthetic", "mean:0.5", "--n", "300", "--n0", "50", "--seed", "7"]
+
+_CERTIFY_FLAGS = {
+    "blur": ["--alpha-max", "0.3"],
+    "brightness-contrast": ["--k-range", "-0.1", "0.1", "--b-range", "-0.05", "0.05"],
+    "translation-reflect": ["--rho", "0.2"],
+    "translation-black": ["--rho", "1.5"],
+    "rotation": ["--interval", "-2", "2", "--grid-n", "30", "--grid-r", "5"],
+    "scaling": ["--interval", "0.95", "1.05", "--grid-n", "30", "--grid-r", "5"],
+}
+
+
+def _write_idx(tmp_path, pixels, labels):
+    count, rows, cols = pixels.shape
+    images = tmp_path / "images.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols)
+                       + pixels.astype(np.uint8).tobytes())
+    label_file = tmp_path / "labels.idx"
+    label_file.write_bytes(struct.pack(">II", 0x801, count)
+                           + np.asarray(labels, dtype=np.uint8).tobytes())
+    return str(images), str(label_file)
+
+
+@pytest.fixture
+def idx_set(tmp_path):
+    # three 9x9 images: bright (label 1), dark (label 0), bright but labelled 0
+    rng = np.random.default_rng(5)
+    levels = np.array([200, 50, 190])[:, None, None]
+    pixels = np.clip(levels + rng.integers(-40, 41, (3, 9, 9)), 0, 255)
+    return _write_idx(tmp_path, pixels, [1, 0, 0])
+
+
+@pytest.fixture
+def tensor_file(tmp_path):
+    x = ImageTensor(np.random.default_rng(0).random((1, 9, 9)) * 0.3 + 0.7)
+    path = tmp_path / "x.semt"
+    semio.write_tensor(x, path)
+    return x, str(path)
+
+
+def _run(capsys, argv):
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCertify:
+    @pytest.mark.parametrize("transform", sorted(_CERTIFY_FLAGS))
+    def test_each_transform_runs_and_repeats(self, capsys, tmp_path, idx_set, transform):
+        images, labels = idx_set
+        bodies = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{transform}-{run}"
+            code, stdout, err = _run(capsys, [
+                "certify", "--transform", transform, *_CERTIFY_FLAGS[transform],
+                "--dataset", images, "--labels", labels, *_SMALL, "--output", str(out)])
+            assert code == 0, err
+            assert stdout.startswith(f"wrote {out}.csv and {out}.json (3 samples")
+            bodies.append((tmp_path / f"{transform}-{run}.csv").read_bytes())
+            rows = semio.read_report_csv(f"{out}.csv")
+            assert [r.index for r in rows] == [0, 1, 2]
+        assert bodies[0].decode().startswith(_HEADER)
+        assert bodies[0] == bodies[1]
+
+    def test_certifies_what_it_should(self, capsys, tmp_path, idx_set):
+        images, labels = idx_set
+        out = tmp_path / "bc"
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "brightness-contrast",
+            *_CERTIFY_FLAGS["brightness-contrast"],
+            "--dataset", images, "--labels", labels, *_SMALL, "--output", str(out)])
+        assert code == 0, err
+        rows = semio.read_report_csv(f"{out}.csv")
+        assert [r.predicted for r in rows] == [1, 0, 1]
+        assert [r.verdict for r in rows] == ["certified", "certified", "not_certified"]
+
+    def test_missing_dataset(self, capsys, tmp_path, idx_set):
+        _, labels = idx_set
+        missing = str(tmp_path / "nope.idx")
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "blur", "--alpha-max", "0.3",
+            "--dataset", missing, "--labels", labels, *_SMALL,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == f"error: dataset path not found: {missing}\n"
+
+    def test_missing_weights(self, capsys, tmp_path, idx_set):
+        images, labels = idx_set
+        missing = str(tmp_path / "w.semw")
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "blur", "--alpha-max", "0.3",
+            "--dataset", images, "--labels", labels, "--weights", missing,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == f"error: classifier path not found: {missing}\n"
+
+    def test_missing_rho(self, capsys, tmp_path, idx_set):
+        images, labels = idx_set
+        for transform in ("translation-reflect", "translation-black"):
+            code, _, err = _run(capsys, [
+                "certify", "--transform", transform,
+                "--dataset", images, "--labels", labels, *_SMALL,
+                "--output", str(tmp_path / "out")])
+            assert code == 2
+            assert err == (f"error: --rho is required for --transform {transform}\n")
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestAliasing:
+    @pytest.mark.parametrize("kind,interval,lo,hi", [
+        ("rotation", ["-2", "2"], math.radians(-2.0), math.radians(2.0)),
+        ("scaling", ["0.95", "1.05"], 0.95, 1.05),
+    ])
+    def test_prints_bound(self, capsys, tensor_file, kind, interval, lo, hi):
+        x, path = tensor_file
+        code, out, err = _run(capsys, ["aliasing", "--image", path, "--kind", kind,
+                                       "--interval", *interval,
+                                       "--grid-n", "30", "--grid-r", "5"])
+        assert code == 0, err
+        bound = aliasing_bound(x, kind, IntervalGrid(kind, lo, hi, 30, 5))
+        assert out == ("m,sqrt_m,lipschitz_l\n"
+                       f"{bound.m_value!r},{bound.sqrt_m!r},{bound.lipschitz_l!r}\n")
+
+    def test_missing_image(self, capsys, tmp_path):
+        missing = str(tmp_path / "x.semt")
+        code, _, err = _run(capsys, ["aliasing", "--image", missing, "--kind",
+                                     "rotation", "--interval", "-1", "1"])
+        assert code == 2
+        assert err == f"error: image path not found: {missing}\n"
+
+    def test_negative_pixels_rejected(self, capsys, tmp_path):
+        # the cell bounds take the largest corner value as the bound on
+        # |colour|, which needs colours >= 0
+        path = tmp_path / "neg.semt"
+        semio.write_tensor(ImageTensor(-np.random.default_rng(0).random((1, 9, 9))), path)
+        code, _, err = _run(capsys, ["aliasing", "--image", str(path), "--kind",
+                                     "rotation", "--interval", "-2", "2",
+                                     "--grid-n", "20", "--grid-r", "10"])
+        assert code == 2
+        assert err.startswith("error:")
+
+
+class TestPredict:
+    @pytest.mark.parametrize("transform", ["blur", "brightness-contrast",
+                                           "translation-reflect", "additive"])
+    def test_prints_label(self, capsys, tensor_file, transform):
+        _, path = tensor_file
+        code, out, err = _run(capsys, ["predict", "--image", path, "--transform",
+                                       transform, *_SMALL])
+        assert code == 0, err
+        assert out == "1\n"
+
+    def test_missing_image(self, capsys, tmp_path):
+        missing = str(tmp_path / "x.semt")
+        code, _, err = _run(capsys, ["predict", "--image", missing,
+                                     "--transform", "blur", *_SMALL])
+        assert code == 2
+        assert err == f"error: image path not found: {missing}\n"
+
+
+class TestRadiusTable:
+    @pytest.mark.parametrize("family,explicit", [
+        ("gaussian", ["--sigma", "1.0"]),
+        ("folded_gaussian", ["--sigma", repr(math.sqrt(math.pi / (math.pi - 2.0)))]),
+        ("exponential", ["--lambda", "1.0"]),
+        ("uniform", ["--uniform-range", repr(-math.sqrt(3.0)), repr(math.sqrt(3.0))]),
+        ("laplace", ["--laplace-scale", repr(1.0 / math.sqrt(2.0))]),
+    ])
+    def test_defaults_are_unit_variance(self, capsys, family, explicit):
+        grid = ["--p-grid", "0.6,0.75,0.999"]
+        code, default_out, _ = _run(capsys, ["radius-table", "--family", family, *grid])
+        assert code == 0
+        code, explicit_out, _ = _run(capsys, ["radius-table", "--family", family,
+                                              *grid, *explicit])
+        assert code == 0
+        assert default_out == explicit_out
+        assert default_out.startswith("p_a,radius\n0.6,")
+        assert len(default_out.splitlines()) == 4
+
+    def test_explicit_scale_to_file(self, capsys, tmp_path):
+        out = tmp_path / "table.csv"
+        code, stdout, _ = _run(capsys, ["radius-table", "--family", "gaussian",
+                                        "--sigma", "0.5", "--p-grid", "0.9",
+                                        "--output", str(out)])
+        assert code == 0 and stdout == ""
+        radius = closed_form_radius(DistributionSpec("gaussian", (0.5,), dim=1),
+                                    ConfidencePair(0.9)).value
+        assert out.read_text() == f"p_a,radius\n0.9,{radius!r}\n"
+
+    def test_default_grid(self, capsys):
+        code, out, _ = _run(capsys, ["radius-table", "--family", "exponential"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "p_a,radius" and len(lines) == 501
+        assert lines[1].startswith("0.5,") and lines[-1].startswith("0.999,")

@@ -73,7 +73,7 @@ _SCALAR_TRANSFORMS = {
     "gaussian_blur": lambda x, p: gaussian_blur(x, p[0]),
     "rotation": lambda x, p: rotate(x, p[0]),
     "scaling": lambda x, p: scale(x, p[0]),
-    "additive_pixel": lambda x, p: ImageTensor(x.data + p.reshape(x.shape), normalized=False),
+    "additive_pixel": lambda x, p: ImageTensor(x.data + p.reshape(x.shape)),
 }
 
 
@@ -140,12 +140,30 @@ class TestSampleCounts:
                           ConfidenceParams())
 
     def test_blur_negative_draw_rejected(self, image_9x9):
-        # laplace is two-sided; blur cannot take negative parameters
-        q = SmoothedQuery(ConstantClassifier(0), transform_spec("gaussian_blur"),
-                          DistributionSpec("laplace", (1.0,), dim=1),
-                          ConfidenceParams(0.05, 400, 50), seed=1)
+        # laplace is two-sided; blur cannot take negative parameters, so
+        # the query is refused before any sampling
         with pytest.raises(ValueError):
+            q = SmoothedQuery(ConstantClassifier(0), transform_spec("gaussian_blur"),
+                              DistributionSpec("laplace", (1.0,), dim=1),
+                              ConfidenceParams(0.05, 400, 50), seed=1)
             sample_counts(q, image_9x9, 50)
+
+    @pytest.mark.parametrize("noise,ok", [
+        (DistributionSpec("gaussian", (1.0,), dim=1), False),
+        (DistributionSpec("uniform", (-0.5, 1.0), dim=1), False),
+        (DistributionSpec("uniform", (0.0, 1.0), dim=1), True),
+        (DistributionSpec("exponential", (1.0,), dim=1), True),
+        (DistributionSpec("folded_gaussian", (1.0,), dim=1), True),
+    ])
+    def test_blur_noise_sign_rule(self, noise, ok):
+        def build():
+            return SmoothedQuery(ConstantClassifier(0), transform_spec("gaussian_blur"),
+                                 noise, ConfidenceParams())
+        if ok:
+            build()
+        else:
+            with pytest.raises(ValueError, match="draws negative"):
+                build()
 
 
 class TestPredict:

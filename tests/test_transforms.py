@@ -19,15 +19,9 @@ class TestTransformSpecs:
         for kind in ("gaussian_blur", "rotation", "scaling"):
             assert transform_spec(kind).param_dim == 1
 
-    def test_reversibility_flags(self):
-        for kind in ("brightness_contrast", "translation_reflect", "translation_black"):
-            assert transform_spec(kind).reversible
-        for kind in ("gaussian_blur", "rotation", "scaling"):
-            assert not transform_spec(kind).reversible
-
     def test_additive_pixel(self, image_9x9):
         t = additive_pixel_transform(image_9x9.shape)
-        assert t.param_dim == 81 and t.reversible
+        assert t.param_dim == 81
         delta = np.full(81, 0.01)
         out = t.apply(image_9x9, delta)
         np.testing.assert_allclose(out.data, image_9x9.data + 0.01)
@@ -36,7 +30,7 @@ class TestTransformSpecs:
         with pytest.raises(ValueError):
             transform_spec("shear")
         with pytest.raises(ValueError, match="unknown transform kind"):
-            Transform("shear", 1, reversible=False).apply_many(image_9x9, [0.1])
+            Transform("shear", 1).apply_many(image_9x9, [0.1])
 
     @pytest.mark.parametrize("transform,params,message", [
         (transform_spec("brightness_contrast"), [0.1, 0.2], "got shape"),
@@ -96,7 +90,6 @@ class TestBrightnessContrast:
         x = ImageTensor(np.full((1, 1, 1), 0.5))
         out = brightness_contrast(x, math.log(2.0), 0.1)
         assert out.data[0, 0, 0] == pytest.approx(1.2, abs=1e-15)
-        assert not out.normalized
 
     def test_brightness_alone_additive(self, image_9x9):
         lhs = brightness_contrast(brightness_contrast(image_9x9, 0.0, 0.07), 0.0, 0.21)

@@ -21,7 +21,7 @@ from .smoothing import (ABSTAIN, BaseClassifier, SmoothedQuery, certify, predict
                         progressive_certify, sample_counts)
 from .statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
                      std_normal_cdf, std_normal_quantile)
-from .tensor import ImageTensor, bilinear, l1_distance, l2_distance
+from .tensor import ImageTensor, bilinear, l2_distance
 from .transforms import (Transform, additive_pixel_transform, brightness_contrast,
                          gaussian_blur, rotate, scale, transform_spec, translate)
 

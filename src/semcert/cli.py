@@ -187,7 +187,9 @@ def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
         default_n, default_r = 10_000, 1_000
     else:
         default_n, default_r = 1_000, 250
-    return IntervalGrid(kind, lo, hi, grid_n or default_n, grid_r or default_r)
+    return IntervalGrid(kind, lo, hi,
+                        default_n if grid_n is None else grid_n,
+                        default_r if grid_r is None else grid_r)
 
 
 def _require(value, flag: str, transform: str):
@@ -202,6 +204,8 @@ def _cmd_certify(args) -> int:
     images, labels = semio.read_idx(args.dataset, args.labels)
     if args.stride < 1:
         raise ValueError("--stride must be >= 1")
+    if not images:
+        raise ValueError(f"dataset holds no images: {args.dataset}")
     dataset = [(images[i], int(labels[i])) for i in range(0, len(images), args.stride)]
     classifier = _classifier_from_args(args)
     conf = ConfidenceParams(args.alpha, args.n, args.n0)

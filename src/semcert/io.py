@@ -32,7 +32,6 @@ from .pipeline import ReportTable
 from .tensor import ImageTensor
 
 __all__ = [
-    "IdxFormatError",
     "FormatError",
     "read_idx_images",
     "read_idx_labels",
@@ -57,14 +56,10 @@ class FormatError(ValueError):
     """Malformed binary input."""
 
 
-class IdxFormatError(FormatError):
-    """Malformed IDX container; the message names the failing byte offset."""
-
-
 def _read_exact(f, n: int, offset: int, what: str) -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise IdxFormatError(
+        raise FormatError(
             f"truncated IDX file: expected {n} bytes of {what} at offset "
             f"{offset}, found {len(data)}")
     return data
@@ -79,7 +74,7 @@ def read_idx_images(path) -> list[ImageTensor]:
     with open(path, "rb") as f:
         magic = _read_be32(f, 0, "magic")
         if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(
+            raise FormatError(
                 f"bad image magic 0x{magic:08x} at offset 0 "
                 f"(expected 0x{IDX_IMAGE_MAGIC:08x})")
         count = _read_be32(f, 4, "image count")
@@ -87,12 +82,12 @@ def read_idx_images(path) -> list[ImageTensor]:
         cols = _read_be32(f, 12, "column count")
         total = count * rows * cols
         if total > 1 << 34:
-            raise IdxFormatError(
+            raise FormatError(
                 f"dimension overflow at offset 4: {count} x {rows} x {cols}")
         raw = _read_exact(f, total, 16, "pixel data")
         extra = f.read(1)
         if extra:
-            raise IdxFormatError(f"trailing bytes at offset {16 + total}")
+            raise FormatError(f"trailing bytes at offset {16 + total}")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
     scaled = pixels.astype(np.float64) / 255.0
     # IDX is (row, col) = (y, x); this package stores (x, y)
@@ -104,7 +99,7 @@ def read_idx_labels(path) -> np.ndarray:
     with open(path, "rb") as f:
         magic = _read_be32(f, 0, "magic")
         if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
+            raise FormatError(
                 f"bad label magic 0x{magic:08x} at offset 0 "
                 f"(expected 0x{IDX_LABEL_MAGIC:08x})")
         count = _read_be32(f, 4, "label count")
@@ -119,7 +114,7 @@ def read_idx(images_path, labels_path=None):
         return images, None
     labels = read_idx_labels(labels_path)
     if len(labels) != len(images):
-        raise IdxFormatError(
+        raise FormatError(
             f"label count {len(labels)} does not match image count {len(images)}")
     return images, labels
 

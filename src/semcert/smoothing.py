@@ -25,7 +25,7 @@ import numpy as np
 
 from .radii import ConfidencePair, DistributionSpec
 from .statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
-                     std_normal_quantile)
+                     std_normal_cdf, std_normal_quantile)
 from .streams import draw_params
 from .tensor import ImageTensor
 from .transforms import _BLOCK_IMAGES, Transform
@@ -212,6 +212,19 @@ def _isotropic_sigma(noise: DistributionSpec) -> float:
     return float(sig[0])
 
 
+def _certify_floor(target_radius: float, sigma: float) -> float:
+    """Point estimate hits/used at or below which a check cannot certify.
+
+    Certifying needs p_a_lower > 1/2 and sigma * Phi_inv(p_a_lower) >
+    target, i.e. p_a_lower > Phi(target / sigma).  At alpha < 1/2 the
+    Clopper-Pearson lower bound lies strictly below hits/used (the
+    median of Binomial(used, hits/used) is hits), so a check whose
+    hits/used is at most this floor fails.  Comparing in p keeps the
+    rounding of Phi and its inverse far inside that statistical gap.
+    """
+    return max(0.5, std_normal_cdf(target_radius / sigma))
+
+
 def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
                         batch: int = 400) -> ProgressiveOutcome:
     """Accumulate samples in batches until the certified radius beats a target.
@@ -221,6 +234,13 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     alpha across the maximum number of checks keeps the overall
     guarantee at 1 - alpha by the union bound.  Gives up after the
     query's full sample budget.
+
+    A check whose hits/used is at or below ``_certify_floor`` skips its
+    Clopper-Pearson bound, except the last check (with two or more
+    checks the per-check alpha is below 1/2, as the floor needs).  So a
+    failed outcome carries the ``p_a_lower`` of its full budget; its
+    ``radius`` is that of the last computed check with p_a_lower > 1/2
+    (0 if none), which no caller reads.
     """
     if target_radius < 0.0:
         raise ValueError("target radius must be >= 0")
@@ -229,6 +249,7 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     sigma = _isotropic_sigma(q.noise)
     max_checks = math.ceil(q.conf.n_samples / batch)
     alpha_check = q.conf.alpha / max_checks
+    p_floor = _certify_floor(target_radius, sigma)
 
     n0 = q.conf.n0_samples
     guess, _ = sample_counts(q, x, n0).top_two()
@@ -244,6 +265,8 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
         hits += int(counts.counts[guess])
         used += m
         checks += 1
+        if hits / used <= p_floor and used < q.conf.n_samples:
+            continue
         p_lower = clopper_pearson_lower(hits, used, alpha_check)
         if p_lower > 0.5:
             radius = sigma * std_normal_quantile(p_lower)

@@ -9,6 +9,10 @@ cosine-sine pair transform for gaussians, absolute value for the folded
 gaussian) so each draw consumes a fixed uniform budget.  Parallel
 workers can therefore take disjoint block ranges and reproduce exactly
 the sequential results.
+
+A request is served block by block, and each block is entered by
+advancing the Philox counter to the first wanted uniform, so a uniform
+is generated once per request whatever the offset into its block.
 """
 
 from __future__ import annotations
@@ -31,10 +35,21 @@ def uniforms_per_draw(noise: DistributionSpec) -> int:
     return noise.dim
 
 
-def _block_uniforms(seed: int, block: int, count: int) -> np.ndarray:
+def _block_uniforms(seed: int, block: int, skip: int, count: int) -> np.ndarray:
+    """Uniforms [skip, skip + count) of one block's stream.
+
+    Philox yields four 64-bit words per counter step and each double
+    takes one word, so advancing the counter by skip // 4 and dropping
+    skip % 4 doubles lands on uniform ``skip`` without generating the
+    ones before it.
+    """
     bitgen = np.random.Philox(key=np.uint64(seed) & np.uint64(2**64 - 1),
                               counter=[0, 0, block, 0])
-    return np.random.Generator(bitgen).random(count)
+    gen = np.random.Generator(bitgen)
+    if skip:  # only a request's first block starts mid-block
+        bitgen.advance(skip // 4)
+        gen.random(skip % 4)
+    return gen.random(count)
 
 
 def _uniform_matrix(seed: int, start: int, count: int, per_draw: int) -> np.ndarray:
@@ -42,13 +57,11 @@ def _uniform_matrix(seed: int, start: int, count: int, per_draw: int) -> np.ndar
     out = np.empty((count, per_draw))
     i = start
     while i < start + count:
-        block = i // DRAWS_PER_BLOCK
-        block_lo = block * DRAWS_PER_BLOCK
-        take_hi = min(start + count, block_lo + DRAWS_PER_BLOCK)
-        u = _block_uniforms(seed, block, (take_hi - block_lo) * per_draw)
-        u = u.reshape(take_hi - block_lo, per_draw)
-        out[i - start:take_hi - start] = u[i - block_lo:]
-        i = take_hi
+        block, lo = divmod(i, DRAWS_PER_BLOCK)
+        take = min(start + count - i, DRAWS_PER_BLOCK - lo)
+        u = _block_uniforms(seed, block, lo * per_draw, take * per_draw)
+        out[i - start:i - start + take] = u.reshape(take, per_draw)
+        i += take
     return out
 
 

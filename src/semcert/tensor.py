@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ImageTensor", "bilinear", "bilinear_many", "l1_distance", "l2_distance"]
+__all__ = ["ImageTensor", "bilinear", "bilinear_many", "l2_distance"]
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,3 @@ def l2_distance(a: ImageTensor, b: ImageTensor) -> float:
     """Euclidean distance over all K*W*H entries."""
     _check_same_shape(a, b)
     return float(np.linalg.norm(a.data - b.data))
-
-
-def l1_distance(a: ImageTensor, b: ImageTensor) -> float:
-    """Sum of absolute differences over all K*W*H entries."""
-    _check_same_shape(a, b)
-    return float(np.sum(np.abs(a.data - b.data)))

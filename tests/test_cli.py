@@ -121,6 +121,30 @@ class TestCertify:
             assert err == (f"error: --rho is required for --transform {transform}\n")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_zero_images(self, capsys, tmp_path):
+        images, labels = _write_idx(tmp_path, np.zeros((0, 9, 9)), [])
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "blur", "--alpha-max", "0.3",
+            "--dataset", images, "--labels", labels, *_SMALL,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == f"error: dataset holds no images: {images}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("transform", ["rotation", "scaling"])
+    @pytest.mark.parametrize("sizes", [("0", "5"), ("30", "0")])
+    def test_zero_grid_size_rejected(self, capsys, tmp_path, idx_set, transform, sizes):
+        images, labels = idx_set
+        interval = _CERTIFY_FLAGS[transform][:3]
+        code, _, err = _run(capsys, [
+            "certify", "--transform", transform, *interval,
+            "--grid-n", sizes[0], "--grid-r", sizes[1],
+            "--dataset", images, "--labels", labels, *_SMALL,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == "error: need at least 2 outer anchors and 2 inner points\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestAliasing:
     @pytest.mark.parametrize("kind,interval,lo,hi", [
@@ -143,6 +167,18 @@ class TestAliasing:
                                      "rotation", "--interval", "-1", "1"])
         assert code == 2
         assert err == f"error: image path not found: {missing}\n"
+
+    @pytest.mark.parametrize("kind,interval", [("rotation", ["-2", "2"]),
+                                               ("scaling", ["0.95", "1.05"])])
+    @pytest.mark.parametrize("sizes", [("0", "5"), ("30", "0")])
+    def test_zero_grid_size_rejected(self, capsys, tensor_file, kind, interval, sizes):
+        _, path = tensor_file
+        code, out, err = _run(capsys, ["aliasing", "--image", path, "--kind", kind,
+                                       "--interval", *interval,
+                                       "--grid-n", sizes[0], "--grid-r", sizes[1]])
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least 2 outer anchors and 2 inner points\n"
 
     def test_negative_pixels_rejected(self, capsys, tmp_path):
         # the cell bounds take the largest corner value as the bound on

@@ -4,14 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from semcert import smoothing, streams
 from semcert.classifiers import (ConstantClassifier, LinearClassifier,
                                  MeanThresholdClassifier, analytic_smoothed_confidence)
 from semcert.radii import DistributionSpec
-from semcert.smoothing import (ABSTAIN, SmoothedQuery, certify, predict,
+from semcert.smoothing import (ABSTAIN, SmoothedQuery, _certify_floor, certify, predict,
                                progressive_certify, sample_counts)
 from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
                             std_normal_quantile)
-from semcert.streams import draw_params, uniforms_per_draw
+from semcert.streams import DRAWS_PER_BLOCK, draw_params, uniforms_per_draw
 from semcert.tensor import ImageTensor
 from semcert.transforms import (additive_pixel_transform, brightness_contrast, gaussian_blur,
                                 rotate, scale, transform_spec, translate)
@@ -33,13 +34,51 @@ class TestStreams:
         assert not np.array_equal(a, c)
 
     def test_split_equals_sequential(self):
-        # draw indexing: any partition of the index range gives the same draws
-        noise = DistributionSpec("exponential", (2.0,), dim=1)
-        whole = draw_params(noise, 7, 0, 3000)
-        parts = np.concatenate([draw_params(noise, 7, 0, 11),
-                                draw_params(noise, 7, 11, 1500),
-                                draw_params(noise, 7, 1511, 1489)])
-        np.testing.assert_array_equal(whole, parts)
+        # draw indexing: any partition of the index range gives the same
+        # draws, and those are the uniforms of whole Philox blocks, each
+        # generated from its start
+        seed = 7
+        bounds = (0, 1, 11, 1030, 2100, 2101, 3000)  # mid-block starts, two block crossings
+        unaligned_skip = False
+        for noise in (DistributionSpec("gaussian", (0.5,), dim=1),
+                      DistributionSpec("gaussian", (0.5,), dim=3),
+                      DistributionSpec("gaussian", (0.5,), dim=784),
+                      DistributionSpec("laplace", (0.6,), dim=3),
+                      DistributionSpec("exponential", (2.0,), dim=1)):
+            per_draw = uniforms_per_draw(noise)
+            blocks = [np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
+                      .random(DRAWS_PER_BLOCK * per_draw).reshape(-1, per_draw)
+                      for b in range(3)]
+            reference = np.concatenate(blocks)[:bounds[-1]]
+            np.testing.assert_array_equal(
+                streams._uniform_matrix(seed, 0, bounds[-1], per_draw), reference)
+            for lo, hi in zip(bounds, bounds[1:]):
+                np.testing.assert_array_equal(
+                    streams._uniform_matrix(seed, lo, hi - lo, per_draw), reference[lo:hi])
+                unaligned_skip |= (lo % DRAWS_PER_BLOCK) * per_draw % 4 != 0
+            whole = draw_params(noise, seed, 0, bounds[-1])
+            parts = np.concatenate([draw_params(noise, seed, lo, hi - lo)
+                                    for lo, hi in zip(bounds, bounds[1:])])
+            np.testing.assert_array_equal(whole, parts)
+        assert unaligned_skip
+
+    def test_each_uniform_generated_once(self, monkeypatch):
+        # 400-draw requests enter their block mid-way; none may
+        # regenerate the block's uniforms before its start
+        generated = []
+        block_uniforms = streams._block_uniforms
+
+        def counting(*args):
+            u = block_uniforms(*args)
+            generated.append(len(u))
+            return u
+
+        monkeypatch.setattr(streams, "_block_uniforms", counting)
+        noise = DistributionSpec("gaussian", (0.5,), dim=81)
+        count = 10 * 400
+        for start in range(0, count, 400):
+            draw_params(noise, 3, 100 + start, 400)
+        assert sum(generated) == count * uniforms_per_draw(noise)
 
     def test_distribution_moments(self):
         n = 200_000
@@ -237,17 +276,88 @@ class TestProgressive:
         assert 0.5 * std_normal_quantile(p) == pytest.approx(out.radius, abs=1e-12)
         assert out.radius > 0.1
 
-    def test_infinite_target_exhausts_budget(self, image_9x9):
+    def test_infinite_target_exhausts_budget(self, image_9x9, monkeypatch):
+        # no check of an infinite target can certify: only the last one,
+        # which fixes p_a_lower, pays for a Clopper-Pearson bisection
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return clopper_pearson_lower(*args)
+
+        monkeypatch.setattr(smoothing, "clopper_pearson_lower", counting)
         q = self._query(ConstantClassifier(1), image_9x9, n=4_000)
         out = progressive_certify(q, image_9x9, target_radius=math.inf, batch=1_000)
         assert not out.certified
         assert out.samples_used == 100 + 4_000
         assert out.checks_used == 4
+        assert calls == [(4_000, 4_000, 0.001 / 4)]
+        assert out.p_a_lower == clopper_pearson_lower(4_000, 4_000, 0.001 / 4)
 
     def test_zero_target_certifies_when_confident(self, image_9x9):
         q = self._query(ConstantClassifier(0), image_9x9)
         out = progressive_certify(q, image_9x9, target_radius=0.0, batch=400)
         assert out.certified and out.radius > 0.0
+
+    def test_skip_never_drops_a_certifying_check(self):
+        # every count a check can see, at the per-check alpha of the CLI
+        # defaults, and at large sample sizes (where the bound sits
+        # closest to hits/used) the counts next to all hits; targets
+        # include ones just under the radius that a count certifies,
+        # where the skip is tightest
+        alpha_check = 0.001 / 250
+        for used, lowest in ((1, 0), (2, 0), (5, 0), (40, 0), (400, 0),
+                             (4_000, 3_960), (100_000, 99_960)):
+            bounds = {hits: clopper_pearson_lower(hits, used, alpha_check)
+                      for hits in range(lowest, used + 1)}
+            for sigma in (0.25, 1.0, 3.0):
+                radii = [sigma * std_normal_quantile(p) for p in bounds.values() if p > 0.5]
+                targets = [0.0, 0.01, 0.3, 1.0, 2.5, math.inf]
+                targets += [r * (1 - 1e-12) for r in radii] + [math.nextafter(r, 0) for r in radii]
+                for target in targets:
+                    p_floor = _certify_floor(target, sigma)
+                    for hits, p in bounds.items():
+                        if hits / used <= p_floor:
+                            assert not (p > 0.5 and sigma * std_normal_quantile(p) > target), \
+                                (hits, used, sigma, target)
+
+    @staticmethod
+    def _full_check_reference(q, x, target, batch):
+        # the protocol without the skip: a bound at every check
+        max_checks = math.ceil(q.conf.n_samples / batch)
+        alpha_check = q.conf.alpha / max_checks
+        sigma = q.noise.params[0]
+        guess, _ = sample_counts(q, x, q.conf.n0_samples).top_two()
+        hits = used = checks = 0
+        p = 0.0
+        while used < q.conf.n_samples:
+            m = min(batch, q.conf.n_samples - used)
+            hits += int(sample_counts(q, x, m, q.conf.n0_samples + used).counts[guess])
+            used += m
+            checks += 1
+            p = clopper_pearson_lower(hits, used, alpha_check)
+            if p > 0.5 and sigma * std_normal_quantile(p) > target:
+                return True, guess, p, q.conf.n0_samples + used, checks
+        return False, guess, p, q.conf.n0_samples + used, checks
+
+    def test_matches_full_check_reference(self, image_9x9):
+        mean = float(image_9x9.data.mean())
+        w = np.ones((1, 81)) / 9.0
+        # class 0 wins by a margin of 0.02 against noise sd 0.5: p ~ 0.52
+        near_tie = LinearClassifier(np.vstack([w, np.zeros((1, 81))]),
+                                    np.array([0.02 - 9.0 * mean, 0.0]), (1, 9, 9))
+        seen = set()
+        for clf in (ConstantClassifier(1), MeanThresholdClassifier(mean - 0.03), near_tie):
+            for seed in (0, 1):
+                q = self._query(clf, image_9x9, n=4_000, seed=seed)
+                for target in (0.0, 0.01, 0.02, 0.05, 0.2, 1.0, math.inf):
+                    out = progressive_certify(q, image_9x9, target, batch=400)
+                    ref = self._full_check_reference(q, image_9x9, target, 400)
+                    assert (out.certified, out.label, out.p_a_lower, out.samples_used,
+                            out.checks_used) == ref
+                    seen.add((out.certified, out.checks_used == 1))
+        # early certification, later certification and exhaustion all occur
+        assert seen >= {(True, True), (True, False), (False, False)}
 
     def test_requires_isotropic_gaussian(self, image_9x9):
         q = _bc_query(ConstantClassifier(1))

@@ -10,8 +10,8 @@ from .aliasing import (AliasingBound, ConfigurationError, IntervalGrid,
                        aliasing_bound, grid_pixel_trajectory, max_color_stats,
                        rotation_interval_lipschitz, scaling_discontinuities,
                        scaling_interval_lipschitz)
-from .classifiers import (ConstantClassifier, L2BallClassifier, LinearClassifier,
-                          MeanThresholdClassifier, analytic_smoothed_confidence)
+from .classifiers import (ConstantClassifier, LinearClassifier, MeanThresholdClassifier,
+                          analytic_smoothed_confidence)
 from .pipeline import (CertificationResult, ParameterSet, certify_bc_rectangle,
                        certify_diff_resolvable, certify_resolvable,
                        certify_translation_enum, robust_accuracy_report)

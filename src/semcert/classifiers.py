@@ -1,7 +1,7 @@
 """Concrete base classifiers: linear softmax and analytic synthetic ones.
 
 The linear classifier is the desk-scale stand-in for a trained network;
-the synthetic classifiers (constant, mean-threshold, l2-ball) have
+the synthetic classifiers (constant, mean-threshold) have
 exactly computable smoothed confidences for selected noise pairings,
 which makes them statistical oracles for validating the Monte-Carlo
 protocol.
@@ -24,7 +24,6 @@ __all__ = [
     "LinearClassifier",
     "ConstantClassifier",
     "MeanThresholdClassifier",
-    "L2BallClassifier",
     "AnalyticConfidenceError",
     "analytic_smoothed_confidence",
 ]
@@ -93,25 +92,6 @@ class MeanThresholdClassifier(BaseClassifier):
 
     def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
         return (flats.mean(axis=1) > self.threshold).astype(np.int64)
-
-
-class L2BallClassifier(BaseClassifier):
-    """Class 1 inside a Euclidean ball around a center image, else 0."""
-
-    num_classes = 2
-
-    def __init__(self, center: ImageTensor, radius: float):
-        if radius <= 0.0:
-            raise ValueError("ball radius must be > 0")
-        self.center = center
-        self.radius = radius
-
-    def classify(self, x: ImageTensor) -> int:
-        return int(np.linalg.norm(x.data - self.center.data) <= self.radius)
-
-    def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
-        d = flats - self.center.flat()[None, :]
-        return (np.einsum("ij,ij->i", d, d) <= self.radius ** 2).astype(np.int64)
 
 
 class AnalyticConfidenceError(ValueError):

@@ -13,7 +13,8 @@ region was compared against.
   monotone enough that checking the rectangle's corners under the worst
   endpoint shift covers the interior.
 * ``certify_diff_resolvable``: rotation / scaling via the aliasing bound
-  plus progressive certification of every anchor parameter.
+  plus progressive certification of every anchor parameter, jointly at
+  1 - alpha.
 * ``certify_translation_enum``: exact brute-force enumeration for
   black-padded translation (no statistics involved).
 """
@@ -22,14 +23,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .aliasing import AliasingBound, IntervalGrid, aliasing_bound
 from .radii import ConfidencePair, RadiusResult, bc_condition, bc_confidence_shift, closed_form_radius
 from .smoothing import (ABSTAIN, BaseClassifier, SmoothedQuery, _isotropic_sigma,
-                        certify, predict, progressive_certify)
+                        certify, predict, progressive_certify, progressive_prefix)
 from .tensor import ImageTensor
 from .transforms import transform_spec, translate
 
@@ -43,7 +42,6 @@ __all__ = [
     "certify_diff_resolvable",
     "certify_translation_enum",
     "robust_accuracy_report",
-    "anchor_query",
 ]
 
 CERTIFIED = "certified"
@@ -215,13 +213,6 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
                                outcome.samples_used, time.perf_counter() - t0)
 
 
-def anchor_query(q: SmoothedQuery, anchor_index: int) -> SmoothedQuery:
-    """Child query with an independent per-anchor noise stream."""
-    child_seed = int(np.random.SeedSequence([q.seed, anchor_index])
-                     .generate_state(1, dtype=np.uint64)[0])
-    return SmoothedQuery(q.classifier, q.transform, q.noise, q.conf, child_seed)
-
-
 def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
                             region: ParameterSet, grid: IntervalGrid,
                             batch: int = 400) -> CertificationResult:
@@ -229,11 +220,20 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
 
     The aliasing bound M caps how far any in-interval transformed image
     can sit from its nearest anchor; every anchor is then progressively
-    certified (additive isotropic pixel noise) against target sqrt(M).
-    Certified iff all anchors certify the requested label.  The error
-    rate is per anchor; the worst-case joint rate over all N anchors
-    (N * alpha, reported as joint_alpha) is recorded rather than
-    silently tightened.
+    certified (additive isotropic pixel noise) against target sqrt(M),
+    in anchor order.  Certified iff all anchors certify the requested
+    label; the first anchor that does not is the witness.
+
+    Each of the N anchors runs at alpha / N, so all anchors hold jointly
+    at 1 - alpha (``joint_alpha``).  Every anchor samples the query's own
+    stream, and its guess draws and estimation draws are disjoint i.i.d.
+    draws, so each anchor's per-check Clopper-Pearson bounds hold as in
+    a lone ``progressive_certify``.  The anchors share their draws and
+    are therefore dependent, but the union bound over anchors and checks
+    needs no independence.  Sharing lets the stream's prefix (the guess
+    draws plus the first check) be drawn once per image, and lets equal
+    (hits, used) counts reuse one bound; later checks draw on demand,
+    so memory stays at one check's draws.
     """
     t0 = time.perf_counter()
     if q.transform.kind != "additive_pixel":
@@ -250,15 +250,18 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     bound = aliasing_bound(x, grid.kind, grid)
     target = bound.sqrt_m
     anchors = grid.anchors()
-    joint_alpha = min(1.0, len(anchors) * q.conf.alpha)
+    anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
     anchor_transform = transform_spec(grid.kind)
+    prefix = progressive_prefix(anchor_q, batch)
+    cp_memo: dict = {}
 
     samples = 0
     min_radius = math.inf
     min_p = 1.0
-    for i, alpha_i in enumerate(anchors):
+    for alpha_i in anchors:
         xi = anchor_transform.apply(x, float(alpha_i))
-        prog = progressive_certify(anchor_query(q, i), xi, target, batch=batch)
+        prog = progressive_certify(anchor_q, xi, target, batch=batch,
+                                   prefix=prefix, cp_memo=cp_memo)
         samples += prog.samples_used
         if prog.certified:
             min_radius = min(min_radius, prog.radius)
@@ -269,14 +272,14 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
             return CertificationResult(
                 verdict, prog.label, prog.p_a_lower, None, None, bound,
                 samples, time.perf_counter() - t0,
-                witness=(float(alpha_i),), joint_alpha=joint_alpha)
+                witness=(float(alpha_i),), joint_alpha=q.conf.alpha)
 
     rr = RadiusResult("scalar", min_radius,
                       "min over anchors of sigma * Phi_inv(p_a_lower); "
                       "certified because sqrt(M) < value")
     return CertificationResult(CERTIFIED, label, min_p, rr, min_radius, bound,
                                samples, time.perf_counter() - t0,
-                               joint_alpha=joint_alpha)
+                               joint_alpha=q.conf.alpha)
 
 
 def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,

@@ -38,6 +38,7 @@ __all__ = [
     "sample_counts",
     "predict",
     "certify",
+    "progressive_prefix",
     "progressive_certify",
     "CertifyOutcome",
     "ProgressiveOutcome",
@@ -128,15 +129,22 @@ def _sample_labels(q: SmoothedQuery, x: ImageTensor, params: np.ndarray) -> np.n
     return labels if inverse is None else labels[inverse]
 
 
-def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0) -> CountVector:
+def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0,
+                  prefix: np.ndarray | None = None) -> CountVector:
     """Tally base-classifier labels over n noisy transform draws.
 
     ``draw_offset`` positions the draws in the query's global stream, so
-    selection and estimation samples never overlap.
+    selection and estimation samples never overlap.  ``prefix``, when
+    given, holds the stream's leading draws as ``draw_params`` returns
+    them; draws it covers are read from it instead of drawn again, which
+    cannot change a bit because each draw is a function of (seed, index).
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    params = draw_params(q.noise, q.seed, draw_offset, n)
+    if prefix is not None and draw_offset + n <= len(prefix):
+        params = prefix[draw_offset:draw_offset + n]
+    else:
+        params = draw_params(q.noise, q.seed, draw_offset, n)
     labels = _sample_labels(q, x, params)
     counts = np.bincount(labels, minlength=q.classifier.num_classes)
     return CountVector(counts)
@@ -225,8 +233,16 @@ def _certify_floor(target_radius: float, sigma: float) -> float:
     return max(0.5, std_normal_cdf(target_radius / sigma))
 
 
+def progressive_prefix(q: SmoothedQuery, batch: int = 400) -> np.ndarray:
+    """The draws every ``progressive_certify(q, ..., batch=batch)`` reads
+    first: the n0 guess draws and the first check's batch."""
+    return draw_params(q.noise, q.seed, 0,
+                       q.conf.n0_samples + min(batch, q.conf.n_samples))
+
+
 def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
-                        batch: int = 400) -> ProgressiveOutcome:
+                        batch: int = 400, prefix: np.ndarray | None = None,
+                        cp_memo: dict | None = None) -> ProgressiveOutcome:
     """Accumulate samples in batches until the certified radius beats a target.
 
     After each batch the radius is recomputed from the cumulative counts
@@ -241,6 +257,11 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     failed outcome carries the ``p_a_lower`` of its full budget; its
     ``radius`` is that of the last computed check with p_a_lower > 1/2
     (0 if none), which no caller reads.
+
+    Callers that certify many inputs on one stream may pass that
+    stream's ``progressive_prefix`` and one ``cp_memo`` dict, which maps
+    (hits, used, alpha) to its Clopper-Pearson bound; neither changes
+    the outcome.
     """
     if target_radius < 0.0:
         raise ValueError("target radius must be >= 0")
@@ -252,7 +273,8 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     p_floor = _certify_floor(target_radius, sigma)
 
     n0 = q.conf.n0_samples
-    guess, _ = sample_counts(q, x, n0).top_two()
+    guess, _ = sample_counts(q, x, n0, prefix=prefix).top_two()
+    memo = {} if cp_memo is None else cp_memo
 
     hits = 0
     used = 0
@@ -261,13 +283,16 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     radius = 0.0
     while used < q.conf.n_samples:
         m = min(batch, q.conf.n_samples - used)
-        counts = sample_counts(q, x, m, draw_offset=n0 + used)
+        counts = sample_counts(q, x, m, draw_offset=n0 + used, prefix=prefix)
         hits += int(counts.counts[guess])
         used += m
         checks += 1
         if hits / used <= p_floor and used < q.conf.n_samples:
             continue
-        p_lower = clopper_pearson_lower(hits, used, alpha_check)
+        key = (hits, used, alpha_check)
+        if key not in memo:
+            memo[key] = clopper_pearson_lower(hits, used, alpha_check)
+        p_lower = memo[key]
         if p_lower > 0.5:
             radius = sigma * std_normal_quantile(p_lower)
             if radius > target_radius:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from semcert.classifiers import (AnalyticConfidenceError, ConstantClassifier,
-                                 L2BallClassifier, LinearClassifier,
-                                 MeanThresholdClassifier, analytic_smoothed_confidence)
+                                 LinearClassifier, MeanThresholdClassifier,
+                                 analytic_smoothed_confidence)
 from semcert.radii import DistributionSpec
 from semcert.statfn import std_normal_cdf
 from semcert.tensor import ImageTensor
@@ -63,17 +63,8 @@ class TestSyntheticClassifiers:
         with pytest.raises(ValueError):
             MeanThresholdClassifier(0.0)
 
-    def test_l2_ball(self, rng):
-        center = ImageTensor(rng.random((1, 4, 4)))
-        clf = L2BallClassifier(center, 0.5)
-        assert clf.classify(center) == 1
-        far = ImageTensor(np.clip(center.data + 1.0, 0, 2))
-        assert clf.classify(far) == 0
-
     def test_batch_paths(self, rng):
-        center = ImageTensor(rng.random((1, 4, 4)))
-        for clf in (MeanThresholdClassifier(0.5), L2BallClassifier(center, 0.4),
-                    ConstantClassifier(1, 3)):
+        for clf in (MeanThresholdClassifier(0.5), ConstantClassifier(1, 3)):
             flats = rng.random((30, 16))
             batch = clf.classify_flat_batch(flats, (1, 4, 4))
             for idx in range(30):
@@ -123,5 +114,6 @@ class TestAnalyticConfidence:
                 DistributionSpec("gaussian", (0.3, 0.3), dim=2), image_9x9)
         with pytest.raises(AnalyticConfidenceError):
             analytic_smoothed_confidence(
-                L2BallClassifier(image_9x9, 1.0), transform_spec("rotation"),
+                LinearClassifier(np.zeros((2, 81)), np.zeros(2), (1, 9, 9)),
+                transform_spec("rotation"),
                 DistributionSpec("gaussian", (0.1,), dim=1), image_9x9)

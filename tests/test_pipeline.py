@@ -1,0 +1,192 @@
+"""Direct tests of ``certify_diff_resolvable``: rotation and scaling.
+
+The anchor phase shares one noise stream across anchors, draws its
+prefix once and memoises Clopper-Pearson bounds.  None of that may
+change a certificate, so the pipeline is compared with a plain loop
+written here, and its certified verdicts are checked against the exact
+smoothed confidence of a mean-threshold classifier.
+"""
+
+import math
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from helpers import dense_max_min_error
+from semcert import smoothing
+from semcert.aliasing import IntervalGrid, aliasing_bound
+from semcert.classifiers import MeanThresholdClassifier, analytic_smoothed_confidence
+from semcert.pipeline import ParameterSet, certify_diff_resolvable
+from semcert.radii import DistributionSpec
+from semcert.smoothing import SmoothedQuery, progressive_certify
+from semcert.statfn import ConfidenceParams, std_normal_cdf
+from semcert.transforms import additive_pixel_transform, transform_spec
+
+_RANGES = {"rotation": (math.radians(-5), math.radians(5)), "scaling": (0.95, 1.05)}
+
+
+def _query(x, threshold, sigma=0.5, n=4_000, seed=0):
+    transform = additive_pixel_transform(x.shape)
+    noise = DistributionSpec("gaussian", (sigma,), dim=transform.param_dim)
+    return SmoothedQuery(MeanThresholdClassifier(threshold), transform, noise,
+                         ConfidenceParams(0.001, n, 100), seed)
+
+
+def _grid(kind, n_outer=10, n_inner=50):
+    return IntervalGrid(kind, *_RANGES[kind], n_outer, n_inner)
+
+
+def _certify(x, q, grid, label=1, batch=400):
+    region = ParameterSet.interval(grid.a, grid.b)
+    return certify_diff_resolvable(x, label, q, region, grid, batch=batch)
+
+
+def _summary(res):
+    radius = None if res.radius is None else res.radius.value
+    return (res.verdict, res.predicted_class, res.p_a_lower, radius,
+            res.samples_used, res.witness, res.joint_alpha)
+
+
+def _reference(x, label, q, grid, batch=400):
+    """The anchor loop with every anchor on q's own stream at alpha / N:
+    fresh draws at every check and a Clopper-Pearson bound per call."""
+    target = aliasing_bound(x, grid.kind, grid).sqrt_m
+    anchors = grid.anchors()
+    anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
+    samples, min_radius, min_p, checks = 0, math.inf, 1.0, []
+    for a in anchors:
+        prog = progressive_certify(anchor_q, transform_spec(grid.kind).apply(x, float(a)),
+                                   target, batch=batch)
+        samples += prog.samples_used
+        checks.append(prog.checks_used)
+        if prog.certified:
+            min_radius = min(min_radius, prog.radius)
+            min_p = min(min_p, prog.p_a_lower)
+        if prog.label != label or not prog.certified:
+            verdict = ("abstain" if not prog.certified and prog.p_a_lower <= 0.5
+                       and prog.label == label else "not_certified")
+            return (verdict, prog.label, prog.p_a_lower, None, samples, (float(a),),
+                    q.conf.alpha), checks
+    return ("certified", label, min_p, min_radius, samples, None, q.conf.alpha), checks
+
+
+class TestAgainstReference:
+    # (kind, threshold, seed, verdict): per kind, one-check and multi-check
+    # certificates, a wrong label and an anchor that exhausts its budget
+    CASES = [
+        ("rotation", 0.20, 0, "certified"),
+        ("rotation", 0.27, 0, "certified"),
+        ("rotation", 0.27, 1, "certified"),
+        ("rotation", 0.29, 0, "abstain"),
+        ("rotation", 0.35, 0, "not_certified"),
+        ("scaling", 0.20, 0, "certified"),
+        ("scaling", 0.30, 0, "certified"),
+        ("scaling", 0.31, 0, "not_certified"),
+        ("scaling", 0.315, 0, "abstain"),
+        ("scaling", 0.35, 0, "not_certified"),
+    ]
+
+    @pytest.mark.parametrize("kind,threshold,seed,verdict", CASES)
+    def test_equal_to_reference_loop(self, image_9x9, kind, threshold, seed, verdict):
+        q = _query(image_9x9, threshold, seed=seed)
+        grid = _grid(kind)
+        res = _certify(image_9x9, q, grid)
+        ref, checks = _reference(image_9x9, 1, q, grid)
+        assert _summary(res) == ref
+        assert res.verdict == verdict
+        assert res.joint_alpha == q.conf.alpha
+
+    def test_cases_cover_checks_past_the_prefix(self, image_9x9):
+        seen = set()
+        for kind, threshold, seed, _ in self.CASES:
+            (verdict, label, *_), checks = _reference(
+                image_9x9, 1, _query(image_9x9, threshold, seed=seed), _grid(kind))
+            seen.add((kind, verdict, label == 1, max(checks) > 1))
+        for kind in ("rotation", "scaling"):
+            assert {(kind, "certified", True, False), (kind, "certified", True, True),
+                    (kind, "abstain", True, True), (kind, "not_certified", False, False),
+                    } <= seen
+        assert ("scaling", "not_certified", True, True) in seen
+
+    def test_batch_and_budget_edges(self, image_9x9):
+        # a budget below one batch, and a batch that does not divide it
+        for n, batch in ((300, 400), (1_000, 300)):
+            for threshold in (0.27, 0.29):
+                q = _query(image_9x9, threshold, n=n)
+                grid = _grid("rotation", n_outer=5)
+                res = _certify(image_9x9, q, grid, batch=batch)
+                assert _summary(res) == _reference(image_9x9, 1, q, grid, batch)[0]
+
+    def test_prefix_drawn_once_and_bounds_once_per_call(self, image_9x9, monkeypatch):
+        draws, bounds = [], []
+        draw_params, clopper_pearson_lower = smoothing.draw_params, smoothing.clopper_pearson_lower
+
+        def recording_draws(noise, seed, start, count):
+            draws.append((start, count))
+            return draw_params(noise, seed, start, count)
+
+        def recording_bounds(*args):
+            bounds.append(args)
+            return clopper_pearson_lower(*args)
+
+        monkeypatch.setattr(smoothing, "draw_params", recording_draws)
+        monkeypatch.setattr(smoothing, "clopper_pearson_lower", recording_bounds)
+        q = _query(image_9x9, 0.27)
+        grid = _grid("rotation")
+        for _ in range(2):
+            draws.clear()
+            bounds.clear()
+            res = _certify(image_9x9, q, grid)
+            assert res.certified
+            # one prefix of n0 + batch draws, then only draws past it
+            assert draws[0] == (0, 500)
+            assert all(start >= 500 for start, _ in draws[1:])
+            assert len(draws) > 1
+            # each bound is computed once per call, and again in the next call
+            assert len(bounds) == len(set(bounds)) > 0
+
+
+class TestSoundness:
+    @pytest.mark.parametrize("kind", ["rotation", "scaling"])
+    def test_certified_anchors_are_truly_confident(self, image_9x9, kind):
+        grid = _grid(kind)
+        sqrt_m = aliasing_bound(image_9x9, kind, grid).sqrt_m
+        assert dense_max_min_error(image_9x9, kind, grid) <= sqrt_m
+        transform = transform_spec(kind)
+        certified = 0
+        for threshold in (0.2, 0.25, 0.27, 0.28, 0.3, 0.32, 0.5):
+            for sigma in (0.25, 0.5):
+                for seed in (0, 1):
+                    q = _query(image_9x9, threshold, sigma=sigma, seed=seed)
+                    res = _certify(image_9x9, q, grid)
+                    if not res.certified:
+                        continue
+                    certified += 1
+                    assert res.radius.value > sqrt_m
+                    need = std_normal_cdf(sqrt_m / sigma)
+                    for a in grid.anchors():
+                        p1 = analytic_smoothed_confidence(
+                            q.classifier, q.transform, q.noise,
+                            transform.apply(image_9x9, float(a)))
+                        p_label = p1 if res.predicted_class == 1 else 1.0 - p1
+                        assert p_label > max(0.5, need), (threshold, sigma, seed, a)
+        assert certified >= 4
+
+
+def test_memory_holds_one_check_not_the_bank(image_9x9):
+    # an anchor at smoothed confidence 1/2 exhausts any budget; only the
+    # prefix and one check's draws may be alive, whatever the budget
+    x = image_9x9
+    grid = _grid("rotation", n_outer=3, n_inner=5)
+    first = transform_spec("rotation").apply(x, float(grid.anchors()[0]))
+    peaks = {}
+    for n in (800, 8_000):
+        q = _query(x, float(first.data.mean()), n=n)
+        tracemalloc.start()
+        res = _certify(x, q, grid)
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert not res.certified and res.samples_used == 100 + n
+    assert peaks[8_000] <= 1.5 * peaks[800], peaks

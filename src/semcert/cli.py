@@ -144,14 +144,20 @@ def _require_paths(what: str, *paths) -> None:
 def _classifier_from_args(args):
     if args.weights is not None:
         return semio.load_linear_classifier(args.weights)
-    spec = args.synthetic.split(":")
-    if spec[0] == "constant":
-        label = int(spec[1])
-        classes = int(spec[2]) if len(spec) > 2 else max(2, label + 1)
+    kind, *values = args.synthetic.split(":")
+    usage = (f"bad --synthetic {args.synthetic!r}: expected "
+             "constant:<label>[:<classes>] or mean:<threshold>")
+    try:
+        numbers = [float(v) if kind == "mean" else int(v) for v in values]
+    except ValueError:
+        raise ValueError(usage) from None
+    if kind == "constant" and len(numbers) in (1, 2):
+        label = numbers[0]
+        classes = numbers[1] if len(numbers) == 2 else max(2, label + 1)
         return ConstantClassifier(label, classes)
-    if spec[0] == "mean":
-        return MeanThresholdClassifier(float(spec[1]))
-    raise ValueError(f"unknown synthetic classifier spec {args.synthetic!r}")
+    if kind == "mean" and len(numbers) == 1:
+        return MeanThresholdClassifier(numbers[0])
+    raise ValueError(usage)
 
 
 def _smoothing_setup(args, shape):

@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -56,35 +58,37 @@ class FormatError(ValueError):
     """Malformed binary input."""
 
 
-def _read_exact(f, n: int, offset: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(
-            f"truncated IDX file: expected {n} bytes of {what} at offset "
-            f"{offset}, found {len(data)}")
+def _read_exact(f, n: int, what: str) -> bytes:
+    """The next n bytes of f.  A regular file's size is checked first,
+    so a header that declares more data than the file holds fails before
+    anything is allocated; a pipe is read and then measured."""
+    st = os.fstat(f.fileno())
+    found = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else n
+    if found >= n:
+        data = f.read(n)
+        found = len(data)
+    if found != n:
+        raise FormatError(f"truncated file: expected {n} bytes of {what}, found {found}")
     return data
 
 
-def _read_be32(f, offset: int, what: str) -> int:
-    return struct.unpack(">I", _read_exact(f, 4, offset, what))[0]
+def _read_be32(f, what: str) -> int:
+    return struct.unpack(">I", _read_exact(f, 4, what))[0]
 
 
 def read_idx_images(path) -> list[ImageTensor]:
     """Parse an IDX image container into [0, 1]-scaled single-channel tensors."""
     with open(path, "rb") as f:
-        magic = _read_be32(f, 0, "magic")
+        magic = _read_be32(f, "magic")
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(
                 f"bad image magic 0x{magic:08x} at offset 0 "
                 f"(expected 0x{IDX_IMAGE_MAGIC:08x})")
-        count = _read_be32(f, 4, "image count")
-        rows = _read_be32(f, 8, "row count")
-        cols = _read_be32(f, 12, "column count")
+        count = _read_be32(f, "image count")
+        rows = _read_be32(f, "row count")
+        cols = _read_be32(f, "column count")
         total = count * rows * cols
-        if total > 1 << 34:
-            raise FormatError(
-                f"dimension overflow at offset 4: {count} x {rows} x {cols}")
-        raw = _read_exact(f, total, 16, "pixel data")
+        raw = _read_exact(f, total, "pixel data")
         extra = f.read(1)
         if extra:
             raise FormatError(f"trailing bytes at offset {16 + total}")
@@ -97,13 +101,13 @@ def read_idx_images(path) -> list[ImageTensor]:
 def read_idx_labels(path) -> np.ndarray:
     """Parse an IDX label container into an int array."""
     with open(path, "rb") as f:
-        magic = _read_be32(f, 0, "magic")
+        magic = _read_be32(f, "magic")
         if magic != IDX_LABEL_MAGIC:
             raise FormatError(
                 f"bad label magic 0x{magic:08x} at offset 0 "
                 f"(expected 0x{IDX_LABEL_MAGIC:08x})")
-        count = _read_be32(f, 4, "label count")
-        raw = _read_exact(f, count, 8, "label data")
+        count = _read_be32(f, "label count")
+        raw = _read_exact(f, count, "label data")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
@@ -138,11 +142,7 @@ def _read_header(f, tag: str, n_fields: int):
 
 
 def _read_f64(f, count: int, what: str) -> np.ndarray:
-    raw = f.read(8 * count)
-    if len(raw) != 8 * count:
-        raise FormatError(
-            f"short {what} payload: expected {8 * count} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype="<f8").copy()
+    return np.frombuffer(_read_exact(f, 8 * count, f"{what} payload"), dtype="<f8").copy()
 
 
 def write_tensor(x: ImageTensor, path) -> None:

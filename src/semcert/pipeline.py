@@ -234,6 +234,14 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     draws plus the first check) be drawn once per image, and lets equal
     (hits, used) counts reuse one bound; later checks draw on demand,
     so memory stays at one check's draws.
+
+    An anchor stops early once Hoeffding's bound shows it cannot reach
+    the floor max(1/2, Phi(sqrt(M) / sigma)) (``progressive_certify``).
+    That stop only ever ends in a failed verdict, so no certificate
+    rests on it.  An anchor whose true confidence clears the floor is
+    stopped wrongly with probability at most alpha / N, so an image that
+    every anchor would certify loses its certificate to the stop with
+    probability at most alpha.
     """
     t0 = time.perf_counter()
     if q.transform.kind != "additive_pixel":

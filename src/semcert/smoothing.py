@@ -9,7 +9,11 @@ Clopper-Pearson bound (abstaining at p_a <= 1/2), from which the radius
 modules derive certified parameter sets; ``progressive_certify`` grows
 the sample in batches and stops as soon as the running radius clears a
 target, splitting the error rate across the maximum number of checks
-(union bound) so the overall guarantee stays 1 - alpha.
+(union bound) so the overall guarantee stays 1 - alpha.  It also stops
+early, with a failed outcome, once Hoeffding's one-sided bound shows the
+top-class probability below what the target needs; a failed outcome
+claims nothing, and one whose true probability clears the target is
+stopped so with probability at most alpha.
 
 All sampling is draw-indexed through :mod:`semcert.streams`: identical
 (seed, query, input) produce bitwise-identical counts, and fanning draws
@@ -249,14 +253,28 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     at per-check error rate alpha / ceil(n_samples / batch); splitting
     alpha across the maximum number of checks keeps the overall
     guarantee at 1 - alpha by the union bound.  Gives up after the
-    query's full sample budget.
+    query's full sample budget, or earlier once no check can certify.
 
-    A check whose hits/used is at or below ``_certify_floor`` skips its
-    Clopper-Pearson bound, except the last check (with two or more
-    checks the per-check alpha is below 1/2, as the floor needs).  So a
-    failed outcome carries the ``p_a_lower`` of its full budget; its
+    A check whose hits/used is at or below ``_certify_floor`` cannot
+    certify and skips its Clopper-Pearson bound, except the last check
+    (with two or more checks the per-check alpha is below 1/2, as the
+    floor needs).  Such a check stops the sampling (futility) when
+    Hoeffding's one-sided upper bound at the per-check alpha,
+    hits/used + sqrt(ln(1/alpha_check) / (2 used)), is also at or below
+    the floor.  A failed outcome carries the Clopper-Pearson
+    ``p_a_lower`` of the check it stopped at, or of its full budget; its
     ``radius`` is that of the last computed check with p_a_lower > 1/2
     (0 if none), which no caller reads.
+
+    The futility stop cannot make a certificate unsound: a failed
+    outcome claims nothing, and no certifying check is skipped.  Its
+    cost in power is bounded too.  Hoeffding's bound never lies below
+    the Clopper-Pearson upper bound at the same alpha (the binomial
+    lower tail at p is at most exp(-2 used (p - hits/used)^2)), so when
+    the true top-class probability exceeds the floor a check stops
+    wrongly with probability at most alpha_check, and all checks
+    together with probability at most alpha.  The test costs O(1); the
+    Clopper-Pearson bound is computed only where the sampling stops.
 
     Callers that certify many inputs on one stream may pass that
     stream's ``progressive_prefix`` and one ``cp_memo`` dict, which maps
@@ -275,6 +293,14 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     n0 = q.conf.n0_samples
     guess, _ = sample_counts(q, x, n0, prefix=prefix).top_two()
     memo = {} if cp_memo is None else cp_memo
+    # Hoeffding's one-sided bound at alpha_check is hits/used + sqrt(slack / used)
+    slack = math.log(1.0 / alpha_check) / 2.0
+
+    def bound(hits: int, used: int) -> float:
+        key = (hits, used, alpha_check)
+        if key not in memo:
+            memo[key] = clopper_pearson_lower(*key)
+        return memo[key]
 
     hits = 0
     used = 0
@@ -287,16 +313,15 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
         hits += int(counts.counts[guess])
         used += m
         checks += 1
-        if hits / used <= p_floor and used < q.conf.n_samples:
-            continue
-        key = (hits, used, alpha_check)
-        if key not in memo:
-            memo[key] = clopper_pearson_lower(hits, used, alpha_check)
-        p_lower = memo[key]
-        if p_lower > 0.5:
-            radius = sigma * std_normal_quantile(p_lower)
-            if radius > target_radius:
-                return ProgressiveOutcome(True, guess, p_lower, radius,
-                                          n0 + used, checks, alpha_check)
-    return ProgressiveOutcome(False, guess, p_lower, max(radius, 0.0),
+        if hits / used > p_floor or used == q.conf.n_samples:
+            p_lower = bound(hits, used)
+            if p_lower > 0.5:
+                radius = sigma * std_normal_quantile(p_lower)
+                if radius > target_radius:
+                    return ProgressiveOutcome(True, guess, p_lower, radius,
+                                              n0 + used, checks, alpha_check)
+        elif hits / used + math.sqrt(slack / used) <= p_floor:
+            return ProgressiveOutcome(False, guess, bound(hits, used), radius,
+                                      n0 + used, checks, alpha_check)
+    return ProgressiveOutcome(False, guess, p_lower, radius,
                               n0 + used, checks, alpha_check)

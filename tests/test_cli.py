@@ -131,6 +131,31 @@ class TestCertify:
         assert err == f"error: dataset holds no images: {images}\n"
         assert not (tmp_path / "out.csv").exists()
 
+    def test_huge_declared_weights(self, capsys, tmp_path, idx_set):
+        images, labels = idx_set
+        weights = tmp_path / "w.semw"
+        weights.write_bytes(b"SEMW1 100000 100000 100000 1\n")
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "blur", "--alpha-max", "0.3",
+            "--dataset", images, "--labels", labels, "--weights", str(weights),
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == ("error: truncated file: expected 8000000000000000 bytes of "
+                       "weight payload, found 0\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("spec", ["constant", "mean"])
+    def test_synthetic_without_value(self, capsys, tmp_path, idx_set, spec):
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "blur", "--alpha-max", "0.3",
+            "--dataset", images, "--labels", labels, "--synthetic", spec,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == (f"error: bad --synthetic '{spec}': expected "
+                       "constant:<label>[:<classes>] or mean:<threshold>\n")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("transform", ["rotation", "scaling"])
     @pytest.mark.parametrize("sizes", [("0", "5"), ("30", "0")])
     def test_zero_grid_size_rejected(self, capsys, tmp_path, idx_set, transform, sizes):
@@ -208,6 +233,15 @@ class TestPredict:
                                      "--transform", "blur", *_SMALL])
         assert code == 2
         assert err == f"error: image path not found: {missing}\n"
+
+    @pytest.mark.parametrize("spec", ["mean:x", "constant:1.5", "constant:1:2:3", "median:0.5"])
+    def test_bad_synthetic_spec(self, capsys, tensor_file, spec):
+        _, path = tensor_file
+        code, out, err = _run(capsys, ["predict", "--image", path, "--transform", "blur",
+                                       "--synthetic", spec, "--n", "300", "--n0", "50"])
+        assert code == 2 and out == ""
+        assert err == (f"error: bad --synthetic '{spec}': expected "
+                       "constant:<label>[:<classes>] or mean:<threshold>\n")
 
 
 class TestRadiusTable:

@@ -21,7 +21,7 @@ from semcert.classifiers import MeanThresholdClassifier, analytic_smoothed_confi
 from semcert.pipeline import ParameterSet, certify_diff_resolvable
 from semcert.radii import DistributionSpec
 from semcert.smoothing import SmoothedQuery, progressive_certify
-from semcert.statfn import ConfidenceParams, std_normal_cdf
+from semcert.statfn import ConfidenceParams, std_normal_cdf, std_normal_quantile
 from semcert.transforms import additive_pixel_transform, transform_spec
 
 _RANGES = {"rotation": (math.radians(-5), math.radians(5)), "scaling": (0.95, 1.05)}
@@ -51,7 +51,9 @@ def _summary(res):
 
 def _reference(x, label, q, grid, batch=400):
     """The anchor loop with every anchor on q's own stream at alpha / N:
-    fresh draws at every check and a Clopper-Pearson bound per call."""
+    fresh draws at every check and a Clopper-Pearson bound per call.
+    Each anchor is a lone ``progressive_certify``, so the reference
+    stops an anchor by futility exactly where that function does."""
     target = aliasing_bound(x, grid.kind, grid).sqrt_m
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
@@ -74,17 +76,20 @@ def _reference(x, label, q, grid, batch=400):
 
 class TestAgainstReference:
     # (kind, threshold, seed, verdict): per kind, one-check and multi-check
-    # certificates, a wrong label and an anchor that exhausts its budget
+    # certificates, a wrong label, an anchor that exhausts its budget and
+    # anchors that stop early because they cannot reach the floor
     CASES = [
         ("rotation", 0.20, 0, "certified"),
         ("rotation", 0.27, 0, "certified"),
         ("rotation", 0.27, 1, "certified"),
+        ("rotation", 0.28, 0, "not_certified"),
         ("rotation", 0.29, 0, "abstain"),
         ("rotation", 0.35, 0, "not_certified"),
         ("scaling", 0.20, 0, "certified"),
         ("scaling", 0.30, 0, "certified"),
         ("scaling", 0.31, 0, "not_certified"),
         ("scaling", 0.315, 0, "abstain"),
+        ("scaling", 0.3175, 0, "abstain"),
         ("scaling", 0.35, 0, "not_certified"),
     ]
 
@@ -99,16 +104,19 @@ class TestAgainstReference:
         assert res.joint_alpha == q.conf.alpha
 
     def test_cases_cover_checks_past_the_prefix(self, image_9x9):
-        seen = set()
+        seen, stops = set(), set()
         for kind, threshold, seed, _ in self.CASES:
             (verdict, label, *_), checks = _reference(
                 image_9x9, 1, _query(image_9x9, threshold, seed=seed), _grid(kind))
             seen.add((kind, verdict, label == 1, max(checks) > 1))
+            if verdict != "certified" and label == 1:
+                # the last anchor failed: by futility or on its whole budget
+                stops.add((kind, "exhausted" if checks[-1] == 4_000 // 400 else "futility"))
         for kind in ("rotation", "scaling"):
             assert {(kind, "certified", True, False), (kind, "certified", True, True),
                     (kind, "abstain", True, True), (kind, "not_certified", False, False),
-                    } <= seen
-        assert ("scaling", "not_certified", True, True) in seen
+                    (kind, "not_certified", True, True)} <= seen
+            assert {(kind, "exhausted"), (kind, "futility")} <= stops
 
     def test_batch_and_budget_edges(self, image_9x9):
         # a budget below one batch, and a batch that does not divide it
@@ -176,14 +184,18 @@ class TestSoundness:
 
 
 def test_memory_holds_one_check_not_the_bank(image_9x9):
-    # an anchor at smoothed confidence 1/2 exhausts any budget; only the
-    # prefix and one check's draws may be alive, whatever the budget
+    # an anchor whose smoothed confidence sits just above the floor
+    # Phi(sqrt(M) / sigma) neither certifies nor stops early at these
+    # budgets; only the prefix and one check's draws may be alive,
+    # whatever the budget
     x = image_9x9
     grid = _grid("rotation", n_outer=3, n_inner=5)
     first = transform_spec("rotation").apply(x, float(grid.anchors()[0]))
+    floor = std_normal_cdf(aliasing_bound(x, "rotation", grid).sqrt_m / 0.5)
+    threshold = float(first.data.mean()) - 0.5 / 9.0 * std_normal_quantile(floor + 0.002)
     peaks = {}
     for n in (800, 8_000):
-        q = _query(x, float(first.data.mean()), n=n)
+        q = _query(x, threshold, n=n)
         tracemalloc.start()
         res = _certify(x, q, grid)
         peaks[n] = tracemalloc.get_traced_memory()[1]

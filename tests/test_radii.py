@@ -123,6 +123,31 @@ class TestClosedFormRadius:
             for dist in (UNIT_GAUSSIAN, UNIT_LAPLACE, UNIT_UNIFORM):
                 assert exp_r > closed_form_radius(dist, conf).value
 
+    def test_one_sided_blur_families_cross_near_09(self):
+        # blur's one-sided noise families at unit variance: exponential
+        # rate 1, folded gaussian, uniform [0, sqrt(12)].  Exponential
+        # gives the largest radius only above about p_A = 0.9; uniform
+        # wins below about 0.82 and folded gaussian in between
+        families = (UNIT_EXP, UNIT_FOLDED, DistributionSpec("uniform", (0.0, math.sqrt(12.0))))
+        table = {0.6: (0.223, 0.277, 0.346), 0.75: (0.693, 0.789, 0.866),
+                 0.9: (1.609, 1.610, 1.386), 0.99: (3.912, 3.154, 1.697),
+                 0.999: (6.215, 4.340, 1.729)}
+        for pa, row in table.items():
+            got = [closed_form_radius(d, ConfidencePair(pa)).value for d in families]
+            assert got == pytest.approx(row, abs=5e-4), pa
+
+        def best(pa):
+            radii = [closed_form_radius(d, ConfidencePair(pa)).value for d in families]
+            return families[radii.index(max(radii))].family
+
+        grid = np.round(np.arange(0.501, 0.9995, 0.001), 3)
+        winners = [best(float(pa)) for pa in grid]
+        changes = [(float(pa), w) for pa, w, prev in zip(grid, winners, [None] + winners)
+                   if w != prev]
+        assert changes == [(0.501, "uniform"), (0.822, "folded_gaussian"),
+                           (0.901, "exponential")]
+        assert best(0.9) == "folded_gaussian" and best(0.9002) == "exponential"
+
     def test_folded_beats_gaussian(self):
         for pa in (0.9, 0.99, 0.999):
             conf = ConfidencePair(pa, 1 - pa)

@@ -7,11 +7,11 @@ import pytest
 from semcert import smoothing, streams
 from semcert.classifiers import (ConstantClassifier, LinearClassifier,
                                  MeanThresholdClassifier, analytic_smoothed_confidence)
-from semcert.radii import DistributionSpec
+from semcert.radii import NOISE_FAMILIES, DistributionSpec
 from semcert.smoothing import (ABSTAIN, SmoothedQuery, _certify_floor, certify, predict,
                                progressive_certify, sample_counts)
 from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
-                            std_normal_quantile)
+                            std_normal_cdf, std_normal_quantile)
 from semcert.streams import DRAWS_PER_BLOCK, draw_params, uniforms_per_draw
 from semcert.tensor import ImageTensor
 from semcert.transforms import (additive_pixel_transform, brightness_contrast, gaussian_blur,
@@ -40,11 +40,17 @@ class TestStreams:
         seed = 7
         bounds = (0, 1, 11, 1030, 2100, 2101, 3000)  # mid-block starts, two block crossings
         unaligned_skip = False
-        for noise in (DistributionSpec("gaussian", (0.5,), dim=1),
-                      DistributionSpec("gaussian", (0.5,), dim=3),
-                      DistributionSpec("gaussian", (0.5,), dim=784),
-                      DistributionSpec("laplace", (0.6,), dim=3),
-                      DistributionSpec("exponential", (2.0,), dim=1)):
+        noises = (DistributionSpec("gaussian", (0.5,), dim=1),
+                  DistributionSpec("gaussian", (0.5,), dim=3),
+                  DistributionSpec("gaussian", (0.5,), dim=784),
+                  DistributionSpec("laplace", (0.6,), dim=3),
+                  DistributionSpec("exponential", (2.0,), dim=1),
+                  DistributionSpec("uniform", (0.0, 1.5), dim=1),
+                  DistributionSpec("uniform", (-1.0, 2.0), dim=2),
+                  DistributionSpec("folded_gaussian", (0.7,), dim=1),
+                  DistributionSpec("folded_gaussian", (0.7,), dim=5))
+        assert {noise.family for noise in noises} == set(NOISE_FAMILIES)
+        for noise in noises:
             per_draw = uniforms_per_draw(noise)
             blocks = [np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
                       .random(DRAWS_PER_BLOCK * per_draw).reshape(-1, per_draw)
@@ -323,10 +329,12 @@ class TestProgressive:
 
     @staticmethod
     def _full_check_reference(q, x, target, batch):
-        # the protocol without the skip: a bound at every check
+        # the protocol without the skip: a bound at every check, and a
+        # stop once Hoeffding's upper bound is at or below the floor
         max_checks = math.ceil(q.conf.n_samples / batch)
         alpha_check = q.conf.alpha / max_checks
         sigma = q.noise.params[0]
+        p_floor = max(0.5, std_normal_cdf(target / sigma))
         guess, _ = sample_counts(q, x, q.conf.n0_samples).top_two()
         hits = used = checks = 0
         p = 0.0
@@ -338,6 +346,8 @@ class TestProgressive:
             p = clopper_pearson_lower(hits, used, alpha_check)
             if p > 0.5 and sigma * std_normal_quantile(p) > target:
                 return True, guess, p, q.conf.n0_samples + used, checks
+            if hits / used + math.sqrt(math.log(1 / alpha_check) / (2 * used)) <= p_floor:
+                break
         return False, guess, p, q.conf.n0_samples + used, checks
 
     def test_matches_full_check_reference(self, image_9x9):
@@ -350,14 +360,49 @@ class TestProgressive:
         for clf in (ConstantClassifier(1), MeanThresholdClassifier(mean - 0.03), near_tie):
             for seed in (0, 1):
                 q = self._query(clf, image_9x9, n=4_000, seed=seed)
-                for target in (0.0, 0.01, 0.02, 0.05, 0.2, 1.0, math.inf):
+                for target in (0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.7,
+                               1.0, math.inf):
                     out = progressive_certify(q, image_9x9, target, batch=400)
                     ref = self._full_check_reference(q, image_9x9, target, 400)
                     assert (out.certified, out.label, out.p_a_lower, out.samples_used,
                             out.checks_used) == ref
-                    seen.add((out.certified, out.checks_used == 1))
-        # early certification, later certification and exhaustion all occur
-        assert seen >= {(True, True), (True, False), (False, False)}
+                    seen.add((out.certified, out.checks_used == 1,
+                              out.samples_used == 100 + 4_000))
+        # early certification, later certification, a futility stop and
+        # exhaustion all occur
+        assert seen >= {(True, True, False), (True, False, False),
+                        (False, True, False), (False, False, True)}
+
+    def test_hoeffding_bound_covers_clopper_pearson(self):
+        # the stop rule's bound is never tighter than the exact upper
+        # bound 1 - CP_lower(misses), so a stop implies the exact bound
+        # is at or below the floor too
+        for alpha in (0.3, 0.001, 0.001 / 250, 0.001 / 200 / 250):
+            for used in (1, 2, 5, 40, 400, 4_000, 20_000):
+                step = max(1, used // 20)
+                for hits in sorted({*range(0, used + 1, step), used - 1, used}):
+                    hoeffding = hits / used + math.sqrt(math.log(1 / alpha) / (2 * used))
+                    exact = 1.0 - clopper_pearson_lower(used - hits, used, alpha)
+                    assert hoeffding >= exact, (hits, used, alpha)
+
+    def test_confident_anchor_is_never_stopped(self, image_9x9):
+        # true confidence 0.01 above the floor Phi(0.3 / 0.5): every seed
+        # either certifies or draws its whole budget
+        target, sigma = 0.3, 0.5
+        p = _certify_floor(target, sigma) + 0.01
+        clf = MeanThresholdClassifier(
+            float(image_9x9.data.mean()) - sigma / 9.0 * std_normal_quantile(p))
+        q = self._query(clf, image_9x9)
+        assert analytic_smoothed_confidence(clf, q.transform, q.noise,
+                                            image_9x9) == pytest.approx(p)
+        exhausted = 0
+        for seed in range(60):
+            out = progressive_certify(self._query(clf, image_9x9, n=4_000, seed=seed),
+                                      image_9x9, target, batch=400)
+            assert out.label == 1
+            assert out.certified or out.samples_used == 100 + 4_000, seed
+            exhausted += not out.certified
+        assert exhausted > 0
 
     def test_requires_isotropic_gaussian(self, image_9x9):
         q = _bc_query(ConstantClassifier(1))

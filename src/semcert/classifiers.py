@@ -48,16 +48,9 @@ class LinearClassifier(BaseClassifier):
         self.shape = (k, w, h)
         self.num_classes = weights.shape[0]
 
-    def _check_shape(self, shape) -> None:
+    def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
         if tuple(shape) != self.shape:
             raise ValueError(f"classifier expects {self.shape} images, got {tuple(shape)}")
-
-    def classify(self, x: ImageTensor) -> int:
-        self._check_shape(x.shape)
-        return int(np.argmax(self.weights @ x.flat() + self.bias))
-
-    def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
-        self._check_shape(shape)
         return np.argmax(flats @ self.weights.T + self.bias, axis=1).astype(np.int64)
 
 
@@ -69,9 +62,6 @@ class ConstantClassifier(BaseClassifier):
             raise ValueError("label out of range")
         self.label = label
         self.num_classes = num_classes
-
-    def classify(self, x: ImageTensor) -> int:
-        return self.label
 
     def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
         return np.full(len(flats), self.label, dtype=np.int64)
@@ -86,9 +76,6 @@ class MeanThresholdClassifier(BaseClassifier):
         if not 0.0 < threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
         self.threshold = threshold
-
-    def classify(self, x: ImageTensor) -> int:
-        return int(float(np.mean(x.data)) > self.threshold)
 
     def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
         return (flats.mean(axis=1) > self.threshold).astype(np.int64)

@@ -272,7 +272,7 @@ def _cmd_radius_table(args) -> int:
         p_values = [i / 1000.0 for i in range(500, 1000)]
     lines = ["p_a,radius"]
     for p in p_values:
-        radius = closed_form_radius(dist, ConfidencePair(p)).value
+        radius = closed_form_radius(dist, ConfidencePair(p))
         lines.append(f"{p!r},{radius!r}")
     text = "\n".join(lines) + "\n"
     if args.output is None:

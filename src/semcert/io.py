@@ -87,6 +87,8 @@ def read_idx_images(path) -> list[ImageTensor]:
         count = _read_be32(f, "image count")
         rows = _read_be32(f, "row count")
         cols = _read_be32(f, "column count")
+        if rows < 1 or cols < 1:
+            raise FormatError(f"image size {rows} x {cols} has no pixels")
         total = count * rows * cols
         raw = _read_exact(f, total, "pixel data")
         extra = f.read(1)
@@ -108,6 +110,8 @@ def read_idx_labels(path) -> np.ndarray:
                 f"(expected 0x{IDX_LABEL_MAGIC:08x})")
         count = _read_be32(f, "label count")
         raw = _read_exact(f, count, "label data")
+        if f.read(1):
+            raise FormatError(f"trailing bytes at offset {8 + count}")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
@@ -157,6 +161,8 @@ def read_tensor(path) -> ImageTensor:
         data = _read_f64(f, k * w * h, "tensor")
         if f.read(1):
             raise FormatError("trailing bytes after tensor payload")
+    if not np.all(np.isfinite(data)):
+        raise FormatError("tensor payload contains non-finite values")
     return ImageTensor(data.reshape(k, w, h))
 
 

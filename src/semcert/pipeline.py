@@ -2,9 +2,8 @@
 
 Each pipeline produces a CertificationResult whose verdict is auditable
 from its recorded fields: a certified verdict always stores the
-estimated lower confidence bound, the radius it implies, the aliasing
-bound when one was used, and the parameter-space bound the declared
-region was compared against.
+estimated lower confidence bound, the aliasing bound when one was used,
+and the parameter-space bound the declared region was compared against.
 
 * ``certify_resolvable``: blur and reflect-padded translation via the
   closed-form radius of the query's noise family.
@@ -25,12 +24,15 @@ import math
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .aliasing import AliasingBound, IntervalGrid, aliasing_bound
-from .radii import ConfidencePair, RadiusResult, bc_condition, bc_confidence_shift, closed_form_radius
+from .radii import ConfidencePair, bc_condition, bc_confidence_shift, closed_form_radius
 from .smoothing import (ABSTAIN, BaseClassifier, SmoothedQuery, _isotropic_sigma,
-                        certify, predict, progressive_certify, progressive_prefix)
+                        _label_params, certify, predict, progressive_certify,
+                        progressive_prefix)
 from .tensor import ImageTensor
-from .transforms import transform_spec, translate
+from .transforms import transform_spec
 
 __all__ = [
     "ParameterSet",
@@ -103,7 +105,6 @@ class CertificationResult:
     verdict: str
     predicted_class: int
     p_a_lower: float | None
-    radius: RadiusResult | None
     region_bound: float | None
     aliasing: AliasingBound | None
     samples_used: int
@@ -151,18 +152,14 @@ def certify_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     outcome = certify(q, x)
     if outcome.abstained:
         return CertificationResult(ABSTAINED, ABSTAIN, outcome.p_a_lower, None,
-                                   None, None, outcome.samples_used,
+                                   None, outcome.samples_used,
                                    time.perf_counter() - t0)
-    rr = closed_form_radius(q.noise, outcome.confidence())
-    if kind == "gaussian_blur":
-        bound = rr.value
-        requested = region.bounds[0]
-    else:
-        bound = _isotropic_sigma(q.noise) * rr.value
-        requested = region.bounds[0]
-    certified = outcome.label == label and requested < bound
+    bound = closed_form_radius(q.noise, ConfidencePair(outcome.p_a_lower))
+    if kind == "translation_reflect":
+        bound *= _isotropic_sigma(q.noise)
+    certified = outcome.label == label and region.bounds[0] < bound
     verdict = CERTIFIED if certified else NOT_CERTIFIED
-    return CertificationResult(verdict, outcome.label, outcome.p_a_lower, rr,
+    return CertificationResult(verdict, outcome.label, outcome.p_a_lower,
                                bound, None, outcome.samples_used,
                                time.perf_counter() - t0)
 
@@ -192,7 +189,7 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
     outcome = certify(q, x)
     if outcome.abstained:
         return CertificationResult(ABSTAINED, ABSTAIN, outcome.p_a_lower, None,
-                                   None, None, outcome.samples_used,
+                                   None, outcome.samples_used,
                                    time.perf_counter() - t0)
     k_lo, k_hi, b_lo, b_hi = rect.bounds
     p_shift = min(bc_confidence_shift(outcome.p_a_lower, k_lo),
@@ -202,15 +199,14 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
     corners_ok = all(
         bc_condition(k, b, sigma, tau, shifted)
         for k in (k_lo, k_hi) for b in (b_lo, b_hi))
-    quantile_gap = RadiusResult("l2_weighted",
-                                max(0.0, closed_form_radius(q.noise, shifted).value),
-                                "sqrt((k/sigma)^2 + (b e^k / tau)^2) < value "
-                                "at worst-contrast-shifted confidence")
+    # the half quantile gap that sqrt((k/sigma)^2 + (b e^k / tau)^2) is
+    # compared against at the worst-contrast-shifted confidence
+    quantile_gap = closed_form_radius(q.noise, shifted)
     certified = outcome.label == label and corners_ok
     verdict = CERTIFIED if certified else NOT_CERTIFIED
     return CertificationResult(verdict, outcome.label, outcome.p_a_lower,
-                               quantile_gap, quantile_gap.value, None,
-                               outcome.samples_used, time.perf_counter() - t0)
+                               quantile_gap, None, outcome.samples_used,
+                               time.perf_counter() - t0)
 
 
 def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
@@ -278,14 +274,12 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
             verdict = ABSTAINED if (not prog.certified and prog.p_a_lower <= 0.5
                                     and prog.label == label) else NOT_CERTIFIED
             return CertificationResult(
-                verdict, prog.label, prog.p_a_lower, None, None, bound,
+                verdict, prog.label, prog.p_a_lower, None, bound,
                 samples, time.perf_counter() - t0,
                 witness=(float(alpha_i),), joint_alpha=q.conf.alpha)
 
-    rr = RadiusResult("scalar", min_radius,
-                      "min over anchors of sigma * Phi_inv(p_a_lower); "
-                      "certified because sqrt(M) < value")
-    return CertificationResult(CERTIFIED, label, min_p, rr, min_radius, bound,
+    # certified because sqrt(M) is below every anchor's sigma * Phi_inv(p_a_lower)
+    return CertificationResult(CERTIFIED, label, min_p, min_radius, bound,
                                samples, time.perf_counter() - t0,
                                joint_alpha=q.conf.alpha)
 
@@ -294,28 +288,27 @@ def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,
                              region: ParameterSet) -> CertificationResult:
     """Exhaustively certify black-padded translation over a disk of shifts.
 
-    Evaluates the base classifier on every integer displacement with
-    norm <= rho; the verdict is exact.  A failing displacement is
-    reported as the witness.
+    Labels every integer displacement with norm <= rho in one batched
+    pass; the verdict is exact.  The first failing displacement in
+    (m1, m2) order is reported as the witness, and ``samples_used``
+    counts the displacements up to it (all of them when none fails).
     """
     t0 = time.perf_counter()
     if region.kind != "disk":
         raise PipelineConfigError("translation enumeration needs a disk region")
     rho = region.bounds[0]
-    base_pred = h.classify(x)
     r = int(math.floor(rho))
-    checked = 0
-    for m1 in range(-r, r + 1):
-        for m2 in range(-r, r + 1):
-            if m1 * m1 + m2 * m2 > rho * rho:
-                continue
-            checked += 1
-            if h.classify(translate(x, m1, m2, "black")) != label:
-                return CertificationResult(
-                    NOT_CERTIFIED, base_pred, None, None, rho, None, checked,
-                    time.perf_counter() - t0, witness=(m1, m2))
-    return CertificationResult(CERTIFIED, base_pred, None, None, rho, None,
-                               checked, time.perf_counter() - t0)
+    shifts = [(m1, m2) for m1 in range(-r, r + 1) for m2 in range(-r, r + 1)
+              if m1 * m1 + m2 * m2 <= rho * rho]
+    labels = _label_params(h, transform_spec("translation_black"), x, np.array(shifts, float))
+    base_pred = int(labels[shifts.index((0, 0))])
+    failing = np.flatnonzero(labels != label)
+    if failing.size:
+        first = int(failing[0])
+        return CertificationResult(NOT_CERTIFIED, base_pred, None, rho, None, first + 1,
+                                   time.perf_counter() - t0, witness=shifts[first])
+    return CertificationResult(CERTIFIED, base_pred, None, rho, None,
+                               len(shifts), time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,17 @@ be shifted before the argmax can change:
   Phi_inv(p_B)) / 2; the returned value is that weighted-norm bound.
 * exponential (iid per dimension, rate lambda): ||alpha||_1 <
   -log(1 - p_A + p_B) / lambda, nonnegative shifts only.
-* uniform on [a, b]^m: the exact condition is the product inequality
-  prod_i (1 - |alpha_i| / (b - a))_+ > 1 - (p_A - p_B)/2, exposed via
-  ``uniform_product_margin``; for m = 1 this collapses to the scalar
-  radius (b - a)(p_A - p_B)/2.
+* uniform on [a, b] (one dimension): |alpha| < (b - a)(p_A - p_B)/2.
 * laplace (scale b): -b log(1 - p_A + p_B) in the interior case
   p_A > 1/2 > p_B, and -b log(4 p_B (1 - p_A)) on the p = 1/2
   boundaries; no radius when p_A < 1/2 or p_B > 1/2.
 * folded gaussian (|N(0, sigma^2)|, nonnegative shifts):
   sigma (Phi_inv((1 + min(p_A, 1 - p_B))/2) - Phi_inv(3/4)).
 
-p_A = 1 produces an infinite radius, which propagates; certification
-pipelines clamp to the declared parameter region.
+``closed_form_radius`` returns that bound as a float; which norm it
+bounds follows from the family.  p_A = 1 produces an infinite radius,
+which propagates; certification pipelines clamp to the declared
+parameter region.
 """
 
 from __future__ import annotations
@@ -35,9 +34,7 @@ from .statfn import std_normal_cdf, std_normal_quantile
 __all__ = [
     "DistributionSpec",
     "ConfidencePair",
-    "RadiusResult",
     "closed_form_radius",
-    "uniform_product_margin",
     "bc_confidence_shift",
     "bc_condition",
     "NOISE_FAMILIES",
@@ -107,27 +104,6 @@ class ConfidencePair:
             raise ValueError(f"need p_b <= p_a, got ({self.p_a}, {self.p_b})")
 
 
-@dataclass(frozen=True)
-class RadiusResult:
-    """A certified perturbation bound and the inequality it encodes.
-
-    ``kind`` states which norm the value bounds: 'l2_weighted' bounds
-    sqrt(sum (alpha_i/sigma_i)^2), 'l1' bounds ||alpha||_1, 'scalar'
-    bounds |alpha| for one-dimensional families, and 'per_dim_product'
-    carries the scalar box radius for the uniform product condition
-    (exact for m = 1; for m > 1 evaluate the product condition itself).
-    """
-
-    kind: str
-    value: float
-    condition_descriptor: str
-    product_margin: float | None = None
-
-    def __post_init__(self):
-        if math.isnan(self.value) or self.value < 0.0:
-            raise ValueError(f"radius must be >= 0, got {self.value}")
-
-
 def _quantile_gap(conf: ConfidencePair) -> float:
     """(Phi_inv(p_A) - Phi_inv(p_B)) / 2, with infinities propagating."""
     qa = std_normal_quantile(conf.p_a)
@@ -137,45 +113,24 @@ def _quantile_gap(conf: ConfidencePair) -> float:
     return 0.5 * (qa - qb)
 
 
-def uniform_product_margin(conf: ConfidencePair) -> float:
-    """Threshold of the uniform-noise product condition.
-
-    A shift alpha is certified iff
-    prod_i (1 - |alpha_i|/(b-a))_+ > 1 - (p_A - p_B)/2, i.e. exceeds the
-    returned margin.
-    """
-    return 1.0 - (conf.p_a - conf.p_b) / 2.0
-
-
-def closed_form_radius(dist: DistributionSpec, conf: ConfidencePair) -> RadiusResult:
+def closed_form_radius(dist: DistributionSpec, conf: ConfidencePair) -> float:
     """Largest certified perturbation bound for ``dist`` at confidence ``conf``.
 
-    Returns value 0 whenever the family's condition cannot hold for any
+    Returns 0 whenever the family's condition cannot hold for any
     nonzero perturbation (e.g. laplace with p_A < 1/2).
     """
     pa, pb = conf.p_a, conf.p_b
     if dist.family == "gaussian":
         value = max(0.0, _quantile_gap(conf))
-        return RadiusResult("l2_weighted", value,
-                            "sqrt(sum (alpha_i/sigma_i)^2) < value")
-    if dist.family == "exponential":
-        rate = dist.params[0]
+    elif dist.family == "exponential":
         diff = 1.0 - pa + pb
-        value = math.inf if diff <= 0.0 else max(0.0, -math.log(diff) / rate)
-        return RadiusResult("l1", value, "||alpha||_1 < value, alpha >= 0")
-    if dist.family == "uniform":
+        value = math.inf if diff <= 0.0 else max(0.0, -math.log(diff) / dist.params[0])
+    elif dist.family == "uniform":
+        if dist.dim != 1:
+            raise ValueError("uniform noise radius is only defined in one dimension")
         a, b = dist.params
-        margin = uniform_product_margin(conf)
-        # largest per-dimension box |alpha_i| <= c satisfying the product
-        # condition; for dim == 1 this is the exact scalar radius
-        if margin >= 1.0:
-            box = 0.0
-        else:
-            box = (b - a) * (1.0 - margin ** (1.0 / dist.dim))
-        return RadiusResult("per_dim_product", box,
-                            "prod_i (1 - |alpha_i|/(b-a))_+ > product_margin",
-                            product_margin=margin)
-    if dist.family == "laplace":
+        value = max(0.0, (b - a) * (pa - pb) / 2.0)
+    elif dist.family == "laplace":
         scale = dist.params[0]
         if pa < 0.5 or pb > 0.5 or (pa == 0.5 and pb == 0.5):
             value = 0.0
@@ -185,13 +140,14 @@ def closed_form_radius(dist: DistributionSpec, conf: ConfidencePair) -> RadiusRe
         else:
             diff = 1.0 - pa + pb
             value = math.inf if diff <= 0.0 else max(0.0, -scale * math.log(diff))
-        return RadiusResult("scalar", value, "|alpha| < value")
-    if dist.family == "folded_gaussian":
-        sigma = dist.params[0]
+    elif dist.family == "folded_gaussian":
         top = std_normal_quantile((1.0 + min(pa, 1.0 - pb)) / 2.0)
-        value = max(0.0, sigma * (top - std_normal_quantile(0.75)))
-        return RadiusResult("scalar", value, "alpha < value, alpha >= 0")
-    raise ValueError(f"unknown noise family {dist.family!r}")
+        value = max(0.0, dist.params[0] * (top - std_normal_quantile(0.75)))
+    else:
+        raise ValueError(f"unknown noise family {dist.family!r}")
+    if math.isnan(value) or value < 0.0:
+        raise ValueError(f"radius must be >= 0, got {value}")
+    return value
 
 
 def bc_confidence_shift(p: float, k: float) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radii import ConfidencePair, DistributionSpec
+from .radii import DistributionSpec
 from .statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
                      std_normal_cdf, std_normal_quantile)
 from .streams import draw_params
@@ -53,21 +53,18 @@ ABSTAIN = -1
 
 
 class BaseClassifier:
-    """Deterministic classifier interface: same input, same label."""
+    """Deterministic classifier interface: same input, same label.
+
+    The smoothed classifier needs only labels for batches of transformed
+    inputs, so a subclass implements ``classify_flat_batch`` and nothing
+    else.
+    """
 
     num_classes: int = 2
 
-    def classify(self, x: ImageTensor) -> int:
-        raise NotImplementedError
-
     def classify_flat_batch(self, flats: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-        """Labels for a (n, K*W*H) batch of flattened images.
-
-        Subclasses with vectorizable decision rules override this; the
-        default falls back to per-image classification.
-        """
-        return np.asarray([self.classify(ImageTensor(row.reshape(shape)))
-                           for row in flats], dtype=np.int64)
+        """Labels for a (n, K*W*H) batch of flattened images of ``shape``."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,8 @@ class SmoothedQuery:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.noise.dim != self.transform.param_dim:
             raise ValueError(
                 f"noise dimension {self.noise.dim} != transform parameter "
@@ -115,22 +114,28 @@ class CountVector:
         return int(order[0]), int(order[1])
 
 
-def _sample_labels(q: SmoothedQuery, x: ImageTensor, params: np.ndarray) -> np.ndarray:
-    """Label of the base classifier on each transformed draw.
+def _label_params(classifier: BaseClassifier, transform: Transform, x: ImageTensor,
+                  params: np.ndarray) -> np.ndarray:
+    """Label of ``classifier`` on ``x`` transformed at each row of ``params``.
 
     Images are built and classified ``_BLOCK_IMAGES`` at a time, so
-    memory stays flat in the number of draws.
+    memory stays flat in the number of parameters.
     """
-    inverse = None
+    labels = np.empty(len(params), dtype=np.int64)
+    for lo in range(0, len(params), _BLOCK_IMAGES):
+        imgs = transform.apply_many(x, params[lo:lo + _BLOCK_IMAGES])
+        labels[lo:lo + len(imgs)] = classifier.classify_flat_batch(
+            imgs.reshape(len(imgs), -1), x.shape)
+    return labels
+
+
+def _sample_labels(q: SmoothedQuery, x: ImageTensor, params: np.ndarray) -> np.ndarray:
+    """Label of the base classifier on each transformed draw."""
     if q.transform.kind in ("translation_reflect", "translation_black"):
         # integer shifts repeat heavily: classify each distinct shift once
         params, inverse = np.unique(np.floor(params + 0.5), axis=0, return_inverse=True)
-    labels = np.empty(len(params), dtype=np.int64)
-    for lo in range(0, len(params), _BLOCK_IMAGES):
-        imgs = q.transform.apply_many(x, params[lo:lo + _BLOCK_IMAGES])
-        labels[lo:lo + len(imgs)] = q.classifier.classify_flat_batch(
-            imgs.reshape(len(imgs), -1), x.shape)
-    return labels if inverse is None else labels[inverse]
+        return _label_params(q.classifier, q.transform, x, params)[inverse]
+    return _label_params(q.classifier, q.transform, x, params)
 
 
 def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0,
@@ -180,10 +185,6 @@ class CertifyOutcome:
     @property
     def abstained(self) -> bool:
         return self.label == ABSTAIN
-
-    def confidence(self) -> ConfidencePair:
-        """Two-class (p_A, 1 - p_A) pair from the estimated lower bound."""
-        return ConfidencePair(self.p_a_lower)
 
 
 def certify(q: SmoothedQuery, x: ImageTensor) -> CertifyOutcome:

@@ -43,8 +43,7 @@ def _block_uniforms(seed: int, block: int, skip: int, count: int) -> np.ndarray:
     skip % 4 doubles lands on uniform ``skip`` without generating the
     ones before it.
     """
-    bitgen = np.random.Philox(key=np.uint64(seed) & np.uint64(2**64 - 1),
-                              counter=[0, 0, block, 0])
+    bitgen = np.random.Philox(key=np.uint64(seed), counter=[0, 0, block, 0])
     gen = np.random.Generator(bitgen)
     if skip:  # only a request's first block starts mid-block
         bitgen.advance(skip // 4)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ImageTensor", "bilinear", "bilinear_many", "l2_distance"]
+__all__ = ["ImageTensor", "bilinear", "bilinear_many"]
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,6 @@ class ImageTensor:
     def flat(self) -> np.ndarray:
         """Row-major view of the pixel data as a length K*W*H vector."""
         return self.data.reshape(-1)
-
-    @classmethod
-    def from_flat(cls, values, channels: int, width: int, height: int) -> "ImageTensor":
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size != channels * width * height:
-            raise ValueError(
-                f"expected {channels * width * height} values, got {arr.size}")
-        return cls(arr.reshape(channels, width, height))
 
 
 def _check_channel(x: ImageTensor, k: int) -> None:
@@ -139,14 +131,3 @@ def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.
     if inside is not None:
         out = np.where(inside, out, 0.0)
     return out
-
-
-def _check_same_shape(a: ImageTensor, b: ImageTensor) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def l2_distance(a: ImageTensor, b: ImageTensor) -> float:
-    """Euclidean distance over all K*W*H entries."""
-    _check_same_shape(a, b)
-    return float(np.linalg.norm(a.data - b.data))

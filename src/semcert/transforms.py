@@ -12,6 +12,8 @@ Conventions fixed here:
   (periodic boundary): a unit-sum kernel then maps constant images to
   themselves exactly, and sequential blurs compose associatively on the
   fixed canvas, so blur additivity holds up to kernel truncation alone.
+* Brightness/contrast maps each pixel v to e^k (v + b), unclamped: the
+  smoothed classifier must see exactly that image.
 * Translation rounds its continuous displacement to the nearest integer
   (half away from zero upward: floor(v + 0.5)) once per evaluation.
   In 'reflect' mode pixels shifted past one edge re-enter at the
@@ -37,13 +39,9 @@ __all__ = [
     "Transform",
     "transform_spec",
     "additive_pixel_transform",
-    "gaussian_blur",
     "blur_many",
-    "brightness_contrast",
     "translate",
-    "rotate",
     "rotate_many",
-    "scale",
     "scale_many",
     "center_coords",
 ]
@@ -177,29 +175,6 @@ def blur_many(x: ImageTensor, alphas) -> np.ndarray:
     return out
 
 
-def gaussian_blur(x: ImageTensor, alpha: float) -> ImageTensor:
-    """Convolve each channel with the Gaussian of squared radius ``alpha``."""
-    if alpha < 0.0:
-        raise ValueError(f"blur parameter must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        return x
-    return ImageTensor(blur_many(x, [alpha])[0])
-
-
-# ---------------------------------------------------------------------------
-# Brightness / contrast
-
-def brightness_contrast(x: ImageTensor, k: float, b: float) -> ImageTensor:
-    """Pixelwise v -> e^k (v + b), unclamped.
-
-    The smoothed classifier must see exactly e^k(x + b), so no clamping
-    back into [0, 1] is applied.
-    """
-    if k == 0.0 and b == 0.0:
-        return x
-    return transform_spec("brightness_contrast").apply(x, (k, b))
-
-
 # ---------------------------------------------------------------------------
 # Translation
 
@@ -288,11 +263,6 @@ def rotate_many(x: ImageTensor, angles) -> np.ndarray:
     return out
 
 
-def rotate(x: ImageTensor, angle: float) -> ImageTensor:
-    """Rotate counter-clockwise by ``angle`` radians with disk black-padding."""
-    return ImageTensor(rotate_many(x, [angle])[0])
-
-
 def scale_many(x: ImageTensor, factors) -> np.ndarray:
     """Scale one image by many factors; returns (B, K, W, H)."""
     factors = np.atleast_1d(np.asarray(factors, dtype=np.float64))
@@ -309,10 +279,3 @@ def scale_many(x: ImageTensor, factors) -> np.ndarray:
         for k in range(x.channels):
             out[lo:lo + block, k] = bilinear_many(x, k, src_i, src_j)
     return out
-
-
-def scale(x: ImageTensor, s: float) -> ImageTensor:
-    """Stretch width and height about the center by factor ``s`` > 0."""
-    if s <= 0.0:
-        raise ValueError(f"scaling factor must be > 0, got {s}")
-    return ImageTensor(scale_many(x, [s])[0])

@@ -1,12 +1,20 @@
-"""Shared test oracle: dense enumeration of the sampling error.
+"""Shared test oracles: one image's label, and dense enumeration of the
+sampling error.
 
-It deliberately avoids the bound machinery it validates; distances are
-recomputed from the raw transforms.
+The enumeration deliberately avoids the bound machinery it validates;
+distances are recomputed from the raw transforms.
 """
 
 import numpy as np
 
 from semcert.transforms import transform_spec
+
+
+def one_label(classifier, x):
+    """The classifier's label for one image, as a one-row batch."""
+    out = classifier.classify_flat_batch(x.data.reshape(1, -1), x.shape)
+    assert out.shape == (1,) and out.dtype == np.int64
+    return int(out[0])
 
 
 def transform_flat_batch(x, kind, params):

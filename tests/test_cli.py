@@ -8,6 +8,7 @@ import pytest
 
 from semcert import io as semio
 from semcert.aliasing import IntervalGrid, aliasing_bound
+from semcert.classifiers import LinearClassifier
 from semcert.cli import run_cli
 from semcert.radii import ConfidencePair, DistributionSpec, closed_form_radius
 from semcert.tensor import ImageTensor
@@ -156,6 +157,59 @@ class TestCertify:
                        "constant:<label>[:<classes>] or mean:<threshold>\n")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("transform", ["blur", "translation-black", "rotation"])
+    def test_weights_file_equals_synthetic(self, capsys, tmp_path, idx_set, transform):
+        # class 1 scores the mean pixel minus 1/2: the mean-threshold rule
+        # at 1/2, loaded from a SEMW1 file; no image mean is near 1/2
+        images, labels = idx_set
+        weights = np.zeros((2, 81))
+        weights[1] = 1.0 / 81.0
+        path = tmp_path / "w.semw"
+        semio.save_linear_classifier(
+            LinearClassifier(weights, np.array([0.0, -0.5]), (1, 9, 9)), path)
+        bodies = []
+        for name, classifier in (("w", ["--weights", str(path)]),
+                                 ("s", ["--synthetic", "mean:0.5"])):
+            out = tmp_path / name
+            code, _, err = _run(capsys, [
+                "certify", "--transform", transform, *_CERTIFY_FLAGS[transform],
+                "--dataset", images, "--labels", labels, *classifier, *_SMALL[2:],
+                "--output", str(out)])
+            assert code == 0, err
+            bodies.append((tmp_path / f"{name}.csv").read_bytes())
+        assert bodies[0] == bodies[1]
+        rows = semio.read_report_csv(tmp_path / "w.csv")
+        assert [r.predicted for r in rows] == [1, 0, 1]
+
+    def test_stride_takes_every_other_image(self, capsys, tmp_path, idx_set):
+        images, labels = idx_set
+        flags = ["certify", "--transform", "brightness-contrast",
+                 *_CERTIFY_FLAGS["brightness-contrast"],
+                 "--dataset", images, "--labels", labels, *_SMALL]
+        code, stdout, err = _run(capsys, [*flags, "--stride", "2",
+                                          "--output", str(tmp_path / "two")])
+        assert code == 0, err
+        assert "(2 samples" in stdout
+        code, _, err = _run(capsys, [*flags, "--output", str(tmp_path / "all")])
+        assert code == 0, err
+        every = semio.read_report_csv(tmp_path / "all.csv")
+        strided = semio.read_report_csv(tmp_path / "two.csv")
+        # images 0 and 2, evaluated exactly as in the full run
+        key = [(r.true_label, r.predicted, r.verdict, r.p_a_lower) for r in strided]
+        assert key == [(r.true_label, r.predicted, r.verdict, r.p_a_lower)
+                       for r in every[::2]]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, capsys, tmp_path, idx_set, seed):
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "blur", "--alpha-max", "0.3",
+            "--dataset", images, "--labels", labels, *_SMALL, "--seed", seed,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("transform", ["rotation", "scaling"])
     @pytest.mark.parametrize("sizes", [("0", "5"), ("30", "0")])
     def test_zero_grid_size_rejected(self, capsys, tmp_path, idx_set, transform, sizes):
@@ -244,6 +298,30 @@ class TestPredict:
                        "constant:<label>[:<classes>] or mean:<threshold>\n")
 
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, capsys, tensor_file, seed):
+        _, path = tensor_file
+        code, out, err = _run(capsys, ["predict", "--image", path, "--transform", "blur",
+                                       *_SMALL, "--seed", seed])
+        assert code == 2 and out == ""
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+    def test_largest_seed_accepted(self, capsys, tensor_file):
+        _, path = tensor_file
+        code, out, err = _run(capsys, ["predict", "--image", path, "--transform", "blur",
+                                       *_SMALL, "--seed", str(2**64 - 1)])
+        assert code == 0, err
+        assert out == "1\n"
+
+    def test_non_finite_payload(self, capsys, tmp_path):
+        path = tmp_path / "nan.semt"
+        path.write_bytes(b"SEMT1 1 2 2\n" + np.array([0.5, np.nan, 0.1, 0.2]).tobytes())
+        code, out, err = _run(capsys, ["predict", "--image", str(path),
+                                       "--transform", "blur", *_SMALL])
+        assert code == 2 and out == ""
+        assert err == "error: tensor payload contains non-finite values\n"
+
+
 class TestRadiusTable:
     @pytest.mark.parametrize("family,explicit", [
         ("gaussian", ["--sigma", "1.0"]),
@@ -270,7 +348,7 @@ class TestRadiusTable:
                                         "--output", str(out)])
         assert code == 0 and stdout == ""
         radius = closed_form_radius(DistributionSpec("gaussian", (0.5,), dim=1),
-                                    ConfidencePair(0.9)).value
+                                    ConfidencePair(0.9))
         assert out.read_text() == f"p_a,radius\n0.9,{radius!r}\n"
 
     def test_default_grid(self, capsys):

@@ -1,10 +1,15 @@
-"""Direct tests of ``certify_diff_resolvable``: rotation and scaling.
+"""Direct tests of the four certification pipelines.
 
-The anchor phase shares one noise stream across anchors, draws its
-prefix once and memoises Clopper-Pearson bounds.  None of that may
-change a certificate, so the pipeline is compared with a plain loop
-written here, and its certified verdicts are checked against the exact
-smoothed confidence of a mean-threshold classifier.
+``certify_diff_resolvable`` (rotation and scaling) shares one noise
+stream across anchors, draws its prefix once and memoises
+Clopper-Pearson bounds.  None of that may change a certificate, so the
+pipeline is compared with a plain loop written here, and its certified
+verdicts are checked against the exact smoothed confidence of a
+mean-threshold classifier.  ``certify_translation_enum`` is compared
+with a loop that classifies one shifted image at a time.
+``certify_resolvable`` and ``certify_bc_rectangle`` run on classifiers
+whose smoothed confidence is exactly 0 or 1, so every sample agrees and
+the expected bound and verdict follow from the closed forms alone.
 """
 
 import math
@@ -14,15 +19,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import dense_max_min_error
+from helpers import dense_max_min_error, one_label
 from semcert import smoothing
 from semcert.aliasing import IntervalGrid, aliasing_bound
-from semcert.classifiers import MeanThresholdClassifier, analytic_smoothed_confidence
-from semcert.pipeline import ParameterSet, certify_diff_resolvable
-from semcert.radii import DistributionSpec
+from semcert.classifiers import (ConstantClassifier, LinearClassifier, MeanThresholdClassifier,
+                                 analytic_smoothed_confidence)
+from semcert.pipeline import (ParameterSet, certify_bc_rectangle, certify_diff_resolvable,
+                              certify_resolvable, certify_translation_enum)
+from semcert.radii import ConfidencePair, DistributionSpec, bc_condition, bc_confidence_shift
 from semcert.smoothing import SmoothedQuery, progressive_certify
-from semcert.statfn import ConfidenceParams, std_normal_cdf, std_normal_quantile
-from semcert.transforms import additive_pixel_transform, transform_spec
+from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
+                            std_normal_quantile)
+from semcert.transforms import additive_pixel_transform, transform_spec, translate
 
 _RANGES = {"rotation": (math.radians(-5), math.radians(5)), "scaling": (0.95, 1.05)}
 
@@ -44,8 +52,7 @@ def _certify(x, q, grid, label=1, batch=400):
 
 
 def _summary(res):
-    radius = None if res.radius is None else res.radius.value
-    return (res.verdict, res.predicted_class, res.p_a_lower, radius,
+    return (res.verdict, res.predicted_class, res.p_a_lower, res.region_bound,
             res.samples_used, res.witness, res.joint_alpha)
 
 
@@ -172,7 +179,7 @@ class TestSoundness:
                     if not res.certified:
                         continue
                     certified += 1
-                    assert res.radius.value > sqrt_m
+                    assert res.region_bound > sqrt_m
                     need = std_normal_cdf(sqrt_m / sigma)
                     for a in grid.anchors():
                         p1 = analytic_smoothed_confidence(
@@ -202,3 +209,119 @@ def test_memory_holds_one_check_not_the_bank(image_9x9):
         tracemalloc.stop()
         assert not res.certified and res.samples_used == 100 + n
     assert peaks[8_000] <= 1.5 * peaks[800], peaks
+
+
+def _enum_reference(x, label, h, rho):
+    """Black-padded translation one shift at a time, in (m1, m2) order."""
+    r = int(math.floor(rho))
+    checked = 0
+    for m1 in range(-r, r + 1):
+        for m2 in range(-r, r + 1):
+            if m1 * m1 + m2 * m2 > rho * rho:
+                continue
+            checked += 1
+            if one_label(h, translate(x, m1, m2, "black")) != label:
+                return "not_certified", (m1, m2), checked
+    return "certified", None, checked
+
+
+def _linear_classifier(seed):
+    g = np.random.default_rng(seed)
+    return LinearClassifier(g.normal(size=(3, 81)), 0.1 * g.normal(size=3), (1, 9, 9))
+
+
+class TestTranslationEnum:
+    # (classifier, label, rho, verdict, samples_used): certified disks of 5
+    # and 21 shifts, a failure at the fourth shift, a wrong label, and a
+    # disk of one shift
+    CASES = [
+        ("linear4", 1, 1.0, "certified", 5),
+        ("linear4", 1, 2.5, "not_certified", 4),
+        ("mean0.1", 1, 2.5, "certified", 21),
+        ("mean0.1", 0, 2.5, "not_certified", 1),
+        ("linear4", 1, 0.5, "certified", 1),
+    ]
+
+    @pytest.mark.parametrize("name,label,rho,verdict,used", CASES)
+    def test_equal_to_per_shift_loop(self, image_9x9, name, label, rho, verdict, used):
+        h = _linear_classifier(4) if name == "linear4" else MeanThresholdClassifier(0.1)
+        res = certify_translation_enum(image_9x9, label, h, ParameterSet.translation_disk(rho))
+        assert (res.verdict, res.witness, res.samples_used) == _enum_reference(
+            image_9x9, label, h, rho)
+        assert (res.verdict, res.samples_used) == (verdict, used)
+        assert res.predicted_class == one_label(h, image_9x9)
+        assert res.region_bound == rho and res.p_a_lower is None
+
+
+_RESOLVABLE_N = 300
+
+
+def _resolvable_query(x, classifier, kind, noise, seed=3):
+    return SmoothedQuery(classifier, transform_spec(kind), noise,
+                         ConfidenceParams(0.001, _RESOLVABLE_N, 50), seed)
+
+
+class TestResolvableOracles:
+    # a mean-threshold classifier under a mean-preserving transform has
+    # smoothed confidence 0 or 1 (``analytic_smoothed_confidence``), so
+    # every sample carries the analytic label: p_a_lower is the bound on
+    # n hits out of n, and the verdict is the closed form's
+    P_ALL = clopper_pearson_lower(_RESOLVABLE_N, _RESOLVABLE_N, 0.001)
+
+    @pytest.mark.parametrize("kind,noise,region,radius", [
+        ("gaussian_blur", DistributionSpec("exponential", (1.0,), dim=1),
+         ParameterSet.blur_interval, -math.log(2.0 * (1.0 - P_ALL))),
+        ("gaussian_blur", DistributionSpec("exponential", (2.0,), dim=1),
+         ParameterSet.blur_interval, -math.log(2.0 * (1.0 - P_ALL)) / 2.0),
+        ("gaussian_blur", DistributionSpec("uniform", (0.0, 3.0), dim=1),
+         ParameterSet.blur_interval, 3.0 * (2.0 * P_ALL - 1.0) / 2.0),
+        ("translation_reflect", DistributionSpec("gaussian", (0.5,), dim=2),
+         ParameterSet.translation_disk, 0.5 * std_normal_quantile(P_ALL)),
+    ], ids=["blur_exp1", "blur_exp2", "blur_uniform", "reflect"])
+    def test_mean_threshold_follows_closed_form(self, image_9x9, kind, noise, region, radius):
+        mu = float(image_9x9.data.mean())
+        seen = set()
+        for threshold in (mu - 0.2, mu + 0.2):
+            clf = MeanThresholdClassifier(threshold)
+            q = _resolvable_query(image_9x9, clf, kind, noise)
+            analytic = analytic_smoothed_confidence(clf, q.transform, q.noise, image_9x9)
+            assert analytic in (0.0, 1.0)
+            for label in (0, 1):
+                for requested in (0.5 * radius, 1.5 * radius):
+                    res = certify_resolvable(image_9x9, label, q, region(requested))
+                    assert res.predicted_class == int(analytic)
+                    assert res.p_a_lower == self.P_ALL
+                    assert res.samples_used == 50 + _RESOLVABLE_N
+                    assert res.region_bound == pytest.approx(radius, rel=1e-12)
+                    expect = label == int(analytic) and requested < radius
+                    assert res.certified == expect
+                    seen.add(res.verdict)
+        assert seen == {"certified", "not_certified"}
+
+    @pytest.mark.parametrize("k_range,b_range,inside", [
+        ((-0.1, 0.1), (-0.1, 0.1), True),
+        ((-0.3, 0.0), (0.0, 0.4), True),
+        ((0.2, 0.5), (-0.05, 0.05), True),
+        ((-1.0, 1.0), (-0.1, 0.1), False),
+        ((-0.1, 0.1), (-1.0, 1.0), False),
+    ])
+    def test_constant_bc_rectangle_follows_corner_check(self, image_9x9, k_range, b_range,
+                                                        inside):
+        # a constant classifier has confidence 1; the verdict is the
+        # corner check under the worst endpoint contrast shift
+        sigma, tau = 0.3, 0.4
+        noise = DistributionSpec("gaussian", (sigma, tau), dim=2)
+        q = _resolvable_query(image_9x9, ConstantClassifier(2, 4), "brightness_contrast", noise)
+        p = self.P_ALL
+        shift = min(bc_confidence_shift(p, k) for k in k_range)
+        conf = ConfidencePair(shift) if shift >= 0.5 else ConfidencePair(0.5, 0.5)
+        corners = all(bc_condition(k, b, sigma, tau, conf) for k in k_range for b in b_range)
+        assert corners == inside
+        gap = max(0.0, 0.5 * (std_normal_quantile(conf.p_a) - std_normal_quantile(conf.p_b)))
+        rect = ParameterSet.bc_rect(*k_range, *b_range)
+        for label in (2, 1):
+            res = certify_bc_rectangle(image_9x9, label, q, rect)
+            assert res.predicted_class == 2
+            assert res.p_a_lower == p
+            assert res.region_bound == pytest.approx(gap, rel=1e-12, abs=1e-15)
+            assert res.certified == (label == 2 and corners)

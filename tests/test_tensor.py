@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from semcert.tensor import ImageTensor, bilinear, bilinear_many, l2_distance
+from semcert.tensor import ImageTensor, bilinear, bilinear_many
 
 
 class TestImageTensor:
@@ -19,17 +19,10 @@ class TestImageTensor:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             ImageTensor(bad)
-        with pytest.raises(ValueError):
-            ImageTensor.from_flat(np.zeros(3), 1, 2, 2)
 
     def test_immutable(self, image_9x9):
         with pytest.raises(ValueError):
             image_9x9.data[0, 0, 0] = 1.0
-
-    def test_from_flat_roundtrip(self, rng):
-        vals = rng.random(12)
-        x = ImageTensor.from_flat(vals, 1, 3, 4)
-        np.testing.assert_array_equal(x.flat(), vals)
 
 
 def _bilinear_reference(plane, i, j):
@@ -137,33 +130,3 @@ class TestBilinear:
             assert batch[idx] == pytest.approx(bilinear(x, 0, ii[idx], jj[idx]),
                                                abs=1e-15)
 
-
-class TestDistances:
-    def test_zero_iff_equal(self, image_9x9):
-        assert l2_distance(image_9x9, image_9x9) == 0.0
-
-    def test_three_four_five(self):
-        a = ImageTensor(np.zeros((1, 1, 2)))
-        b = ImageTensor(np.array([3.0, 4.0]).reshape(1, 1, 2))
-        assert l2_distance(a, b) == pytest.approx(5.0, abs=1e-15)
-
-    def test_against_elementwise_oracle(self, rng):
-        a = ImageTensor(rng.random((2, 5, 4)))
-        b = ImageTensor(rng.random((2, 5, 4)))
-        total = 0.0
-        for k in range(2):
-            for i in range(5):
-                for j in range(4):
-                    total += (a.data[k, i, j] - b.data[k, i, j]) ** 2
-        assert l2_distance(a, b) == pytest.approx(np.sqrt(total), abs=1e-12)
-
-    def test_shape_mismatch(self, rng):
-        a = ImageTensor(rng.random((1, 4, 4)))
-        b = ImageTensor(rng.random((1, 4, 5)))
-        with pytest.raises(ValueError):
-            l2_distance(a, b)
-
-    def test_triangle_inequality(self, rng):
-        for _ in range(50):
-            a, b, c = (ImageTensor(rng.random((1, 3, 3))) for _ in range(3))
-            assert l2_distance(a, c) <= l2_distance(a, b) + l2_distance(b, c) + 1e-12

@@ -11,13 +11,20 @@ between subsamples.
 
 The per-interval Lipschitz constants come from interpolation cell
 statistics: for every output pixel, the set of integer grid cells its
-source coordinate visits over the interval (conservatively
-over-approximated by supersampling the source curve at <= 0.25 px of
-arc length and closing with the 8-neighborhood), and the per-cell
-maximum color and maximal corner spread over that set.  Scaling is
-discontinuous where a source coordinate crosses the image border; such
-crossing parameters are enumerated exactly and each affected outer
-interval is bounded one-sidedly around its (single) crossing.
+source coordinate visits over the interval, and the per-cell maximum
+color and maximal corner spread over that set.  The cell set is the
+source curve supersampled at <= 0.25 px of arc length, each sample's
+floor cell closed with its 8-neighborhood, intersected with the
+pixel's attainable box (its sampled extremes widened by the overshoot
+margin).  The box contains every sample's own floor cell, so a
+sample's closure cells inside the box form one rectangle of 1 to 3
+cells a side, and the statistics over the whole set are the max over
+samples of one rectangle lookup in precomputed range-max tables
+(``_range_max_tables``).  Cells outside the interior read 0 there,
+exactly as the interpolation does.  Scaling is discontinuous where a
+source coordinate crosses the image border; such crossing parameters
+are enumerated exactly and each affected outer interval is bounded
+one-sidedly around its (single) crossing.
 
 M is tracked as the squared quantity; compare sqrt(M) against radii.
 """
@@ -30,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ImageTensor
-from .transforms import _BLOCK_IMAGES, _pixel_geometry, center_coords, transform_spec
+from .transforms import (_BLOCK_IMAGES, _BLOCK_POINTS, _pixel_geometry, center_coords,
+                         transform_spec)
 
 __all__ = [
     "ConfigurationError",
@@ -46,6 +54,9 @@ __all__ = [
 ]
 
 _MAX_SOURCE_STEP = 0.25  # px of source motion between trajectory supersamples
+# Zero cells around the interior in the range-max tables: a closure
+# rectangle starting further out than this lies wholly outside.
+_PAD = 3
 
 
 class ConfigurationError(ValueError):
@@ -90,12 +101,17 @@ class IntervalGrid:
         pairs = np.stack([anchors[:-1], anchors[1:]], axis=1)
         return np.sort(pairs, axis=1)
 
-    def inner_points(self, lo: float, hi: float) -> np.ndarray:
-        """Ascending subsample points of one interval, endpoints included."""
+    def inner_points(self, lo, hi) -> np.ndarray:
+        """Ascending subsample points of [lo, hi], endpoints included.
+
+        ``lo`` and ``hi`` may be arrays of interval ends; each interval's
+        points then run along a new last axis.
+        """
+        lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
         t = np.linspace(0.0, 1.0, self.n_inner)
         if self.kind == "rotation":
             return lo + (hi - lo) * t
-        return np.sort((lo * hi) / (lo + (hi - lo) * t))
+        return np.sort((lo * hi) / (lo + (hi - lo) * t), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -137,52 +153,86 @@ class AliasingBound:
 # ---------------------------------------------------------------------------
 # Source-coordinate trajectories and cell color statistics
 
-def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
-                   lo: float, hi: float):
-    """Supersampled source coordinates for pixels (rr, ss) over [lo, hi].
+def _bound_pixels(x: ImageTensor, kind: str):
+    """Grid coordinates (rr, ss) and center distances of the pixels a bound sums.
 
-    Returns (src_i, src_j) of shape (n_pixels, n_samples) with adjacent
-    samples at most _MAX_SOURCE_STEP apart in source space, the
-    per-pixel speed bound used by the Lipschitz constants, and the
+    Rotation keeps the disk: pixels outside it are 0 at every angle.
+    """
+    rr, ss, d, _, disk = _pixel_geometry(x.width, x.height)
+    if kind == "rotation":
+        return rr[disk], ss[disk], d[disk]
+    return rr.ravel(), ss.ravel(), d.ravel()
+
+
+def _sample_counts(kind: str, reach: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Source-curve samples per interval for a pixel ``reach`` from the center.
+
+    Adjacent samples are at most _MAX_SOURCE_STEP apart on that pixel's
+    curve, and so on the curve of every pixel nearer the center.
+    """
+    speed = reach if kind == "rotation" else reach / np.float_power(lo, 2)
+    return np.maximum(2, np.ceil(speed * (hi - lo) / _MAX_SOURCE_STEP).astype(np.int64) + 1)
+
+
+def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray, reach: float = 0.0):
+    """Supersampled source coordinates for pixels (rr, ss) over intervals [lo, hi].
+
+    Returns (src_i, src_j) of shape (n_samples, n_intervals, n_pixels),
+    the per-pixel speed bound used by the Lipschitz constants, and the
     per-pixel overshoot margin: how far beyond its sampled extremes each
     coordinate can stray between samples (zero for scaling, whose
     coordinates are monotone in the parameter; d * h^2 / 8 for
-    rotation's circular arcs, from the second-derivative bound).
+    rotation's circular arcs, from the second-derivative bound).  Both
+    are (n_intervals, n_pixels).
+
+    All pixels share one sampling per interval, with adjacent samples at
+    most _MAX_SOURCE_STEP apart on the curve of the pixel farthest from
+    the center, or of a pixel ``reach`` from it if that is farther.
+    Given a bound's reach, a subset of its pixels is sampled as the bound
+    samples it.  An interval that needs fewer samples than another
+    repeats its last one, which changes no extreme and no visited cell.
+    Squares use ``np.float_power``, the C library's ``pow`` on every
+    platform; ``np.power``'s vector loop and ``x * x`` can round an ulp
+    apart from it.
     """
     c_w, c_h = center_coords(x.width, x.height)
+    dist = np.sqrt((rr - c_w) ** 2 + (ss - c_h) ** 2)
+    counts = _sample_counts(kind, max(reach, dist.max(initial=0.0)), lo, hi)
+    # np.linspace(lo, hi, count) per row, padded with repeats of hi
+    last = (counts - 1)[:, None]
+    k = np.minimum(np.arange(counts.max()), last)
+    step = (hi - lo) / (counts - 1)
+    params = np.where(k == last, hi[:, None], k * step[:, None] + lo[:, None]).T[..., None]
     if kind == "rotation":
-        d = np.sqrt((rr - c_w) ** 2 + (ss - c_h) ** 2)
-        speed = d  # exact l2 speed of the circular source curve
-        max_motion = float(d.max(initial=0.0)) * (hi - lo)
-        n_samples = max(2, int(math.ceil(max_motion / _MAX_SOURCE_STEP)) + 1)
-        theta = np.linspace(lo, hi, n_samples)
+        speed = np.broadcast_to(dist, (len(lo), len(dist)))  # exact l2 speed of the arc
         g = np.arctan2(ss - c_h, rr - c_w)
-        src_i = c_w + d[:, None] * np.cos(g[:, None] - theta[None, :])
-        src_j = c_h + d[:, None] * np.sin(g[:, None] - theta[None, :])
-        step = (hi - lo) / (n_samples - 1)
-        margin = d * step ** 2 / 8.0
+        src_i = c_w + dist * np.cos(g - params)
+        src_j = c_h + dist * np.sin(g - params)
+        margin = dist * np.float_power(step, 2)[:, None] / 8.0
         return src_i, src_j, speed, margin
     if kind == "scaling":
-        dist = np.sqrt((rr - c_w) ** 2 + (ss - c_h) ** 2)
-        speed = dist / lo ** 2  # worst case of dist / t^2 on [lo, hi]
-        max_motion = float(speed.max(initial=0.0)) * (hi - lo)
-        n_samples = max(2, int(math.ceil(max_motion / _MAX_SOURCE_STEP)) + 1)
-        alpha = np.linspace(lo, hi, n_samples)
-        src_i = c_w + (rr[:, None] - c_w) / alpha[None, :]
-        src_j = c_h + (ss[:, None] - c_h) / alpha[None, :]
-        return src_i, src_j, speed, np.zeros_like(dist)
+        speed = dist / np.float_power(lo, 2)[:, None]  # worst case of dist / t^2 on [lo, hi]
+        src_i = c_w + (rr - c_w) / params
+        src_j = c_h + (ss - c_h) / params
+        return src_i, src_j, speed, np.zeros_like(speed)
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
-def _cell_stats(x: ImageTensor):
-    """Corner max and corner spread of every interior interpolation cell.
+def _range_max_tables(x: ImageTensor) -> np.ndarray:
+    """Cell statistics maximised over every rectangle of 1 to 3 cells a side.
 
-    Interior cells have lower corners (ci, cj) with ci in [0, W-2] and
-    cj in [0, H-2]; only there does the interpolation vary.  On every
-    other cell the interpolated surface is identically 0 (outside the
-    coordinate domain, up to the measure-zero boundary line whose jumps
-    the discontinuity handling owns), so those cells contribute nothing.
-    Returned arrays have shape (K, max(W-1, 1), max(H-1, 1)).
+    The statistics of a cell are the max and the spread (max - min) of
+    its four corners.  Interior cells have lower corners (ci, cj) with
+    ci in [0, W-2] and cj in [0, H-2]; only there does the interpolation
+    vary.  On every other cell the interpolated surface is identically 0
+    (outside the coordinate domain, up to the measure-zero boundary line
+    whose jumps the discontinuity handling owns), so those cells
+    contribute nothing: the interior's (W-1, H-1, 2K) statistics, cell
+    max first, are padded with _PAD zero cells on each side.  Entry
+    [h-1, w-1, a, b] of the result, of shape (3, 3, W-1 + 2 _PAD,
+    H-1 + 2 _PAD, 2K), is the max over the h x w cells whose first cell
+    is (a - _PAD, b - _PAD); entries past the padded edge are never read.
 
     The corner max bounds |colour| only when no pixel is negative, so a
     negative pixel is rejected here, where every bound starts.
@@ -190,14 +240,37 @@ def _cell_stats(x: ImageTensor):
     if np.any(x.data < 0.0):
         raise ValueError("aliasing bounds need pixel values >= 0, got a minimum of "
                          f"{float(x.data.min())!r}")
-    if x.width < 2 or x.height < 2:
-        shape = (x.channels, max(x.width - 1, 1), max(x.height - 1, 1))
-        return np.zeros(shape), np.zeros(shape)
     corners = np.stack([x.data[:, :-1, :-1], x.data[:, 1:, :-1],
                         x.data[:, :-1, 1:], x.data[:, 1:, 1:]])
     cell_max = corners.max(axis=0)
-    cell_spread = cell_max - corners.min(axis=0)
-    return cell_max, cell_spread
+    stats = np.concatenate([cell_max, cell_max - corners.min(axis=0)]).transpose(1, 2, 0)
+    padded = np.pad(stats, ((_PAD, _PAD), (_PAD, _PAD), (0, 0)))
+    tables = np.zeros((3, 3) + padded.shape)
+    rows = padded
+    for h in range(3):
+        if h:
+            rows = np.maximum(rows[:-1], padded[h:])
+        cols = rows
+        for w in range(3):
+            if w:
+                cols = np.maximum(cols[:, :-1], rows[:, w:])
+            tables[h, w, :cols.shape[0], :cols.shape[1]] = cols
+    return tables
+
+
+def _rect_max(tables: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
+    """Max of the stacked cell statistics over cells [r0, r1] x [c0, c1].
+
+    Each side spans 1 to 3 cells.  A rectangle starting before -_PAD or
+    after the last interior cell lies wholly outside the interior, so
+    clipping its corner into the zero padding keeps its value 0.
+    Returns the index arrays' shape plus a last axis of 2K.
+    """
+    _, _, wp, hp, n_stats = tables.shape
+    r = np.clip(r0, -_PAD, wp - 2 * _PAD) + _PAD
+    c = np.clip(c0, -_PAD, hp - 2 * _PAD) + _PAD
+    flat = ((((r1 - r0) * 3 + (c1 - c0)) * wp + r) * hp + c).astype(np.intp)
+    return np.take(tables.reshape(-1, n_stats), flat, axis=0)
 
 
 def _visited_cells(src_i: np.ndarray, src_j: np.ndarray, margin: np.ndarray,
@@ -210,7 +283,8 @@ def _visited_cells(src_i: np.ndarray, src_j: np.ndarray, margin: np.ndarray,
     then intersected with the per-pixel attainable coordinate box
     (sampled extremes widened by the overshoot margin): both sets
     provably contain every cell the continuous curve enters, so their
-    intersection does too.
+    intersection does too.  This is the cell set written out; the
+    bounds read its statistics through ``_closure_stats``.
     """
     ci = np.floor(src_i).astype(np.int64)[..., None]
     cj = np.floor(src_j).astype(np.int64)[..., None]
@@ -228,19 +302,27 @@ def _visited_cells(src_i: np.ndarray, src_j: np.ndarray, margin: np.ndarray,
     return ci, cj, in_box
 
 
-def _gather_stats(stats: np.ndarray, ci: np.ndarray, cj: np.ndarray,
-                  in_box: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Max of a per-cell statistic over each pixel's cell set.
+def _closure_stats(tables: np.ndarray, src_i: np.ndarray, src_j: np.ndarray,
+                   margin: np.ndarray) -> np.ndarray:
+    """Max cell statistics over each pixel's closed cell set.
 
-    ``stats`` covers interior cells only; non-interior cells contribute
-    0, as do closure cells masked out of the attainable box.  Result
-    shape: (K, n_pixels).
+    The attainable box [i_lo, i_hi] x [j_lo, j_hi] contains every
+    sample's floor cell (fi, fj), since floor(min - margin) <= fi <=
+    floor(max + margin).  So the sample's closure cells inside the box
+    are exactly the rectangle [max(fi-1, i_lo), min(fi+1, i_hi)] x
+    [max(fj-1, j_lo), min(fj+1, j_hi)], and the max over the set of
+    ``_visited_cells`` is the max over samples of one ``_rect_max``
+    lookup.  Returns (n_intervals, n_pixels, 2K) for the curves of
+    ``_source_curves``.
     """
-    valid = in_box & (ci >= 0) & (ci <= width - 2) & (cj >= 0) & (cj <= height - 2)
-    pi = np.clip(ci, 0, max(width - 2, 0))
-    pj = np.clip(cj, 0, max(height - 2, 0))
-    vals = stats[:, pi, pj] * valid[None, ...]
-    return vals.max(axis=(2, 3))
+    i_lo = np.floor(src_i.min(axis=0) - margin)
+    i_hi = np.floor(src_i.max(axis=0) + margin)
+    j_lo = np.floor(src_j.min(axis=0) - margin)
+    j_hi = np.floor(src_j.max(axis=0) + margin)
+    fi, fj = np.floor(src_i), np.floor(src_j)
+    rects = _rect_max(tables, np.maximum(fi - 1, i_lo), np.minimum(fi + 1, i_hi),
+                      np.maximum(fj - 1, j_lo), np.minimum(fj + 1, j_hi))
+    return rects.max(axis=0)
 
 
 def grid_pixel_trajectory(x: ImageTensor, kind: str, r: int, s: int,
@@ -248,18 +330,21 @@ def grid_pixel_trajectory(x: ImageTensor, kind: str, r: int, s: int,
                           closure: bool = True) -> set[tuple[int, int]]:
     """Integer cells visited by pixel (r, s)'s source curve over an interval.
 
-    With ``closure`` (the default, used by all bounds) the sampled cells
-    are closed under the 8-neighborhood, which provably covers every
-    cell the continuous curve enters between samples; without it the
-    raw sampled cells are returned.
+    The curve is sampled as the bound samples the interval.  With
+    ``closure`` (the default, used by all bounds) the sampled cells are
+    closed under the 8-neighborhood, which provably covers every cell
+    the continuous curve enters between samples; without it the raw
+    sampled cells are returned.
     """
     t1, t2 = interval
     if not t1 < t2:
         raise ValueError("interval must satisfy t1 < t2")
     rr = np.asarray([float(r)])
     ss = np.asarray([float(s)])
-    src_i, src_j, _, margin = _source_curves(x, kind, rr, ss, t1, t2)
-    ci, cj, in_box = _visited_cells(src_i, src_j, margin, closure)
+    reach = _bound_pixels(x, kind)[2].max(initial=0.0)
+    src_i, src_j, _, margin = _source_curves(x, kind, rr, ss, np.array([t1]),
+                                             np.array([t2]), reach)
+    ci, cj, in_box = _visited_cells(src_i[:, 0].T, src_j[:, 0].T, margin[0], closure)
     return set(zip(ci[in_box].ravel().tolist(), cj[in_box].ravel().tolist()))
 
 
@@ -270,30 +355,28 @@ def max_color_stats(x: ImageTensor, k: int, cells) -> tuple[float, float]:
     interior range [0, W-2] x [0, H-2] contributes (0, 0), because
     interpolation is 0 outside Omega: its surface is identically 0 up to
     the boundary line, whose values the 8-neighborhood closure already
-    takes from the adjacent interior cell.  Such cells are skipped, not
-    clipped onto the nearest interior cell.  This is the cell rule of
-    the bound itself: ``_cell_stats`` then ``_gather_stats``.
+    takes from the adjacent interior cell.  Such cells read the zero
+    padding of the range-max tables, not the nearest interior cell.
+    Each cell is a 1 x 1 rectangle of the tables the bound itself reads
+    through ``_closure_stats``, so this is the bound's cell rule.
     """
     cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
     if not len(cells):
         raise ValueError("cell set must be nonempty")
     if not 0 <= k < x.channels:
         raise ValueError(f"channel index {k} out of range")
-    # one "pixel" whose cell set is ``cells``: (1, n_cells, 1) index arrays
-    ci, cj = cells[None, :, 0, None], cells[None, :, 1, None]
-    in_box = np.ones(ci.shape, dtype=bool)
-    m_bar, m_delta = (float(_gather_stats(stats, ci, cj, in_box, x.width, x.height)[k, 0])
-                      for stats in _cell_stats(x))
-    return m_bar, m_delta
+    ci, cj = cells[:, 0], cells[:, 1]
+    stats = _rect_max(_range_max_tables(x), ci, ci, cj, cj).max(axis=0)
+    return float(stats[k]), float(stats[x.channels + k])
 
 
 # ---------------------------------------------------------------------------
 # Interval Lipschitz constants
 
-def _interval_constants(x: ImageTensor, kind: str, lo: float, hi: float,
-                        stats=None) -> tuple[float, float]:
+def _interval_constants(x: ImageTensor, kind: str, lo: np.ndarray,
+                        hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exposed, slack) Lipschitz constants of g(alpha) = ||phi(x,alpha) -
-    phi(x,anchor)||^2 on one outer interval.
+    phi(x,anchor)||^2 on each outer interval [lo[n], hi[n]].
 
     ``exposed`` is the plain per-pixel product bound, summed:
     2 * d * m_delta * m_bar for rotation, sqrt(2) * dist/t1^2 * m_delta
@@ -301,26 +384,29 @@ def _interval_constants(x: ImageTensor, kind: str, lo: float, hi: float,
     min(m_bar, Lip_phi * interval_width) -- inside one interval the
     transform cannot move further from its anchor than its own Lipschitz
     constant allows -- and is the constant used in the aliasing bound.
-    """
-    rr, ss, _, _, disk = _pixel_geometry(x.width, x.height)
-    if kind == "rotation":  # pixels outside the disk are 0 at every angle
-        rr, ss = rr[disk], ss[disk]
-    rr, ss = rr.ravel(), ss.ravel()
-    if len(rr) == 0:
-        return 0.0, 0.0
-    cell_max, cell_spread = _cell_stats(x) if stats is None else stats
-    src_i, src_j, speed, margin = _source_curves(x, kind, rr, ss, lo, hi)
-    ci, cj, in_box = _visited_cells(src_i, src_j, margin, closure=True)
-    m_bar = _gather_stats(cell_max, ci, cj, in_box, x.width, x.height)
-    m_delta = _gather_stats(cell_spread, ci, cj, in_box, x.width, x.height)
 
-    if kind == "rotation":
-        exposed = float(np.sum(2.0 * speed[None, :] * m_delta * m_bar))
-    else:
-        exposed = float(np.sum(math.sqrt(2.0) * speed[None, :] * m_delta * m_bar))
-    lip_phi = math.sqrt(2.0) * speed[None, :] * m_delta
-    color = np.minimum(m_bar, lip_phi * (hi - lo))
-    slack = float(np.sum(2.0 * lip_phi * color))
+    Intervals are taken in chunks of about _BLOCK_POINTS pixel samples.
+    Each interval's sums run over (pixel, channel) in that order.
+    """
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    rr, ss, d = _bound_pixels(x, kind)
+    exposed, slack = np.zeros(len(lo)), np.zeros(len(lo))
+    if len(rr) == 0:
+        return exposed, slack
+    tables = _range_max_tables(x)
+    samples = int(_sample_counts(kind, d.max(), lo, hi).max(initial=2))
+    per_chunk = max(1, _BLOCK_POINTS // (len(rr) * samples))
+    factor = 2.0 if kind == "rotation" else math.sqrt(2.0)
+    for start in range(0, len(lo), per_chunk):
+        part = slice(start, start + per_chunk)
+        src_i, src_j, speed, margin = _source_curves(x, kind, rr, ss, lo[part], hi[part])
+        stats = _closure_stats(tables, src_i, src_j, margin)
+        m_bar, m_delta = np.split(stats, 2, axis=-1)
+        speed = speed[..., None]
+        exposed[part] = np.sum(factor * speed * m_delta * m_bar, axis=(1, 2))
+        lip_phi = math.sqrt(2.0) * speed * m_delta
+        color = np.minimum(m_bar, lip_phi * (hi[part] - lo[part])[:, None, None])
+        slack[part] = np.sum(2.0 * lip_phi * color, axis=(1, 2))
     return exposed, slack
 
 
@@ -333,7 +419,7 @@ def rotation_interval_lipschitz(x: ImageTensor, interval: tuple[float, float]) -
     t1, t2 = interval
     if not t1 < t2:
         raise ValueError("interval must satisfy t1 < t2")
-    return _interval_constants(x, "rotation", t1, t2)[0]
+    return float(_interval_constants(x, "rotation", [t1], [t2])[0][0])
 
 
 def scaling_interval_lipschitz(x: ImageTensor, interval: tuple[float, float]) -> float:
@@ -343,7 +429,7 @@ def scaling_interval_lipschitz(x: ImageTensor, interval: tuple[float, float]) ->
         raise ValueError("scaling interval must be positive")
     if not t1 < t2:
         raise ValueError("interval must satisfy t1 < t2")
-    return _interval_constants(x, "scaling", t1, t2)[0]
+    return float(_interval_constants(x, "scaling", [t1], [t2])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -444,40 +530,37 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
                         f"increase n_outer beyond {grid.n_outer}")
                 discs[i] = t
 
-    stats = _cell_stats(x)
+    exposed, slack = _interval_constants(x, kind, intervals[:, 0], intervals[:, 1])
     worst = None
-    lipschitz_l = 0.0
 
     per_block = max(1, _BLOCK_IMAGES // grid.n_inner)
     for block_lo in range(0, n_int, per_block):
         block_hi = min(block_lo + per_block, n_int)
-        block = range(block_lo, block_hi)
-        inner = np.stack([grid.inner_points(*intervals[i]) for i in block])
+        inner = grid.inner_points(intervals[block_lo:block_hi, 0],
+                                  intervals[block_lo:block_hi, 1])
         flat_imgs = spec.apply_many(x, inner.ravel()).reshape(len(inner), grid.n_inner, -1)
 
-        for row, i in enumerate(block):
+        for row, i in enumerate(range(block_lo, block_hi)):
             lo, hi = intervals[i]
             # anchors of this interval, matched to the ascending [lo, hi]
             lo_idx, hi_idx = (i, i + 1) if anchors[i] == lo else (i + 1, i)
-            pts = inner[row]
+            pts, lip = inner[row], float(slack[i])
             g_lo = np.sum((flat_imgs[row] - anchor_imgs[lo_idx]) ** 2, axis=1)
             g_hi = np.sum((flat_imgs[row] - anchor_imgs[hi_idx]) ** 2, axis=1)
-            exposed, slack = _interval_constants(x, kind, lo, hi, stats)
-            lipschitz_l = max(lipschitz_l, exposed)
 
             t = discs.get(i)
             if t is None:
                 widths = np.diff(pts)
                 pair_min = np.minimum(g_lo[:-1] + g_lo[1:], g_hi[:-1] + g_hi[1:])
-                bound = float(np.max(0.5 * pair_min + 0.5 * slack * widths))
+                bound = float(np.max(0.5 * pair_min + 0.5 * lip * widths))
             else:
                 img_t = spec.apply_many(x, [t]).reshape(-1)
                 g_hi_t = float(np.sum((img_t - anchor_imgs[hi_idx]) ** 2))
-                left = _below_crossing_bound(pts, g_lo, slack, t)
-                right = _at_and_above_crossing_bound(pts, g_hi, slack, t, g_hi_t)
+                left = _below_crossing_bound(pts, g_lo, lip, t)
+                right = _at_and_above_crossing_bound(pts, g_hi, lip, t, g_hi_t)
                 bound = max(left, right)
 
             if worst is None or bound > worst.bound:
-                worst = IntervalBound(lo, hi, bound, slack, exposed, t)
+                worst = IntervalBound(float(lo), float(hi), bound, lip, float(exposed[i]), t)
 
-    return AliasingBound(worst, lipschitz_l)
+    return AliasingBound(worst, float(exposed.max(initial=0.0)))

@@ -212,7 +212,7 @@ def _cmd_certify(args) -> int:
         raise ValueError("--stride must be >= 1")
     if not images:
         raise ValueError(f"dataset holds no images: {args.dataset}")
-    dataset = [(images[i], int(labels[i])) for i in range(0, len(images), args.stride)]
+    dataset = [(image, int(label)) for image, label in zip(images, labels)]
     classifier = _classifier_from_args(args)
     conf = ConfidenceParams(args.alpha, args.n, args.n0)
     transform, noise = _smoothing_setup(args, dataset[0][0].shape)
@@ -244,7 +244,7 @@ def _cmd_certify(args) -> int:
         return certify_diff_resolvable(x, label, query, region, grid, batch=args.batch)
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    report = robust_accuracy_report(dataset, query, certifier)
+    report = robust_accuracy_report(dataset, query, certifier, stride=args.stride)
     rows = semio.rows_from_table(report)
     echo = {k: v for k, v in vars(args).items() if k != "command"}
     semio.write_report_csv(rows, args.output + ".csv")
@@ -288,8 +288,12 @@ def _cmd_aliasing(args) -> int:
     x = semio.read_tensor(args.image)
     grid = _interval_grid(args.kind, args.interval, args.grid_n, args.grid_r)
     bound = aliasing_bound(x, args.kind, grid)
-    print("m,sqrt_m,lipschitz_l")
-    print(f"{bound.m_value!r},{bound.sqrt_m!r},{bound.lipschitz_l!r}")
+    worst = bound.worst
+    print("m,sqrt_m,lipschitz_l,lo,hi,slack,exposed,discontinuity")
+    # an empty field, as in the report CSV, when no crossing lies inside
+    print(",".join("" if v is None else repr(v) for v in (
+        bound.m_value, bound.sqrt_m, bound.lipschitz_l, worst.lo, worst.hi,
+        worst.slack_lipschitz, worst.exposed_lipschitz, worst.discontinuity)))
     return 0
 
 

@@ -255,16 +255,15 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     target = bound.sqrt_m
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
-    anchor_transform = transform_spec(grid.kind)
+    anchor_images = transform_spec(grid.kind).apply_many(x, anchors)
     prefix = progressive_prefix(anchor_q, batch)
     cp_memo: dict = {}
 
     samples = 0
     min_radius = math.inf
     min_p = 1.0
-    for alpha_i in anchors:
-        xi = anchor_transform.apply(x, float(alpha_i))
-        prog = progressive_certify(anchor_q, xi, target, batch=batch,
+    for alpha_i, image in zip(anchors, anchor_images):
+        prog = progressive_certify(anchor_q, ImageTensor(image), target, batch=batch,
                                    prefix=prefix, cp_memo=cp_memo)
         samples += prog.samples_used
         if prog.certified:
@@ -333,24 +332,28 @@ class ReportTable:
     clean_accuracy: float
 
 
-def robust_accuracy_report(dataset, query: SmoothedQuery, certifier) -> ReportTable:
+def robust_accuracy_report(dataset, query: SmoothedQuery, certifier,
+                           stride: int = 1) -> ReportTable:
     """Per-sample certification plus clean smoothed accuracy.
 
-    ``dataset`` is a list of (ImageTensor, label); ``query`` is the
-    smoothed classifier whose prediction on each image is the clean
-    prediction; ``certifier`` maps (image, label) to a
+    ``dataset`` is a list of (ImageTensor, label); every ``stride``-th
+    sample is evaluated, and its row keeps its index in ``dataset``.
+    ``query`` is the smoothed classifier whose prediction on each image
+    is the clean prediction; ``certifier`` maps (image, label) to a
     CertificationResult.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
+    evaluated = range(0, len(dataset), stride)
     samples = []
     clean_hits = 0
     robust_hits = 0
-    for idx, (x, label) in enumerate(dataset):
+    for idx in evaluated:
+        x, label = dataset[idx]
         predicted = predict(query, x)
         clean_hits += int(predicted == label)
         result = certifier(x, label)
         robust_hits += int(result.certified and result.predicted_class == label)
         samples.append(SampleReport(idx, label, predicted, result))
-    n = len(dataset)
+    n = len(evaluated)
     return ReportTable(tuple(samples), robust_hits / n, clean_hits / n)

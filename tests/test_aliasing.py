@@ -12,7 +12,17 @@ from semcert.aliasing import (ConfigurationError, IntervalGrid, aliasing_bound,
 from semcert import aliasing
 from semcert.aliasing import _source_curves
 from semcert.tensor import ImageTensor, bilinear
-from semcert.transforms import center_coords, rotate_many, scale_many
+from semcert.transforms import _pixel_geometry, center_coords, rotate_many, scale_many
+
+
+def _peak_bytes(x, grid):
+    """tracemalloc's peak over one ``aliasing_bound`` call."""
+    tracemalloc.start()
+    try:
+        aliasing_bound(x, grid.kind, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestIntervalGrid:
@@ -160,11 +170,11 @@ class TestCurveSpeed:
     def test_scaling_speed_quarters_when_t1_doubles(self, image_9x9):
         rr = np.array([7.0])
         ss = np.array([1.0])
-        _, _, speed1, margin1 = _source_curves(image_9x9, "scaling", rr, ss, 0.5, 0.6)
-        _, _, speed2, margin2 = _source_curves(image_9x9, "scaling", rr, ss, 1.0, 1.1)
-        assert speed2[0] == pytest.approx(speed1[0] / 4.0, rel=1e-12)
+        lo, hi = np.array([0.5, 1.0]), np.array([0.6, 1.1])
+        _, _, speed, margin = _source_curves(image_9x9, "scaling", rr, ss, lo, hi)
+        assert speed[1, 0] == pytest.approx(speed[0, 0] / 4.0, rel=1e-12)
         # scaling coordinates are monotone in the parameter: no overshoot
-        assert np.all(margin1 == 0.0) and np.all(margin2 == 0.0)
+        assert np.all(margin == 0.0)
 
 
 class TestIntervalLipschitz:
@@ -191,6 +201,51 @@ class TestIntervalLipschitz:
         gd = ((rotate_many(x, ds).reshape(200, -1) - anchor) ** 2).sum(axis=1)
         slopes = np.abs(gc - gd) / np.maximum(np.abs(cs - ds), 1e-12)
         assert np.all(slopes <= L)
+
+    @pytest.mark.parametrize("shape,seed", [((1, 28, 28), 1), ((3, 9, 9), 2),
+                                            ((1, 10, 7), 3), ((1, 7, 10), 4)])
+    @pytest.mark.parametrize("kind,interval", [
+        ("rotation", (0.0, 0.01)),
+        ("rotation", (0.1, 1.0)),    # many samples, nonzero overshoot margin
+        ("rotation", (-3.0, 3.0)),
+        ("scaling", (0.95, 0.96)),
+        ("scaling", (0.5, 1.6)),     # crosses the border
+        ("scaling", (0.3, 0.9)),
+    ])
+    def test_equals_closure_rule_per_pixel(self, shape, seed, kind, interval):
+        # reference: each pixel's cells from grid_pixel_trajectory, their
+        # statistics from max_color_stats, summed over (pixel, channel)
+        x = ImageTensor(np.random.default_rng(seed).random(shape))
+        t1, _ = interval
+        ii, jj, d, _, disk = _pixel_geometry(x.width, x.height)
+        keep = disk if kind == "rotation" else np.ones(d.shape, dtype=bool)
+        factor, speed = (2.0, d) if kind == "rotation" else (math.sqrt(2.0), d / t1 ** 2)
+        terms = []
+        for r, s, v in zip(ii[keep], jj[keep], speed[keep]):
+            cells = grid_pixel_trajectory(x, kind, int(r), int(s), interval)
+            stats = [max_color_stats(x, k, cells) for k in range(x.channels)]
+            terms.append([factor * v * m_delta * m_bar for m_bar, m_delta in stats])
+        want = float(np.sum(np.array(terms))) if terms else 0.0
+        lipschitz = (rotation_interval_lipschitz if kind == "rotation"
+                     else scaling_interval_lipschitz)
+        assert lipschitz(x, interval) == want
+
+    @pytest.mark.parametrize("kind,intervals", [
+        ("rotation", [(0.0, 0.01), (0.1, 1.0), (-3.0, 3.0), (0.2, 0.21)]),
+        ("scaling", [(0.95, 0.96), (0.5, 1.6), (0.3, 0.9), (1.0, 1.001)]),
+    ])
+    def test_batched_intervals_equal_one_at_a_time(self, kind, intervals, monkeypatch):
+        # intervals needing different sample counts share one pass, and
+        # chunk boundaries do not matter
+        x = ImageTensor(np.random.default_rng(5).random((3, 9, 9)))
+        lo, hi = np.array(intervals).T
+        alone = [aliasing._interval_constants(x, kind, [a], [b]) for a, b in intervals]
+        alone = tuple(np.concatenate(v) for v in zip(*alone))
+        together = aliasing._interval_constants(x, kind, lo, hi)
+        monkeypatch.setattr(aliasing, "_BLOCK_POINTS", 1)  # one interval a chunk
+        chunked = aliasing._interval_constants(x, kind, lo, hi)
+        for got in (together, chunked):
+            assert np.array_equal(got[0], alone[0]) and np.array_equal(got[1], alone[1])
 
     def test_scaling_validation(self, image_9x9):
         with pytest.raises(ValueError):
@@ -264,9 +319,34 @@ class TestAliasingBound:
         bound = aliasing_bound(image_9x9, "rotation", g)
         assert bound.m_value == bound.worst.bound
         assert (bound.worst.lo, bound.worst.hi) in [tuple(iv) for iv in g.intervals()]
-        assert bound.lipschitz_l == pytest.approx(
-            max(rotation_interval_lipschitz(image_9x9, tuple(iv))
-                for iv in g.intervals()))
+        assert bound.lipschitz_l == max(rotation_interval_lipschitz(image_9x9, tuple(iv))
+                                        for iv in g.intervals())
+
+    # exact values, so a change in how the constants round or sum shows:
+    # (image shape, seed), grid, then lo, hi, bound, slack, exposed,
+    # discontinuity and lipschitz_l
+    @pytest.mark.parametrize("shape,seed,grid,want", [
+        ((3, 9, 9), 11, ("rotation", -0.3, 0.3, 20, 10),
+         (-0.01578947368421052, 0.01578947368421052, 0.16900066769980843,
+          73.69283009735922, 470.39543851208066, None, 470.39543851208066)),
+        ((3, 9, 9), 12, ("scaling", 0.9, 1.1, 40, 10),
+         (0.9976744186046512, 1.002857142857143, 0.016368039713504777,
+          38.663977380597316, 789.9865490715877, 1.0, 789.9865490715877)),
+        ((1, 10, 7), 13, ("rotation", -math.pi, math.pi, 7, 57),
+         (0.0, 1.0471975511965974, 2.806438301971444,
+          124.73184214932144, 88.76597377908324, None, 88.76597377908324)),
+        ((1, 7, 10), 14, ("scaling", 0.5, 2.0, 60, 15),
+         (0.9915966386554622, 1.017241379310345, 0.09625974355738179,
+          53.05993917897768, 229.676897432052, 1.0, 229.676897432052)),
+    ])
+    def test_pinned_bounds(self, shape, seed, grid, want):
+        x = ImageTensor(np.random.default_rng(seed).random(shape))
+        bound = aliasing_bound(x, grid[0], IntervalGrid(*grid))
+        w = bound.worst
+        assert (w.lo, w.hi, w.bound, w.slack_lipschitz, w.exposed_lipschitz,
+                w.discontinuity, bound.lipschitz_l) == want
+        assert all(type(v) is float for v in (w.lo, w.hi, w.bound, w.slack_lipschitz,
+                                              w.exposed_lipschitz, bound.lipschitz_l))
 
     @pytest.mark.parametrize("kind,lo,hi", [("rotation", -0.3, 0.3),
                                             ("scaling", 0.9, 1.1)])
@@ -287,15 +367,15 @@ class TestAliasingBound:
         assert blocked == whole
 
     def test_memory_flat_in_inner_points(self, image_9x9):
-        peaks = []
-        for n_inner in (500, 4000):
-            g = IntervalGrid("rotation", -0.1, 0.1, 11, n_inner)
-            tracemalloc.start()
-            try:
-                aliasing_bound(image_9x9, "rotation", g)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [_peak_bytes(image_9x9, IntervalGrid("rotation", -0.1, 0.1, 11, n_inner))
+                 for n_inner in (500, 4000)]
+        assert peaks[1] <= 2 * peaks[0]
+
+    def test_memory_flat_in_outer_anchors(self, image_9x9):
+        # the interval constants are built in bounded chunks: ten times the
+        # intervals may add the anchor images, not ten times the work arrays
+        peaks = [_peak_bytes(image_9x9, IntervalGrid("rotation", -0.1, 0.1, n_outer, 50))
+                 for n_outer in (200, 2000)]
         assert peaks[1] <= 2 * peaks[0]
 
     def test_discontinuity_density_check(self, image_9x9):

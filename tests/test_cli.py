@@ -194,6 +194,7 @@ class TestCertify:
         assert code == 0, err
         every = semio.read_report_csv(tmp_path / "all.csv")
         strided = semio.read_report_csv(tmp_path / "two.csv")
+        assert [r.index for r in strided] == [0, 2]  # dataset indices
         # images 0 and 2, evaluated exactly as in the full run
         key = [(r.true_label, r.predicted, r.verdict, r.p_a_lower) for r in strided]
         assert key == [(r.true_label, r.predicted, r.verdict, r.p_a_lower)
@@ -237,8 +238,14 @@ class TestAliasing:
                                        "--grid-n", "30", "--grid-r", "5"])
         assert code == 0, err
         bound = aliasing_bound(x, kind, IntervalGrid(kind, lo, hi, 30, 5))
-        assert out == ("m,sqrt_m,lipschitz_l\n"
-                       f"{bound.m_value!r},{bound.sqrt_m!r},{bound.lipschitz_l!r}\n")
+        w = bound.worst
+        header, line = out.splitlines()
+        assert header == "m,sqrt_m,lipschitz_l,lo,hi,slack,exposed,discontinuity"
+        # every field reads back exactly; no crossing prints an empty field
+        assert [float(v) if v else None for v in line.split(",")] == [
+            bound.m_value, bound.sqrt_m, bound.lipschitz_l, w.lo, w.hi,
+            w.slack_lipschitz, w.exposed_lipschitz, w.discontinuity]
+        assert line.endswith(",") == (w.discontinuity is None)
 
     def test_missing_image(self, capsys, tmp_path):
         missing = str(tmp_path / "x.semt")

@@ -267,7 +267,9 @@ def read_report_csv(path) -> list[ReportRow]:
 
 
 def report_summary(table: ReportTable, config_echo: dict, started_at: str) -> dict:
-    """JSON-ready run summary: accuracies, verdict counts, timing stats."""
+    """JSON-ready run summary: accuracies, verdict counts, the number of
+    rotation/scaling rows that read their grid's refined aliasing bound,
+    timing stats."""
     verdicts: dict[str, int] = {}
     for s in table.samples:
         verdicts[s.result.verdict] = verdicts.get(s.result.verdict, 0) + 1
@@ -281,6 +283,7 @@ def report_summary(table: ReportTable, config_echo: dict, started_at: str) -> di
         "clean_accuracy": table.clean_accuracy,
         "robust_accuracy": table.robust_accuracy,
         "verdicts": verdicts,
+        "refined": sum(s.result.refined for s in table.samples),
         "timing": timing,
     }
 

@@ -11,9 +11,11 @@ and the parameter-space bound the declared region was compared against.
   confidence-shift chain; both sides of the final inequality are
   monotone enough that checking the rectangle's corners under the worst
   endpoint shift covers the interior.
-* ``certify_diff_resolvable``: rotation / scaling via the aliasing bound
+* ``certify_diff_resolvable``: rotation / scaling via an aliasing bound
   plus progressive certification of every anchor parameter, jointly at
-  1 - alpha.
+  1 - alpha.  A first pass reads only each anchor's first check against
+  the bound built from the anchors alone; only rows it cannot decide
+  build the grid's inner points and run the anchors in full.
 * ``certify_translation_enum``: exact brute-force enumeration for
   black-padded translation (no statistics involved).
 """
@@ -111,6 +113,9 @@ class CertificationResult:
     elapsed: float
     witness: tuple | None = None
     joint_alpha: float | None = None
+    # rotation/scaling: the anchors' first checks could not decide, so the
+    # verdict read the grid's own (n_inner) aliasing bound
+    refined: bool = False
 
     @property
     def certified(self) -> bool:
@@ -214,11 +219,11 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
                             batch: int = 400) -> CertificationResult:
     """Certify rotation or scaling over an interval of parameters.
 
-    The aliasing bound M caps how far any in-interval transformed image
-    can sit from its nearest anchor; every anchor is then progressively
-    certified (additive isotropic pixel noise) against target sqrt(M),
-    in anchor order.  Certified iff all anchors certify the requested
-    label; the first anchor that does not is the witness.
+    An aliasing bound M caps how far any in-interval transformed image
+    can sit from its nearest anchor; every anchor is then certified
+    (additive isotropic pixel noise) against target sqrt(M), in anchor
+    order.  Certified iff all anchors certify the requested label; the
+    first anchor that does not is the witness.
 
     Each of the N anchors runs at alpha / N, so all anchors hold jointly
     at 1 - alpha (``joint_alpha``).  Every anchor samples the query's own
@@ -227,9 +232,35 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     a lone ``progressive_certify``.  The anchors share their draws and
     are therefore dependent, but the union bound over anchors and checks
     needs no independence.  Sharing lets the stream's prefix (the guess
-    draws plus the first check) be drawn once per image, and lets equal
+    draws plus the first check) be drawn once per pass, and lets equal
     (hits, used) counts reuse one bound; later checks draw on demand,
     so memory stays at one check's draws.
+
+    The anchors are read in two passes.  The first reads only each
+    anchor's first check, against the bound built from the anchors alone
+    (two inner points per interval, no inner warp).  If every anchor
+    certifies there, or an anchor guesses another label, that decides
+    the row.  Otherwise the ``grid`` bound (its ``n_inner`` points) is
+    computed and every anchor runs ``progressive_certify`` in full
+    against it, exactly as a one-pass certifier would (``refined``).
+
+    Why that is sound: each bound is a valid M on its own, and the first
+    pass reads each anchor's first check at the per-check alpha of the
+    full budget, an event the second pass reads too; so one union bound
+    over anchors and checks covers both passes.  The first pass stops at
+    check 1 because an anchor whose confidence lies between the two
+    targets' floors would otherwise run to futility or its full budget
+    against the coarse target before refinement could start.
+
+    Why it changes no verdict while the coarse bound is at least the
+    refined one, as it is on every grid measured: an anchor certified
+    at its first check against the higher target is certified at that
+    same check, with the same bound and radius, against the lower one.
+    So a first-pass certificate is the one-pass certificate with a
+    larger ``sqrt_m``, a wrong label ends the row at the same witness,
+    and every other row is the one-pass row.  Only a wrong-label row's
+    ``p_a_lower`` and ``samples_used`` may differ: they are read at the
+    witness's first check.
 
     An anchor stops early once Hoeffding's bound shows it cannot reach
     the floor max(1/2, Phi(sqrt(M) / sigma)) (``progressive_certify``).
@@ -249,22 +280,41 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
         raise PipelineConfigError("rotation/scaling certification needs an interval region")
     if not (math.isclose(region.bounds[0], grid.a) and math.isclose(region.bounds[1], grid.b)):
         raise PipelineConfigError("grid range must equal the requested interval")
+    if batch < 1:
+        raise ValueError("batch size must be >= 1")
     _isotropic_sigma(q.noise)
 
-    bound = aliasing_bound(x, grid.kind, grid)
-    target = bound.sqrt_m
+    cp_memo: dict = {}
+    # the coarse bound runs before the anchor images and the prefix exist
+    coarse = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
+    first = _anchor_pass(x, label, q, grid, coarse, batch, cp_memo, False, t0)
+    if first.certified or first.predicted_class != label:
+        return first
+    # the first pass's images and prefix are released before the refined bound
+    bound = coarse if grid.n_inner == 2 else aliasing_bound(x, grid.kind, grid)
+    return _anchor_pass(x, label, q, grid, bound, batch, cp_memo, True, t0)
+
+
+def _anchor_pass(x: ImageTensor, label: int, q: SmoothedQuery, grid: IntervalGrid,
+                 bound: AliasingBound, batch: int, cp_memo: dict, refined: bool,
+                 t0: float) -> CertificationResult:
+    """Certify the anchors in order against ``bound`` until one fails.
+
+    Unless ``refined``, each anchor reads only its first check.  The
+    anchor images and the stream prefix live only as long as this call.
+    """
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
     anchor_images = transform_spec(grid.kind).apply_many(x, anchors)
     prefix = progressive_prefix(anchor_q, batch)
-    cp_memo: dict = {}
 
     samples = 0
     min_radius = math.inf
     min_p = 1.0
     for alpha_i, image in zip(anchors, anchor_images):
-        prog = progressive_certify(anchor_q, ImageTensor(image), target, batch=batch,
-                                   prefix=prefix, cp_memo=cp_memo)
+        prog = progressive_certify(anchor_q, ImageTensor(image), bound.sqrt_m, batch=batch,
+                                   prefix=prefix, cp_memo=cp_memo,
+                                   first_check_only=not refined)
         samples += prog.samples_used
         if prog.certified:
             min_radius = min(min_radius, prog.radius)
@@ -275,12 +325,12 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
             return CertificationResult(
                 verdict, prog.label, prog.p_a_lower, None, bound,
                 samples, time.perf_counter() - t0,
-                witness=(float(alpha_i),), joint_alpha=q.conf.alpha)
+                witness=(float(alpha_i),), joint_alpha=q.conf.alpha, refined=refined)
 
     # certified because sqrt(M) is below every anchor's sigma * Phi_inv(p_a_lower)
     return CertificationResult(CERTIFIED, label, min_p, min_radius, bound,
                                samples, time.perf_counter() - t0,
-                               joint_alpha=q.conf.alpha)
+                               joint_alpha=q.conf.alpha, refined=refined)
 
 
 def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,

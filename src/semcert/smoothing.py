@@ -247,7 +247,8 @@ def progressive_prefix(q: SmoothedQuery, batch: int = 400) -> np.ndarray:
 
 def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
                         batch: int = 400, prefix: np.ndarray | None = None,
-                        cp_memo: dict | None = None) -> ProgressiveOutcome:
+                        cp_memo: dict | None = None,
+                        first_check_only: bool = False) -> ProgressiveOutcome:
     """Accumulate samples in batches until the certified radius beats a target.
 
     After each batch the radius is recomputed from the cumulative counts
@@ -281,6 +282,12 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     stream's ``progressive_prefix`` and one ``cp_memo`` dict, which maps
     (hits, used, alpha) to its Clopper-Pearson bound; neither changes
     the outcome.
+
+    ``first_check_only`` stops after the first check, still at the
+    per-check alpha of the whole budget, so the check it reads is one of
+    the checks a full run reads.  A certified outcome is then exactly
+    the full run's; a failed one carries that check's Clopper-Pearson
+    bound.
     """
     if target_radius < 0.0:
         raise ValueError("target radius must be >= 0")
@@ -322,6 +329,9 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
                     return ProgressiveOutcome(True, guess, p_lower, radius,
                                               n0 + used, checks, alpha_check)
         elif hits / used + math.sqrt(slack / used) <= p_floor:
+            return ProgressiveOutcome(False, guess, bound(hits, used), radius,
+                                      n0 + used, checks, alpha_check)
+        if first_check_only:
             return ProgressiveOutcome(False, guess, bound(hits, used), radius,
                                       n0 + used, checks, alpha_check)
     return ProgressiveOutcome(False, guess, p_lower, radius,

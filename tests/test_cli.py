@@ -1,5 +1,6 @@
 """Smoke tests of the ``semcert`` command line on a tiny generated IDX set."""
 
+import json
 import math
 import struct
 
@@ -224,6 +225,69 @@ class TestCertify:
         assert code == 2
         assert err == "error: need at least 2 outer anchors and 2 inner points\n"
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_batch_below_one_rejected(self, capsys, tmp_path, idx_set, batch):
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "rotation", *_CERTIFY_FLAGS["rotation"],
+            "--dataset", images, "--labels", labels, *_SMALL, "--batch", batch,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == "error: batch size must be >= 1\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    # rows of the one-pass certifier (every anchor's full progressive
+    # run against the grid's bound) at --batch 50 under the default n0
+    # of 100; a grid of two inner points is its own two-point bound, so
+    # every field must match
+    @pytest.mark.parametrize("transform,expected", [
+        ("rotation", [
+            "0,1,1,not_certified,0.785044996392344,,0.015104266819448516,150",
+            "1,0,0,certified,0.785044996392344,0.19733641473358188,0.015380299003930583,4500",
+            "2,0,1,certified,0.785044996392344,0.19733641473358188,0.015234544360829404,4500"]),
+        ("scaling", [
+            "0,1,1,not_certified,0.5590625936934808,,0.03647367000619238,2250",
+            "1,0,0,certified,0.785044996392344,0.19733641473358188,0.03660454438064283,4500",
+            "2,0,1,not_certified,0.785044996392344,,0.035345237820942316,150"]),
+    ])
+    def test_batch_below_n0_matches_one_pass_rows(self, capsys, tmp_path, idx_set,
+                                                  transform, expected):
+        images, labels = idx_set
+        out = tmp_path / "out"
+        code, _, err = _run(capsys, [
+            "certify", "--transform", transform, *_CERTIFY_FLAGS[transform][:3],
+            "--grid-n", "30", "--grid-r", "2", "--dataset", images, "--labels", labels,
+            "--synthetic", "mean:0.5", "--n", "300", "--seed", "7", "--batch", "50",
+            "--output", str(out)])
+        assert code == 0, err
+        assert (tmp_path / "out.csv").read_bytes().decode() == _HEADER + "".join(
+            f"{row}\r\n" for row in expected)
+
+    def test_summary_counts_refined_rows(self, capsys, tmp_path, idx_set):
+        # at sigma 0.05 the anchors' first checks clear the grid's bound
+        # (20 inner points), not the two-point one; the wrong label ends
+        # the first row before any refinement
+        images, labels = idx_set
+        counts = {}
+        for sigma in ("0.05", "0.25"):
+            out = tmp_path / sigma
+            code, _, err = _run(capsys, [
+                "certify", "--transform", "rotation", "--interval", "-2", "2",
+                "--grid-n", "5", "--grid-r", "20", "--noise-sigma", sigma,
+                "--dataset", images, "--labels", labels, *_SMALL, "--output", str(out)])
+            assert code == 0, err
+            summary = json.loads((tmp_path / f"{sigma}.json").read_text())
+            rows = semio.read_report_csv(f"{out}.csv")
+            assert [r.verdict for r in rows] == ["not_certified", "certified", "certified"]
+            counts[sigma] = summary["refined"]
+        assert counts == {"0.05": 2, "0.25": 0}
+        out = tmp_path / "blur"
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "blur", *_CERTIFY_FLAGS["blur"],
+            "--dataset", images, "--labels", labels, *_SMALL, "--output", str(out)])
+        assert code == 0, err
+        assert json.loads((tmp_path / "blur.json").read_text())["refined"] == 0
 
 
 class TestAliasing:

@@ -1,12 +1,15 @@
 """Direct tests of the four certification pipelines.
 
 ``certify_diff_resolvable`` (rotation and scaling) shares one noise
-stream across anchors, draws its prefix once and memoises
-Clopper-Pearson bounds.  None of that may change a certificate, so the
-pipeline is compared with a plain loop written here, and its certified
-verdicts are checked against the exact smoothed confidence of a
-mean-threshold classifier.  ``certify_translation_enum`` is compared
-with a loop that classifies one shifted image at a time.
+stream across anchors, draws its prefix once per pass, memoises
+Clopper-Pearson bounds and reads the anchors' first checks against a
+two-point aliasing bound before it refines.  None of that may change a
+verdict, so the pipeline is compared with a plain one-pass loop written
+here; its certified verdicts are checked against the exact smoothed
+confidence of a mean-threshold classifier, and a coverage test counts
+the Clopper-Pearson bounds it reads that exceed that confidence.
+``certify_translation_enum`` is compared with a loop that classifies
+one shifted image at a time.
 ``certify_resolvable`` and ``certify_bc_rectangle`` run on classifiers
 whose smoothed confidence is exactly 0 or 1, so every sample agrees and
 the expected bound and verdict follow from the closed forms alone.
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_max_min_error, one_label
-from semcert import smoothing
+from semcert import pipeline, smoothing
 from semcert.aliasing import IntervalGrid, aliasing_bound
 from semcert.classifiers import (ConstantClassifier, LinearClassifier, MeanThresholdClassifier,
                                  analytic_smoothed_confidence)
@@ -30,6 +33,7 @@ from semcert.radii import ConfidencePair, DistributionSpec, bc_condition, bc_con
 from semcert.smoothing import SmoothedQuery, progressive_certify
 from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
                             std_normal_quantile)
+from semcert.tensor import ImageTensor
 from semcert.transforms import additive_pixel_transform, transform_spec, translate
 
 _RANGES = {"rotation": (math.radians(-5), math.radians(5)), "scaling": (0.95, 1.05)}
@@ -82,37 +86,53 @@ def _reference(x, label, q, grid, batch=400):
 
 
 class TestAgainstReference:
-    # (kind, threshold, seed, verdict): per kind, one-check and multi-check
-    # certificates, a wrong label, an anchor that exhausts its budget and
-    # anchors that stop early because they cannot reach the floor
+    # (kind, threshold, seed, verdict, refined): per kind, certificates
+    # read at the anchors' first checks against the two-point bound,
+    # certificates and failures that need the grid's bound, one-check
+    # and multi-check certificates, a wrong label, an anchor that
+    # exhausts its budget and anchors that stop early because they
+    # cannot reach the floor
     CASES = [
-        ("rotation", 0.20, 0, "certified"),
-        ("rotation", 0.27, 0, "certified"),
-        ("rotation", 0.27, 1, "certified"),
-        ("rotation", 0.28, 0, "not_certified"),
-        ("rotation", 0.29, 0, "abstain"),
-        ("rotation", 0.35, 0, "not_certified"),
-        ("scaling", 0.20, 0, "certified"),
-        ("scaling", 0.30, 0, "certified"),
-        ("scaling", 0.31, 0, "not_certified"),
-        ("scaling", 0.315, 0, "abstain"),
-        ("scaling", 0.3175, 0, "abstain"),
-        ("scaling", 0.35, 0, "not_certified"),
+        ("rotation", 0.20, 0, "certified", False),
+        ("rotation", 0.25, 0, "certified", True),
+        ("rotation", 0.27, 0, "certified", True),
+        ("rotation", 0.27, 1, "certified", True),
+        ("rotation", 0.275, 0, "not_certified", True),
+        ("rotation", 0.28, 0, "not_certified", True),
+        ("rotation", 0.29, 0, "abstain", True),
+        ("rotation", 0.30, 0, "not_certified", False),
+        ("rotation", 0.35, 0, "not_certified", False),
+        ("scaling", 0.20, 0, "certified", False),
+        ("scaling", 0.245, 0, "certified", False),
+        ("scaling", 0.30, 0, "certified", True),
+        ("scaling", 0.31, 0, "not_certified", True),
+        ("scaling", 0.315, 0, "abstain", True),
+        ("scaling", 0.3175, 0, "abstain", True),
+        ("scaling", 0.35, 0, "not_certified", False),
     ]
 
-    @pytest.mark.parametrize("kind,threshold,seed,verdict", CASES)
-    def test_equal_to_reference_loop(self, image_9x9, kind, threshold, seed, verdict):
+    @pytest.mark.parametrize("kind,threshold,seed,verdict,refined", CASES)
+    def test_equal_to_reference_loop(self, image_9x9, kind, threshold, seed, verdict,
+                                     refined):
         q = _query(image_9x9, threshold, seed=seed)
         grid = _grid(kind)
         res = _certify(image_9x9, q, grid)
         ref, checks = _reference(image_9x9, 1, q, grid)
-        assert _summary(res) == ref
+        summary = _summary(res)
+        # verdict, label, witness and joint alpha are always the reference's
+        assert summary[:2] + summary[5:] == ref[:2] + ref[5:]
+        # so is every field of a certificate and of a refined row; a
+        # wrong label found at its first check keeps that check's bound
+        if res.certified or res.refined:
+            assert summary == ref
         assert res.verdict == verdict
-        assert res.joint_alpha == q.conf.alpha
+        assert res.refined == refined
+        read = grid if refined else replace(grid, n_inner=2)
+        assert res.aliasing == aliasing_bound(image_9x9, kind, read)
 
     def test_cases_cover_checks_past_the_prefix(self, image_9x9):
         seen, stops = set(), set()
-        for kind, threshold, seed, _ in self.CASES:
+        for kind, threshold, seed, _, _ in self.CASES:
             (verdict, label, *_), checks = _reference(
                 image_9x9, 1, _query(image_9x9, threshold, seed=seed), _grid(kind))
             seen.add((kind, verdict, label == 1, max(checks) > 1))
@@ -124,6 +144,13 @@ class TestAgainstReference:
                     (kind, "abstain", True, True), (kind, "not_certified", False, False),
                     (kind, "not_certified", True, True)} <= seen
             assert {(kind, "exhausted"), (kind, "futility")} <= stops
+        # a certificate the first checks decide, one that needs the
+        # grid's bound, and a refined row that fails, for each kind
+        kinds = {(kind, verdict == "certified", refined)
+                 for kind, _, _, verdict, refined in self.CASES}
+        assert kinds >= {(kind, certified, refined) for kind in ("rotation", "scaling")
+                         for certified, refined in ((True, False), (True, True),
+                                                    (False, True))}
 
     def test_batch_and_budget_edges(self, image_9x9):
         # a budget below one batch, and a batch that does not divide it
@@ -133,6 +160,25 @@ class TestAgainstReference:
                 grid = _grid("rotation", n_outer=5)
                 res = _certify(image_9x9, q, grid, batch=batch)
                 assert _summary(res) == _reference(image_9x9, 1, q, grid, batch)[0]
+
+    def test_reuses_two_point_grid_bound(self, image_9x9, monkeypatch):
+        # a grid of two inner points is its own coarse bound: computed once
+        calls = []
+        bound = pipeline.aliasing_bound
+
+        def counting(x, kind, grid):
+            calls.append(grid.n_inner)
+            return bound(x, kind, grid)
+
+        monkeypatch.setattr(pipeline, "aliasing_bound", counting)
+        for threshold in (0.2, 0.29):
+            calls.clear()
+            q = _query(image_9x9, threshold)
+            grid = _grid("rotation", n_inner=2)
+            res = _certify(image_9x9, q, grid)
+            assert calls == [2]
+            assert res.refined == (threshold == 0.29)
+            assert _summary(res) == _reference(image_9x9, 1, q, grid)[0]
 
     def test_prefix_drawn_once_and_bounds_once_per_call(self, image_9x9, monkeypatch):
         draws, bounds = [], []
@@ -148,29 +194,31 @@ class TestAgainstReference:
 
         monkeypatch.setattr(smoothing, "draw_params", recording_draws)
         monkeypatch.setattr(smoothing, "clopper_pearson_lower", recording_bounds)
-        q = _query(image_9x9, 0.27)
         grid = _grid("rotation")
-        for _ in range(2):
-            draws.clear()
-            bounds.clear()
-            res = _certify(image_9x9, q, grid)
-            assert res.certified
-            # one prefix of n0 + batch draws, then only draws past it
-            assert draws[0] == (0, 500)
-            assert all(start >= 500 for start, _ in draws[1:])
-            assert len(draws) > 1
-            # each bound is computed once per call, and again in the next call
-            assert len(bounds) == len(set(bounds)) > 0
+        for threshold, refined in ((0.2, False), (0.27, True)):
+            q = _query(image_9x9, threshold)
+            for _ in range(2):
+                draws.clear()
+                bounds.clear()
+                res = _certify(image_9x9, q, grid)
+                assert res.certified and res.refined == refined
+                # one prefix of n0 + batch draws per pass, then only draws past it
+                assert draws[0] == (0, 500)
+                assert [d for d in draws if d[0] < 500] == [(0, 500)] * (1 + refined)
+                assert (len(draws) > 2) == refined
+                # each bound is computed once per call, and again in the next call
+                assert len(bounds) == len(set(bounds)) > 0
 
 
 class TestSoundness:
     @pytest.mark.parametrize("kind", ["rotation", "scaling"])
     def test_certified_anchors_are_truly_confident(self, image_9x9, kind):
         grid = _grid(kind)
-        sqrt_m = aliasing_bound(image_9x9, kind, grid).sqrt_m
-        assert dense_max_min_error(image_9x9, kind, grid) <= sqrt_m
+        dense = dense_max_min_error(image_9x9, kind, grid)
+        for n_inner in (2, grid.n_inner):
+            assert dense <= aliasing_bound(image_9x9, kind, replace(grid, n_inner=n_inner)).sqrt_m
         transform = transform_spec(kind)
-        certified = 0
+        certified = set()
         for threshold in (0.2, 0.25, 0.27, 0.28, 0.3, 0.32, 0.5):
             for sigma in (0.25, 0.5):
                 for seed in (0, 1):
@@ -178,7 +226,9 @@ class TestSoundness:
                     res = _certify(image_9x9, q, grid)
                     if not res.certified:
                         continue
-                    certified += 1
+                    certified.add(res.refined)
+                    # against the bound the verdict read
+                    sqrt_m = res.aliasing.sqrt_m
                     assert res.region_bound > sqrt_m
                     need = std_normal_cdf(sqrt_m / sigma)
                     for a in grid.anchors():
@@ -187,7 +237,77 @@ class TestSoundness:
                             transform.apply(image_9x9, float(a)))
                         p_label = p1 if res.predicted_class == 1 else 1.0 - p1
                         assert p_label > max(0.5, need), (threshold, sigma, seed, a)
-        assert certified >= 4
+        assert certified == {False, True}
+
+
+class TestCoverage:
+    """How often a Clopper-Pearson bound a verdict reads exceeds its truth.
+
+    A mean-threshold classifier under additive pixel noise has the exact
+    smoothed confidence Phi((mean(x_i) - t) sqrt(d) / sigma) at anchor
+    image x_i.  Every anchor outcome carries the Clopper-Pearson bound
+    of the check it stopped at, first-pass outcomes included.  By the
+    union bound over anchors and checks, the number X of distinct
+    (anchor, check) bounds a run reads above their truth has mean at
+    most alpha.  The shared noise bank makes anchors fail together, so
+    X is bunched; but each anchor is read at most twice (its first check
+    and where its full run stops), so 0 <= X <= 2N, the variance is at
+    most 2N alpha, and over S independent seeds Cantelli's inequality
+    puts the total above alpha S + 3 sqrt(2 N alpha S) with probability
+    below 1/10.  The seeds are fixed, so the outcome is deterministic.
+    """
+
+    ALPHA = 0.2
+
+    # (anchors, samples, batch, seeds, band): forty anchors whose first
+    # checks against the two-point bound certify, where a lost 1/N in
+    # the per-anchor alpha shows; and two anchors whose true confidence
+    # sits on the refined floor and runs over ten checks, where a lost
+    # 1/checks in the per-check alpha shows
+    @pytest.mark.parametrize("n_outer,n,batch,runs,band", [
+        (40, 200, 200, 100, "first checks"),
+        (2, 1_000, 100, 200, "refined floor"),
+    ])
+    def test_bounds_read_above_truth_within_union_bound(self, monkeypatch, n_outer, n,
+                                                        batch, runs, band):
+        # mirror-symmetric, so the two anchors at -a and a have one mean
+        half = np.random.default_rng(3).random((1, 6, 6)) * 0.5 + 0.25
+        x = ImageTensor((half + half[:, ::-1, :]) / 2.0)
+        grid = IntervalGrid("rotation", -0.05, 0.05, n_outer, 8)
+        sigma, d = 0.1, x.data.size
+        mean = float(transform_spec("rotation").apply_many(x, grid.anchors()).mean())
+        if band == "refined floor":
+            truths = np.full(runs, std_normal_cdf(aliasing_bound(x, "rotation", grid).sqrt_m
+                                                  / sigma))
+        else:
+            truths = np.random.default_rng(0).uniform(0.7, 0.85, runs)
+        outcomes = []
+        anchor_certify = pipeline.progressive_certify
+
+        def recording(q, image, target, **kwargs):
+            out = anchor_certify(q, image, target, **kwargs)
+            outcomes.append((image.data.tobytes(), float(image.data.mean()), out))
+            return out
+
+        monkeypatch.setattr(pipeline, "progressive_certify", recording)
+        above, refined = 0, 0
+        for seed, truth in enumerate(truths):
+            t = mean - sigma / math.sqrt(d) * std_normal_quantile(truth)
+            q = SmoothedQuery(MeanThresholdClassifier(t), additive_pixel_transform(x.shape),
+                              DistributionSpec("gaussian", (sigma,), dim=d),
+                              ConfidenceParams(self.ALPHA, n, 50), seed)
+            outcomes.clear()
+            refined += _certify(x, q, grid, batch=batch).refined
+            wrong = set()
+            for anchor, mu, out in outcomes:
+                p1 = std_normal_cdf((mu - t) * math.sqrt(d) / sigma)
+                if out.p_a_lower > (p1 if out.label == 1 else 1.0 - p1):
+                    wrong.add((anchor, out.samples_used))
+            above += len(wrong)
+        limit = self.ALPHA * runs + 3.0 * math.sqrt(2 * n_outer * self.ALPHA * runs)
+        assert above <= limit, (above, limit)
+        # each band is read by the pass it is meant for
+        assert refined > 0.9 * runs if band == "refined floor" else refined < 0.1 * runs
 
 
 def test_memory_holds_one_check_not_the_bank(image_9x9):

@@ -317,9 +317,10 @@ class TestProgressive:
                                 (hits, used, sigma, target)
 
     @staticmethod
-    def _full_check_reference(q, x, target, batch):
+    def _full_check_reference(q, x, target, batch, last_check=None):
         # the protocol without the skip: a bound at every check, and a
-        # stop once Hoeffding's upper bound is at or below the floor
+        # stop once Hoeffding's upper bound is at or below the floor or
+        # after ``last_check`` checks
         max_checks = math.ceil(q.conf.n_samples / batch)
         alpha_check = q.conf.alpha / max_checks
         sigma = q.noise.params[0]
@@ -336,6 +337,8 @@ class TestProgressive:
             if p > 0.5 and sigma * std_normal_quantile(p) > target:
                 return True, guess, p, q.conf.n0_samples + used, checks
             if hits / used + math.sqrt(math.log(1 / alpha_check) / (2 * used)) <= p_floor:
+                break
+            if checks == last_check:
                 break
         return False, guess, p, q.conf.n0_samples + used, checks
 
@@ -355,6 +358,15 @@ class TestProgressive:
                     ref = self._full_check_reference(q, image_9x9, target, 400)
                     assert (out.certified, out.label, out.p_a_lower, out.samples_used,
                             out.checks_used) == ref
+                    # the first check alone, still at the alpha of all ten
+                    first = progressive_certify(q, image_9x9, target, batch=400,
+                                                first_check_only=True)
+                    assert (first.certified, first.label, first.p_a_lower, first.samples_used,
+                            first.checks_used) == self._full_check_reference(
+                                q, image_9x9, target, 400, last_check=1)
+                    assert first.per_check_alpha == out.per_check_alpha
+                    if out.checks_used == 1:
+                        assert first == out
                     seen.add((out.certified, out.checks_used == 1,
                               out.samples_used == 100 + 4_000))
         # early certification, later certification, a futility stop and

@@ -45,10 +45,6 @@ __all__ = [
     "IntervalGrid",
     "AliasingBound",
     "IntervalBound",
-    "grid_pixel_trajectory",
-    "max_color_stats",
-    "rotation_interval_lipschitz",
-    "scaling_interval_lipschitz",
     "scaling_discontinuities",
     "aliasing_bound",
 ]
@@ -82,6 +78,8 @@ class IntervalGrid:
     def __post_init__(self):
         if self.kind not in ("rotation", "scaling"):
             raise ValueError(f"grid kind must be rotation or scaling, got {self.kind!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"grid ends must be finite, got [{self.a!r}, {self.b!r}]")
         if not self.a < self.b:
             raise ValueError("need a < b")
         if self.kind == "scaling" and self.a <= 0.0:
@@ -175,7 +173,7 @@ def _sample_counts(kind: str, reach: float, lo: np.ndarray, hi: np.ndarray) -> n
 
 
 def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray, reach: float = 0.0):
+                   lo: np.ndarray, hi: np.ndarray):
     """Supersampled source coordinates for pixels (rr, ss) over intervals [lo, hi].
 
     Returns (src_i, src_j) of shape (n_samples, n_intervals, n_pixels),
@@ -188,9 +186,7 @@ def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
 
     All pixels share one sampling per interval, with adjacent samples at
     most _MAX_SOURCE_STEP apart on the curve of the pixel farthest from
-    the center, or of a pixel ``reach`` from it if that is farther.
-    Given a bound's reach, a subset of its pixels is sampled as the bound
-    samples it.  An interval that needs fewer samples than another
+    the center.  An interval that needs fewer samples than another
     repeats its last one, which changes no extreme and no visited cell.
     Squares use ``np.float_power``, the C library's ``pow`` on every
     platform; ``np.power``'s vector loop and ``x * x`` can round an ulp
@@ -198,7 +194,7 @@ def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
     """
     c_w, c_h = center_coords(x.width, x.height)
     dist = np.sqrt((rr - c_w) ** 2 + (ss - c_h) ** 2)
-    counts = _sample_counts(kind, max(reach, dist.max(initial=0.0)), lo, hi)
+    counts = _sample_counts(kind, dist.max(initial=0.0), lo, hi)
     # np.linspace(lo, hi, count) per row, padded with repeats of hi
     last = (counts - 1)[:, None]
     k = np.minimum(np.arange(counts.max()), last)
@@ -273,35 +269,6 @@ def _rect_max(tables: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
     return np.take(tables.reshape(-1, n_stats), flat, axis=0)
 
 
-def _visited_cells(src_i: np.ndarray, src_j: np.ndarray, margin: np.ndarray,
-                   closure: bool):
-    """Cells touched by sampled source curves, plus a coverage mask.
-
-    With ``closure``, every sampled cell's 8-neighborhood is included
-    (adjacent samples move at most _MAX_SOURCE_STEP, so the continuous
-    curve cannot reach beyond a neighboring cell between samples) and
-    then intersected with the per-pixel attainable coordinate box
-    (sampled extremes widened by the overshoot margin): both sets
-    provably contain every cell the continuous curve enters, so their
-    intersection does too.  This is the cell set written out; the
-    bounds read its statistics through ``_closure_stats``.
-    """
-    ci = np.floor(src_i).astype(np.int64)[..., None]
-    cj = np.floor(src_j).astype(np.int64)[..., None]
-    if not closure:
-        return ci, cj, np.ones(ci.shape, dtype=bool)
-    offsets = np.array([-1, 0, 1])
-    oi, oj = np.meshgrid(offsets, offsets, indexing="ij")
-    ci = ci + oi.ravel()[None, None, :]
-    cj = cj + oj.ravel()[None, None, :]
-    i_lo = np.floor(src_i.min(axis=1) - margin)[:, None, None]
-    i_hi = np.floor(src_i.max(axis=1) + margin)[:, None, None]
-    j_lo = np.floor(src_j.min(axis=1) - margin)[:, None, None]
-    j_hi = np.floor(src_j.max(axis=1) + margin)[:, None, None]
-    in_box = (ci >= i_lo) & (ci <= i_hi) & (cj >= j_lo) & (cj <= j_hi)
-    return ci, cj, in_box
-
-
 def _closure_stats(tables: np.ndarray, src_i: np.ndarray, src_j: np.ndarray,
                    margin: np.ndarray) -> np.ndarray:
     """Max cell statistics over each pixel's closed cell set.
@@ -310,10 +277,10 @@ def _closure_stats(tables: np.ndarray, src_i: np.ndarray, src_j: np.ndarray,
     sample's floor cell (fi, fj), since floor(min - margin) <= fi <=
     floor(max + margin).  So the sample's closure cells inside the box
     are exactly the rectangle [max(fi-1, i_lo), min(fi+1, i_hi)] x
-    [max(fj-1, j_lo), min(fj+1, j_hi)], and the max over the set of
-    ``_visited_cells`` is the max over samples of one ``_rect_max``
-    lookup.  Returns (n_intervals, n_pixels, 2K) for the curves of
-    ``_source_curves``.
+    [max(fj-1, j_lo), min(fj+1, j_hi)], and the max over the closed
+    cell set (the sampled cells' 8-neighborhoods inside the box) is
+    the max over samples of one ``_rect_max`` lookup.  Returns
+    (n_intervals, n_pixels, 2K) for the curves of ``_source_curves``.
     """
     i_lo = np.floor(src_i.min(axis=0) - margin)
     i_hi = np.floor(src_i.max(axis=0) + margin)
@@ -323,51 +290,6 @@ def _closure_stats(tables: np.ndarray, src_i: np.ndarray, src_j: np.ndarray,
     rects = _rect_max(tables, np.maximum(fi - 1, i_lo), np.minimum(fi + 1, i_hi),
                       np.maximum(fj - 1, j_lo), np.minimum(fj + 1, j_hi))
     return rects.max(axis=0)
-
-
-def grid_pixel_trajectory(x: ImageTensor, kind: str, r: int, s: int,
-                          interval: tuple[float, float],
-                          closure: bool = True) -> set[tuple[int, int]]:
-    """Integer cells visited by pixel (r, s)'s source curve over an interval.
-
-    The curve is sampled as the bound samples the interval.  With
-    ``closure`` (the default, used by all bounds) the sampled cells are
-    closed under the 8-neighborhood, which provably covers every cell
-    the continuous curve enters between samples; without it the raw
-    sampled cells are returned.
-    """
-    t1, t2 = interval
-    if not t1 < t2:
-        raise ValueError("interval must satisfy t1 < t2")
-    rr = np.asarray([float(r)])
-    ss = np.asarray([float(s)])
-    reach = _bound_pixels(x, kind)[2].max(initial=0.0)
-    src_i, src_j, _, margin = _source_curves(x, kind, rr, ss, np.array([t1]),
-                                             np.array([t2]), reach)
-    ci, cj, in_box = _visited_cells(src_i[:, 0].T, src_j[:, 0].T, margin[0], closure)
-    return set(zip(ci[in_box].ravel().tolist(), cj[in_box].ravel().tolist()))
-
-
-def max_color_stats(x: ImageTensor, k: int, cells) -> tuple[float, float]:
-    """(max corner color, max corner spread) over a set of cells.
-
-    Cells are (ci, cj) lower-corner indices.  A cell outside the
-    interior range [0, W-2] x [0, H-2] contributes (0, 0), because
-    interpolation is 0 outside Omega: its surface is identically 0 up to
-    the boundary line, whose values the 8-neighborhood closure already
-    takes from the adjacent interior cell.  Such cells read the zero
-    padding of the range-max tables, not the nearest interior cell.
-    Each cell is a 1 x 1 rectangle of the tables the bound itself reads
-    through ``_closure_stats``, so this is the bound's cell rule.
-    """
-    cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
-    if not len(cells):
-        raise ValueError("cell set must be nonempty")
-    if not 0 <= k < x.channels:
-        raise ValueError(f"channel index {k} out of range")
-    ci, cj = cells[:, 0], cells[:, 1]
-    stats = _rect_max(_range_max_tables(x), ci, ci, cj, cj).max(axis=0)
-    return float(stats[k]), float(stats[x.channels + k])
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +330,6 @@ def _interval_constants(x: ImageTensor, kind: str, lo: np.ndarray,
         color = np.minimum(m_bar, lip_phi * (hi[part] - lo[part])[:, None, None])
         slack[part] = np.sum(2.0 * lip_phi * color, axis=(1, 2))
     return exposed, slack
-
-
-def rotation_interval_lipschitz(x: ImageTensor, interval: tuple[float, float]) -> float:
-    """Lipschitz constant for squared-distance curves on a rotation interval.
-
-    Sum over channels and disk pixels of 2 * d * m_delta * m_bar with
-    the color statistics taken over that interval's trajectories.
-    """
-    t1, t2 = interval
-    if not t1 < t2:
-        raise ValueError("interval must satisfy t1 < t2")
-    return float(_interval_constants(x, "rotation", [t1], [t2])[0][0])
-
-
-def scaling_interval_lipschitz(x: ImageTensor, interval: tuple[float, float]) -> float:
-    """Analogous constant for scaling, speed bounded at the left endpoint."""
-    t1, t2 = interval
-    if t1 <= 0.0:
-        raise ValueError("scaling interval must be positive")
-    if not t1 < t2:
-        raise ValueError("interval must satisfy t1 < t2")
-    return float(_interval_constants(x, "scaling", [t1], [t2])[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,22 @@
-"""Concrete base classifiers: linear softmax and analytic synthetic ones.
+"""Concrete base classifiers: linear softmax and two synthetic ones.
 
-The linear classifier is the desk-scale stand-in for a trained network;
-the synthetic classifiers (constant, mean-threshold) have
-exactly computable smoothed confidences for selected noise pairings,
-which makes them statistical oracles for validating the Monte-Carlo
-protocol.
+The linear classifier is the desk-scale stand-in for a trained network.
+The synthetic classifiers (constant, mean-threshold) back the CLI's
+``--synthetic`` flag.  Their smoothed confidences are exactly
+computable for selected noise pairings, which is what lets the tests
+use them as statistical oracles for the Monte-Carlo protocol.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .radii import DistributionSpec
 from .smoothing import BaseClassifier
-from .statfn import std_normal_cdf
-from .tensor import ImageTensor
-from .transforms import Transform
 
 __all__ = [
     "LinearClassifier",
     "ConstantClassifier",
     "MeanThresholdClassifier",
-    "AnalyticConfidenceError",
-    "analytic_smoothed_confidence",
 ]
 
 
@@ -79,54 +70,3 @@ class MeanThresholdClassifier(BaseClassifier):
 
     def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
         return (flats.mean(axis=1) > self.threshold).astype(np.int64)
-
-
-class AnalyticConfidenceError(ValueError):
-    """The classifier/transform pairing has no closed-form smoothed confidence."""
-
-
-def analytic_smoothed_confidence(classifier: BaseClassifier, transform: Transform,
-                                 noise: DistributionSpec, x: ImageTensor) -> float:
-    """Exact smoothed probability of the classifier's designated class.
-
-    Supported pairings: a constant classifier under any transform
-    (probability 1 for its label), and the mean-threshold classifier
-    under noises that move the mean pixel value by a gaussian amount --
-    brightness-only noise (contrast scale 0) shifts the mean by b, and
-    isotropic additive pixel noise shifts it by N(0, sigma^2 / d).
-    Mean-preserving transforms (periodic translation, unit-sum blur)
-    give the degenerate 0/1 confidence.  Everything else raises
-    AnalyticConfidenceError.
-    """
-    if isinstance(classifier, ConstantClassifier):
-        return 1.0
-    if not isinstance(classifier, MeanThresholdClassifier):
-        raise AnalyticConfidenceError(
-            f"no analytic confidence for {type(classifier).__name__}")
-    mu = float(np.mean(x.data))
-    t = classifier.threshold
-    if transform.kind == "brightness_contrast":
-        if noise.family != "gaussian":
-            raise AnalyticConfidenceError("brightness pairing needs gaussian noise")
-        sig_k, sig_b = noise.sigmas()
-        if sig_k != 0.0:
-            raise AnalyticConfidenceError(
-                "mean-threshold confidence is only analytic with contrast noise disabled")
-        if sig_b == 0.0:
-            return float(mu > t)
-        return std_normal_cdf((mu - t) / sig_b)
-    if transform.kind == "additive_pixel":
-        if noise.family != "gaussian":
-            raise AnalyticConfidenceError("additive pairing needs gaussian noise")
-        sig = noise.sigmas()
-        if not np.all(sig == sig[0]):
-            raise AnalyticConfidenceError("additive pairing needs isotropic noise")
-        if sig[0] == 0.0:
-            return float(mu > t)
-        tau_eff = float(sig[0]) / math.sqrt(x.data.size)
-        return std_normal_cdf((mu - t) / tau_eff)
-    if transform.kind in ("translation_reflect", "gaussian_blur"):
-        # mean-preserving transforms: the smoothed confidence is degenerate
-        return float(mu > t)
-    raise AnalyticConfidenceError(
-        f"no analytic confidence for mean-threshold under {transform.kind!r}")

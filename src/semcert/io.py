@@ -12,15 +12,15 @@ Formats:
   by C*(K*W*H) weight values then C bias values, little-endian float64.
 * Report CSV: one row per evaluated sample.  Floats are written with
   shortest round-trip formatting ('.' decimal, no locale), so a parsed
-  row equals the row written and two runs with the same config and seed
-  produce byte-identical bodies.  Timing lives in the JSON summary
+  row equals the row written (the tests check this with their own
+  reader) and two runs with the same config and seed produce
+  byte-identical bodies.  Timing lives in the JSON summary
   (avg/min/max seconds), never in the CSV.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import os
 import stat
@@ -45,7 +45,6 @@ __all__ = [
     "ReportRow",
     "rows_from_table",
     "write_report_csv",
-    "read_report_csv",
     "report_summary",
     "write_summary_json",
 ]
@@ -239,31 +238,6 @@ def write_report_csv(rows: list[ReportRow], path) -> None:
         writer.writerow(_CSV_FIELDS)
         for row in rows:
             writer.writerow([_fmt(getattr(row, name)) for name in _CSV_FIELDS])
-
-
-def _parse_opt_float(s: str):
-    return None if s == "" else float(s)
-
-
-def read_report_csv(path) -> list[ReportRow]:
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if tuple(header) != _CSV_FIELDS:
-            raise FormatError(f"unexpected CSV header {header}")
-        rows = []
-        for rec in reader:
-            rows.append(ReportRow(
-                index=int(rec[0]),
-                true_label=int(rec[1]),
-                predicted=int(rec[2]),
-                verdict=rec[3],
-                p_a_lower=_parse_opt_float(rec[4]),
-                radius=_parse_opt_float(rec[5]),
-                sqrt_m=_parse_opt_float(rec[6]),
-                samples_used=int(rec[7]),
-            ))
-    return rows
 
 
 def report_summary(table: ReportTable, config_echo: dict, started_at: str) -> dict:

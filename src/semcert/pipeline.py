@@ -68,6 +68,8 @@ class ParameterSet:
     def __post_init__(self):
         object.__setattr__(self, "bounds", tuple(float(v) for v in self.bounds))
         b = self.bounds
+        if not all(math.isfinite(v) for v in b):
+            raise ValueError(f"{self.kind} region bounds must be finite, got {b}")
         if self.kind == "blur":
             if len(b) != 1 or b[0] <= 0.0:
                 raise ValueError("blur region needs alpha_max > 0")

@@ -64,10 +64,11 @@ class DistributionSpec:
         if self.dim < 1:
             raise ValueError("noise dimension must be >= 1")
         p = self.params
+        if not all(math.isfinite(v) for v in p):
+            raise ValueError(f"{self.family} noise parameters must be finite, got {p}")
         if self.family == "gaussian":
-            sig = self.sigmas()
-            if np.any(sig < 0.0) or not np.all(np.isfinite(sig)):
-                raise ValueError("gaussian sigmas must be finite and >= 0")
+            if np.any(self.sigmas() < 0.0):
+                raise ValueError("gaussian sigmas must be >= 0")
         elif self.family == "uniform":
             if len(p) != 2 or not p[0] < p[1]:
                 raise ValueError("uniform noise needs an interval (a, b) with a < b")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ImageTensor", "bilinear", "bilinear_many"]
+__all__ = ["ImageTensor", "bilinear_many"]
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,6 @@ class ImageTensor:
         return self.data.reshape(-1)
 
 
-def _check_channel(x: ImageTensor, k: int) -> None:
-    if not 0 <= k < x.channels:
-        raise ValueError(f"channel index {k} out of range for {x.channels} channels")
-
-
-def bilinear(x: ImageTensor, k: int, i: float, j: float) -> float:
-    """Bilinearly interpolated value of channel ``k`` at continuous (i, j).
-
-    Returns 0 outside Omega, the exact pixel value on integer grid
-    points, and the four-corner weighted average elsewhere.
-    """
-    _check_channel(x, k)
-    out = bilinear_many(x, k, np.asarray([i], dtype=np.float64),
-                        np.asarray([j], dtype=np.float64))
-    return float(out[0])
-
-
 def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Vectorized bilinear interpolation over arrays of coordinates.
 
@@ -93,7 +76,8 @@ def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.
     are read by flat gathers from one base index, and outside points
     are masked only when some point lies outside Omega.
     """
-    _check_channel(x, k)
+    if not 0 <= k < x.channels:
+        raise ValueError(f"channel index {k} out of range for {x.channels} channels")
     ii = np.asarray(ii, dtype=np.float64)
     jj = np.asarray(jj, dtype=np.float64)
     if ii.shape != jj.shape:

@@ -59,10 +59,6 @@ class Transform:
     kind: str
     param_dim: int
 
-    def apply(self, x: ImageTensor, params) -> ImageTensor:
-        """Transform ``x`` at one parameter vector."""
-        return ImageTensor(self.apply_many(x, np.reshape(params, (1, -1)))[0])
-
     def apply_many(self, x: ImageTensor, params) -> np.ndarray:
         """Transform ``x`` at each row of ``params``; returns (B, K, W, H).
 

@@ -1,12 +1,27 @@
-"""Shared test oracles: one image's label, and dense enumeration of the
-sampling error.
+"""Shared test oracles.
 
-The enumeration deliberately avoids the bound machinery it validates;
-distances are recomputed from the raw transforms.
+Reference versions of what the package computes in batches or does not
+compute at all: one image's label and one transformed image, the cells
+a pixel's source curve visits and their colour statistics, single
+interval Lipschitz constants, exact smoothed confidences of the
+synthetic classifiers, a report-CSV reader, and dense enumeration of
+the sampling error.
+
+The cell statistics and the enumeration deliberately avoid the bound
+machinery they validate: statistics are read from each cell's four
+corners, and distances are recomputed from the raw transforms.
 """
+
+import csv
+import math
 
 import numpy as np
 
+from semcert import aliasing
+from semcert.classifiers import ConstantClassifier, MeanThresholdClassifier
+from semcert.io import _CSV_FIELDS, FormatError, ReportRow
+from semcert.statfn import std_normal_cdf
+from semcert.tensor import ImageTensor, bilinear_many
 from semcert.transforms import transform_spec
 
 
@@ -15,6 +30,125 @@ def one_label(classifier, x):
     out = classifier.classify_flat_batch(x.data.reshape(1, -1), x.shape)
     assert out.shape == (1,) and out.dtype == np.int64
     return int(out[0])
+
+
+def apply_one(transform, x, params):
+    """``transform`` applied to ``x`` at one parameter vector."""
+    return ImageTensor(transform.apply_many(x, np.reshape(params, (1, -1)))[0])
+
+
+def bilinear_one(x, k, i, j):
+    """Bilinearly interpolated value of channel ``k`` at one point (i, j)."""
+    return float(bilinear_many(x, k, np.array([i], dtype=float), np.array([j], dtype=float))[0])
+
+
+# ---------------------------------------------------------------------------
+# Aliasing: trajectory cells, cell statistics, interval constants
+
+def _visited_cells(src_i, src_j, margin, closure):
+    """Cells touched by sampled source curves, plus a coverage mask.
+
+    ``src_i`` and ``src_j`` are (n_pixels, n_samples).  With
+    ``closure``, every sampled cell's 8-neighborhood is included
+    (adjacent samples move at most a quarter pixel, so the continuous
+    curve cannot reach beyond a neighboring cell between samples) and
+    then intersected with the per-pixel attainable coordinate box
+    (sampled extremes widened by the overshoot margin): both sets
+    provably contain every cell the continuous curve enters, so their
+    intersection does too.
+    """
+    ci = np.floor(src_i).astype(np.int64)[..., None]
+    cj = np.floor(src_j).astype(np.int64)[..., None]
+    if not closure:
+        return ci, cj, np.ones(ci.shape, dtype=bool)
+    offsets = np.array([-1, 0, 1])
+    oi, oj = np.meshgrid(offsets, offsets, indexing="ij")
+    ci = ci + oi.ravel()[None, None, :]
+    cj = cj + oj.ravel()[None, None, :]
+    i_lo = np.floor(src_i.min(axis=1) - margin)[:, None, None]
+    i_hi = np.floor(src_i.max(axis=1) + margin)[:, None, None]
+    j_lo = np.floor(src_j.min(axis=1) - margin)[:, None, None]
+    j_hi = np.floor(src_j.max(axis=1) + margin)[:, None, None]
+    in_box = (ci >= i_lo) & (ci <= i_hi) & (cj >= j_lo) & (cj <= j_hi)
+    return ci, cj, in_box
+
+
+def trajectory_cells(x, kind, interval, rr, ss, closure=True):
+    """Cell sets of pixels (rr[p], ss[p])'s source curves over one interval.
+
+    The curves are built for every pixel the bound sums plus the
+    requested ones, so a pixel of the bound is sampled exactly as the
+    bound samples it.  With ``closure`` (the rule of every bound) the
+    sampled cells are closed under the 8-neighborhood; without it the
+    raw sampled cells are returned.
+    """
+    t1, t2 = interval
+    if not t1 < t2:
+        raise ValueError("interval must satisfy t1 < t2")
+    bound_rr, bound_ss, _ = aliasing._bound_pixels(x, kind)
+    rr = np.concatenate([bound_rr, np.asarray(rr, dtype=float)])
+    ss = np.concatenate([bound_ss, np.asarray(ss, dtype=float)])
+    src_i, src_j, _, margin = aliasing._source_curves(x, kind, rr, ss, np.array([t1]),
+                                                      np.array([t2]))
+    keep = slice(len(bound_rr), None)
+    ci, cj, in_box = _visited_cells(src_i[:, 0, keep].T, src_j[:, 0, keep].T,
+                                    margin[0, keep], closure)
+    return [set(zip(i[m].tolist(), j[m].tolist())) for i, j, m in zip(ci, cj, in_box)]
+
+
+def grid_pixel_trajectory(x, kind, r, s, interval, closure=True):
+    """Integer cells visited by pixel (r, s)'s source curve over an interval."""
+    return trajectory_cells(x, kind, interval, [r], [s], closure)[0]
+
+
+def max_color_stats(x, k, cells):
+    """(max corner color, max corner spread) over a set of cells.
+
+    Cells are (ci, cj) lower-corner indices, read from their four corner
+    pixels.  A cell outside the interior [0, W-2] x [0, H-2] contributes
+    (0, 0), because interpolation is 0 outside Omega: its surface is
+    identically 0 up to the boundary line, whose values the
+    8-neighborhood closure already takes from the adjacent interior
+    cell.
+    """
+    cells = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
+    if not len(cells):
+        raise ValueError("cell set must be nonempty")
+    if not 0 <= k < x.channels:
+        raise ValueError(f"channel index {k} out of range")
+    ci, cj = cells[:, 0], cells[:, 1]
+    interior = (ci >= 0) & (ci <= x.width - 2) & (cj >= 0) & (cj <= x.height - 2)
+    ci, cj = ci[interior], cj[interior]
+    plane = x.data[k]
+    corners = np.stack([plane[ci, cj], plane[ci + 1, cj], plane[ci, cj + 1],
+                        plane[ci + 1, cj + 1]])
+    stats = np.zeros((len(cells), 2))
+    stats[interior, 0] = corners.max(axis=0)
+    stats[interior, 1] = corners.max(axis=0) - corners.min(axis=0)
+    m_bar, m_delta = stats.max(axis=0)
+    return float(m_bar), float(m_delta)
+
+
+def rotation_interval_lipschitz(x, interval):
+    """Exposed Lipschitz constant of one rotation interval.
+
+    Sum over channels and disk pixels of 2 * d * m_delta * m_bar with
+    the color statistics taken over that interval's trajectories.
+    """
+    t1, t2 = interval
+    if not t1 < t2:
+        raise ValueError("interval must satisfy t1 < t2")
+    return float(aliasing._interval_constants(x, "rotation", [t1], [t2])[0][0])
+
+
+def scaling_interval_lipschitz(x, interval):
+    """Analogous constant for scaling, speed bounded at the left endpoint."""
+    t1, t2 = interval
+    if t1 <= 0.0:
+        raise ValueError("scaling interval must be positive")
+    if not t1 < t2:
+        raise ValueError("interval must satisfy t1 < t2")
+    return float(aliasing._interval_constants(x, "scaling", [t1], [t2])[0][0])
 
 
 def transform_flat_batch(x, kind, params):
@@ -33,3 +167,104 @@ def dense_max_min_error(x, kind, grid, n_dense=10_000, chunk=2_000):
         d2 = (t ** 2).sum(axis=1)[:, None] + a_sq[None, :] - 2.0 * t @ anchors.T
         worst = max(worst, float(np.sqrt(np.maximum(d2, 0.0)).min(axis=1).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Exact smoothed confidences of the synthetic classifiers
+
+class AnalyticConfidenceError(ValueError):
+    """The classifier/transform pairing has no closed-form smoothed confidence."""
+
+
+def analytic_smoothed_confidence(classifier, transform, noise, x):
+    """Exact smoothed probability of the classifier's designated class.
+
+    Supported pairings: a constant classifier under any transform
+    (probability 1 for its label), and the mean-threshold classifier
+    under noises that move the mean pixel value by a gaussian amount --
+    brightness-only noise (contrast scale 0) shifts the mean by b, and
+    isotropic additive pixel noise shifts it by N(0, sigma^2 / d).
+    Mean-preserving transforms (periodic translation, unit-sum blur)
+    give the degenerate 0/1 confidence.  Everything else raises
+    AnalyticConfidenceError; ``bc_mean_threshold_confidence`` covers
+    brightness/contrast noise with both scales > 0.
+    """
+    if isinstance(classifier, ConstantClassifier):
+        return 1.0
+    if not isinstance(classifier, MeanThresholdClassifier):
+        raise AnalyticConfidenceError(
+            f"no analytic confidence for {type(classifier).__name__}")
+    mu = float(np.mean(x.data))
+    t = classifier.threshold
+    if transform.kind == "brightness_contrast":
+        if noise.family != "gaussian":
+            raise AnalyticConfidenceError("brightness pairing needs gaussian noise")
+        sig_k, sig_b = noise.sigmas()
+        if sig_k != 0.0:
+            raise AnalyticConfidenceError(
+                "mean-threshold confidence is only analytic with contrast noise disabled")
+        if sig_b == 0.0:
+            return float(mu > t)
+        return std_normal_cdf((mu - t) / sig_b)
+    if transform.kind == "additive_pixel":
+        if noise.family != "gaussian":
+            raise AnalyticConfidenceError("additive pairing needs gaussian noise")
+        sig = noise.sigmas()
+        if not np.all(sig == sig[0]):
+            raise AnalyticConfidenceError("additive pairing needs isotropic noise")
+        if sig[0] == 0.0:
+            return float(mu > t)
+        tau_eff = float(sig[0]) / math.sqrt(x.data.size)
+        return std_normal_cdf((mu - t) / tau_eff)
+    if transform.kind in ("translation_reflect", "gaussian_blur"):
+        # mean-preserving transforms: the smoothed confidence is degenerate
+        return float(mu > t)
+    raise AnalyticConfidenceError(
+        f"no analytic confidence for mean-threshold under {transform.kind!r}")
+
+
+# Gauss-Hermite nodes and weights for the weight exp(-z^2 / 2)
+_HERMITE_Z, _HERMITE_W = np.polynomial.hermite_e.hermegauss(120)
+
+
+def bc_mean_threshold_confidence(x, threshold, sigma_k, sigma_b):
+    """Smoothed probability of class 1 for a mean-threshold classifier under
+    brightness/contrast noise k ~ N(0, sigma_k^2), b ~ N(0, sigma_b^2).
+
+    Pixels map to e^k (v + b), so the mean clears t iff b > t e^-k -
+    mean(x), and p = E_k[Phi((mean(x) - t e^-k) / sigma_b)]: a 1-d
+    gaussian expectation, taken by Gauss-Hermite quadrature.
+    """
+    mu = float(np.mean(x.data))
+    values = [std_normal_cdf((mu - threshold * math.exp(-sigma_k * z)) / sigma_b)
+              for z in _HERMITE_Z]
+    return float(np.dot(_HERMITE_W, values) / math.sqrt(2.0 * math.pi))
+
+
+# ---------------------------------------------------------------------------
+# Report CSV
+
+def _parse_opt_float(s):
+    return None if s == "" else float(s)
+
+
+def read_report_csv(path):
+    """Parse a report CSV back into ``ReportRow``s."""
+    with open(path, "r", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        if tuple(header) != _CSV_FIELDS:
+            raise FormatError(f"unexpected CSV header {header}")
+        rows = []
+        for rec in reader:
+            rows.append(ReportRow(
+                index=int(rec[0]),
+                true_label=int(rec[1]),
+                predicted=int(rec[2]),
+                verdict=rec[3],
+                p_a_lower=_parse_opt_float(rec[4]),
+                radius=_parse_opt_float(rec[5]),
+                sqrt_m=_parse_opt_float(rec[6]),
+                samples_used=int(rec[7]),
+            ))
+    return rows

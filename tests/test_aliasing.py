@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dense_max_min_error
+from helpers import (bilinear_one, dense_max_min_error, grid_pixel_trajectory,
+                     max_color_stats, rotation_interval_lipschitz,
+                     scaling_interval_lipschitz, trajectory_cells)
 from semcert.aliasing import (ConfigurationError, IntervalGrid, aliasing_bound,
-                              grid_pixel_trajectory, max_color_stats,
-                              rotation_interval_lipschitz, scaling_discontinuities,
-                              scaling_interval_lipschitz)
+                              scaling_discontinuities)
 from semcert import aliasing
 from semcert.aliasing import _source_curves
-from semcert.tensor import ImageTensor, bilinear
+from semcert.tensor import ImageTensor
 from semcert.transforms import _pixel_geometry, center_coords, rotate_many, scale_many
 
 
@@ -122,7 +122,7 @@ class TestMaxColorStats:
         def reference(k, cell_set):
             best_max, best_spread = 0.0, 0.0
             for ci, cj in cell_set:
-                vals = [bilinear(x, k, ci + di, cj + dj)
+                vals = [bilinear_one(x, k, ci + di, cj + dj)
                         for di in (eps, 1.0 - eps) for dj in (eps, 1.0 - eps)]
                 best_max = max(best_max, max(vals))
                 best_spread = max(best_spread, max(vals) - min(vals))
@@ -213,16 +213,17 @@ class TestIntervalLipschitz:
         ("scaling", (0.3, 0.9)),
     ])
     def test_equals_closure_rule_per_pixel(self, shape, seed, kind, interval):
-        # reference: each pixel's cells from grid_pixel_trajectory, their
-        # statistics from max_color_stats, summed over (pixel, channel)
+        # reference: each pixel's cells from trajectory_cells, their
+        # statistics read from the cells' corners by max_color_stats,
+        # summed over (pixel, channel)
         x = ImageTensor(np.random.default_rng(seed).random(shape))
         t1, _ = interval
         ii, jj, d, _, disk = _pixel_geometry(x.width, x.height)
         keep = disk if kind == "rotation" else np.ones(d.shape, dtype=bool)
         factor, speed = (2.0, d) if kind == "rotation" else (math.sqrt(2.0), d / t1 ** 2)
         terms = []
-        for r, s, v in zip(ii[keep], jj[keep], speed[keep]):
-            cells = grid_pixel_trajectory(x, kind, int(r), int(s), interval)
+        pixel_cells = trajectory_cells(x, kind, interval, ii[keep], jj[keep])
+        for cells, v in zip(pixel_cells, speed[keep]):
             stats = [max_color_stats(x, k, cells) for k in range(x.channels)]
             terms.append([factor * v * m_delta * m_bar for m_bar, m_delta in stats])
         want = float(np.sum(np.array(terms))) if terms else 0.0

@@ -1,12 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from helpers import one_label
-from semcert.classifiers import (AnalyticConfidenceError, ConstantClassifier,
-                                 LinearClassifier, MeanThresholdClassifier,
-                                 analytic_smoothed_confidence)
+from helpers import (AnalyticConfidenceError, analytic_smoothed_confidence,
+                     bc_mean_threshold_confidence, one_label)
+from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.radii import DistributionSpec
 from semcert.statfn import std_normal_cdf
 from semcert.tensor import ImageTensor
@@ -107,6 +107,22 @@ class TestAnalyticConfidence:
         mu = float(np.mean(image_9x9.data))
         expect = std_normal_cdf((mu - 0.5) / (sigma / math.sqrt(81)))
         assert p == pytest.approx(expect, abs=1e-12)
+
+    def test_bc_quadrature(self, image_9x9):
+        # contrast scale 0: the brightness closed form; > 0: mpmath's quadrature
+        mu = float(np.mean(image_9x9.data))
+        for t in (0.3, mu, 0.6):
+            closed = analytic_smoothed_confidence(
+                MeanThresholdClassifier(t), transform_spec("brightness_contrast"),
+                DistributionSpec("gaussian", (0.0, 0.1), dim=2), image_9x9)
+            assert bc_mean_threshold_confidence(image_9x9, t, 0.0, 0.1) == pytest.approx(
+                closed, abs=1e-14)
+            for sigma_k, sigma_b in ((0.2, 0.1), (0.5, 0.3)):
+                want = mpmath.quad(
+                    lambda z: mpmath.ncdf((mu - t * mpmath.exp(-sigma_k * z)) / sigma_b)
+                    * mpmath.npdf(z), [-12, 0, 12])
+                got = bc_mean_threshold_confidence(image_9x9, t, sigma_k, sigma_b)
+                assert got == pytest.approx(float(want), abs=1e-12)
 
     def test_unsupported_pairings(self, image_9x9):
         clf = MeanThresholdClassifier(0.5)

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import read_report_csv
 from semcert import io as semio
 from semcert.aliasing import IntervalGrid, aliasing_bound
 from semcert.classifiers import LinearClassifier
@@ -75,7 +76,7 @@ class TestCertify:
             assert code == 0, err
             assert stdout.startswith(f"wrote {out}.csv and {out}.json (3 samples")
             bodies.append((tmp_path / f"{transform}-{run}.csv").read_bytes())
-            rows = semio.read_report_csv(f"{out}.csv")
+            rows = read_report_csv(f"{out}.csv")
             assert [r.index for r in rows] == [0, 1, 2]
         assert bodies[0].decode().startswith(_HEADER)
         assert bodies[0] == bodies[1]
@@ -88,7 +89,7 @@ class TestCertify:
             *_CERTIFY_FLAGS["brightness-contrast"],
             "--dataset", images, "--labels", labels, *_SMALL, "--output", str(out)])
         assert code == 0, err
-        rows = semio.read_report_csv(f"{out}.csv")
+        rows = read_report_csv(f"{out}.csv")
         assert [r.predicted for r in rows] == [1, 0, 1]
         assert [r.verdict for r in rows] == ["certified", "certified", "not_certified"]
 
@@ -179,7 +180,7 @@ class TestCertify:
             assert code == 0, err
             bodies.append((tmp_path / f"{name}.csv").read_bytes())
         assert bodies[0] == bodies[1]
-        rows = semio.read_report_csv(tmp_path / "w.csv")
+        rows = read_report_csv(tmp_path / "w.csv")
         assert [r.predicted for r in rows] == [1, 0, 1]
 
     def test_stride_takes_every_other_image(self, capsys, tmp_path, idx_set):
@@ -193,8 +194,8 @@ class TestCertify:
         assert "(2 samples" in stdout
         code, _, err = _run(capsys, [*flags, "--output", str(tmp_path / "all")])
         assert code == 0, err
-        every = semio.read_report_csv(tmp_path / "all.csv")
-        strided = semio.read_report_csv(tmp_path / "two.csv")
+        every = read_report_csv(tmp_path / "all.csv")
+        strided = read_report_csv(tmp_path / "two.csv")
         assert [r.index for r in strided] == [0, 2]  # dataset indices
         # images 0 and 2, evaluated exactly as in the full run
         key = [(r.true_label, r.predicted, r.verdict, r.p_a_lower) for r in strided]
@@ -224,6 +225,35 @@ class TestCertify:
             "--output", str(tmp_path / "out")])
         assert code == 2
         assert err == "error: need at least 2 outer anchors and 2 inner points\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("transform,flags,message", [
+        ("translation-black", ["--rho", "inf"], "disk region bounds must be finite, got (inf,)"),
+        ("translation-reflect", ["--rho", "nan"], "disk region bounds must be finite, got (nan,)"),
+        ("rotation", ["--interval", "-1", "inf", "--grid-n", "3", "--grid-r", "2"],
+         f"grid ends must be finite, got [{math.radians(-1.0)!r}, inf]"),
+        ("scaling", ["--interval", "nan", "1.05", "--grid-n", "3", "--grid-r", "2"],
+         "grid ends must be finite, got [nan, 1.05]"),
+        ("blur", ["--alpha-max", "nan"], "blur region bounds must be finite, got (nan,)"),
+        ("blur", ["--alpha-max", "inf"], "blur region bounds must be finite, got (inf,)"),
+        ("blur", ["--alpha-max", "0.3", "--noise-scale", "nan"],
+         "exponential noise parameters must be finite, got (nan,)"),
+        ("blur", ["--alpha-max", "0.3", "--noise-scale", "inf"],
+         "exponential noise parameters must be finite, got (inf,)"),
+        ("blur", ["--alpha-max", "0.3", "--noise-family", "uniform", "--noise-scale", "inf"],
+         "uniform noise parameters must be finite, got (0.0, inf)"),
+        ("brightness-contrast", ["--k-range", "-0.1", "inf", "--b-range", "-0.05", "0.05"],
+         "rect region bounds must be finite, got (-0.1, inf, -0.05, 0.05)"),
+    ])
+    def test_non_finite_flag_rejected(self, capsys, tmp_path, idx_set, transform, flags,
+                                      message):
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", transform, *flags, "--dataset", images,
+            "--labels", labels, "--synthetic", "constant:1", "--n", "200", "--n0", "50",
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("batch", ["0", "-1"])
@@ -278,7 +308,7 @@ class TestCertify:
                 "--dataset", images, "--labels", labels, *_SMALL, "--output", str(out)])
             assert code == 0, err
             summary = json.loads((tmp_path / f"{sigma}.json").read_text())
-            rows = semio.read_report_csv(f"{out}.csv")
+            rows = read_report_csv(f"{out}.csv")
             assert [r.verdict for r in rows] == ["not_certified", "certified", "certified"]
             counts[sigma] = summary["refined"]
         assert counts == {"0.05": 2, "0.25": 0}

@@ -12,7 +12,9 @@ the Clopper-Pearson bounds it reads that exceed that confidence.
 one shifted image at a time.
 ``certify_resolvable`` and ``certify_bc_rectangle`` run on classifiers
 whose smoothed confidence is exactly 0 or 1, so every sample agrees and
-the expected bound and verdict follow from the closed forms alone.
+the expected bound and verdict follow from the closed forms alone; a
+second coverage test counts the brightness/contrast bounds that exceed
+a mean-threshold classifier's confidence under both noise scales.
 """
 
 import math
@@ -22,11 +24,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import dense_max_min_error, one_label
+from helpers import (analytic_smoothed_confidence, apply_one, bc_mean_threshold_confidence,
+                     dense_max_min_error, one_label)
 from semcert import pipeline, smoothing
 from semcert.aliasing import IntervalGrid, aliasing_bound
-from semcert.classifiers import (ConstantClassifier, LinearClassifier, MeanThresholdClassifier,
-                                 analytic_smoothed_confidence)
+from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.pipeline import (ParameterSet, certify_bc_rectangle, certify_diff_resolvable,
                               certify_resolvable, certify_translation_enum)
 from semcert.radii import ConfidencePair, DistributionSpec, bc_condition, bc_confidence_shift
@@ -70,7 +72,7 @@ def _reference(x, label, q, grid, batch=400):
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
     samples, min_radius, min_p, checks = 0, math.inf, 1.0, []
     for a in anchors:
-        prog = progressive_certify(anchor_q, transform_spec(grid.kind).apply(x, float(a)),
+        prog = progressive_certify(anchor_q, apply_one(transform_spec(grid.kind), x, float(a)),
                                    target, batch=batch)
         samples += prog.samples_used
         checks.append(prog.checks_used)
@@ -234,7 +236,7 @@ class TestSoundness:
                     for a in grid.anchors():
                         p1 = analytic_smoothed_confidence(
                             q.classifier, q.transform, q.noise,
-                            transform.apply(image_9x9, float(a)))
+                            apply_one(transform, image_9x9, float(a)))
                         p_label = p1 if res.predicted_class == 1 else 1.0 - p1
                         assert p_label > max(0.5, need), (threshold, sigma, seed, a)
         assert certified == {False, True}
@@ -310,6 +312,40 @@ class TestCoverage:
         assert refined > 0.9 * runs if band == "refined floor" else refined < 0.1 * runs
 
 
+def test_bc_rectangle_bounds_above_truth_within_alpha():
+    """How often the Clopper-Pearson bound a brightness/contrast verdict
+    reads exceeds the truth of its label.
+
+    A mean-threshold classifier under brightness/contrast noise with both
+    scales > 0 has the smoothed confidence of
+    ``bc_mean_threshold_confidence``.  Each run reads one bound, at
+    alpha, on fresh draws, so over S independent seeds the count X of
+    bounds above their truth is binomial with mean at most alpha S, and
+    Cantelli's inequality puts X above alpha S + 3 sqrt(alpha S) with
+    probability below 1/10.  An abstaining row names no label, so it
+    counts when its bound exceeds the truth of either label.  The
+    thresholds put the truths on both sides of the rectangle's corner
+    check, so a bound that is too high changes verdicts.
+    """
+    alpha, runs = 0.2, 200
+    x = ImageTensor(np.random.default_rng(3).random((1, 6, 6)) * 0.5 + 0.25)
+    sigma_k, sigma_b = 0.2, 0.1
+    noise = DistributionSpec("gaussian", (sigma_k, sigma_b), dim=2)
+    rect = ParameterSet.bc_rect(-0.05, 0.05, -0.02, 0.02)
+    above, verdicts = 0, set()
+    for seed, t in enumerate(np.random.default_rng(0).uniform(0.34, 0.43, runs)):
+        p1 = bc_mean_threshold_confidence(x, t, sigma_k, sigma_b)
+        q = SmoothedQuery(MeanThresholdClassifier(t), transform_spec("brightness_contrast"),
+                          noise, ConfidenceParams(alpha, 200, 50), seed)
+        res = certify_bc_rectangle(x, 1, q, rect)
+        truth = {1: p1, 0: 1.0 - p1}.get(res.predicted_class, min(p1, 1.0 - p1))
+        above += res.p_a_lower > truth
+        verdicts.add(res.verdict)
+    limit = alpha * runs + 3.0 * math.sqrt(alpha * runs)
+    assert above <= limit, (above, limit)
+    assert {"certified", "not_certified"} <= verdicts
+
+
 def test_memory_holds_one_check_not_the_bank(image_9x9):
     # an anchor whose smoothed confidence sits just above the floor
     # Phi(sqrt(M) / sigma) neither certifies nor stops early at these
@@ -317,7 +353,7 @@ def test_memory_holds_one_check_not_the_bank(image_9x9):
     # whatever the budget
     x = image_9x9
     grid = _grid("rotation", n_outer=3, n_inner=5)
-    first = transform_spec("rotation").apply(x, float(grid.anchors()[0]))
+    first = apply_one(transform_spec("rotation"), x, float(grid.anchors()[0]))
     floor = std_normal_cdf(aliasing_bound(x, "rotation", grid).sqrt_m / 0.5)
     threshold = float(first.data.mean()) - 0.5 / 9.0 * std_normal_quantile(floor + 0.002)
     peaks = {}

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import analytic_smoothed_confidence, apply_one
 from semcert import smoothing, streams
-from semcert.classifiers import (ConstantClassifier, LinearClassifier,
-                                 MeanThresholdClassifier, analytic_smoothed_confidence)
+from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.radii import NOISE_FAMILIES, DistributionSpec
 from semcert.smoothing import (ABSTAIN, SmoothedQuery, _certify_floor, certify, predict,
                                progressive_certify, sample_counts)
@@ -151,7 +151,7 @@ class TestSampleCounts:
         params = draw_params(noise, 31, 0, 300)
         naive = np.zeros(clf.num_classes, dtype=np.int64)
         for row in params:
-            img = transform.apply(image_9x9, row)
+            img = apply_one(transform, image_9x9, row)
             naive[int(img.data.mean() > clf.threshold)] += 1
         np.testing.assert_array_equal(counts.counts, naive)
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semcert.tensor import ImageTensor, bilinear, bilinear_many
+from helpers import bilinear_one
+from semcert.tensor import ImageTensor, bilinear_many
 
 
 class TestImageTensor:
@@ -44,20 +45,20 @@ class TestBilinear:
         data = np.zeros((1, 4, 5))
         data[0, 2, 3] = 0.7
         x = ImageTensor(data)
-        assert bilinear(x, 0, 2, 3) == 0.7
+        assert bilinear_one(x, 0, 2, 3) == 0.7
 
     def test_outside_domain_is_zero(self, rng):
         x = ImageTensor(rng.random((1, 4, 4)))
-        assert bilinear(x, 0, -0.5, 1.0) == 0.0
-        assert bilinear(x, 0, 1.0, 4.2) == 0.0
+        assert bilinear_one(x, 0, -0.5, 1.0) == 0.0
+        assert bilinear_one(x, 0, 1.0, 4.2) == 0.0
 
     def test_symmetric_four_corner_average(self):
         x = ImageTensor(np.array([0.0, 1.0, 1.0, 0.0]).reshape(1, 2, 2))
-        assert bilinear(x, 0, 0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert bilinear_one(x, 0, 0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_invalid_channel(self, image_9x9):
         with pytest.raises(ValueError):
-            bilinear(image_9x9, 3, 1.0, 1.0)
+            bilinear_one(image_9x9, 3, 1.0, 1.0)
 
     def test_matches_manual_formula(self, rng):
         x = ImageTensor(rng.random((2, 6, 6)))
@@ -71,7 +72,7 @@ class TestBilinear:
             d = x.data[k]
             expected = ((1 - fi) * ((1 - fj) * d[i0, j0] + fj * d[i0, j0 + 1])
                         + fi * ((1 - fj) * d[i0 + 1, j0] + fj * d[i0 + 1, j0 + 1]))
-            assert bilinear(x, k, i, j) == pytest.approx(expected, abs=1e-14)
+            assert bilinear_one(x, k, i, j) == pytest.approx(expected, abs=1e-14)
 
     def test_continuity_within_cell(self, rng):
         # |Q(i+delta, j) - Q(i, j)| <= delta * max pixel range inside one cell
@@ -81,7 +82,7 @@ class TestBilinear:
             i = rng2.uniform(0.0, 6.0)
             j = rng2.uniform(0.0, 7.0)
             delta = rng2.uniform(0.0, 1.0 - (i - np.floor(i)))
-            lhs = abs(bilinear(x, 0, i + delta, j) - bilinear(x, 0, i, j))
+            lhs = abs(bilinear_one(x, 0, i + delta, j) - bilinear_one(x, 0, i, j))
             assert lhs <= delta * 1.0 + 1e-12
 
     def test_bounded_by_neighbourhood(self, rng):
@@ -92,13 +93,13 @@ class TestBilinear:
             i0 = min(int(np.floor(i)), 4)
             j0 = min(int(np.floor(j)), 4)
             block = x.data[0, i0:i0 + 2, j0:j0 + 2]
-            v = bilinear(x, 0, i, j)
+            v = bilinear_one(x, 0, i, j)
             assert block.min() - 1e-12 <= v <= block.max() + 1e-12
 
     def test_far_edge_reads_edge_pixel(self, rng):
         x = ImageTensor(rng.random((1, 5, 5)))
-        assert bilinear(x, 0, 4.0, 2.0) == x.data[0, 4, 2]
-        assert bilinear(x, 0, 4.0, 4.0) == x.data[0, 4, 4]
+        assert bilinear_one(x, 0, 4.0, 2.0) == x.data[0, 4, 2]
+        assert bilinear_one(x, 0, 4.0, 4.0) == x.data[0, 4, 4]
 
     @pytest.mark.parametrize("shape", [(2, 6, 7), (1, 1, 6), (1, 6, 1), (1, 1, 1)])
     def test_matches_pure_python_reference(self, rng, shape):
@@ -127,6 +128,6 @@ class TestBilinear:
         jj = rng.uniform(-1, 7, size=50)
         batch = bilinear_many(x, 0, ii, jj)
         for idx in range(50):
-            assert batch[idx] == pytest.approx(bilinear(x, 0, ii[idx], jj[idx]),
+            assert batch[idx] == pytest.approx(bilinear_one(x, 0, ii[idx], jj[idx]),
                                                abs=1e-15)
 

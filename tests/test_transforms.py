@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import apply_one
 from semcert.tensor import ImageTensor
 from semcert.transforms import (_BLOCK_POINTS, Transform, additive_pixel_transform,
                                 blur_many, center_coords, rotate_many, scale_many,
@@ -11,19 +12,19 @@ from semcert.transforms import (_BLOCK_POINTS, Transform, additive_pixel_transfo
 
 
 def gaussian_blur(x, alpha):
-    return transform_spec("gaussian_blur").apply(x, alpha)
+    return apply_one(transform_spec("gaussian_blur"), x, alpha)
 
 
 def brightness_contrast(x, k, b):
-    return transform_spec("brightness_contrast").apply(x, (k, b))
+    return apply_one(transform_spec("brightness_contrast"), x, (k, b))
 
 
 def rotate(x, angle):
-    return transform_spec("rotation").apply(x, angle)
+    return apply_one(transform_spec("rotation"), x, angle)
 
 
 def scale(x, s):
-    return transform_spec("scaling").apply(x, s)
+    return apply_one(transform_spec("scaling"), x, s)
 
 
 class TestTransformSpecs:
@@ -38,7 +39,7 @@ class TestTransformSpecs:
         t = additive_pixel_transform(image_9x9.shape)
         assert t.param_dim == 81
         delta = np.full(81, 0.01)
-        out = t.apply(image_9x9, delta)
+        out = apply_one(t, image_9x9, delta)
         np.testing.assert_allclose(out.data, image_9x9.data + 0.01)
 
     def test_unknown_kind(self, image_9x9):

@@ -188,6 +188,11 @@ def _smoothing_setup(args, shape):
 def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
     """Anchor grid over a CLI interval: degrees for rotation, factors for scaling."""
     lo, hi = interval
+    # checked here, in the flag's own units, before rotation's radians
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"--interval ends must be finite, got [{lo!r}, {hi!r}]")
+    if not lo < hi:
+        raise ValueError(f"--interval needs LO < HI, got [{lo!r}, {hi!r}]")
     if kind == "rotation":
         lo, hi = math.radians(lo), math.radians(hi)
         default_n, default_r = 10_000, 1_000

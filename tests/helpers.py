@@ -1,7 +1,8 @@
 """Shared test oracles.
 
 Reference versions of what the package computes in batches or does not
-compute at all: one image's label and one transformed image, the cells
+compute at all: one image's label and one transformed image, a direct
+circular Gaussian blur, the cells
 a pixel's source curve visits and their colour statistics, single
 interval Lipschitz constants, exact smoothed confidences of the
 synthetic classifiers, a report-CSV reader, and dense enumeration of
@@ -40,6 +41,25 @@ def apply_one(transform, x, params):
 def bilinear_one(x, k, i, j):
     """Bilinearly interpolated value of channel ``k`` at one point (i, j)."""
     return float(bilinear_many(x, k, np.array([i], dtype=float), np.array([j], dtype=float))[0])
+
+
+def blur_one(x, alpha):
+    """Circular Gaussian blur summed tap by tap: no kernel folding, no spectra.
+
+    The taps at integer offsets within ceil(4*sqrt(alpha)) of zero are
+    renormalised to sum 1, and each (row, column) tap pair adds the image
+    rolled by that pair of offsets, so a kernel wider than the image
+    wraps around it as many times as it needs.
+    """
+    r = math.ceil(4.0 * math.sqrt(alpha)) if alpha > 0.0 else 0
+    offsets = np.arange(-r, r + 1)
+    taps = np.exp(-offsets ** 2 / (2.0 * alpha)) if alpha > 0.0 else np.ones(1)
+    taps = taps / taps.sum()
+    out = np.zeros(x.shape)
+    for s, ts in zip(offsets, taps):
+        for t, tt in zip(offsets, taps):
+            out += ts * tt * np.roll(x.data, (s, t), axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,11 @@ class TestCertify:
         ("translation-black", ["--rho", "inf"], "disk region bounds must be finite, got (inf,)"),
         ("translation-reflect", ["--rho", "nan"], "disk region bounds must be finite, got (nan,)"),
         ("rotation", ["--interval", "-1", "inf", "--grid-n", "3", "--grid-r", "2"],
-         f"grid ends must be finite, got [{math.radians(-1.0)!r}, inf]"),
+         "--interval ends must be finite, got [-1.0, inf]"),
         ("scaling", ["--interval", "nan", "1.05", "--grid-n", "3", "--grid-r", "2"],
-         "grid ends must be finite, got [nan, 1.05]"),
+         "--interval ends must be finite, got [nan, 1.05]"),
+        ("rotation", ["--interval", "2", "-2", "--grid-n", "3", "--grid-r", "2"],
+         "--interval needs LO < HI, got [2.0, -2.0]"),
         ("blur", ["--alpha-max", "nan"], "blur region bounds must be finite, got (nan,)"),
         ("blur", ["--alpha-max", "inf"], "blur region bounds must be finite, got (inf,)"),
         ("blur", ["--alpha-max", "0.3", "--noise-scale", "nan"],
@@ -290,6 +292,40 @@ class TestCertify:
             "--grid-n", "30", "--grid-r", "2", "--dataset", images, "--labels", labels,
             "--synthetic", "mean:0.5", "--n", "300", "--seed", "7", "--batch", "50",
             "--output", str(out)])
+        assert code == 0, err
+        assert (tmp_path / "out.csv").read_bytes().decode() == _HEADER + "".join(
+            f"{row}\r\n" for row in expected)
+
+    @pytest.mark.parametrize("transform,flags,expected", [
+        ("blur", ["--alpha-max", "0.5"], [
+            "0,2,2,certified,0.9089779864198855,1.7035067136864508,,2100",
+            "1,1,1,not_certified,0.6638545831139826,0.39706424373361127,,2100",
+            "2,0,2,not_certified,0.7763660603354843,0.804597581251402,,2100",
+            "3,1,1,certified,0.9965520801347683,4.9768369868328906,,2100",
+            "4,0,1,not_certified,0.9965520801347683,4.9768369868328906,,2100"]),
+        ("brightness-contrast", ["--k-range", "-0.1", "0.1", "--b-range", "-0.1", "0.1"], [
+            "0,2,2,certified,0.974593079272593,1.7154723658971749,,2100",
+            "1,1,2,not_certified,0.9844415763525978,1.9017205640640975,,2100",
+            "2,0,2,not_certified,0.994398500702586,2.2511103036773568,,2100",
+            "3,1,1,certified,0.9858317956764671,1.935735422051381,,2100",
+            "4,0,1,not_certified,0.925201170234299,1.2430193184812777,,2100"]),
+    ])
+    def test_resolvable_rows_pinned(self, capsys, tmp_path, transform, flags, expected):
+        # random 10x10 images and a random three-class linear classifier,
+        # so most rows' counts depend on the transformed pixels; guards
+        # the blur and brightness/contrast image builders against drift
+        rng = np.random.default_rng(13)
+        pixels = rng.integers(0, 256, (5, 10, 10))
+        images, labels = _write_idx(tmp_path, pixels, rng.integers(0, 3, 5))
+        weights = tmp_path / "w.semw"
+        semio.save_linear_classifier(
+            LinearClassifier(rng.normal(0.0, 0.05, (3, 100)), np.zeros(3), (1, 10, 10)),
+            weights)
+        out = tmp_path / "out"
+        code, _, err = _run(capsys, [
+            "certify", "--transform", transform, *flags, "--dataset", images,
+            "--labels", labels, "--weights", str(weights), "--n", "2000", "--n0", "100",
+            "--seed", "3", "--output", str(out)])
         assert code == 0, err
         assert (tmp_path / "out.csv").read_bytes().decode() == _HEADER + "".join(
             f"{row}\r\n" for row in expected)

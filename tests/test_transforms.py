@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import apply_one
+from helpers import apply_one, blur_one
 from semcert.tensor import ImageTensor
 from semcert.transforms import (_BLOCK_POINTS, Transform, additive_pixel_transform,
                                 blur_many, center_coords, rotate_many, scale_many,
@@ -64,9 +64,14 @@ class TestTransformSpecs:
 
 class TestGaussianBlur:
     def test_zero_is_identity(self, image_9x9):
-        # alpha 0 is the unit impulse; the Fourier path rounds only
-        np.testing.assert_allclose(gaussian_blur(image_9x9, 0.0).data, image_9x9.data,
-                                   rtol=0, atol=1e-15)
+        # alpha 0 is the unit impulse: every coefficient of the residual
+        # form is exactly 0, so the image comes back bit for bit
+        assert np.array_equal(gaussian_blur(image_9x9, 0.0).data, image_9x9.data)
+
+    def test_no_alphas(self, rng):
+        x = ImageTensor(rng.random((3, 5, 7)))
+        out = blur_many(x, np.empty(0))
+        assert out.shape == (0, 3, 5, 7)
 
     def test_constant_preserved(self):
         c = ImageTensor(np.full((1, 8, 8), 0.37))
@@ -92,12 +97,27 @@ class TestGaussianBlur:
         out = gaussian_blur(image_9x9, 7.3)
         assert np.mean(out.data) == pytest.approx(np.mean(image_9x9.data), abs=1e-12)
 
-    def test_batch_matches_single(self, image_9x9, rng):
-        alphas = rng.exponential(5.0, 20)
-        batch = blur_many(image_9x9, alphas)
+    # odd, even (a Nyquist bin), non-square and three-channel canvases;
+    # at alpha 40 the 26-tap half-kernel wraps around every one of them
+    @pytest.mark.parametrize("shape", [(1, 9, 9), (1, 8, 8), (1, 5, 7), (3, 8, 12)],
+                             ids=["9x9", "8x8", "5x7", "3x8x12"])
+    def test_matches_direct_sum(self, rng, shape):
+        x = ImageTensor(rng.random(shape))
+        alphas = np.array([1e-3, 0.7, 6.5, 40.0])
+        batch = blur_many(x, alphas)
         for idx, a in enumerate(alphas):
-            np.testing.assert_allclose(batch[idx], gaussian_blur(image_9x9, a).data,
-                                       atol=1e-12)
+            np.testing.assert_allclose(batch[idx], blur_one(x, a), rtol=0, atol=1e-12)
+
+    def test_memory_bounded_by_output(self, rng):
+        x = ImageTensor(rng.random((1, 28, 28)))
+        alphas = rng.exponential(1.0, 4096)
+        tracemalloc.start()
+        try:
+            out = blur_many(x, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * out.nbytes
 
 
 class TestBrightnessContrast:
@@ -122,6 +142,17 @@ class TestBrightnessContrast:
         lhs = brightness_contrast(brightness_contrast(x, k1, b1), k2, b2)
         rhs = brightness_contrast(x, k1 + k2, b1 + math.exp(-k1) * b2)
         np.testing.assert_allclose(lhs.data, rhs.data, atol=1e-15)
+
+    def test_memory_bounded_by_output(self, rng):
+        x = ImageTensor(rng.random((1, 28, 28)))
+        params = rng.normal(0.0, 0.3, (4096, 2))
+        tracemalloc.start()
+        try:
+            out = transform_spec("brightness_contrast").apply_many(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
 
 
 class TestTranslate:

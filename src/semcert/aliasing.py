@@ -413,7 +413,6 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
 
     spec = transform_spec(kind)
     anchors = grid.anchors()
-    anchor_imgs = spec.apply_many(x, anchors).reshape(len(anchors), -1)
     intervals = grid.intervals()
     n_int = len(intervals)
 
@@ -439,11 +438,14 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
         inner = grid.inner_points(intervals[block_lo:block_hi, 0],
                                   intervals[block_lo:block_hi, 1])
         flat_imgs = spec.apply_many(x, inner.ravel()).reshape(len(inner), grid.n_inner, -1)
+        # this block's anchors only, so memory stays at one block whatever n_outer is
+        anchor_imgs = spec.apply_many(x, anchors[block_lo:block_hi + 1]).reshape(
+            block_hi + 1 - block_lo, -1)
 
         for row, i in enumerate(range(block_lo, block_hi)):
             lo, hi = intervals[i]
             # anchors of this interval, matched to the ascending [lo, hi]
-            lo_idx, hi_idx = (i, i + 1) if anchors[i] == lo else (i + 1, i)
+            lo_idx, hi_idx = (row, row + 1) if anchors[i] == lo else (row + 1, row)
             pts, lip = inner[row], float(slack[i])
             g_lo = np.sum((flat_imgs[row] - anchor_imgs[lo_idx]) ** 2, axis=1)
             g_hi = np.sum((flat_imgs[row] - anchor_imgs[hi_idx]) ** 2, axis=1)

@@ -1,6 +1,10 @@
 """Concrete base classifiers: linear softmax and two synthetic ones.
 
 The linear classifier is the desk-scale stand-in for a trained network.
+It is affine, so it exposes its (W, b) through ``BaseClassifier.affine``:
+sampling then reads blur, brightness/contrast and additive-noise draws
+as class scores, coefficients times a C-column projected basis, without
+building their images (``smoothing._label_params``).
 The synthetic classifiers (constant, mean-threshold) back the CLI's
 ``--synthetic`` flag.  Their smoothed confidences are exactly
 computable for selected noise pairings, which is what lets the tests
@@ -39,9 +43,16 @@ class LinearClassifier(BaseClassifier):
         self.shape = (k, w, h)
         self.num_classes = weights.shape[0]
 
-    def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
+    def _check_shape(self, shape) -> None:
         if tuple(shape) != self.shape:
             raise ValueError(f"classifier expects {self.shape} images, got {tuple(shape)}")
+
+    def affine(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        self._check_shape(shape)
+        return self.weights, self.bias
+
+    def classify_flat_batch(self, flats: np.ndarray, shape) -> np.ndarray:
+        self._check_shape(shape)
         return np.argmax(flats @ self.weights.T + self.bias, axis=1).astype(np.int64)
 
 

@@ -34,7 +34,7 @@ from .smoothing import (ABSTAIN, BaseClassifier, SmoothedQuery, _isotropic_sigma
                         _label_params, certify, predict, progressive_certify,
                         progressive_prefix)
 from .tensor import ImageTensor
-from .transforms import transform_spec
+from .transforms import _BLOCK_IMAGES, transform_spec
 
 __all__ = [
     "ParameterSet",
@@ -303,17 +303,17 @@ def _anchor_pass(x: ImageTensor, label: int, q: SmoothedQuery, grid: IntervalGri
     """Certify the anchors in order against ``bound`` until one fails.
 
     Unless ``refined``, each anchor reads only its first check.  The
-    anchor images and the stream prefix live only as long as this call.
+    stream prefix lives only as long as this call, and at most one block
+    of anchor images at a time.
     """
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
-    anchor_images = transform_spec(grid.kind).apply_many(x, anchors)
     prefix = progressive_prefix(anchor_q, batch)
 
     samples = 0
     min_radius = math.inf
     min_p = 1.0
-    for alpha_i, image in zip(anchors, anchor_images):
+    for alpha_i, image in _anchor_images(x, grid.kind, anchors):
         prog = progressive_certify(anchor_q, ImageTensor(image), bound.sqrt_m, batch=batch,
                                    prefix=prefix, cp_memo=cp_memo,
                                    first_check_only=not refined)
@@ -333,6 +333,14 @@ def _anchor_pass(x: ImageTensor, label: int, q: SmoothedQuery, grid: IntervalGri
     return CertificationResult(CERTIFIED, label, min_p, min_radius, bound,
                                samples, time.perf_counter() - t0,
                                joint_alpha=q.conf.alpha, refined=refined)
+
+
+def _anchor_images(x: ImageTensor, kind: str, anchors: np.ndarray):
+    """(anchor, image) pairs in anchor order, built ``_BLOCK_IMAGES`` at a time."""
+    spec = transform_spec(kind)
+    for lo in range(0, len(anchors), _BLOCK_IMAGES):
+        block = anchors[lo:lo + _BLOCK_IMAGES]
+        yield from zip(block, spec.apply_many(x, block))
 
 
 def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,

@@ -39,6 +39,7 @@ __all__ = [
     "BaseClassifier",
     "SmoothedQuery",
     "CountVector",
+    "DrawPrefix",
     "sample_counts",
     "predict",
     "certify",
@@ -56,8 +57,8 @@ class BaseClassifier:
     """Deterministic classifier interface: same input, same label.
 
     The smoothed classifier needs only labels for batches of transformed
-    inputs, so a subclass implements ``classify_flat_batch`` and nothing
-    else.
+    inputs, so a subclass implements ``classify_flat_batch`` and, if it
+    is affine, ``affine``.
     """
 
     num_classes: int = 2
@@ -65,6 +66,15 @@ class BaseClassifier:
     def classify_flat_batch(self, flats: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
         """Labels for a (n, K*W*H) batch of flattened images of ``shape``."""
         raise NotImplementedError
+
+    def affine(self, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray] | None:
+        """(W, b) when the label of a flattened image f of ``shape`` is
+        argmax(f @ W.T + b), ties to the smaller label; None otherwise.
+
+        Given, it lets ``_label_params`` read transforms linear in the
+        image as class scores without building their images.
+        """
+        return None
 
 
 @dataclass(frozen=True)
@@ -115,46 +125,116 @@ class CountVector:
 
 
 def _label_params(classifier: BaseClassifier, transform: Transform, x: ImageTensor,
-                  params: np.ndarray) -> np.ndarray:
+                  params: np.ndarray, bank: dict | None = None) -> np.ndarray:
     """Label of ``classifier`` on ``x`` transformed at each row of ``params``.
 
-    Images are built and classified ``_BLOCK_IMAGES`` at a time, so
-    memory stays flat in the number of parameters.
+    A transform linear in the image builds its basis once per call
+    (``Transform.linear_form``).  If the classifier is affine as well
+    (``BaseClassifier.affine``), the form is projected to class scores,
+    argmax(coefs @ (basis @ W.T) + (offset @ W.T + b)): a parameter then
+    costs C columns where its image costs d pixels, and no image is
+    built.  Parameters are taken ``_BLOCK_IMAGES`` at a time, so memory
+    stays flat in their number.
+
+    ``bank`` is a dict kept by inputs that read the same ``params`` with
+    the same classifier.  Under additive pixel noise the product
+    params @ W.T does not depend on ``x``: it is computed on the first
+    call and read from the bank after, so each later input costs O(C)
+    per parameter.
     """
+    params = transform.check_params(params)
+    form = transform.linear_form(x)
+    affine = None if form is None else classifier.affine(x.shape)
+    # only an identity basis (additive noise) projects to W.T, whatever x is
+    if affine is None or form.basis is not None:
+        bank = None
+    if affine is not None:
+        form = form.project(*affine)
     labels = np.empty(len(params), dtype=np.int64)
     for lo in range(0, len(params), _BLOCK_IMAGES):
-        imgs = transform.apply_many(x, params[lo:lo + _BLOCK_IMAGES])
-        labels[lo:lo + len(imgs)] = classifier.classify_flat_batch(
-            imgs.reshape(len(imgs), -1), x.shape)
+        block = params[lo:lo + _BLOCK_IMAGES]
+        hi = lo + len(block)
+        if affine is None:
+            flats = (transform.apply_many(x, block) if form is None else form.apply(block))
+            labels[lo:hi] = classifier.classify_flat_batch(flats.reshape(len(block), -1),
+                                                           x.shape)
+        elif bank is None:
+            labels[lo:hi] = np.argmax(form.apply(block), axis=1)
+        else:
+            if lo not in bank:
+                bank[lo] = form.product(block)
+            labels[lo:hi] = np.argmax(bank[lo] + form.offset, axis=1)
     return labels
 
 
-def _sample_labels(q: SmoothedQuery, x: ImageTensor, params: np.ndarray) -> np.ndarray:
+def _distinct_shifts(shifts: np.ndarray, kind: str, x: ImageTensor):
+    """Distinct rows of integer ``shifts`` in (m1, m2) order, and each row's index.
+
+    Each row is keyed as one int64.  Reflect shifts are first taken
+    modulo W and H into [-W//2, W - W//2) x [-H//2, H - H//2), black ones
+    clipped to [-W, W] x [-H, H]: neither changes a shifted image, both
+    keep the key in range for any finite shift, and rows inside those
+    ranges are kept as they are.
+    """
+    w, h = x.width, x.height
+    if kind == "translation_reflect":
+        lo1, lo2, span = w // 2, h // 2, h
+        m1 = np.mod(shifts[:, 0] + lo1, w)
+        m2 = np.mod(shifts[:, 1] + lo2, h)
+    else:
+        lo1, lo2, span = w, h, 2 * h + 1
+        m1 = np.clip(shifts[:, 0], -w, w) + lo1
+        m2 = np.clip(shifts[:, 1], -h, h) + lo2
+    keys, inverse = np.unique(m1.astype(np.int64) * span + m2.astype(np.int64),
+                              return_inverse=True)
+    rows = np.stack([keys // span - lo1, keys % span - lo2], axis=1)
+    return rows.astype(np.float64), inverse
+
+
+def _sample_labels(q: SmoothedQuery, x: ImageTensor, params: np.ndarray,
+                   bank: dict | None = None) -> np.ndarray:
     """Label of the base classifier on each transformed draw."""
-    if q.transform.kind in ("translation_reflect", "translation_black"):
+    kind = q.transform.kind
+    if kind in ("translation_reflect", "translation_black"):
         # integer shifts repeat heavily: classify each distinct shift once
-        params, inverse = np.unique(np.floor(params + 0.5), axis=0, return_inverse=True)
-        return _label_params(q.classifier, q.transform, x, params)[inverse]
-    return _label_params(q.classifier, q.transform, x, params)
+        shifts, inverse = _distinct_shifts(np.floor(params + 0.5), kind, x)
+        return _label_params(q.classifier, q.transform, x, shifts)[inverse]
+    return _label_params(q.classifier, q.transform, x, params, bank)
+
+
+class DrawPrefix:
+    """The leading draws of one query's stream, read by many inputs.
+
+    ``sample_counts`` reads it one (offset, n) slice at a time; each
+    slice keeps a ``_label_params`` bank, so the work on a slice that
+    does not depend on the input is done once per prefix, not once per
+    input.  A prefix serves one query: one stream and one classifier.
+    """
+
+    def __init__(self, draws: np.ndarray):
+        self.draws = draws
+        self.banks: dict[tuple[int, int], dict] = {}
 
 
 def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0,
-                  prefix: np.ndarray | None = None) -> CountVector:
+                  prefix: DrawPrefix | None = None) -> CountVector:
     """Tally base-classifier labels over n noisy transform draws.
 
     ``draw_offset`` positions the draws in the query's global stream, so
     selection and estimation samples never overlap.  ``prefix``, when
-    given, holds the stream's leading draws as ``draw_params`` returns
-    them; draws it covers are read from it instead of drawn again, which
+    given, holds the stream's leading draws (``progressive_prefix``);
+    draws it covers are read from it instead of drawn again, which
     cannot change a bit because each draw is a function of (seed, index).
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if prefix is not None and draw_offset + n <= len(prefix):
-        params = prefix[draw_offset:draw_offset + n]
+    bank = None
+    if prefix is not None and draw_offset + n <= len(prefix.draws):
+        params = prefix.draws[draw_offset:draw_offset + n]
+        bank = prefix.banks.setdefault((draw_offset, n), {})
     else:
         params = draw_params(q.noise, q.seed, draw_offset, n)
-    labels = _sample_labels(q, x, params)
+    labels = _sample_labels(q, x, params, bank)
     counts = np.bincount(labels, minlength=q.classifier.num_classes)
     return CountVector(counts)
 
@@ -238,15 +318,15 @@ def _certify_floor(target_radius: float, sigma: float) -> float:
     return max(0.5, std_normal_cdf(target_radius / sigma))
 
 
-def progressive_prefix(q: SmoothedQuery, batch: int = 400) -> np.ndarray:
+def progressive_prefix(q: SmoothedQuery, batch: int = 400) -> DrawPrefix:
     """The draws every ``progressive_certify(q, ..., batch=batch)`` reads
     first: the n0 guess draws and the first check's batch."""
-    return draw_params(q.noise, q.seed, 0,
-                       q.conf.n0_samples + min(batch, q.conf.n_samples))
+    return DrawPrefix(draw_params(q.noise, q.seed, 0,
+                                  q.conf.n0_samples + min(batch, q.conf.n_samples)))
 
 
 def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
-                        batch: int = 400, prefix: np.ndarray | None = None,
+                        batch: int = 400, prefix: DrawPrefix | None = None,
                         cp_memo: dict | None = None,
                         first_check_only: bool = False) -> ProgressiveOutcome:
     """Accumulate samples in batches until the certified radius beats a target.

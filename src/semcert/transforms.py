@@ -15,11 +15,17 @@ Conventions fixed here:
 * Brightness/contrast maps each pixel v to e^k (v + b), unclamped: the
   smoothed classifier must see exactly that image.  It is rounded as
   e^k * v + e^k * b.
-* Both are linear in the image, so ``apply_many`` builds a batch of
-  either as one GEMM: per-parameter coefficients times a small basis
-  built from the image ([e^k, e^k b] times [x; 1] for brightness/
-  contrast; ``blur_many`` for blur, whose cost per image grows with the
-  image side, so that path suits MNIST-sized images and not 64x64 ones).
+* Blur, brightness/contrast and the additive pixel perturbation are
+  linear in the image.  ``Transform.linear_form`` writes each as
+  coefficients of the parameter times a basis built once from the image,
+  plus an offset (``LinearForm``): [e^k, e^k b] times [x; 1] for
+  brightness/contrast; (lambda_u mu_v - 1) times G_uv, plus x, for blur
+  (``_blur_basis``, whose cost per image grows with the image side, so
+  that path suits MNIST-sized images and not 64x64 ones); the
+  perturbation itself, plus x, for additive noise.  ``apply_many``
+  builds a batch of any of them as one GEMM from that form, and
+  ``LinearForm.project`` carries the same form through an affine
+  classifier, so a caller can read class scores without building images.
 * Translation rounds its continuous displacement to the nearest integer
   (half away from zero upward: floor(v + 0.5)) once per evaluation.
   In 'reflect' mode pixels shifted past one edge re-enter at the
@@ -36,6 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -43,9 +51,9 @@ from .tensor import ImageTensor, bilinear_many
 
 __all__ = [
     "Transform",
+    "LinearForm",
     "transform_spec",
     "additive_pixel_transform",
-    "blur_many",
     "translate",
     "rotate_many",
     "scale_many",
@@ -59,17 +67,59 @@ _BLOCK_IMAGES = 4096
 
 
 @dataclass(frozen=True)
+class LinearForm:
+    """A batch of images (or class scores) as one GEMM: coefs(params) @ basis + offset.
+
+    ``coefs`` maps (B, param_dim) parameters to (B, n) coefficients and
+    depends on the parameters alone; ``basis`` (n, d) and ``offset`` (d,)
+    depend on the image alone, so a caller that evaluates many
+    parameters on one image builds the form once.  ``basis`` None stands
+    for the identity (the coefficients are the pixel offsets themselves)
+    and ``offset`` None for zero.
+    """
+
+    coefs: Callable[[np.ndarray], np.ndarray]
+    basis: np.ndarray | None
+    offset: np.ndarray | None
+
+    def product(self, params: np.ndarray) -> np.ndarray:
+        """coefs(params) @ basis; a fresh array unless ``basis`` is None."""
+        coef = self.coefs(params)
+        return coef if self.basis is None else coef @ self.basis
+
+    def apply(self, params: np.ndarray) -> np.ndarray:
+        """(B, d) rows coefs(params) @ basis + offset."""
+        out = self.product(params)
+        if self.offset is None:
+            return out
+        if self.basis is None:
+            return out + self.offset
+        out += self.offset
+        return out
+
+    def project(self, weights: np.ndarray, bias: np.ndarray) -> "LinearForm":
+        """The form of the class scores rows @ weights.T + bias.
+
+        Each row's scores are coefs @ (basis @ W.T) + (offset @ W.T + b):
+        C columns where the image has d.  Rounding differs from scoring
+        the built image, so an argmax can differ at an exact-score tie.
+        """
+        basis = weights.T if self.basis is None else self.basis @ weights.T
+        offset = bias if self.offset is None else self.offset @ weights.T + bias
+        return LinearForm(self.coefs, basis, offset)
+
+
+@dataclass(frozen=True)
 class Transform:
     """A transform family: its kind and parameter dimension."""
 
     kind: str
     param_dim: int
 
-    def apply_many(self, x: ImageTensor, params) -> np.ndarray:
-        """Transform ``x`` at each row of ``params``; returns (B, K, W, H).
+    def check_params(self, params) -> np.ndarray:
+        """``params`` as a float (B, param_dim) array; ValueError if it is not one.
 
-        ``params`` is (B, param_dim), or (B,) when param_dim is 1.  This
-        is the one place that maps a kind to the code building its images.
+        (B,) is taken as (B, 1) when param_dim is 1.
         """
         params = np.asarray(params, dtype=np.float64)
         if params.ndim == 1 and self.param_dim == 1:
@@ -77,29 +127,56 @@ class Transform:
         if params.ndim != 2 or params.shape[1] != self.param_dim:
             raise ValueError(f"{self.kind} takes (B, {self.param_dim}) parameters, "
                              f"got shape {params.shape}")
+        return params
+
+    def linear_form(self, x: ImageTensor) -> LinearForm | None:
+        """The ``LinearForm`` of this transform on ``x``, or None if it is not linear."""
         kind = self.kind
         if kind == "gaussian_blur":
-            return blur_many(x, params[:, 0])
+            return LinearForm(partial(_blur_coefs, width=x.width, height=x.height),
+                              _blur_basis(x), x.data.ravel())
+        if kind == "brightness_contrast":
+            return LinearForm(_bc_coefs, np.stack([x.data.ravel(), np.ones(x.data.size)]),
+                              None)
+        if kind == "additive_pixel":
+            if self.param_dim != x.data.size:
+                raise ValueError("additive perturbation length must equal pixel count")
+            return LinearForm(_identity, None, x.data.ravel())
+        return None
+
+    def apply_many(self, x: ImageTensor, params) -> np.ndarray:
+        """Transform ``x`` at each row of ``params``; returns (B, K, W, H).
+
+        ``params`` is (B, param_dim), or (B,) when param_dim is 1.  With
+        ``linear_form`` this is the one place that maps a kind to the code
+        building its images.
+        """
+        params = self.check_params(params)
+        kind = self.kind
+        form = self.linear_form(x)
+        if form is not None:
+            return form.apply(params).reshape((len(params),) + x.shape)
         if kind == "rotation":
             return rotate_many(x, params[:, 0])
         if kind == "scaling":
             return scale_many(x, params[:, 0])
-        if kind == "brightness_contrast":
-            gain = np.exp(params[:, 0])
-            coef = np.stack([gain, gain * params[:, 1]], axis=1)
-            basis = np.stack([x.data.ravel(), np.ones(x.data.size)])
-            return (coef @ basis).reshape((len(params),) + x.shape)
         if kind in ("translation_reflect", "translation_black"):
             padding = kind.removeprefix("translation_")
             out = np.empty((len(params),) + x.shape)
             for row, (dx, dy) in enumerate(params):
                 out[row] = translate(x, dx, dy, padding).data
             return out
-        if kind == "additive_pixel":
-            if self.param_dim != x.data.size:
-                raise ValueError("additive perturbation length must equal pixel count")
-            return x.data + params.reshape((-1,) + x.shape)
         raise ValueError(f"unknown transform kind {kind!r}")
+
+
+def _identity(params: np.ndarray) -> np.ndarray:
+    return params
+
+
+def _bc_coefs(params: np.ndarray) -> np.ndarray:
+    """[e^k, e^k b] per (k, b) row: e^k (v + b) is rounded as e^k v + e^k b."""
+    gain = np.exp(params[:, 0])
+    return np.stack([gain, gain * params[:, 1]], axis=1)
 
 
 _SPECS = {
@@ -168,38 +245,40 @@ def _bin_projectors(length: int) -> np.ndarray:
     return weight[:, None, None] * np.cos(2.0 * np.pi * np.multiply.outer(u, diff) / length)
 
 
-def blur_many(x: ImageTensor, alphas) -> np.ndarray:
-    """Blur one image at many squared kernel radii; returns (B, K, W, H).
+def _blur_coefs(params: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Residual blur coefficients lambda_u mu_v - 1, one row per squared radius.
 
     A wrapped truncated kernel is real and symmetric, so its DFT lambda
     is real and circular convolution along an axis is sum_u lambda_u Q_u
     over the bin projectors.  The separable blur of X is then
-    sum_uv lambda_u mu_v G_uv with basis G_uv = Q_u X Q_v, and every
-    image is one row of a single GEMM: x + (lambda_u mu_v - 1) @ G.  The
-    residual form makes alpha 0, where every coefficient is exactly 0,
-    return x bit for bit.
-
-    The GEMM costs K*W*H*(W/2+1)*(H/2+1) multiply-adds per image, against
-    O(K*W*H*log(W*H)) for separable FFT passes.  On one x86-64 core
-    (OpenBLAS) it took 12 us per 1x28x28 image where the FFT passes took
-    26, and 52 against 90 at 3x32x32, but 218 against 106 at 1x64x64 and
-    645 against 368 at 3x64x64: the crossover lies between 32 and 64
-    pixels a side.
+    sum_uv lambda_u mu_v G_uv, and with these coefficients it is
+    x + coefs @ G (``_blur_basis``).  The residual form makes alpha 0,
+    where every coefficient is exactly 0, return x bit for bit.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
+    alphas = params[:, 0]
     if np.any(alphas < 0.0):
         raise ValueError("blur parameter must be >= 0")
-    lam = np.fft.rfft(_wrapped_kernels(alphas, x.width), axis=1).real
-    mu = np.fft.rfft(_wrapped_kernels(alphas, x.height), axis=1).real
+    lam = np.fft.rfft(_wrapped_kernels(alphas, width), axis=1).real
+    mu = lam if height == width else np.fft.rfft(_wrapped_kernels(alphas, height), axis=1).real
+    coef = lam[:, :, None] * mu[:, None, :]
+    coef -= 1.0
+    return coef.reshape(len(alphas), lam.shape[1] * mu.shape[1])
+
+
+def _blur_basis(x: ImageTensor) -> np.ndarray:
+    """Blur basis G_uv = Q_u X Q_v, one flattened row per bin pair (u, v).
+
+    Each image costs one GEMM row, K*W*H*(W/2+1)*(H/2+1) multiply-adds,
+    against O(K*W*H*log(W*H)) for separable FFT passes.  On one x86-64
+    core (OpenBLAS) that took 12 us per 1x28x28 image where the FFT
+    passes took 26, and 52 against 90 at 3x32x32, but 218 against 106 at
+    1x64x64 and 645 against 368 at 3x64x64: the crossover lies between
+    32 and 64 pixels a side.
+    """
     q_w, q_h = _bin_projectors(x.width), _bin_projectors(x.height)
     # G[u, v, k] = Q_u X_k Q_v (each Q symmetric)
     basis = np.einsum("uij,kjl,vlm->uvkim", q_w, x.data, q_h, optimize=True)
-    coef = lam[:, :, None] * mu[:, None, :]
-    coef -= 1.0
-    n_coef = lam.shape[1] * mu.shape[1]
-    out = coef.reshape(len(alphas), n_coef) @ basis.reshape(n_coef, -1)
-    out += x.data.reshape(1, -1)
-    return out.reshape((len(alphas),) + x.shape)
+    return basis.reshape(len(q_w) * len(q_h), -1)
 
 
 # ---------------------------------------------------------------------------

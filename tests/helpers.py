@@ -19,11 +19,32 @@ import math
 import numpy as np
 
 from semcert import aliasing
-from semcert.classifiers import ConstantClassifier, MeanThresholdClassifier
+from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.io import _CSV_FIELDS, FormatError, ReportRow
 from semcert.statfn import std_normal_cdf
 from semcert.tensor import ImageTensor, bilinear_many
 from semcert.transforms import transform_spec
+
+
+class ImageOnlyLinear(LinearClassifier):
+    """A ``LinearClassifier`` that hides its (W, b), so sampling builds and
+    classifies every image; it counts the images it classifies."""
+
+    evals = 0
+
+    def affine(self, shape):
+        return None
+
+    def classify_flat_batch(self, flats, shape):
+        self.evals += len(flats)
+        return super().classify_flat_batch(flats, shape)
+
+
+def random_linear(seed, shape, classes=10, bias=0.1):
+    """A random C x d ``LinearClassifier`` for images of ``shape``."""
+    g = np.random.default_rng(seed)
+    return LinearClassifier(g.normal(size=(classes, int(np.prod(shape)))),
+                            bias * g.normal(size=classes), shape)
 
 
 def one_label(classifier, x):

@@ -24,9 +24,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (analytic_smoothed_confidence, apply_one, bc_mean_threshold_confidence,
-                     dense_max_min_error, one_label)
-from semcert import pipeline, smoothing
+from helpers import (ImageOnlyLinear, analytic_smoothed_confidence, apply_one,
+                     bc_mean_threshold_confidence, dense_max_min_error, one_label)
+from semcert import aliasing, pipeline, smoothing
 from semcert.aliasing import IntervalGrid, aliasing_bound
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.pipeline import (ParameterSet, certify_bc_rectangle, certify_diff_resolvable,
@@ -365,6 +365,62 @@ def test_memory_holds_one_check_not_the_bank(image_9x9):
         tracemalloc.stop()
         assert not res.certified and res.samples_used == 100 + n
     assert peaks[8_000] <= 1.5 * peaks[800], peaks
+
+
+@pytest.mark.parametrize("kind", ["rotation", "scaling"])
+def test_class_scores_equal_image_path(kind):
+    # the anchors of a LinearClassifier read class scores (a prefix bank
+    # shared across anchors, scores past it); hiding the hook builds and
+    # classifies every image, and every result field must agree
+    shape = (1, 9, 9)
+    transform = additive_pixel_transform(shape)
+    conf = ConfidenceParams(0.001, 4_000, 100)
+    grid = _grid(kind)
+    verdicts = set()
+    for sigma in (0.25, 1.0):
+        noise = DistributionSpec("gaussian", (sigma,), dim=transform.param_dim)
+        for seed, boost in enumerate((0.08, 0.045, 0.04, 0.035, 0.03, 0.025, 0.02, 0.01, 0.0,
+                                      -0.05)):
+            g = np.random.default_rng(seed)
+            x = ImageTensor(g.random(shape))
+            weights = 0.1 * g.normal(size=(3, x.data.size))
+            weights[1] += boost * x.data.ravel()
+            hidden = ImageOnlyLinear(weights, np.zeros(3), shape)
+            scores, images = (
+                _certify(x, SmoothedQuery(clf, transform, noise, conf, seed), grid)
+                for clf in (LinearClassifier(weights, np.zeros(3), shape), hidden))
+            assert hidden.evals > 0
+            assert _summary(scores) + (scores.refined,) == _summary(images) + (images.refined,)
+            verdicts.add((scores.verdict, scores.refined))
+    assert {("certified", False), ("certified", True), ("not_certified", False),
+            ("not_certified", True)} <= verdicts
+    assert "abstain" in {v for v, _ in verdicts}
+
+
+@pytest.mark.parametrize("hidden", [False, True], ids=["class-scores", "images"])
+def test_memory_holds_one_block_of_anchors(image_9x9, monkeypatch, hidden):
+    # every anchor certifies at its first check; anchor images are built
+    # one block at a time, in the bound and in the anchor loop, so ten
+    # times the anchors cost less than twice the memory (small blocks,
+    # so that both grids fill several)
+    monkeypatch.setattr(pipeline, "_BLOCK_IMAGES", 64)
+    monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 64)
+    monkeypatch.setattr(aliasing, "_BLOCK_POINTS", 2048)
+    x = image_9x9
+    weights = 0.01 * np.random.default_rng(1).normal(size=(3, x.data.size))
+    bias = np.array([0.0, 5.0, 0.0])
+    clf = (ImageOnlyLinear if hidden else LinearClassifier)(weights, bias, x.shape)
+    transform = additive_pixel_transform(x.shape)
+    noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
+    q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.001, 4_000, 100), 0)
+    peaks = {}
+    for n_outer in (200, 2_000):
+        tracemalloc.start()
+        res = _certify(x, q, _grid("rotation", n_outer=n_outer, n_inner=5))
+        peaks[n_outer] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert res.certified and not res.refined
+    assert peaks[2_000] <= 2.0 * peaks[200], peaks
 
 
 def _enum_reference(x, label, h, rho):

@@ -4,17 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import analytic_smoothed_confidence, apply_one
-from semcert import smoothing, streams
+from helpers import ImageOnlyLinear, analytic_smoothed_confidence, apply_one, random_linear
+from semcert import smoothing, streams, transforms
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.radii import NOISE_FAMILIES, DistributionSpec
-from semcert.smoothing import (ABSTAIN, SmoothedQuery, _certify_floor, certify, predict,
-                               progressive_certify, sample_counts)
+from semcert.smoothing import (ABSTAIN, SmoothedQuery, _certify_floor, _distinct_shifts,
+                               _label_params, certify, predict, progressive_certify,
+                               progressive_prefix, sample_counts)
 from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
                             std_normal_cdf, std_normal_quantile)
 from semcert.streams import DRAWS_PER_BLOCK, draw_params, uniforms_per_draw
 from semcert.tensor import ImageTensor
-from semcert.transforms import additive_pixel_transform, transform_spec
+from semcert.transforms import (LinearForm, Transform, additive_pixel_transform,
+                                transform_spec, translate)
 
 
 class TestStreams:
@@ -198,6 +200,155 @@ class TestSampleCounts:
         else:
             with pytest.raises(ValueError, match="draws negative"):
                 build()
+
+
+def _image_labels(clf, transform, x, params):
+    """Labels of the built images: what the class-score path must return."""
+    imgs = transform.apply_many(x, params)
+    return clf.classify_flat_batch(imgs.reshape(len(imgs), -1), x.shape)
+
+
+_SHAPES = [(1, 28, 28), (3, 8, 8), (1, 9, 6)]
+
+
+class TestClassScorePath:
+    # an affine classifier reads blur, brightness/contrast and additive
+    # noise as class scores; its labels must be those of the built images
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["1x28x28", "3x8x8", "1x9x6"])
+    @pytest.mark.parametrize("kind,noise", [
+        ("gaussian_blur", DistributionSpec("exponential", (1.0,), dim=1)),
+        ("gaussian_blur", DistributionSpec("folded_gaussian", (1.5,), dim=1)),
+        ("gaussian_blur", DistributionSpec("uniform", (0.0, 6.0), dim=1)),
+        ("brightness_contrast", DistributionSpec("gaussian", (0.3, 0.3), dim=2)),
+        ("additive_pixel", DistributionSpec("gaussian", (0.5,), dim=1)),
+    ], ids=["blur-exponential", "blur-folded", "blur-uniform", "bc", "additive"])
+    def test_labels_equal_image_path(self, shape, kind, noise, monkeypatch):
+        monkeypatch.setattr(smoothing, "_BLOCK_IMAGES", 256)  # several blocks
+        x = ImageTensor(np.random.default_rng(1).random(shape))
+        if kind == "additive_pixel":
+            transform = additive_pixel_transform(shape)
+            noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
+        else:
+            transform = transform_spec(kind)
+        params = draw_params(noise, 7, 0, 1000)
+        if kind == "gaussian_blur":
+            params[::97] = 0.0  # alpha 0: every residual coefficient is exactly 0
+        seen = set()
+        for seed in range(3):
+            clf = random_linear(seed, shape)
+            expected = _image_labels(clf, transform, x, params)
+            seen.update(expected.tolist())
+            with monkeypatch.context() as m:
+                # the score path builds no image and classifies none
+                m.setattr(Transform, "apply_many", None)
+                m.setattr(clf, "classify_flat_batch", None)
+                labels = _label_params(clf, transform, x, params)
+            np.testing.assert_array_equal(labels, expected)
+        assert len(seen) > 1
+
+    def test_hidden_hook_builds_blur_basis_once(self, monkeypatch):
+        # a classifier without the hook classifies every image, but the
+        # blur basis is still built once per call, not once per block
+        monkeypatch.setattr(smoothing, "_BLOCK_IMAGES", 100)
+        built = []
+        blur_basis = transforms._blur_basis
+        monkeypatch.setattr(transforms, "_blur_basis",
+                            lambda x: built.append(x.shape) or blur_basis(x))
+        x = ImageTensor(np.random.default_rng(2).random((1, 28, 28)))
+        clf = random_linear(4, x.shape)
+        hidden = ImageOnlyLinear(clf.weights, clf.bias, x.shape)
+        params = draw_params(DistributionSpec("exponential", (1.0,), dim=1), 3, 0, 1000)
+        blur = transform_spec("gaussian_blur")
+        labels = _label_params(hidden, blur, x, params)
+        assert built == [x.shape] and hidden.evals == 1000
+        np.testing.assert_array_equal(labels, _label_params(clf, blur, x, params))
+
+    def test_prefix_bank_projects_each_slice_once(self, monkeypatch):
+        # inputs sharing a prefix share its draws' product with W.T; the
+        # counts equal those of fresh draws and of the built images
+        g = np.random.default_rng(5)
+        shape = (1, 9, 9)
+        transform = additive_pixel_transform(shape)
+        noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
+        clf = random_linear(6, shape, classes=3)
+        q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.001, 1000, 100), 5)
+        prefix = progressive_prefix(q, batch=400)
+        images = [ImageTensor(g.random(shape)) for _ in range(4)]
+        reads = ((0, 100), (100, 400), (150, 100))
+        products = []
+        product = LinearForm.product
+        monkeypatch.setattr(LinearForm, "product",
+                            lambda form, p: products.append(len(p)) or product(form, p))
+        banked = [sample_counts(q, x, n, offset, prefix).counts
+                  for x in images for offset, n in reads]
+        assert products == [100, 400, 100]
+        monkeypatch.undo()
+        fresh = [sample_counts(q, x, n, offset).counts for x in images for offset, n in reads]
+        built = [np.bincount(_image_labels(clf, transform, x, draw_params(noise, 5, offset, n)),
+                             minlength=3) for x in images for offset, n in reads]
+        np.testing.assert_array_equal(banked, fresh)
+        np.testing.assert_array_equal(banked, built)
+
+    def test_prefix_bank_keeps_no_image_dependent_product(self):
+        # brightness/contrast's basis [x; 1] depends on the input, so a
+        # shared prefix must not reuse one input's product for the next
+        g = np.random.default_rng(7)
+        shape = (1, 9, 9)
+        clf = random_linear(8, shape, classes=3, bias=0.0)
+        q = _bc_query(clf, sigma_k=0.3, sigma_b=0.3, seed=4)
+        prefix = progressive_prefix(q, batch=400)
+        for _ in range(3):
+            x = ImageTensor(g.random(shape))
+            for offset, n in ((0, 100), (100, 400)):
+                np.testing.assert_array_equal(
+                    sample_counts(q, x, n, offset, prefix).counts,
+                    sample_counts(q, x, n, offset).counts)
+
+    def test_blur_scores_hold_no_image_block(self):
+        # 20,000 blur draws on 1x28x28: the peak stays below one block of
+        # images, so no B x d array is ever allocated
+        x = ImageTensor(np.random.default_rng(3).random((1, 28, 28)))
+        clf = random_linear(0, x.shape)
+        params = draw_params(DistributionSpec("exponential", (1.0,), dim=1), 0, 0, 20_000)
+        blur = transform_spec("gaussian_blur")
+        tracemalloc.start()
+        try:
+            _label_params(clf, blur, x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < smoothing._BLOCK_IMAGES * x.data.nbytes, peak
+
+
+class TestTranslationShifts:
+    @pytest.mark.parametrize("kind", ["translation_reflect", "translation_black"])
+    def test_key_keeps_row_unique_order(self, kind):
+        # shifts inside [-W/2, W/2) x [-H/2, H/2): the int64 key gives
+        # np.unique's rows and inverse exactly
+        x = ImageTensor(np.random.default_rng(0).random((1, 28, 26)))
+        noise = DistributionSpec("gaussian", (2.0,), dim=2)
+        shifts = np.floor(draw_params(noise, 11, 0, 20_000) + 0.5)
+        rows, inverse = _distinct_shifts(shifts, kind, x)
+        ref_rows, ref_inverse = np.unique(shifts, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
+
+    @pytest.mark.parametrize("kind", ["translation_reflect", "translation_black"])
+    @pytest.mark.parametrize("sigma", [3.0, 1e15])
+    def test_large_shifts_match_per_draw_loop(self, kind, sigma):
+        # reflect shifts reduced modulo W and H, black ones clipped: the
+        # counts are those of translating by each raw draw
+        x = ImageTensor(np.random.default_rng(1).random((1, 9, 6)))
+        clf = random_linear(2, x.shape, classes=4)
+        noise = DistributionSpec("gaussian", (sigma,), dim=2)
+        q = SmoothedQuery(clf, transform_spec(kind), noise, ConfidenceParams(0.05, 400, 50), 9)
+        counts = sample_counts(q, x, 400)
+        padding = kind.removeprefix("translation_")
+        naive = np.zeros(4, dtype=np.int64)
+        for dx, dy in draw_params(noise, 9, 0, 400):
+            shifted = translate(x, dx, dy, padding)
+            naive[clf.classify_flat_batch(shifted.data.reshape(1, -1), x.shape)[0]] += 1
+        np.testing.assert_array_equal(counts.counts, naive)
 
 
 class TestPredict:

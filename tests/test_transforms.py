@@ -7,8 +7,12 @@ import pytest
 from helpers import apply_one, blur_one
 from semcert.tensor import ImageTensor
 from semcert.transforms import (_BLOCK_POINTS, Transform, additive_pixel_transform,
-                                blur_many, center_coords, rotate_many, scale_many,
-                                transform_spec, translate)
+                                center_coords, rotate_many, scale_many, transform_spec,
+                                translate)
+
+
+def blur_many(x, alphas):
+    return transform_spec("gaussian_blur").apply_many(x, alphas)
 
 
 def gaussian_blur(x, alpha):

@@ -108,8 +108,12 @@ class IntervalGrid:
         lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
         t = np.linspace(0.0, 1.0, self.n_inner)
         if self.kind == "rotation":
-            return lo + (hi - lo) * t
-        return np.sort((lo * hi) / (lo + (hi - lo) * t), axis=-1)
+            points = lo + (hi - lo) * t
+        else:
+            points = np.sort((lo * hi) / (lo + (hi - lo) * t), axis=-1)
+        # both formulas can miss an end by an ulp, leaving a sliver uncovered
+        points[..., 0], points[..., -1] = lo[..., 0], hi[..., 0]
+        return points
 
 
 @dataclass(frozen=True)

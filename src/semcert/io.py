@@ -15,7 +15,12 @@ Formats:
   row equals the row written (the tests check this with their own
   reader) and two runs with the same config and seed produce
   byte-identical bodies.  Timing lives in the JSON summary
-  (avg/min/max seconds), never in the CSV.
+  (avg/min/max seconds), never in the CSV.  ``predicted`` is the clean
+  smoothed label (``predict``: n0 draws and a two-sided binomial test,
+  -1 on abstain); it does not come from the certificate, and a
+  ``certified`` verdict always certifies ``true_label``.  So robust
+  accuracy can exceed clean accuracy, as in a row that reads
+  ``5,3,-1,certified,...``.
 """
 
 from __future__ import annotations
@@ -195,7 +200,10 @@ _CSV_FIELDS = ("index", "true_label", "predicted", "verdict", "p_a_lower",
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One CSV row of a certification run (deterministic fields only)."""
+    """One CSV row of a certification run (deterministic fields only).
+
+    ``predicted`` is the clean smoothed label; ``verdict`` is about
+    ``true_label`` whatever ``predicted`` says."""
 
     index: int
     true_label: int

@@ -13,9 +13,9 @@ and the parameter-space bound the declared region was compared against.
   endpoint shift covers the interior.
 * ``certify_diff_resolvable``: rotation / scaling via an aliasing bound
   plus progressive certification of every anchor parameter, jointly at
-  1 - alpha.  A first pass reads only each anchor's first check against
-  the bound built from the anchors alone; only rows it cannot decide
-  build the grid's inner points and run the anchors in full.
+  1 - alpha, in one pass.  Anchors read only their first check against
+  the bound built from the anchors alone until one cannot be decided
+  there; from that anchor on they run in full against the grid's bound.
 * ``certify_translation_enum``: exact brute-force enumeration for
   black-padded translation (no statistics involved).
 """
@@ -114,9 +114,8 @@ class CertificationResult:
     samples_used: int
     elapsed: float
     witness: tuple | None = None
-    joint_alpha: float | None = None
-    # rotation/scaling: the anchors' first checks could not decide, so the
-    # verdict read the grid's own (n_inner) aliasing bound
+    # rotation/scaling: an anchor's first check could not decide, so the
+    # row read the smaller of the two-point and the grid's own bound
     refined: bool = False
 
     @property
@@ -228,49 +227,45 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     first anchor that does not is the witness.
 
     Each of the N anchors runs at alpha / N, so all anchors hold jointly
-    at 1 - alpha (``joint_alpha``).  Every anchor samples the query's own
-    stream, and its guess draws and estimation draws are disjoint i.i.d.
-    draws, so each anchor's per-check Clopper-Pearson bounds hold as in
-    a lone ``progressive_certify``.  The anchors share their draws and
-    are therefore dependent, but the union bound over anchors and checks
-    needs no independence.  Sharing lets the stream's prefix (the guess
-    draws plus the first check) be drawn once per pass, and lets equal
-    (hits, used) counts reuse one bound; later checks draw on demand,
-    so memory stays at one check's draws.
+    at 1 - alpha.  Every anchor samples the query's own stream, and its
+    guess draws and estimation draws are disjoint i.i.d. draws, so each
+    anchor's per-check Clopper-Pearson bounds hold as in a lone
+    ``progressive_certify``.  The anchors share their draws, so they are
+    dependent, but the union bound over anchors and checks needs no
+    independence.  Sharing lets the stream's prefix (the guess draws
+    plus the first check) be drawn once, and again after it is released
+    for the grid bound, and lets equal (hits, used) counts reuse one
+    bound; later checks draw on demand, so memory stays at one check's
+    draws and one block of anchor images.
 
-    The anchors are read in two passes.  The first reads only each
-    anchor's first check, against the bound built from the anchors alone
-    (two inner points per interval, no inner warp).  If every anchor
-    certifies there, or an anchor guesses another label, that decides
-    the row.  Otherwise the ``grid`` bound (its ``n_inner`` points) is
-    computed and every anchor runs ``progressive_certify`` in full
-    against it, exactly as a one-pass certifier would (``refined``).
+    One pass reads two bounds.  Each anchor first reads only its first
+    check against the bound built from the anchors alone (two inner
+    points per interval, no inner warp).  The first anchor that guesses
+    the label but does not certify there hands the row over
+    (``refined``): the ``grid`` bound (its ``n_inner`` points) is
+    computed, the smaller of the two is kept, and that anchor and every
+    later one run ``progressive_certify`` in full against it.  (In full
+    against the larger target, an anchor whose confidence lies between
+    the two floors would grind to futility or its whole budget.)
 
-    Why that is sound: each bound is a valid M on its own, and the first
-    pass reads each anchor's first check at the per-check alpha of the
-    full budget, an event the second pass reads too; so one union bound
-    over anchors and checks covers both passes.  The first pass stops at
-    check 1 because an anchor whose confidence lies between the two
-    targets' floors would otherwise run to futility or its full budget
-    against the coarse target before refinement could start.
-
-    Why it changes no verdict while the coarse bound is at least the
-    refined one, as it is on every grid measured: an anchor certified
-    at its first check against the higher target is certified at that
-    same check, with the same bound and radius, against the lower one.
-    So a first-pass certificate is the one-pass certificate with a
-    larger ``sqrt_m``, a wrong label ends the row at the same witness,
-    and every other row is the one-pass row.  Only a wrong-label row's
-    ``p_a_lower`` and ``samples_used`` may differ: they are read at the
-    witness's first check.
+    Either bound is a valid M, and an anchor that certified against the
+    larger target clears the smaller one, so every certified anchor's
+    radius exceeds the reported ``sqrt_m``.  Every read is one of the
+    (anchor, check) events of the full budget at its per-check alpha,
+    so one union bound covers them all.  While the grid bound is at most
+    the two-point one, as on every grid measured, the row is that of
+    the plain loop (every anchor in full against the grid bound): an
+    anchor certified at its first check against the higher target is
+    certified at that check, with the same radius, against the lower
+    one.  Only a wrong label found before the handover ends a row at
+    its first check.  The handover anchor's first-check samples are not
+    counted; its full run reads them again.
 
     An anchor stops early once Hoeffding's bound shows it cannot reach
     the floor max(1/2, Phi(sqrt(M) / sigma)) (``progressive_certify``).
-    That stop only ever ends in a failed verdict, so no certificate
-    rests on it.  An anchor whose true confidence clears the floor is
-    stopped wrongly with probability at most alpha / N, so an image that
-    every anchor would certify loses its certificate to the stop with
-    probability at most alpha.
+    No certificate rests on that stop, and an image that every anchor
+    would certify loses its certificate to it with probability at most
+    alpha.
     """
     t0 = time.perf_counter()
     if q.transform.kind != "additive_pixel":
@@ -286,37 +281,33 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
         raise ValueError("batch size must be >= 1")
     _isotropic_sigma(q.noise)
 
-    cp_memo: dict = {}
-    # the coarse bound runs before the anchor images and the prefix exist
-    coarse = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
-    first = _anchor_pass(x, label, q, grid, coarse, batch, cp_memo, False, t0)
-    if first.certified or first.predicted_class != label:
-        return first
-    # the first pass's images and prefix are released before the refined bound
-    bound = coarse if grid.n_inner == 2 else aliasing_bound(x, grid.kind, grid)
-    return _anchor_pass(x, label, q, grid, bound, batch, cp_memo, True, t0)
-
-
-def _anchor_pass(x: ImageTensor, label: int, q: SmoothedQuery, grid: IntervalGrid,
-                 bound: AliasingBound, batch: int, cp_memo: dict, refined: bool,
-                 t0: float) -> CertificationResult:
-    """Certify the anchors in order against ``bound`` until one fails.
-
-    Unless ``refined``, each anchor reads only its first check.  The
-    stream prefix lives only as long as this call, and at most one block
-    of anchor images at a time.
-    """
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
+    cp_memo: dict = {}
+    # the two-point bound runs before the anchor images and the prefix exist
+    bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
     prefix = progressive_prefix(anchor_q, batch)
-
+    refined = False
     samples = 0
     min_radius = math.inf
     min_p = 1.0
-    for alpha_i, image in _anchor_images(x, grid.kind, anchors):
-        prog = progressive_certify(anchor_q, ImageTensor(image), bound.sqrt_m, batch=batch,
-                                   prefix=prefix, cp_memo=cp_memo,
-                                   first_check_only=not refined)
+    images = _anchor_images(x, grid.kind, anchors)
+    for i, alpha_i in enumerate(anchors):
+        image = ImageTensor(next(images))
+        prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch, prefix=prefix,
+                                   cp_memo=cp_memo, first_check_only=not refined)
+        if not refined and prog.label == label and not prog.certified:
+            refined = True
+            if grid.n_inner != 2:
+                # the prefix and the block of anchor images are released while
+                # the grid bound runs; on a tie the grid's own bound is kept
+                image = ImageTensor(image.data.copy())
+                prefix = images = None
+                bound = min(aliasing_bound(x, grid.kind, grid), bound, key=lambda b: b.m_value)
+                prefix = progressive_prefix(anchor_q, batch)
+                images = _anchor_images(x, grid.kind, anchors[i + 1:])
+            prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch,
+                                       prefix=prefix, cp_memo=cp_memo)
         samples += prog.samples_used
         if prog.certified:
             min_radius = min(min_radius, prog.radius)
@@ -325,22 +316,19 @@ def _anchor_pass(x: ImageTensor, label: int, q: SmoothedQuery, grid: IntervalGri
             verdict = ABSTAINED if (not prog.certified and prog.p_a_lower <= 0.5
                                     and prog.label == label) else NOT_CERTIFIED
             return CertificationResult(
-                verdict, prog.label, prog.p_a_lower, None, bound,
-                samples, time.perf_counter() - t0,
-                witness=(float(alpha_i),), joint_alpha=q.conf.alpha, refined=refined)
+                verdict, prog.label, prog.p_a_lower, None, bound, samples,
+                time.perf_counter() - t0, witness=(float(alpha_i),), refined=refined)
 
     # certified because sqrt(M) is below every anchor's sigma * Phi_inv(p_a_lower)
-    return CertificationResult(CERTIFIED, label, min_p, min_radius, bound,
-                               samples, time.perf_counter() - t0,
-                               joint_alpha=q.conf.alpha, refined=refined)
+    return CertificationResult(CERTIFIED, label, min_p, min_radius, bound, samples,
+                               time.perf_counter() - t0, refined=refined)
 
 
 def _anchor_images(x: ImageTensor, kind: str, anchors: np.ndarray):
-    """(anchor, image) pairs in anchor order, built ``_BLOCK_IMAGES`` at a time."""
+    """Anchor images in anchor order, built ``_BLOCK_IMAGES`` at a time."""
     spec = transform_spec(kind)
     for lo in range(0, len(anchors), _BLOCK_IMAGES):
-        block = anchors[lo:lo + _BLOCK_IMAGES]
-        yield from zip(block, spec.apply_many(x, block))
+        yield from spec.apply_many(x, anchors[lo:lo + _BLOCK_IMAGES])
 
 
 def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,

@@ -59,10 +59,6 @@ class ImageTensor:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def flat(self) -> np.ndarray:
-        """Row-major view of the pixel data as a length K*W*H vector."""
-        return self.data.reshape(-1)
-
 
 def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Vectorized bilinear interpolation over arrays of coordinates.

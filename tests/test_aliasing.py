@@ -39,11 +39,18 @@ class TestIntervalGrid:
         np.testing.assert_allclose(np.diff(1.0 / a), np.diff(1.0 / a)[0])
 
     def test_inner_points_cover_interval(self):
-        g = IntervalGrid("scaling", 0.8, 1.2, 6, 4)
-        lo, hi = g.intervals()[2]
-        pts = g.inner_points(lo, hi)
-        assert pts[0] == pytest.approx(lo) and pts[-1] == pytest.approx(hi)
-        assert np.all(np.diff(pts) > 0)
+        # every interval's points start and end exactly at its ends: a
+        # last point short of hi leaves a sliver outside the envelope
+        for kind, a, b, n_outer in (("scaling", 0.95, 1.05, 200), ("scaling", 0.8, 1.2, 1_000),
+                                    ("rotation", -0.2, 0.2, 1_000)):
+            g = IntervalGrid(kind, a, b, n_outer, 10)
+            intervals = g.intervals()
+            pts = g.inner_points(intervals[:, 0], intervals[:, 1])
+            assert np.array_equal(pts[:, 0], intervals[:, 0])
+            assert np.array_equal(pts[:, -1], intervals[:, 1])
+            assert np.all(np.diff(pts, axis=-1) > 0)
+            lo, hi = intervals[2]
+            assert np.array_equal(g.inner_points(lo, hi), pts[2])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -269,7 +269,7 @@ class TestCertify:
         assert err == "error: batch size must be >= 1\n"
         assert not (tmp_path / "out.csv").exists()
 
-    # rows of the one-pass certifier (every anchor's full progressive
+    # rows of the plain certifier (every anchor's full progressive
     # run against the grid's bound) at --batch 50 under the default n0
     # of 100; a grid of two inner points is its own two-point bound, so
     # every field must match

@@ -1,17 +1,23 @@
 """Every ``semcert`` submodule imports, each name in its ``__all__``
 resolves, so a deletion cannot leave a stale export behind, and each
 exported function is called from src/ or perfbench/, so code that only
-tests reach lives under tests/."""
+tests reach lives under tests/.  The names the benchmark's row hooks
+wrap (perfbench/hooks.py) must still see every CLI certification."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import struct
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semcert
+from semcert.cli import run_cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(semcert.__path__))
 
@@ -70,3 +76,36 @@ def test_exported_functions_are_used():
             if inspect.isfunction(getattr(module, attr)) and attr not in referenced:
                 unused.append(f"{name}.{attr}")
     assert sorted(unused) == sorted(UNREFERENCED_EXPORTS)
+
+
+@pytest.fixture
+def hooks(monkeypatch):
+    spec = importlib.util.spec_from_file_location("hooks", ROOT / "perfbench" / "hooks.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "hooks", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("transform,flags", [
+    ("blur", ["--alpha-max", "0.3"]),
+    ("brightness-contrast", ["--k-range", "-0.1", "0.1", "--b-range", "-0.05", "0.05"]),
+    ("rotation", ["--interval", "-2", "2", "--grid-n", "5", "--grid-r", "5"]),
+])
+def test_benchmark_hooks_record_one_row_per_certification(tmp_path, capsys, hooks,
+                                                          transform, flags):
+    # the untraced benchmark times each row by wrapping the pipeline names
+    # ``cli.certifier`` looks up at call time; one image makes one row
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    pixels = np.random.default_rng(5).integers(150, 256, (1, 9, 9), dtype=np.uint8)
+    images.write_bytes(struct.pack(">IIII", 0x803, 1, 9, 9) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">II", 0x801, 1) + bytes([1]))
+    with hooks.Recorder(traced=False) as recorder:
+        code = run_cli(["certify", "--transform", transform, *flags, "--dataset", str(images),
+                        "--labels", str(labels), "--synthetic", "mean:0.5", "--n", "300",
+                        "--n0", "50", "--output", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert len(recorder.rows) == 1
+    assert recorder.rows[0].verdict in ("certified", "not_certified", "abstain")
+    if transform == "rotation":
+        assert recorder.rows[0].anchors

@@ -1,13 +1,15 @@
 """Direct tests of the four certification pipelines.
 
 ``certify_diff_resolvable`` (rotation and scaling) shares one noise
-stream across anchors, draws its prefix once per pass, memoises
-Clopper-Pearson bounds and reads the anchors' first checks against a
-two-point aliasing bound before it refines.  None of that may change a
-verdict, so the pipeline is compared with a plain one-pass loop written
-here; its certified verdicts are checked against the exact smoothed
-confidence of a mean-threshold classifier, and a coverage test counts
-the Clopper-Pearson bounds it reads that exceed that confidence.
+stream across anchors, draws its prefix once (again after a handover),
+memoises Clopper-Pearson bounds and reads the anchors' first checks
+against a two-point aliasing bound until one cannot be decided there;
+from that anchor on it runs the anchors in full against the grid's
+bound.  None of that may change a verdict, so the pipeline is compared
+with a plain loop written here that runs every anchor in full against
+the grid's bound; its certified verdicts are checked against the exact
+smoothed confidence of a mean-threshold classifier, and a coverage test
+counts the Clopper-Pearson bounds it reads that exceed that confidence.
 ``certify_translation_enum`` is compared with a loop that classifies
 one shifted image at a time.
 ``certify_resolvable`` and ``certify_bc_rectangle`` run on classifiers
@@ -59,7 +61,7 @@ def _certify(x, q, grid, label=1, batch=400):
 
 def _summary(res):
     return (res.verdict, res.predicted_class, res.p_a_lower, res.region_bound,
-            res.samples_used, res.witness, res.joint_alpha)
+            res.samples_used, res.witness)
 
 
 def _reference(x, label, q, grid, batch=400):
@@ -82,9 +84,8 @@ def _reference(x, label, q, grid, batch=400):
         if prog.label != label or not prog.certified:
             verdict = ("abstain" if not prog.certified and prog.p_a_lower <= 0.5
                        and prog.label == label else "not_certified")
-            return (verdict, prog.label, prog.p_a_lower, None, samples, (float(a),),
-                    q.conf.alpha), checks
-    return ("certified", label, min_p, min_radius, samples, None, q.conf.alpha), checks
+            return (verdict, prog.label, prog.p_a_lower, None, samples, (float(a),)), checks
+    return ("certified", label, min_p, min_radius, samples, None), checks
 
 
 class TestAgainstReference:
@@ -121,7 +122,7 @@ class TestAgainstReference:
         res = _certify(image_9x9, q, grid)
         ref, checks = _reference(image_9x9, 1, q, grid)
         summary = _summary(res)
-        # verdict, label, witness and joint alpha are always the reference's
+        # verdict, label and witness are always the reference's
         assert summary[:2] + summary[5:] == ref[:2] + ref[5:]
         # so is every field of a certificate and of a refined row; a
         # wrong label found at its first check keeps that check's bound
@@ -182,6 +183,47 @@ class TestAgainstReference:
             assert res.refined == (threshold == 0.29)
             assert _summary(res) == _reference(image_9x9, 1, q, grid)[0]
 
+    def test_one_pass_reads_each_anchor_once_and_the_handover_twice(self, image_9x9,
+                                                                    monkeypatch):
+        # the sixth anchor hands over: it reads its first check, then runs in
+        # full; the five before it keep their first-check outcomes
+        reads = []
+        anchor_certify = pipeline.progressive_certify
+
+        def recording(q, image, target, **kwargs):
+            reads.append((image.data.tobytes(), kwargs.get("first_check_only", False)))
+            return anchor_certify(q, image, target, **kwargs)
+
+        monkeypatch.setattr(pipeline, "progressive_certify", recording)
+        q = _query(image_9x9, 0.30)
+        grid = _grid("scaling")
+        res = _certify(image_9x9, q, grid)
+        assert res.certified and res.refined
+        assert _summary(res) == _reference(image_9x9, 1, q, grid)[0]
+        anchors = [apply_one(transform_spec("scaling"), image_9x9, float(a)).data.tobytes()
+                   for a in grid.anchors()]
+        assert [image for image, _ in reads] == anchors[:6] + anchors[5:]
+        assert [first for _, first in reads] == [True] * 6 + [False] * 5
+
+    @pytest.mark.parametrize("kind,threshold", [("rotation", 0.23), ("scaling", 0.25)])
+    def test_reports_the_smaller_bound(self, image_9x9, monkeypatch, kind, threshold):
+        # a grid bound above the two-point one is valid but looser: the row
+        # keeps the two-point bound, which every certified anchor clears
+        bound = pipeline.aliasing_bound
+
+        def loose(x, kind, grid):
+            coarse = bound(x, kind, replace(grid, n_inner=2))
+            if grid.n_inner == 2:
+                return coarse
+            return replace(coarse, worst=replace(coarse.worst, bound=2.0 * coarse.m_value))
+
+        monkeypatch.setattr(pipeline, "aliasing_bound", loose)
+        grid = _grid(kind)
+        res = _certify(image_9x9, _query(image_9x9, threshold), grid)
+        assert res.certified and res.refined
+        assert res.aliasing == aliasing_bound(image_9x9, kind, replace(grid, n_inner=2))
+        assert res.region_bound > res.aliasing.sqrt_m
+
     def test_prefix_drawn_once_and_bounds_once_per_call(self, image_9x9, monkeypatch):
         draws, bounds = [], []
         draw_params, clopper_pearson_lower = smoothing.draw_params, smoothing.clopper_pearson_lower
@@ -204,7 +246,8 @@ class TestAgainstReference:
                 bounds.clear()
                 res = _certify(image_9x9, q, grid)
                 assert res.certified and res.refined == refined
-                # one prefix of n0 + batch draws per pass, then only draws past it
+                # one prefix of n0 + batch draws, drawn again after the
+                # handover, then only draws past it
                 assert draws[0] == (0, 500)
                 assert [d for d in draws if d[0] < 500] == [(0, 500)] * (1 + refined)
                 assert (len(draws) > 2) == refined
@@ -248,7 +291,7 @@ class TestCoverage:
     A mean-threshold classifier under additive pixel noise has the exact
     smoothed confidence Phi((mean(x_i) - t) sqrt(d) / sigma) at anchor
     image x_i.  Every anchor outcome carries the Clopper-Pearson bound
-    of the check it stopped at, first-pass outcomes included.  By the
+    of the check it stopped at, first-check reads included.  By the
     union bound over anchors and checks, the number X of distinct
     (anchor, check) bounds a run reads above their truth has mean at
     most alpha.  The shared noise bank makes anchors fail together, so
@@ -308,7 +351,8 @@ class TestCoverage:
             above += len(wrong)
         limit = self.ALPHA * runs + 3.0 * math.sqrt(2 * n_outer * self.ALPHA * runs)
         assert above <= limit, (above, limit)
-        # each band is read by the pass it is meant for
+        # each band is read where it is meant to be: at first checks, or
+        # after a handover
         assert refined > 0.9 * runs if band == "refined floor" else refined < 0.1 * runs
 
 

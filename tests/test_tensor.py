@@ -11,7 +11,6 @@ class TestImageTensor:
     def test_shape_and_accessors(self, rng):
         x = ImageTensor(rng.random((3, 5, 7)))
         assert (x.channels, x.width, x.height) == (3, 5, 7)
-        assert x.flat().shape == (105,)
 
     def test_rejects_bad_data(self):
         with pytest.raises(ValueError):

@@ -19,13 +19,14 @@ Conventions fixed here:
   linear in the image.  ``Transform.linear_form`` writes each as
   coefficients of the parameter times a basis built once from the image,
   plus an offset (``LinearForm``): [e^k, e^k b] times [x; 1] for
-  brightness/contrast; (lambda_u mu_v - 1) times G_uv, plus x, for blur
-  (``_blur_basis``, whose cost per image grows with the image side, so
-  that path suits MNIST-sized images and not 64x64 ones); the
-  perturbation itself, plus x, for additive noise.  ``apply_many``
-  builds a batch of any of them as one GEMM from that form, and
-  ``LinearForm.project`` carries the same form through an affine
-  classifier, so a caller can read class scores without building images.
+  brightness/contrast; the perturbation itself, plus x, for additive
+  noise; for blur (lambda_u mu_v - 1) times G_uv, plus x, from the
+  kernel spectra along W and H (``_blur_coefs``) and a basis whose cost
+  per image grows with the image side (``_blur_basis``: MNIST-sized
+  images, not 64x64 ones).  ``apply_many`` builds a batch of any of them
+  from that form, and ``LinearForm.project`` carries the same form
+  through an affine classifier, so a caller can read class scores
+  without building images (for blur, one spectrum at a time).
 * Translation rounds its continuous displacement to the nearest integer
   (half away from zero upward: floor(v + 0.5)) once per evaluation.
   In 'reflect' mode pixels shifted past one edge re-enter at the
@@ -68,9 +69,10 @@ _BLOCK_IMAGES = 4096
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A batch of images (or class scores) as one GEMM: coefs(params) @ basis + offset.
+    """A batch of images (or class scores) as coefs(params) @ basis + offset.
 
-    ``coefs`` maps (B, param_dim) parameters to (B, n) coefficients and
+    ``coefs`` maps (B, param_dim) parameters to (B, n) coefficients, or
+    to factors lambda, mu with coefficients lambda_u mu_v - 1 (blur), and
     depends on the parameters alone; ``basis`` (n, d) and ``offset`` (d,)
     depend on the image alone, so a caller that evaluates many
     parameters on one image builds the form once.  ``basis`` None stands
@@ -78,13 +80,15 @@ class LinearForm:
     and ``offset`` None for zero.
     """
 
-    coefs: Callable[[np.ndarray], np.ndarray]
+    coefs: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]]
     basis: np.ndarray | None
     offset: np.ndarray | None
 
     def product(self, params: np.ndarray) -> np.ndarray:
         """coefs(params) @ basis; a fresh array unless ``basis`` is None."""
         coef = self.coefs(params)
+        if isinstance(coef, tuple):
+            return _factored_product(*coef, self.basis)
         return coef if self.basis is None else coef @ self.basis
 
     def apply(self, params: np.ndarray) -> np.ndarray:
@@ -175,6 +179,8 @@ def _identity(params: np.ndarray) -> np.ndarray:
 
 def _bc_coefs(params: np.ndarray) -> np.ndarray:
     """[e^k, e^k b] per (k, b) row: e^k (v + b) is rounded as e^k v + e^k b."""
+    if not np.all(np.isfinite(params)):
+        raise ValueError("brightness/contrast parameters must be finite")
     gain = np.exp(params[:, 0])
     return np.stack([gain, gain * params[:, 1]], axis=1)
 
@@ -206,32 +212,6 @@ def additive_pixel_transform(shape: tuple[int, int, int]) -> Transform:
 # ---------------------------------------------------------------------------
 # Gaussian blur
 
-def _wrapped_kernels(alphas: np.ndarray, length: int) -> np.ndarray:
-    """Truncated, renormalized Gaussian taps folded onto a periodic axis.
-
-    Returns a (len(alphas), length) matrix whose row b is the kernel for
-    squared radius alphas[b], taps at integer offsets within
-    ceil(4*sqrt(alpha)) of zero, wrapped modulo ``length``.  Folding
-    before convolving is exactly circular convolution with the full
-    truncated kernel.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    radii = np.where(alphas > 0.0, np.ceil(4.0 * np.sqrt(alphas)), 0.0).astype(np.int64)
-    rmax = int(radii.max(initial=0))
-    offsets = np.arange(-rmax, rmax + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        taps = np.exp(-(offsets[None, :] ** 2) / (2.0 * alphas[:, None]))
-    taps = np.where(np.abs(offsets[None, :]) <= radii[:, None], taps, 0.0)
-    taps[alphas == 0.0] = 0.0
-    taps[alphas == 0.0, rmax] = 1.0
-    taps /= taps.sum(axis=1, keepdims=True)
-    wrapped = np.zeros((len(alphas), length))
-    cols = np.mod(offsets, length)
-    for t, col in enumerate(cols):
-        wrapped[:, col] += taps[:, t]
-    return wrapped
-
-
 def _bin_projectors(length: int) -> np.ndarray:
     """Real projectors onto DFT bins u and length - u, u = 0..length//2.
 
@@ -245,35 +225,64 @@ def _bin_projectors(length: int) -> np.ndarray:
     return weight[:, None, None] * np.cos(2.0 * np.pi * np.multiply.outer(u, diff) / length)
 
 
-def _blur_coefs(params: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Residual blur coefficients lambda_u mu_v - 1, one row per squared radius.
+def _blur_coefs(params: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel spectra (lambda, mu) along W and H, one row per squared radius.
 
-    A wrapped truncated kernel is real and symmetric, so its DFT lambda
-    is real and circular convolution along an axis is sum_u lambda_u Q_u
-    over the bin projectors.  The separable blur of X is then
-    sum_uv lambda_u mu_v G_uv, and with these coefficients it is
-    x + coefs @ G (``_blur_basis``).  The residual form makes alpha 0,
-    where every coefficient is exactly 0, return x bit for bit.
+    A wrapped kernel's DFT at integer bins is that of its unwrapped taps,
+    so lambda_u = (1 + 2 sum_t g_t cos(2 pi u t / W)) / (1 + 2 sum_t g_t),
+    one GEMM over the half-kernel g_t = exp(-t^2 / (2 alpha)), 1 <= t <=
+    ceil(4 sqrt(alpha)), however often it wraps.  At alpha 0 there are no
+    taps and the rows are exactly 1: the residual coefficients
+    lambda_u mu_v - 1 are exactly 0, and the blur returns x bit for bit.
     """
     alphas = params[:, 0]
-    if np.any(alphas < 0.0):
-        raise ValueError("blur parameter must be >= 0")
-    lam = np.fft.rfft(_wrapped_kernels(alphas, width), axis=1).real
-    mu = lam if height == width else np.fft.rfft(_wrapped_kernels(alphas, height), axis=1).real
-    coef = lam[:, :, None] * mu[:, None, :]
-    coef -= 1.0
-    return coef.reshape(len(alphas), lam.shape[1] * mu.shape[1])
+    if not np.all(np.isfinite(alphas) & (alphas >= 0.0)):
+        raise ValueError("blur parameter must be finite and >= 0")
+    radii = np.ceil(4.0 * np.sqrt(alphas))[:, None]
+    taps = np.arange(1, int(radii.max(initial=0.0)) + 1)
+    with np.errstate(divide="ignore"):
+        half = np.where(taps <= radii, np.exp(-taps**2 / (2.0 * alphas[:, None])), 0.0)
+
+    def spectrum(length):
+        phase = np.multiply.outer(taps, np.arange(length // 2 + 1)) % length
+        dft = 1.0 + half @ (2.0 * np.cos(2.0 * np.pi * phase / length))
+        return dft / dft[:, :1]  # bin 0 is the kernel sum
+
+    lam = spectrum(width)
+    return lam, lam if height == width else spectrum(height)
+
+
+def _factored_product(lam: np.ndarray, mu: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows (lam_u mu_v - 1) @ basis for the blur spectra lam and mu.
+
+    With P = basis as (nu, nv, c), lam mu^T - 1 = (lam - 1) mu^T + 1 (mu - 1)^T
+    gives ((lam - 1) @ P) contracted with mu per row, plus (mu - 1) @ sum_u P.
+    Its (B, nv, c) intermediate is smaller than the (B, nu * nv)
+    coefficients, and its work less, exactly when c < nu: class scores,
+    not images.
+    """
+    nu, nv, width = lam.shape[1], mu.shape[1], basis.shape[1]
+    if width >= nu:
+        coef = lam[:, :, None] * mu[:, None, :]
+        coef -= 1.0
+        return coef.reshape(len(lam), nu * nv) @ basis
+    part = ((lam - 1.0) @ basis.reshape(nu, nv * width)).reshape(len(lam), nv, width)
+    out = (mu[:, None, :] @ part)[:, 0]
+    out += (mu - 1.0) @ basis.reshape(nu, nv, width).sum(axis=0)
+    return out
 
 
 def _blur_basis(x: ImageTensor) -> np.ndarray:
     """Blur basis G_uv = Q_u X Q_v, one flattened row per bin pair (u, v).
 
-    Each image costs one GEMM row, K*W*H*(W/2+1)*(H/2+1) multiply-adds,
-    against O(K*W*H*log(W*H)) for separable FFT passes.  On one x86-64
-    core (OpenBLAS) that took 12 us per 1x28x28 image where the FFT
-    passes took 26, and 52 against 90 at 3x32x32, but 218 against 106 at
-    1x64x64 and 645 against 368 at 3x64x64: the crossover lies between
-    32 and 64 pixels a side.
+    Circular convolution with a symmetric kernel of spectrum lambda is
+    sum_u lambda_u Q_u, so the blur of X is X + sum_uv (lambda_u mu_v - 1)
+    G_uv.  An image costs K*W*H*(W/2+1)*(H/2+1) multiply-adds, against
+    O(K*W*H*log(W*H)) for separable FFT passes.  On one x86-64 core
+    (OpenBLAS) that took 12 us per 1x28x28 image where the FFT passes
+    took 26, and 52 against 90 at 3x32x32, but 218 against 106 at 1x64x64
+    and 645 against 368 at 3x64x64: the crossover lies between 32 and 64
+    pixels a side.
     """
     q_w, q_h = _bin_projectors(x.width), _bin_projectors(x.height)
     # G[u, v, k] = Q_u X_k Q_v (each Q symmetric)

@@ -2,7 +2,7 @@
 
 Reference versions of what the package computes in batches or does not
 compute at all: one image's label and one transformed image, a direct
-circular Gaussian blur, the cells
+circular Gaussian blur and its kernel spectra by an FFT, the cells
 a pixel's source curve visits and their colour statistics, single
 interval Lipschitz constants, exact smoothed confidences of the
 synthetic classifiers, a report-CSV reader, and dense enumeration of
@@ -81,6 +81,29 @@ def blur_one(x, alpha):
         for t, tt in zip(offsets, taps):
             out += ts * tt * np.roll(x.data, (s, t), axis=(1, 2))
     return out
+
+
+def wrapped_kernel_spectrum(alphas, length):
+    """Blur kernel spectra by folding the taps onto the axis, then an rfft.
+
+    Row b is the DFT at bins 0..length//2 of the truncated Gaussian of
+    squared radius alphas[b], renormalised to sum 1, with each tap added
+    to its offset modulo ``length``; its imaginary part is 0 by symmetry.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    radii = np.ceil(4.0 * np.sqrt(alphas)).astype(np.int64)
+    rmax = int(radii.max(initial=0))
+    offsets = np.arange(-rmax, rmax + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        taps = np.exp(-(offsets[None, :] ** 2) / (2.0 * alphas[:, None]))
+    taps = np.where(np.abs(offsets[None, :]) <= radii[:, None], taps, 0.0)
+    taps[alphas == 0.0] = 0.0
+    taps[alphas == 0.0, rmax] = 1.0
+    taps /= taps.sum(axis=1, keepdims=True)
+    wrapped = np.zeros((len(alphas), length))
+    for t, col in enumerate(np.mod(offsets, length)):
+        wrapped[:, col] += taps[:, t]
+    return np.fft.rfft(wrapped, axis=1).real
 
 
 # ---------------------------------------------------------------------------

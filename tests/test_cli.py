@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +358,54 @@ class TestCertify:
             "--dataset", images, "--labels", labels, *_SMALL, "--output", str(out)])
         assert code == 0, err
         assert json.loads((tmp_path / "blur.json").read_text())["refined"] == 0
+
+
+def _certify_subprocess(argv, out, blas_threads):
+    """``semcert certify`` in a fresh interpreter with ``blas_threads`` OpenBLAS
+    threads (fixed when numpy loads); returns the CSV bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "semcert.cli", "certify", *argv,
+                           "--output", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return out.with_suffix(".csv").read_bytes()
+
+
+class TestBlasThreads:
+    # OpenBLAS splits a GEMM this large (blocks of 28x28 images or their
+    # class scores, ten classes) across threads, which changes the
+    # scores' low bits; the rows must come out the same at 1 and 2
+    @pytest.mark.parametrize("transform,flags,expected", [
+        ("blur", ["--alpha-max", "0.5"],
+         "0,0,0,certified,0.9986194028465247,5.892091972939721,,5100"),
+        ("rotation", ["--interval", "-2", "2", "--grid-n", "10", "--grid-r", "5",
+                      "--noise-sigma", "0.25"],
+         "0,0,0,certified,0.9709908594055916,0.4738899425219254,0.4016218681344672,5000"),
+    ])
+    def test_rows_independent_of_blas_threads(self, tmp_path, transform, flags, expected):
+        # a textured centred blob; class 0's weights are that blob, the
+        # others' the blob 3 pixels off centre, so both transforms keep label 0
+        ii, jj = np.meshgrid(np.arange(28), np.arange(28), indexing="ij")
+
+        def blob(di, dj):
+            return np.exp(-((ii - 13.5 - di) ** 2 + (jj - 13.5 - dj) ** 2) / 60.0)
+
+        texture = np.random.default_rng(17).integers(-20, 21, (28, 28))
+        pixels = np.clip(255.0 * blob(0.0, 0.0) + texture, 0, 255)[None]
+        images, labels = _write_idx(tmp_path, pixels, [0])
+        angles = 2.0 * np.pi * np.arange(10) / 10.0
+        offsets = np.where(np.arange(10) == 0, 0.0, 3.0)
+        weights = np.stack([blob(r * np.cos(a), r * np.sin(a)).ravel()
+                            for r, a in zip(offsets, angles)]) / 10.0
+        semio.save_linear_classifier(LinearClassifier(weights, np.zeros(10), (1, 28, 28)),
+                                     tmp_path / "w.semw")
+        argv = ["--transform", transform, *flags, "--dataset", images, "--labels", labels,
+                "--weights", str(tmp_path / "w.semw"), "--n", "5000", "--n0", "100",
+                "--seed", "3"]
+        rows = [_certify_subprocess(argv, tmp_path / f"out{threads}", threads)
+                for threads in (1, 2)]
+        assert rows[0].decode() == rows[1].decode() == _HEADER + expected + "\r\n"
 
 
 class TestAliasing:

@@ -246,6 +246,20 @@ class TestClassScorePath:
             np.testing.assert_array_equal(labels, expected)
         assert len(seen) > 1
 
+    # 1x28x28 has more bins a side (15) than classes (10), so its blur
+    # scores are read one spectrum at a time; the smaller canvases take
+    # the coefficient GEMM.  Either way they are the built images' scores.
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["1x28x28", "3x8x8", "1x9x6"])
+    def test_blur_scores_match_image_scores(self, shape):
+        x = ImageTensor(np.random.default_rng(2).random(shape))
+        clf = random_linear(3, shape)
+        params = draw_params(DistributionSpec("exponential", (1.0,), dim=1), 5, 0, 500)
+        params[::50] = 0.0
+        form = transform_spec("gaussian_blur").linear_form(x)
+        expected = form.apply(params) @ clf.weights.T + clf.bias
+        np.testing.assert_allclose(form.project(clf.weights, clf.bias).apply(params), expected,
+                                   rtol=0, atol=1e-12)
+
     def test_hidden_hook_builds_blur_basis_once(self, monkeypatch):
         # a classifier without the hook classifies every image, but the
         # blur basis is still built once per call, not once per block
@@ -318,6 +332,22 @@ class TestClassScorePath:
         finally:
             tracemalloc.stop()
         assert peak < smoothing._BLOCK_IMAGES * x.data.nbytes, peak
+
+    def test_blur_scores_hold_no_coefficient_block(self):
+        # 4096 blur draws on 1x28x28 read as class scores from the two
+        # kernel spectra: the peak stays below one block of coefficients
+        # lambda_u mu_v - 1, so that (B, 15 * 15) array is never built
+        x = ImageTensor(np.random.default_rng(4).random((1, 28, 28)))
+        clf = random_linear(1, x.shape)
+        params = draw_params(DistributionSpec("exponential", (1.0,), dim=1), 1, 0, 4096)
+        blur = transform_spec("gaussian_blur")
+        tracemalloc.start()
+        try:
+            _label_params(clf, blur, x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(params) * 15 * 15 * 8, peak
 
 
 class TestTranslationShifts:

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import apply_one, blur_one
+from helpers import apply_one, blur_one, wrapped_kernel_spectrum
+from semcert import transforms
 from semcert.tensor import ImageTensor
 from semcert.transforms import (_BLOCK_POINTS, Transform, additive_pixel_transform,
                                 center_coords, rotate_many, scale_many, transform_spec,
@@ -112,6 +113,34 @@ class TestGaussianBlur:
         for idx, a in enumerate(alphas):
             np.testing.assert_allclose(batch[idx], blur_one(x, a), rtol=0, atol=1e-12)
 
+    # the spectra from the half-kernel's cosine sums equal the rfft of the
+    # taps folded onto the axis, also where the kernel wraps several times
+    @pytest.mark.parametrize("shape", [(1, 9, 9), (1, 8, 8), (1, 5, 7), (3, 8, 12)],
+                             ids=["9x9", "8x8", "5x7", "3x8x12"])
+    def test_spectra_match_folded_fft(self, rng, shape):
+        _, width, height = shape
+        alphas = np.concatenate([[0.0, 1e-3, 0.7, 6.5, 40.0], rng.uniform(0.0, 40.0, 200)])
+        lam, mu = transforms._blur_coefs(alphas[:, None], width, height)
+        np.testing.assert_allclose(lam, wrapped_kernel_spectrum(alphas, width),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mu, wrapped_kernel_spectrum(alphas, height),
+                                   rtol=0, atol=1e-15)
+
+    def test_zero_alpha_spectrum_is_ones(self, rng):
+        # alpha 0 among wide kernels: its rows are exactly 1, so its
+        # residual coefficients are exactly 0
+        alphas = rng.uniform(10.0, 40.0, 64)
+        alphas[[0, 17, 63]] = 0.0
+        lam, mu = transforms._blur_coefs(alphas[:, None], 8, 12)
+        for spectrum in (lam, mu):
+            assert np.all(spectrum[[0, 17, 63]] == 1.0)
+            assert np.all(spectrum[1:17, 0] == 1.0) and np.all(spectrum[1:17, 1:] < 0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, image_9x9, alpha):
+        with pytest.raises(ValueError, match="blur parameter must be finite and >= 0"):
+            blur_many(image_9x9, [0.5, alpha])
+
     def test_memory_bounded_by_output(self, rng):
         x = ImageTensor(rng.random((1, 28, 28)))
         alphas = rng.exponential(1.0, 4096)
@@ -125,6 +154,13 @@ class TestGaussianBlur:
 
 
 class TestBrightnessContrast:
+    @pytest.mark.parametrize("params", [(math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+                                        (0.1, math.nan), (0.1, math.inf)],
+                             ids=["k_nan", "k_inf", "k_minus_inf", "b_nan", "b_inf"])
+    def test_non_finite_params_rejected(self, image_9x9, params):
+        with pytest.raises(ValueError, match="brightness/contrast parameters must be finite"):
+            transform_spec("brightness_contrast").apply_many(image_9x9, [(0.0, 0.0), params])
+
     def test_identity(self, image_9x9):
         np.testing.assert_array_equal(brightness_contrast(image_9x9, 0.0, 0.0).data,
                                       image_9x9.data)

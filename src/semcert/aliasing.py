@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ImageTensor
-from .transforms import (_BLOCK_IMAGES, _BLOCK_POINTS, _pixel_geometry, center_coords,
-                         transform_spec)
+from .transforms import (_BLOCK_IMAGES, _BLOCK_POINTS, _pixel_geometry, _source_map,
+                         center_coords, transform_spec)
 
 __all__ = [
     "ConfigurationError",
@@ -160,7 +160,7 @@ def _bound_pixels(x: ImageTensor, kind: str):
 
     Rotation keeps the disk: pixels outside it are 0 at every angle.
     """
-    rr, ss, d, _, disk = _pixel_geometry(x.width, x.height)
+    rr, ss, d, disk = _pixel_geometry(x.width, x.height)
     if kind == "rotation":
         return rr[disk], ss[disk], d[disk]
     return rr.ravel(), ss.ravel(), d.ravel()
@@ -196,27 +196,19 @@ def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
     platform; ``np.power``'s vector loop and ``x * x`` can round an ulp
     apart from it.
     """
-    c_w, c_h = center_coords(x.width, x.height)
-    dist = np.sqrt((rr - c_w) ** 2 + (ss - c_h) ** 2)
+    dist = _pixel_geometry(x.width, x.height, rr, ss)[2]
     counts = _sample_counts(kind, dist.max(initial=0.0), lo, hi)
     # np.linspace(lo, hi, count) per row, padded with repeats of hi
     last = (counts - 1)[:, None]
     k = np.minimum(np.arange(counts.max()), last)
     step = (hi - lo) / (counts - 1)
-    params = np.where(k == last, hi[:, None], k * step[:, None] + lo[:, None]).T[..., None]
+    params = np.where(k == last, hi[:, None], k * step[:, None] + lo[:, None]).T
+    src_i, src_j = _source_map(kind, x.width, x.height, rr, ss)(params)
     if kind == "rotation":
         speed = np.broadcast_to(dist, (len(lo), len(dist)))  # exact l2 speed of the arc
-        g = np.arctan2(ss - c_h, rr - c_w)
-        src_i = c_w + dist * np.cos(g - params)
-        src_j = c_h + dist * np.sin(g - params)
-        margin = dist * np.float_power(step, 2)[:, None] / 8.0
-        return src_i, src_j, speed, margin
-    if kind == "scaling":
-        speed = dist / np.float_power(lo, 2)[:, None]  # worst case of dist / t^2 on [lo, hi]
-        src_i = c_w + (rr - c_w) / params
-        src_j = c_h + (ss - c_h) / params
-        return src_i, src_j, speed, np.zeros_like(speed)
-    raise ValueError(f"unknown transform kind {kind!r}")
+        return src_i, src_j, speed, dist * np.float_power(step, 2)[:, None] / 8.0
+    speed = dist / np.float_power(lo, 2)[:, None]  # worst case of dist / t^2 on [lo, hi]
+    return src_i, src_j, speed, np.zeros_like(speed)
 
 
 def _range_max_tables(x: ImageTensor) -> np.ndarray:
@@ -401,37 +393,32 @@ def _at_and_above_crossing_bound(points: np.ndarray, values: np.ndarray, lip: fl
 def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBound:
     """Upper bound M >= (maximum l2 sampling error)^2 over grid's range.
 
-    For every outer interval the squared distances to its two anchors
-    are evaluated exactly at the inner subsample points; between
-    subsamples the min of the two anchor distances is bounded by the
-    endpoint-pair envelope plus Lipschitz slack.  Scaling intervals
-    containing a border-crossing parameter are bounded one-sidedly
-    around the crossing (each side against its own anchor only).
-    Requires at most one crossing per outer interval; configure a larger
-    n_outer otherwise.
+    An interval's anchors are its first and last inner points, so one
+    warp of those points gives its squared distances to both anchors
+    exactly at each; between them the min of the two anchor distances
+    is bounded by the endpoint-pair envelope plus Lipschitz slack.
+    Scaling intervals containing a border-crossing parameter are bounded
+    one-sidedly around the crossing (each side against its own anchor
+    only).  Requires at most one crossing per outer interval; configure
+    a larger n_outer otherwise.
     """
-    if kind not in ("rotation", "scaling"):
-        raise ValueError(f"unknown transform kind {kind!r}")
     if grid.kind != kind:
         raise ValueError(f"grid is for {grid.kind!r}, not {kind!r}")
 
     spec = transform_spec(kind)
-    anchors = grid.anchors()
     intervals = grid.intervals()
     n_int = len(intervals)
 
     discs: dict[int, float] = {}
     if kind == "scaling":
         for t in scaling_discontinuities(x.width, x.height, grid.a, grid.b):
-            hit = [i for i in range(n_int)
-                   if intervals[i, 0] <= t <= intervals[i, 1]]
-            for i in hit:
-                if i in discs and discs[i] != t:
+            hit = (intervals[:, 0] <= t) & (t <= intervals[:, 1])
+            for i in np.flatnonzero(hit).tolist():
+                if discs.setdefault(i, t) != t:
                     raise ConfigurationError(
                         f"outer interval [{intervals[i, 0]:.6g}, {intervals[i, 1]:.6g}] "
                         f"contains more than one scaling discontinuity; "
                         f"increase n_outer beyond {grid.n_outer}")
-                discs[i] = t
 
     exposed, slack = _interval_constants(x, kind, intervals[:, 0], intervals[:, 1])
     worst = None
@@ -441,18 +428,21 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
         block_hi = min(block_lo + per_block, n_int)
         inner = grid.inner_points(intervals[block_lo:block_hi, 0],
                                   intervals[block_lo:block_hi, 1])
-        flat_imgs = spec.apply_many(x, inner.ravel()).reshape(len(inner), grid.n_inner, -1)
-        # this block's anchors only, so memory stays at one block whatever n_outer is
-        anchor_imgs = spec.apply_many(x, anchors[block_lo:block_hi + 1]).reshape(
-            block_hi + 1 - block_lo, -1)
+        # adjacent intervals share an end, warped once: in ascending order (backwards
+        # for scaling, whose anchors descend) each interval starts at the last one's end
+        order = slice(None) if kind == "rotation" else slice(None, None, -1)
+        rising = inner[order]
+        flat_imgs = spec.apply_many(x, np.append(rising[:, :-1], rising[-1, -1]))
+        flat_imgs = flat_imgs.reshape(len(flat_imgs), -1)
+        starts = ((grid.n_inner - 1) * np.arange(len(inner)))[order]
 
         for row, i in enumerate(range(block_lo, block_hi)):
             lo, hi = intervals[i]
-            # anchors of this interval, matched to the ascending [lo, hi]
-            lo_idx, hi_idx = (row, row + 1) if anchors[i] == lo else (row + 1, row)
+            # a view, whose first and last images are the anchors themselves
+            imgs = flat_imgs[starts[row]:starts[row] + grid.n_inner]
             pts, lip = inner[row], float(slack[i])
-            g_lo = np.sum((flat_imgs[row] - anchor_imgs[lo_idx]) ** 2, axis=1)
-            g_hi = np.sum((flat_imgs[row] - anchor_imgs[hi_idx]) ** 2, axis=1)
+            g_lo = np.sum((imgs - imgs[0]) ** 2, axis=1)
+            g_hi = np.sum((imgs - imgs[-1]) ** 2, axis=1)
 
             t = discs.get(i)
             if t is None:
@@ -461,7 +451,7 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
                 bound = float(np.max(0.5 * pair_min + 0.5 * lip * widths))
             else:
                 img_t = spec.apply_many(x, [t]).reshape(-1)
-                g_hi_t = float(np.sum((img_t - anchor_imgs[hi_idx]) ** 2))
+                g_hi_t = float(np.sum((img_t - imgs[-1]) ** 2))
                 left = _below_crossing_bound(pts, g_lo, lip, t)
                 right = _at_and_above_crossing_bound(pts, g_hi, lip, t, g_hi_t)
                 bound = max(left, right)

@@ -224,7 +224,7 @@ def _cmd_certify(args) -> int:
     query = SmoothedQuery(classifier, transform, noise, conf, args.seed)
 
     t = args.transform
-    grid = None
+    region = grid = None
     if t in ("translation-reflect", "translation-black"):
         region = ParameterSet.translation_disk(_require(args.rho, "rho", t))
     elif t == "blur":
@@ -235,7 +235,6 @@ def _cmd_certify(args) -> int:
     else:  # rotation / scaling
         grid = _interval_grid(t, _require(args.interval, "interval", t),
                               args.grid_n, args.grid_r)
-        region = ParameterSet.interval(grid.a, grid.b)
 
     def certifier(x, label):
         # the pipelines are looked up when called, so a wrapper installed
@@ -246,7 +245,7 @@ def _cmd_certify(args) -> int:
             return certify_resolvable(x, label, query, region)
         if t == "brightness-contrast":
             return certify_bc_rectangle(x, label, query, region)
-        return certify_diff_resolvable(x, label, query, region, grid, batch=args.batch)
+        return certify_diff_resolvable(x, label, query, grid, batch=args.batch)
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     report = robust_accuracy_report(dataset, query, certifier, stride=args.stride)

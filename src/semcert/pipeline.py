@@ -58,8 +58,8 @@ class ParameterSet:
     """A declared region of transform parameters to certify.
 
     kinds: 'blur' ([0, alpha_max]), 'disk' (displacement radius rho),
-    'rect' ([k_lo, k_hi] x [b_lo, b_hi]), 'interval' ([lo, hi] of angles
-    or scale factors).
+    'rect' ([k_lo, k_hi] x [b_lo, b_hi]).  Rotation and scaling certify
+    the range of their ``IntervalGrid``.
     """
 
     kind: str
@@ -79,9 +79,6 @@ class ParameterSet:
         elif self.kind == "rect":
             if len(b) != 4 or b[0] > b[1] or b[2] > b[3]:
                 raise ValueError("rect region needs k_lo <= k_hi and b_lo <= b_hi")
-        elif self.kind == "interval":
-            if len(b) != 2 or not b[0] < b[1]:
-                raise ValueError("interval region needs lo < hi")
         else:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
@@ -96,10 +93,6 @@ class ParameterSet:
     @classmethod
     def bc_rect(cls, k_lo: float, k_hi: float, b_lo: float, b_hi: float) -> "ParameterSet":
         return cls("rect", (k_lo, k_hi, b_lo, b_hi))
-
-    @classmethod
-    def interval(cls, lo: float, hi: float) -> "ParameterSet":
-        return cls("interval", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -216,15 +209,14 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
 
 
 def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
-                            region: ParameterSet, grid: IntervalGrid,
-                            batch: int = 400) -> CertificationResult:
-    """Certify rotation or scaling over an interval of parameters.
+                            grid: IntervalGrid, batch: int = 400) -> CertificationResult:
+    """Certify rotation or scaling over the range [a, b] of ``grid``.
 
-    An aliasing bound M caps how far any in-interval transformed image
-    can sit from its nearest anchor; every anchor is then certified
-    (additive isotropic pixel noise) against target sqrt(M), in anchor
-    order.  Certified iff all anchors certify the requested label; the
-    first anchor that does not is the witness.
+    The grid is the certified interval: an aliasing bound M caps how far
+    any image in [a, b] sits from its nearest anchor (a grid point), and
+    every anchor is then certified (additive isotropic pixel noise)
+    against target sqrt(M), in anchor order.  Certified iff all anchors
+    certify the requested label; the first that does not is the witness.
 
     Each of the N anchors runs at alpha / N, so all anchors hold jointly
     at 1 - alpha.  Every anchor samples the query's own stream, and its
@@ -273,10 +265,6 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
             "rotation/scaling certification smooths with additive pixel noise")
     if q.noise.family != "gaussian":
         raise PipelineConfigError("additive smoothing noise must be gaussian")
-    if region.kind != "interval":
-        raise PipelineConfigError("rotation/scaling certification needs an interval region")
-    if not (math.isclose(region.bounds[0], grid.a) and math.isclose(region.bounds[1], grid.b)):
-        raise PipelineConfigError("grid range must equal the requested interval")
     if batch < 1:
         raise ValueError("batch size must be >= 1")
     _isotropic_sigma(q.noise)

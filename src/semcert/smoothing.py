@@ -16,8 +16,8 @@ claims nothing, and one whose true probability clears the target is
 stopped so with probability at most alpha.
 
 All sampling is draw-indexed through :mod:`semcert.streams`: identical
-(seed, query, input) produce bitwise-identical counts, and fanning draws
-out across workers cannot change the result.
+(seed, query, input) produce bitwise-identical counts, and all anchors
+of a rotation/scaling row read their draws from one stream.
 """
 
 from __future__ import annotations
@@ -95,8 +95,10 @@ class SmoothedQuery:
                 f"noise dimension {self.noise.dim} != transform parameter "
                 f"dimension {self.transform.param_dim}")
         noise = self.noise
+        if noise.family == "laplace":
+            raise ValueError("laplace noise has a radius (radius-table) but no sampler")
         if self.transform.kind == "gaussian_blur" and (
-                noise.family in ("gaussian", "laplace")
+                noise.family == "gaussian"
                 or noise.family == "uniform" and noise.params[0] < 0.0):
             raise ValueError(f"blur takes parameters >= 0, but {noise.family} "
                              f"noise {noise.params} draws negative ones")

@@ -4,11 +4,11 @@ Every Monte-Carlo draw has a global index, and the noise for draw i is a
 pure function of (seed, i).  Uniform variates come from numpy's Philox
 generator keyed by the seed with the block number in the counter, in
 fixed-size blocks of draws; distribution sampling is built explicitly on
-those uniforms (inverse CDF for exponential / laplace / uniform, a
-cosine-sine pair transform for gaussians, absolute value for the folded
-gaussian) so each draw consumes a fixed uniform budget.  Parallel
-workers can therefore take disjoint block ranges and reproduce exactly
-the sequential results.
+those uniforms (inverse CDF for exponential / uniform, a cosine-sine
+pair transform for gaussians, absolute value for the folded gaussian)
+so each draw consumes a fixed uniform budget, and any slice of the
+stream can be drawn alone, by index: each progressive check, and the
+rotation/scaling anchors' prefix again after the grid bound.
 
 A request is served block by block, and each block is entered by
 advancing the Philox counter to the first wanted uniform, so a uniform
@@ -24,8 +24,6 @@ from .radii import DistributionSpec
 __all__ = ["DRAWS_PER_BLOCK", "uniforms_per_draw", "draw_params"]
 
 DRAWS_PER_BLOCK = 1024
-
-_TINY = 1e-300
 
 
 def uniforms_per_draw(noise: DistributionSpec) -> int:
@@ -90,10 +88,4 @@ def draw_params(noise: DistributionSpec, seed: int, start: int, count: int) -> n
     if noise.family == "uniform":
         a, b = noise.params
         return a + (b - a) * u
-    if noise.family == "laplace":
-        scale = noise.params[0]
-        uc = np.clip(u, _TINY, 1.0 - 1e-16)
-        return np.where(uc < 0.5,
-                        scale * np.log(2.0 * uc),
-                        -scale * np.log(2.0 * (1.0 - uc)))
-    raise ValueError(f"unknown noise family {noise.family!r}")
+    raise ValueError(f"no sampler for noise family {noise.family!r}")

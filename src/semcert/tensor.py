@@ -26,7 +26,8 @@ class ImageTensor:
 
     Values are not clamped: an unclamped brightness/contrast change or
     additive noise may leave [0, 1].  The backing array is made
-    read-only so tensors can be shared across workers.
+    read-only: an anchor image is a view into its block of anchor
+    images, read in place by every check of that anchor.
     """
 
     data: np.ndarray

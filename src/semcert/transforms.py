@@ -338,20 +338,43 @@ def center_coords(width: int, height: int) -> tuple[float, float]:
 _BLOCK_POINTS = 1 << 15
 
 
-def _pixel_geometry(width: int, height: int):
-    """Grid coordinates, center distance and angle of every pixel, and the disk.
+def _pixel_geometry(width: int, height: int, ii=None, jj=None):
+    """Pixels (ii, jj) of a W x H grid, all of them by default, with center distances.
 
-    Returns (ii, jj, d, g, disk), each W x H.  ``disk`` marks the pixels
-    strictly inside the centered disk of radius min(c_W, c_H): rotation
-    keeps only these, and the rotation aliasing bound sums over exactly
-    these, so the predicate is written here once.
+    Returns (ii, jj, d, disk).  ``disk`` marks the pixels strictly inside
+    the centered disk of radius min(c_W, c_H): rotation keeps only these,
+    and the rotation aliasing bound sums over exactly these, so the
+    predicate is written here once.
     """
     c_w, c_h = center_coords(width, height)
-    ii, jj = np.meshgrid(np.arange(width, dtype=np.float64),
-                         np.arange(height, dtype=np.float64), indexing="ij")
+    if ii is None:
+        ii, jj = np.meshgrid(np.arange(width, dtype=np.float64),
+                             np.arange(height, dtype=np.float64), indexing="ij")
     d = np.sqrt((ii - c_w) ** 2 + (jj - c_h) ** 2)
-    g = np.arctan2(jj - c_h, ii - c_w)
-    return ii, jj, d, g, d < min(c_w, c_h)
+    return ii, jj, d, d < min(c_w, c_h)
+
+
+def _source_map(kind: str, width: int, height: int, ii: np.ndarray, jj: np.ndarray):
+    """Where pixels (ii, jj) read the source: ``coords(params)``, params of any shape.
+
+    coords returns (src_i, src_j) of shape params.shape + ii.shape.  Rotation by
+    t (CCW) reads c + d (cos(g - t), sin(g - t)) for the pixel at polar (d, g)
+    about the center c; scaling by t reads c + (p - c) / t.  The warps and the
+    aliasing bound read these coordinates, and no other code computes them.
+    """
+    c_w, c_h = center_coords(width, height)
+    if kind == "rotation":
+        d = _pixel_geometry(width, height, ii, jj)[2]
+        g = np.arctan2(jj - c_h, ii - c_w)
+    elif kind != "scaling":
+        raise ValueError(f"unknown transform kind {kind!r}")
+
+    def coords(params):
+        t = np.reshape(params, np.shape(params) + (1,) * np.ndim(ii))
+        if kind == "rotation":
+            return c_w + d * np.cos(g - t), c_h + d * np.sin(g - t)
+        return c_w + (ii - c_w) / t, c_h + (jj - c_h) / t
+    return coords
 
 
 def rotate_many(x: ImageTensor, angles) -> np.ndarray:
@@ -364,15 +387,12 @@ def rotate_many(x: ImageTensor, angles) -> np.ndarray:
     needs no outside-Omega mask for it.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=np.float64))
-    c_w, c_h = center_coords(x.width, x.height)
-    _, _, d, g, disk = _pixel_geometry(x.width, x.height)
-    d, g = d[disk], g[disk]
+    ii, jj, _, disk = _pixel_geometry(x.width, x.height)
+    coords = _source_map("rotation", x.width, x.height, ii[disk], jj[disk])
     out = np.zeros((len(angles),) + x.shape)
-    block = max(1, _BLOCK_POINTS // max(d.size, 1))
+    block = max(1, _BLOCK_POINTS // max(int(disk.sum()), 1))
     for lo in range(0, len(angles), block):
-        a = angles[lo:lo + block, None]
-        src_i = c_w + d * np.cos(g - a)
-        src_j = c_h + d * np.sin(g - a)
+        src_i, src_j = coords(angles[lo:lo + block])
         for k in range(x.channels):
             out[lo:lo + block, k][:, disk] = bilinear_many(x, k, src_i, src_j)
     return out
@@ -383,14 +403,12 @@ def scale_many(x: ImageTensor, factors) -> np.ndarray:
     factors = np.atleast_1d(np.asarray(factors, dtype=np.float64))
     if np.any(factors <= 0.0):
         raise ValueError("scaling factor must be > 0")
-    c_w, c_h = center_coords(x.width, x.height)
-    ii, jj, _, _, _ = _pixel_geometry(x.width, x.height)
+    ii, jj, _, _ = _pixel_geometry(x.width, x.height)
+    coords = _source_map("scaling", x.width, x.height, ii, jj)
     out = np.empty((len(factors),) + x.shape)
     block = max(1, _BLOCK_POINTS // ii.size)
     for lo in range(0, len(factors), block):
-        f = factors[lo:lo + block, None, None]
-        src_i = c_w + (ii - c_w) / f
-        src_j = c_h + (jj - c_h) / f
+        src_i, src_j = coords(factors[lo:lo + block])
         for k in range(x.channels):
             out[lo:lo + block, k] = bilinear_many(x, k, src_i, src_j)
     return out

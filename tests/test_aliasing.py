@@ -1,5 +1,8 @@
+import ast
 import math
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +12,14 @@ from helpers import (bilinear_one, dense_max_min_error, grid_pixel_trajectory,
                      scaling_interval_lipschitz, trajectory_cells)
 from semcert.aliasing import (ConfigurationError, IntervalGrid, aliasing_bound,
                               scaling_discontinuities)
-from semcert import aliasing
+from semcert import aliasing, transforms
 from semcert.aliasing import _source_curves
 from semcert.tensor import ImageTensor
 from semcert.transforms import _pixel_geometry, center_coords, rotate_many, scale_many
+
+# anchors ascend for rotation and descend for scaling, whose grid holds
+# the crossing 1.0 and intervals whose unpinned inner points miss an end
+_GUARD_GRIDS = [("rotation", -0.3, 0.3, 12, 5), ("scaling", 0.85, 1.15, 16, 6)]
 
 
 def _peak_bytes(x, grid):
@@ -225,7 +232,7 @@ class TestIntervalLipschitz:
         # summed over (pixel, channel)
         x = ImageTensor(np.random.default_rng(seed).random(shape))
         t1, _ = interval
-        ii, jj, d, _, disk = _pixel_geometry(x.width, x.height)
+        ii, jj, d, disk = _pixel_geometry(x.width, x.height)
         keep = disk if kind == "rotation" else np.ones(d.shape, dtype=bool)
         factor, speed = (2.0, d) if kind == "rotation" else (math.sqrt(2.0), d / t1 ** 2)
         terms = []
@@ -397,3 +404,92 @@ class TestAliasingBound:
         g = IntervalGrid("rotation", -0.1, 0.1, 5, 5)
         with pytest.raises(ValueError):
             aliasing_bound(image_9x9, "scaling", g)
+
+
+def _record_warps(monkeypatch):
+    """(parameter, image) of every image the rotation and scaling warps build."""
+    seen = []
+    for name in ("rotate_many", "scale_many"):
+        def recording(x, params, warp=getattr(transforms, name)):
+            out = warp(x, params)
+            seen.extend(zip(np.atleast_1d(params).tolist(), out))
+            return out
+        monkeypatch.setattr(transforms, name, recording)
+    return seen
+
+
+class TestAnchorsAreGridPoints:
+    """The bound reads each interval's anchor images from its own inner
+    points, so those ends must be exactly the warps of the anchors."""
+
+    @pytest.mark.parametrize("grid", _GUARD_GRIDS)
+    def test_interval_ends_equal_anchor_warps(self, image_9x9, monkeypatch, grid):
+        g = IntervalGrid(*grid)
+        whole = aliasing_bound(image_9x9, g.kind, g)
+        monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 3 * g.n_inner)  # 3 intervals a block
+        seen, blocks = _record_warps(monkeypatch), []
+
+        def recording(grid, lo, hi, inner_points=IntervalGrid.inner_points):
+            blocks.append(inner_points(grid, lo, hi))
+            return blocks[-1]
+
+        monkeypatch.setattr(IntervalGrid, "inner_points", recording)
+        assert aliasing_bound(image_9x9, g.kind, g) == whole
+        assert len(blocks) > 1
+        inner, anchors = np.concatenate(blocks), g.anchors()
+        lo, hi = (anchors[:-1], anchors[1:]) if g.kind == "rotation" else (anchors[1:], anchors[:-1])
+        assert np.array_equal(inner[:, 0], lo) and np.array_equal(inner[:, -1], hi)
+        alone = {a: img.tobytes() for a, img in
+                 zip(anchors.tolist(), transforms.transform_spec(g.kind).apply_many(
+                     image_9x9, anchors))}
+        ends = [(t, img.tobytes()) for t, img in seen if t in alone]
+        assert {t for t, _ in ends} == set(alone)
+        assert all(img == alone[t] for t, img in ends)
+
+    @pytest.mark.parametrize("grid", _GUARD_GRIDS)
+    def test_bound_warps_only_inner_points_and_crossings(self, image_9x9, monkeypatch, grid):
+        # each interval's inner points, and a scaling crossing once per
+        # interval holding it, are all the bound may warp: no anchor again
+        g = IntervalGrid(*grid)
+        monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 3 * g.n_inner)
+        seen = _record_warps(monkeypatch)
+        aliasing_bound(image_9x9, g.kind, g)
+        intervals = g.intervals()
+        allowed = Counter(g.inner_points(intervals[:, 0], intervals[:, 1]).ravel().tolist())
+        if g.kind == "scaling":
+            crossings = scaling_discontinuities(9, 9, g.a, g.b)
+            assert crossings
+            allowed.update(crossings)
+        warped = Counter(t for t, _ in seen)
+        assert not warped - allowed
+
+
+class TestOneSourceMap:
+    def test_aliasing_computes_no_trigonometry(self):
+        # rotation's polar geometry lives in transforms._source_map alone
+        tree = ast.parse(Path(aliasing.__file__).read_text())
+        calls = {node.func.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"}
+        assert not calls & {"cos", "sin", "arctan2", "hypot"}
+
+    @pytest.mark.parametrize("kind,lo,hi", [("rotation", -0.4, 0.7), ("scaling", 0.8, 1.3)])
+    @pytest.mark.parametrize("shape", [(1, 9, 9), (2, 10, 7)])
+    def test_curve_ends_are_warp_coordinates(self, monkeypatch, kind, lo, hi, shape):
+        # the bound's curves start and end, bit for bit, where the warp
+        # interpolates at lo and hi
+        x = ImageTensor(np.random.default_rng(8).random(shape))
+        read = []
+
+        def recording(x, k, src_i, src_j, bilinear=transforms.bilinear_many):
+            read.append((src_i.reshape(len(src_i), -1), src_j.reshape(len(src_j), -1)))
+            return bilinear(x, k, src_i, src_j)
+
+        monkeypatch.setattr(transforms, "bilinear_many", recording)
+        transforms.transform_spec(kind).apply_many(x, [lo, hi])
+        rr, ss, _ = aliasing._bound_pixels(x, kind)
+        src_i, src_j, _, _ = _source_curves(x, kind, rr, ss, np.array([lo]), np.array([hi]))
+        assert len(read) == x.channels  # one read per channel
+        for warp_i, warp_j in read:
+            assert np.array_equal(src_i[[0, -1], 0], warp_i)
+            assert np.array_equal(src_j[[0, -1], 0], warp_j)

@@ -55,8 +55,7 @@ def _grid(kind, n_outer=10, n_inner=50):
 
 
 def _certify(x, q, grid, label=1, batch=400):
-    region = ParameterSet.interval(grid.a, grid.b)
-    return certify_diff_resolvable(x, label, q, region, grid, batch=batch)
+    return certify_diff_resolvable(x, label, q, grid, batch=batch)
 
 
 def _summary(res):

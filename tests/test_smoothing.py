@@ -44,13 +44,13 @@ class TestStreams:
         noises = (DistributionSpec("gaussian", (0.5,), dim=1),
                   DistributionSpec("gaussian", (0.5,), dim=3),
                   DistributionSpec("gaussian", (0.5,), dim=784),
-                  DistributionSpec("laplace", (0.6,), dim=3),
                   DistributionSpec("exponential", (2.0,), dim=1),
                   DistributionSpec("uniform", (0.0, 1.5), dim=1),
                   DistributionSpec("uniform", (-1.0, 2.0), dim=2),
                   DistributionSpec("folded_gaussian", (0.7,), dim=1),
                   DistributionSpec("folded_gaussian", (0.7,), dim=5))
-        assert {noise.family for noise in noises} == set(NOISE_FAMILIES)
+        # every family draw_params samples: laplace has a radius but no sampler
+        assert {noise.family for noise in noises} == set(NOISE_FAMILIES) - {"laplace"}
         for noise in noises:
             per_draw = uniforms_per_draw(noise)
             blocks = [np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
@@ -98,8 +98,6 @@ class TestStreams:
         u = draw_params(DistributionSpec("uniform", (-1.0, 3.0), dim=1), 3, 0, n)
         assert u.min() >= -1.0 and u.max() <= 3.0
         assert u.mean() == pytest.approx(1.0, abs=0.02)
-        lap = draw_params(DistributionSpec("laplace", (0.6,), dim=1), 4, 0, n)
-        assert lap.var() == pytest.approx(2 * 0.6 ** 2, rel=0.05)
         f = draw_params(DistributionSpec("folded_gaussian", (1.0,), dim=1), 5, 0, n)
         assert np.all(f >= 0)
         assert f.mean() == pytest.approx(math.sqrt(2 / math.pi), rel=0.02)
@@ -175,9 +173,19 @@ class TestSampleCounts:
                           DistributionSpec("gaussian", (1.0,), dim=2),
                           ConfidenceParams())
 
+    def test_laplace_refused_for_every_transform(self, image_9x9):
+        # laplace keeps a radius for radius-table, but nothing samples it
+        with pytest.raises(ValueError, match="laplace noise has a radius"):
+            SmoothedQuery(ConstantClassifier(0), transform_spec("translation_reflect"),
+                          DistributionSpec("laplace", (1.0,), dim=2),
+                          ConfidenceParams(0.05, 400, 50), seed=1)
+        with pytest.raises(ValueError, match="no sampler for noise family 'laplace'"):
+            draw_params(DistributionSpec("laplace", (1.0,), dim=1), 1, 0, 10)
+
     def test_blur_negative_draw_rejected(self, image_9x9):
-        # laplace is two-sided; blur cannot take negative parameters, so
-        # the query is refused before any sampling
+        # laplace is two-sided, and blur cannot take negative parameters;
+        # laplace has no sampler either, so the query is refused before
+        # any sampling
         with pytest.raises(ValueError):
             q = SmoothedQuery(ConstantClassifier(0), transform_spec("gaussian_blur"),
                               DistributionSpec("laplace", (1.0,), dim=1),

@@ -38,7 +38,7 @@ import numpy as np
 
 from .tensor import ImageTensor
 from .transforms import (_BLOCK_IMAGES, _BLOCK_POINTS, _pixel_geometry, _source_map,
-                         center_coords, transform_spec)
+                         _warp_pixels, center_coords)
 
 __all__ = [
     "ConfigurationError",
@@ -396,7 +396,9 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
     An interval's anchors are its first and last inner points, so one
     warp of those points gives its squared distances to both anchors
     exactly at each; between them the min of the two anchor distances
-    is bounded by the endpoint-pair envelope plus Lipschitz slack.
+    is bounded by the endpoint-pair envelope plus Lipschitz slack.  The
+    warps read only the pixels the distances sum (``_bound_pixels``:
+    rotation's disk), and a block's intervals are reduced together.
     Scaling intervals containing a border-crossing parameter are bounded
     one-sidedly around the crossing (each side against its own anchor
     only).  Requires at most one crossing per outer interval; configure
@@ -405,7 +407,6 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
     if grid.kind != kind:
         raise ValueError(f"grid is for {grid.kind!r}, not {kind!r}")
 
-    spec = transform_spec(kind)
     intervals = grid.intervals()
     n_int = len(intervals)
 
@@ -421,42 +422,62 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
                         f"increase n_outer beyond {grid.n_outer}")
 
     exposed, slack = _interval_constants(x, kind, intervals[:, 0], intervals[:, 1])
+    rr, ss, _ = _bound_pixels(x, kind)
     worst = None
 
     per_block = max(1, _BLOCK_IMAGES // grid.n_inner)
     for block_lo in range(0, n_int, per_block):
-        block_hi = min(block_lo + per_block, n_int)
-        inner = grid.inner_points(intervals[block_lo:block_hi, 0],
-                                  intervals[block_lo:block_hi, 1])
+        block = slice(block_lo, min(block_lo + per_block, n_int))
+        inner = grid.inner_points(intervals[block, 0], intervals[block, 1])
         # adjacent intervals share an end, warped once: in ascending order (backwards
         # for scaling, whose anchors descend) each interval starts at the last one's end
         order = slice(None) if kind == "rotation" else slice(None, None, -1)
         rising = inner[order]
-        flat_imgs = spec.apply_many(x, np.append(rising[:, :-1], rising[-1, -1]))
-        flat_imgs = flat_imgs.reshape(len(flat_imgs), -1)
-        starts = ((grid.n_inner - 1) * np.arange(len(inner)))[order]
+        flat = _warp_pixels(x, kind, np.append(rising[:, :-1], rising[-1, -1]), rr, ss)
+        flat = flat.reshape(len(flat), -1)
+        # interval by interval, views whose first and last images are the anchors
+        step, col = flat.strides
+        imgs = np.lib.stride_tricks.as_strided(
+            flat, (len(inner), grid.n_inner, flat.shape[1]),
+            ((grid.n_inner - 1) * step, step, col), writeable=False)[order]
+        g_lo, g_hi = _anchor_distances(imgs)
 
-        for row, i in enumerate(range(block_lo, block_hi)):
-            lo, hi = intervals[i]
-            # a view, whose first and last images are the anchors themselves
-            imgs = flat_imgs[starts[row]:starts[row] + grid.n_inner]
-            pts, lip = inner[row], float(slack[i])
-            g_lo = np.sum((imgs - imgs[0]) ** 2, axis=1)
-            g_hi = np.sum((imgs - imgs[-1]) ** 2, axis=1)
+        lip = slack[block]
+        pair_min = np.minimum(g_lo[:, :-1] + g_lo[:, 1:], g_hi[:, :-1] + g_hi[:, 1:])
+        bounds = np.max(0.5 * pair_min + 0.5 * lip[:, None] * np.diff(inner, axis=1), axis=1)
+        for i, t in discs.items():
+            row = i - block_lo
+            if not 0 <= row < len(inner):
+                continue
+            img_t = _warp_pixels(x, kind, np.array([t]), rr, ss).reshape(-1)
+            g_hi_t = float(np.sum((img_t - imgs[row, -1]) ** 2))
+            left = _below_crossing_bound(inner[row], g_lo[row], float(lip[row]), t)
+            right = _at_and_above_crossing_bound(inner[row], g_hi[row], float(lip[row]), t,
+                                                 g_hi_t)
+            bounds[row] = max(left, right)
 
-            t = discs.get(i)
-            if t is None:
-                widths = np.diff(pts)
-                pair_min = np.minimum(g_lo[:-1] + g_lo[1:], g_hi[:-1] + g_hi[1:])
-                bound = float(np.max(0.5 * pair_min + 0.5 * lip * widths))
-            else:
-                img_t = spec.apply_many(x, [t]).reshape(-1)
-                g_hi_t = float(np.sum((img_t - imgs[-1]) ** 2))
-                left = _below_crossing_bound(pts, g_lo, lip, t)
-                right = _at_and_above_crossing_bound(pts, g_hi, lip, t, g_hi_t)
-                bound = max(left, right)
-
-            if worst is None or bound > worst.bound:
-                worst = IntervalBound(float(lo), float(hi), bound, lip, float(exposed[i]), t)
+        row = int(np.argmax(bounds))  # the first, on ties
+        if worst is None or bounds[row] > worst.bound:
+            i = block_lo + row
+            worst = IntervalBound(float(intervals[i, 0]), float(intervals[i, 1]),
+                                  float(bounds[row]), float(slack[i]), float(exposed[i]),
+                                  discs.get(i))
 
     return AliasingBound(worst, float(exposed.max(initial=0.0)))
+
+
+def _anchor_distances(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances of each interval's images to its first and to its last.
+
+    ``imgs`` is (n_intervals, n_inner, d); each distance sums its own
+    d-long row.  Intervals are taken about _BLOCK_POINTS values at a time.
+    """
+    g_lo, g_hi = np.empty(imgs.shape[:2]), np.empty(imgs.shape[:2])
+    chunk = max(1, _BLOCK_POINTS // max(imgs[0].size, 1))
+    for lo in range(0, len(imgs), chunk):
+        part = imgs[lo:lo + chunk]
+        for g, anchor in ((g_lo, part[:, :1]), (g_hi, part[:, -1:])):
+            diff = part - anchor
+            diff *= diff
+            g[lo:lo + chunk] = diff.sum(axis=2)
+    return g_lo, g_hi

@@ -63,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_noise(p):
         p.add_argument("--noise-family", default=None, choices=NOISE_FAMILIES,
                        help="blur smoothing noise family (default exponential)")
-        p.add_argument("--noise-scale", type=float, default=1.0,
-                       help="blur noise scale: rate for exponential, upper end for "
-                            "uniform [0,a], scale otherwise")
+        p.add_argument("--noise-scale", type=float, default=None,
+                       help="blur noise scale (default 1.0): rate for exponential, "
+                            "upper end for uniform [0,a], scale otherwise")
         p.add_argument("--noise-sigma", type=float, default=0.25,
                        help="gaussian sigma for translation / additive smoothing")
         p.add_argument("--sigma-k", type=float, default=0.3,
@@ -165,13 +165,19 @@ def _smoothing_setup(args, shape):
 
     translation-black is certified by enumeration; its clean prediction
     smooths with reflect padding.  Blur noise is checked by
-    ``SmoothedQuery``.
+    ``SmoothedQuery``; the blur noise flags are refused for the other
+    transforms, whose noise they would not change.
     """
     t = args.transform
     if t == "blur":
         family = args.noise_family or "exponential"
-        scale = (0.0, args.noise_scale) if family == "uniform" else (args.noise_scale,)
+        size = 1.0 if args.noise_scale is None else args.noise_scale
+        scale = (0.0, size) if family == "uniform" else (size,)
         return transform_spec("gaussian_blur"), DistributionSpec(family, scale, dim=1)
+    for flag, value in (("family", args.noise_family), ("scale", args.noise_scale)):
+        if value is not None:
+            raise ValueError(f"--noise-{flag} applies to --transform blur only, "
+                             f"got --transform {t}")
     if t == "brightness-contrast":
         return (transform_spec("brightness_contrast"),
                 DistributionSpec("gaussian", (args.sigma_k, args.sigma_b), dim=2))

@@ -225,10 +225,10 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     ``progressive_certify``.  The anchors share their draws, so they are
     dependent, but the union bound over anchors and checks needs no
     independence.  Sharing lets the stream's prefix (the guess draws
-    plus the first check) be drawn once, and again after it is released
-    for the grid bound, and lets equal (hits, used) counts reuse one
-    bound; later checks draw on demand, so memory stays at one check's
-    draws and one block of anchor images.
+    plus the first check) be drawn once per row and kept through the
+    grid bound, and lets equal (hits, used) counts reuse one bound;
+    later checks draw on demand, so memory stays at the prefix, one
+    check's draws and one block of anchor images.
 
     One pass reads two bounds.  Each anchor first reads only its first
     check against the bound built from the anchors alone (two inner
@@ -287,12 +287,11 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
         if not refined and prog.label == label and not prog.certified:
             refined = True
             if grid.n_inner != 2:
-                # the prefix and the block of anchor images are released while
-                # the grid bound runs; on a tie the grid's own bound is kept
+                # the block of anchor images is released while the grid bound
+                # runs; on a tie the grid's own bound is kept
                 image = ImageTensor(image.data.copy())
-                prefix = images = None
+                images = None
                 bound = min(aliasing_bound(x, grid.kind, grid), bound, key=lambda b: b.m_value)
-                prefix = progressive_prefix(anchor_q, batch)
                 images = _anchor_images(x, grid.kind, anchors[i + 1:])
             prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch,
                                        prefix=prefix, cp_memo=cp_memo)

@@ -7,8 +7,8 @@ fixed-size blocks of draws; distribution sampling is built explicitly on
 those uniforms (inverse CDF for exponential / uniform, a cosine-sine
 pair transform for gaussians, absolute value for the folded gaussian)
 so each draw consumes a fixed uniform budget, and any slice of the
-stream can be drawn alone, by index: each progressive check, and the
-rotation/scaling anchors' prefix again after the grid bound.
+stream can be drawn alone, by index: each progressive check past the
+prefix is drawn at its own offset.
 
 A request is served block by block, and each block is entered by
 advancing the Philox counter to the first wanted uniform, so a uniform

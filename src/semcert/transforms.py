@@ -37,6 +37,11 @@ Conventions fixed here:
   min(c_W, c_H) set to 0.
 * Scaling stretches about the center by factor s > 0; shrinking
   naturally black-pads through the interpolation's zero extension.
+* Both source maps are affine in a pixel's offset from the center
+  (``_source_map``; rotation takes one cos and one sin per angle), and
+  one loop interpolates any set of pixels at many parameters
+  (``_warp_pixels``): the disk for rotation, every pixel for scaling,
+  and for the aliasing bound exactly the pixels it sums.
 """
 
 from __future__ import annotations
@@ -357,44 +362,73 @@ def _pixel_geometry(width: int, height: int, ii=None, jj=None):
 def _source_map(kind: str, width: int, height: int, ii: np.ndarray, jj: np.ndarray):
     """Where pixels (ii, jj) read the source: ``coords(params)``, params of any shape.
 
-    coords returns (src_i, src_j) of shape params.shape + ii.shape.  Rotation by
-    t (CCW) reads c + d (cos(g - t), sin(g - t)) for the pixel at polar (d, g)
-    about the center c; scaling by t reads c + (p - c) / t.  The warps and the
-    aliasing bound read these coordinates, and no other code computes them.
+    coords returns (src_i, src_j) of shape params.shape + ii.shape.  Both maps are
+    affine in the pixel's offset (di, dj) = (ii - c_W, jj - c_H) from the center c.
+    Rotation by t (CCW) reads c + (di cos t + dj sin t, dj cos t - di sin t), the
+    polar form c + d (cos(g - t), sin(g - t)) of the pixel at (d, g) expanded by
+    angle addition, so it takes one cos and one sin per angle and no trigonometry
+    per point.  Scaling by t reads c + (di, dj) / t.  The warps and the aliasing
+    bound read these coordinates, and no other code computes them.
     """
-    c_w, c_h = center_coords(width, height)
-    if kind == "rotation":
-        d = _pixel_geometry(width, height, ii, jj)[2]
-        g = np.arctan2(jj - c_h, ii - c_w)
-    elif kind != "scaling":
+    if kind not in ("rotation", "scaling"):
         raise ValueError(f"unknown transform kind {kind!r}")
+    c_w, c_h = center_coords(width, height)
+    di, dj = ii - c_w, jj - c_h
 
     def coords(params):
         t = np.reshape(params, np.shape(params) + (1,) * np.ndim(ii))
-        if kind == "rotation":
-            return c_w + d * np.cos(g - t), c_h + d * np.sin(g - t)
-        return c_w + (ii - c_w) / t, c_h + (jj - c_h) / t
+        if kind == "scaling":
+            src_i, src_j = di / t, dj / t
+        else:
+            cos_t, sin_t = np.cos(t), np.sin(t)
+            src_i = di * cos_t
+            part = dj * sin_t
+            src_i += part
+            src_j = dj * cos_t
+            np.multiply(di, sin_t, out=part)
+            src_j -= part
+        src_i += c_w
+        src_j += c_h
+        return src_i, src_j
     return coords
+
+
+def _warp_pixels(x: ImageTensor, kind: str, params: np.ndarray, ii: np.ndarray,
+                 jj: np.ndarray) -> np.ndarray:
+    """Pixels (ii, jj), 1-d, of ``x`` warped by each of ``params``; returns (B, K, P).
+
+    The one interpolation loop of rotation, scaling and the aliasing bound:
+    blocks of about _BLOCK_POINTS points, one ``bilinear_many`` per channel.
+    """
+    coords = _source_map(kind, x.width, x.height, ii, jj)
+    out = np.empty((len(params), x.channels, len(ii)))
+    block = max(1, _BLOCK_POINTS // max(len(ii), 1))
+    for lo in range(0, len(params), block):
+        src_i, src_j = coords(params[lo:lo + block])
+        for k in range(x.channels):
+            out[lo:lo + block, k] = bilinear_many(x, k, src_i, src_j)
+    return out
 
 
 def rotate_many(x: ImageTensor, angles) -> np.ndarray:
     """Rotate one image by many angles (radians, CCW); returns (B, K, W, H).
 
-    Output pixels outside the centered disk of radius min(c_W, c_H) are
-    +0.0 and are never interpolated.  A disk pixel lies at distance
-    d < min(c_W, c_H) from the center, so its source c + d * (cos, sin)
-    lies strictly inside Omega at every angle and the interpolation
-    needs no outside-Omega mask for it.
+    Only the pixels of the centered disk of radius min(c_W, c_H) are
+    interpolated; the others are +0.0.  A disk pixel lies at distance
+    d < min(c_W, c_H) from the center, and its source lies at the same
+    distance up to rounding.  Squared distances are multiples of 1/4 on
+    the pixel grid, so min(c_W, c_H) - d >= 1 / (8 min(c_W, c_H)), far
+    above the rounding: the source lies strictly inside Omega at every
+    angle, and the interpolation needs no outside-Omega mask for it.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=np.float64))
     ii, jj, _, disk = _pixel_geometry(x.width, x.height)
-    coords = _source_map("rotation", x.width, x.height, ii[disk], jj[disk])
+    ii, jj = ii[disk], jj[disk]
     out = np.zeros((len(angles),) + x.shape)
-    block = max(1, _BLOCK_POINTS // max(int(disk.sum()), 1))
-    for lo in range(0, len(angles), block):
-        src_i, src_j = coords(angles[lo:lo + block])
-        for k in range(x.channels):
-            out[lo:lo + block, k][:, disk] = bilinear_many(x, k, src_i, src_j)
+    # scattered a kernel block at a time: no second copy of the disk pixels
+    step = max(1, _BLOCK_POINTS // max(len(ii), 1))
+    for lo in range(0, len(angles), step):
+        out[lo:lo + step][:, :, disk] = _warp_pixels(x, "rotation", angles[lo:lo + step], ii, jj)
     return out
 
 
@@ -404,11 +438,5 @@ def scale_many(x: ImageTensor, factors) -> np.ndarray:
     if np.any(factors <= 0.0):
         raise ValueError("scaling factor must be > 0")
     ii, jj, _, _ = _pixel_geometry(x.width, x.height)
-    coords = _source_map("scaling", x.width, x.height, ii, jj)
-    out = np.empty((len(factors),) + x.shape)
-    block = max(1, _BLOCK_POINTS // ii.size)
-    for lo in range(0, len(factors), block):
-        src_i, src_j = coords(factors[lo:lo + block])
-        for k in range(x.channels):
-            out[lo:lo + block, k] = bilinear_many(x, k, src_i, src_j)
-    return out
+    out = _warp_pixels(x, "scaling", factors, ii.ravel(), jj.ravel())
+    return out.reshape((len(factors),) + x.shape)

@@ -1,10 +1,11 @@
 """Shared test oracles.
 
 Reference versions of what the package computes in batches or does not
-compute at all: one image's label and one transformed image, a direct
-circular Gaussian blur and its kernel spectra by an FFT, the cells
-a pixel's source curve visits and their colour statistics, single
-interval Lipschitz constants, exact smoothed confidences of the
+compute at all: one image's label and one transformed image, rotation's
+polar source coordinates, a direct circular Gaussian blur and its kernel
+spectra by an FFT, the cells a pixel's source curve visits and their
+colour statistics, single interval Lipschitz constants, the aliasing
+bound one interval at a time, exact smoothed confidences of the
 synthetic classifiers, a report-CSV reader, and dense enumeration of
 the sampling error.
 
@@ -23,7 +24,7 @@ from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresh
 from semcert.io import _CSV_FIELDS, FormatError, ReportRow
 from semcert.statfn import std_normal_cdf
 from semcert.tensor import ImageTensor, bilinear_many
-from semcert.transforms import transform_spec
+from semcert.transforms import center_coords, transform_spec
 
 
 class ImageOnlyLinear(LinearClassifier):
@@ -62,6 +63,20 @@ def apply_one(transform, x, params):
 def bilinear_one(x, k, i, j):
     """Bilinearly interpolated value of channel ``k`` at one point (i, j)."""
     return float(bilinear_many(x, k, np.array([i], dtype=float), np.array([j], dtype=float))[0])
+
+
+def polar_rotation_coords(width, height, angles):
+    """Sources c + d (cos(g - t), sin(g - t)) of every pixel at each angle t.
+
+    The polar form, one cos and one sin per (angle, pixel); returns
+    (src_i, src_j) of shape (len(angles), W, H).
+    """
+    c_w, c_h = center_coords(width, height)
+    ii, jj = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float),
+                         indexing="ij")
+    d, g = np.hypot(ii - c_w, jj - c_h), np.arctan2(jj - c_h, ii - c_w)
+    t = np.asarray(angles, dtype=float)[:, None, None]
+    return c_w + d * np.cos(g - t), c_h + d * np.sin(g - t)
 
 
 def blur_one(x, alpha):
@@ -217,6 +232,42 @@ def scaling_interval_lipschitz(x, interval):
 
 def transform_flat_batch(x, kind, params):
     return transform_spec(kind).apply_many(x, params).reshape(len(params), -1)
+
+
+def interval_by_interval_bound(x, kind, grid):
+    """``aliasing_bound`` as one loop over the intervals, each warping its own points.
+
+    Whole images from ``apply_many``, read at the pixels the bound sums,
+    and the interval constants of the package; the worst interval is the
+    first of the largest bounds.
+    """
+    rr, ss, _ = aliasing._bound_pixels(x, kind)
+    pixels = (slice(None), slice(None), rr.astype(np.intp), ss.astype(np.intp))
+    intervals = grid.intervals()
+    exposed, slack = aliasing._interval_constants(x, kind, intervals[:, 0], intervals[:, 1])
+    crossings = (aliasing.scaling_discontinuities(x.width, x.height, grid.a, grid.b)
+                 if kind == "scaling" else [])
+    worst = None
+    for i, (lo, hi) in enumerate(intervals):
+        pts, lip = grid.inner_points(lo, hi), float(slack[i])
+        # contiguous rows: a sum along strided rows adds in another order
+        imgs = np.ascontiguousarray(
+            transform_spec(kind).apply_many(x, pts)[pixels].reshape(len(pts), -1))
+        g_lo = np.sum((imgs - imgs[0]) ** 2, axis=1)
+        g_hi = np.sum((imgs - imgs[-1]) ** 2, axis=1)
+        t = next((c for c in crossings if lo <= c <= hi), None)
+        if t is None:
+            pair_min = np.minimum(g_lo[:-1] + g_lo[1:], g_hi[:-1] + g_hi[1:])
+            bound = float(np.max(0.5 * pair_min + 0.5 * lip * np.diff(pts)))
+        else:
+            img_t = transform_spec(kind).apply_many(x, [t])[pixels].reshape(-1)
+            g_hi_t = float(np.sum((img_t - imgs[-1]) ** 2))
+            bound = max(aliasing._below_crossing_bound(pts, g_lo, lip, t),
+                        aliasing._at_and_above_crossing_bound(pts, g_hi, lip, t, g_hi_t))
+        if worst is None or bound > worst.bound:
+            worst = aliasing.IntervalBound(float(lo), float(hi), bound, lip,
+                                           float(exposed[i]), t)
+    return aliasing.AliasingBound(worst, float(exposed.max(initial=0.0)))
 
 
 def dense_max_min_error(x, kind, grid, n_dense=10_000, chunk=2_000):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (bilinear_one, dense_max_min_error, grid_pixel_trajectory,
-                     max_color_stats, rotation_interval_lipschitz,
+                     interval_by_interval_bound, max_color_stats, rotation_interval_lipschitz,
                      scaling_interval_lipschitz, trajectory_cells)
 from semcert.aliasing import (ConfigurationError, IntervalGrid, aliasing_bound,
                               scaling_discontinuities)
@@ -342,7 +342,7 @@ class TestAliasingBound:
     # discontinuity and lipschitz_l
     @pytest.mark.parametrize("shape,seed,grid,want", [
         ((3, 9, 9), 11, ("rotation", -0.3, 0.3, 20, 10),
-         (-0.01578947368421052, 0.01578947368421052, 0.16900066769980843,
+         (-0.01578947368421052, 0.01578947368421052, 0.16900066769980854,
           73.69283009735922, 470.39543851208066, None, 470.39543851208066)),
         ((3, 9, 9), 12, ("scaling", 0.9, 1.1, 40, 10),
          (0.9976744186046512, 1.002857142857143, 0.016368039713504777,
@@ -407,15 +407,22 @@ class TestAliasingBound:
 
 
 def _record_warps(monkeypatch):
-    """(parameter, image) of every image the rotation and scaling warps build."""
+    """(parameter, (K, P) pixels) of every warp the aliasing bound makes."""
     seen = []
-    for name in ("rotate_many", "scale_many"):
-        def recording(x, params, warp=getattr(transforms, name)):
-            out = warp(x, params)
-            seen.extend(zip(np.atleast_1d(params).tolist(), out))
-            return out
-        monkeypatch.setattr(transforms, name, recording)
+
+    def recording(x, kind, params, ii, jj, warp=transforms._warp_pixels):
+        out = warp(x, kind, params, ii, jj)
+        seen.extend(zip(np.asarray(params).tolist(), out))
+        return out
+
+    monkeypatch.setattr(aliasing, "_warp_pixels", recording)
     return seen
+
+
+def _bound_entries(x, kind, images):
+    """The (K, P) entries of (B, K, W, H) ``images`` at the pixels the bound sums."""
+    rr, ss, _ = aliasing._bound_pixels(x, kind)
+    return images[:, :, rr.astype(np.intp), ss.astype(np.intp)]
 
 
 class TestAnchorsAreGridPoints:
@@ -439,9 +446,9 @@ class TestAnchorsAreGridPoints:
         inner, anchors = np.concatenate(blocks), g.anchors()
         lo, hi = (anchors[:-1], anchors[1:]) if g.kind == "rotation" else (anchors[1:], anchors[:-1])
         assert np.array_equal(inner[:, 0], lo) and np.array_equal(inner[:, -1], hi)
+        anchor_imgs = transforms.transform_spec(g.kind).apply_many(image_9x9, anchors)
         alone = {a: img.tobytes() for a, img in
-                 zip(anchors.tolist(), transforms.transform_spec(g.kind).apply_many(
-                     image_9x9, anchors))}
+                 zip(anchors.tolist(), _bound_entries(image_9x9, g.kind, anchor_imgs))}
         ends = [(t, img.tobytes()) for t, img in seen if t in alone]
         assert {t for t, _ in ends} == set(alone)
         assert all(img == alone[t] for t, img in ends)
@@ -462,6 +469,33 @@ class TestAnchorsAreGridPoints:
             allowed.update(crossings)
         warped = Counter(t for t, _ in seen)
         assert not warped - allowed
+
+
+class TestBlockReduction:
+    """A block's intervals are reduced as arrays, with the loop's bits and ties."""
+
+    @pytest.mark.parametrize("grid", _GUARD_GRIDS + [
+        ("scaling", 0.5, 2.0, 60, 15), ("rotation", -math.pi, math.pi, 7, 57),
+        ("rotation", -0.1, 0.1, 300, 2), ("scaling", 0.9, 1.1, 300, 2)])
+    @pytest.mark.parametrize("shape", [(1, 9, 9), (2, 10, 7)])
+    def test_equals_interval_by_interval_loop(self, monkeypatch, grid, shape):
+        x = ImageTensor(np.random.default_rng(7).random(shape))
+        g = IntervalGrid(*grid)
+        want = interval_by_interval_bound(x, g.kind, g)
+        assert aliasing_bound(x, g.kind, g) == want
+        # several blocks, and several distance chunks in each
+        monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 3 * g.n_inner)
+        monkeypatch.setattr(aliasing, "_BLOCK_POINTS", 50)
+        assert aliasing_bound(x, g.kind, g) == want
+
+    @pytest.mark.parametrize("grid", _GUARD_GRIDS)
+    def test_first_interval_on_ties(self, monkeypatch, grid):
+        # every interval of a black image bounds 0: the first one is kept
+        g = IntervalGrid(*grid)
+        monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 3 * g.n_inner)
+        worst = aliasing_bound(ImageTensor(np.zeros((1, 9, 9))), g.kind, g).worst
+        assert worst.bound == 0.0
+        assert (worst.lo, worst.hi) == tuple(g.intervals()[0])
 
 
 class TestOneSourceMap:
@@ -493,3 +527,29 @@ class TestOneSourceMap:
         for warp_i, warp_j in read:
             assert np.array_equal(src_i[[0, -1], 0], warp_i)
             assert np.array_equal(src_j[[0, -1], 0], warp_j)
+
+    @pytest.mark.parametrize("grid", _GUARD_GRIDS)
+    def test_bound_builds_no_whole_image(self, image_9x9, monkeypatch, grid):
+        # the bound warps only the pixels it sums, through the one pixel loop
+        def refuse(*args):
+            raise AssertionError("aliasing_bound built whole images")
+
+        g = IntervalGrid(*grid)
+        whole = aliasing_bound(image_9x9, g.kind, g)
+        for name in ("rotate_many", "scale_many"):
+            monkeypatch.setattr(transforms, name, refuse)
+        assert aliasing_bound(image_9x9, g.kind, g) == whole
+
+    @pytest.mark.parametrize("grid", _GUARD_GRIDS)
+    @pytest.mark.parametrize("shape", [(1, 9, 9), (2, 10, 7)])
+    def test_bound_pixels_equal_warp_entries(self, monkeypatch, grid, shape):
+        # bit for bit the entries rotate_many and scale_many write there
+        x = ImageTensor(np.random.default_rng(6).random(shape))
+        g = IntervalGrid(*grid)
+        seen = _record_warps(monkeypatch)
+        aliasing_bound(x, g.kind, g)
+        params = np.array([t for t, _ in seen])
+        many = rotate_many if g.kind == "rotation" else scale_many
+        want = _bound_entries(x, g.kind, many(x, params))
+        assert len(seen) > g.n_outer
+        assert np.stack([img for _, img in seen]).tobytes() == want.tobytes()

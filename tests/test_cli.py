@@ -262,6 +262,27 @@ class TestCertify:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("transform,flag,value", [
+        ("rotation", "family", "laplace"),
+        ("rotation", "scale", "7"),
+        ("scaling", "family", "exponential"),
+        ("brightness-contrast", "scale", "1.0"),
+        ("translation-reflect", "family", "gaussian"),
+        ("translation-black", "scale", "2"),
+    ])
+    def test_blur_noise_flags_refused_for_other_transforms(self, capsys, tmp_path, idx_set,
+                                                           transform, flag, value):
+        # the flags would not change the smoothing noise of these transforms
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", transform, *_CERTIFY_FLAGS[transform],
+            f"--noise-{flag}", value, "--dataset", images, "--labels", labels, *_SMALL,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == (f"error: --noise-{flag} applies to --transform blur only, "
+                       f"got --transform {transform}\n")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("batch", ["0", "-1"])
     def test_batch_below_one_rejected(self, capsys, tmp_path, idx_set, batch):
         images, labels = idx_set
@@ -279,9 +300,9 @@ class TestCertify:
     # every field must match
     @pytest.mark.parametrize("transform,expected", [
         ("rotation", [
-            "0,1,1,not_certified,0.785044996392344,,0.015104266819448516,150",
-            "1,0,0,certified,0.785044996392344,0.19733641473358188,0.015380299003930583,4500",
-            "2,0,1,certified,0.785044996392344,0.19733641473358188,0.015234544360829404,4500"]),
+            "0,1,1,not_certified,0.785044996392344,,0.015104266819448525,150",
+            "1,0,0,certified,0.785044996392344,0.19733641473358188,0.015380299003930594,4500",
+            "2,0,1,certified,0.785044996392344,0.19733641473358188,0.015234544360829395,4500"]),
         ("scaling", [
             "0,1,1,not_certified,0.5590625936934808,,0.03647367000619238,2250",
             "1,0,0,certified,0.785044996392344,0.19733641473358188,0.03660454438064283,4500",
@@ -381,7 +402,7 @@ class TestBlasThreads:
          "0,0,0,certified,0.9986194028465247,5.892091972939721,,5100"),
         ("rotation", ["--interval", "-2", "2", "--grid-n", "10", "--grid-r", "5",
                       "--noise-sigma", "0.25"],
-         "0,0,0,certified,0.9709908594055916,0.4738899425219254,0.4016218681344672,5000"),
+         "0,0,0,certified,0.9709908594055916,0.4738899425219254,0.40162186813446726,5000"),
     ])
     def test_rows_independent_of_blas_threads(self, tmp_path, transform, flags, expected):
         # a textured centred blob; class 0's weights are that blob, the

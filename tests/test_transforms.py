@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import apply_one, blur_one, wrapped_kernel_spectrum
+from helpers import apply_one, blur_one, polar_rotation_coords, wrapped_kernel_spectrum
 from semcert import transforms
 from semcert.tensor import ImageTensor
 from semcert.transforms import (_BLOCK_POINTS, Transform, additive_pixel_transform,
@@ -281,6 +281,29 @@ class TestRotate:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * out.nbytes
+
+
+class TestRotationSourceMap:
+    _ANGLES = np.concatenate([[-math.pi, math.pi, 0.0, 1e-9],
+                              np.random.default_rng(9).uniform(-math.pi, math.pi, 60)])
+
+    @pytest.mark.parametrize("width,height", [(28, 28), (9, 9), (10, 7)])
+    def test_affine_form_matches_polar_form(self, width, height):
+        # angle addition moves a source by at most a few ulps of the canvas
+        ii, jj = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float),
+                             indexing="ij")
+        src_i, src_j = transforms._source_map("rotation", width, height, ii, jj)(self._ANGLES)
+        want_i, want_j = polar_rotation_coords(width, height, self._ANGLES)
+        assert np.max(np.abs(src_i - want_i)) <= 1e-13
+        assert np.max(np.abs(src_j - want_j)) <= 1e-13
+
+    @pytest.mark.parametrize("width,height", [(28, 28), (9, 9), (10, 7), (7, 10), (4, 4), (5, 4)])
+    def test_disk_sources_inside_omega(self, width, height):
+        ii, jj, _, disk = transforms._pixel_geometry(width, height)
+        coords = transforms._source_map("rotation", width, height, ii[disk], jj[disk])
+        src_i, src_j = coords(np.linspace(-math.pi, math.pi, 20_001))
+        assert src_i.min() >= 0.0 and src_i.max() <= width - 1
+        assert src_j.min() >= 0.0 and src_j.max() <= height - 1
 
 
 class TestScale:

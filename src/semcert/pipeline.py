@@ -30,9 +30,8 @@ import numpy as np
 
 from .aliasing import AliasingBound, IntervalGrid, aliasing_bound
 from .radii import ConfidencePair, bc_condition, bc_confidence_shift, closed_form_radius
-from .smoothing import (ABSTAIN, BaseClassifier, SmoothedQuery, _isotropic_sigma,
-                        _label_params, certify, predict, progressive_certify,
-                        progressive_prefix)
+from .smoothing import (ABSTAIN, BaseClassifier, RowStream, SmoothedQuery, _isotropic_sigma,
+                        _label_params, certify, predict, progressive_certify)
 from .tensor import ImageTensor
 from .transforms import _BLOCK_IMAGES, transform_spec
 
@@ -224,10 +223,10 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     anchor's per-check Clopper-Pearson bounds hold as in a lone
     ``progressive_certify``.  The anchors share their draws, so they are
     dependent, but the union bound over anchors and checks needs no
-    independence.  Sharing lets the stream's prefix (the guess draws
-    plus the first check) be drawn once per row and kept through the
-    grid bound, and lets equal (hits, used) counts reuse one bound;
-    later checks draw on demand, so memory stays at the prefix, one
+    independence.  One ``RowStream`` serves the whole row, kept through
+    the grid bound, and equal (hits, used) counts reuse one bound.
+    Memory stays at the stream (C class scores per draw read for an
+    affine classifier, else the guess draws plus the first check), one
     check's draws and one block of anchor images.
 
     One pass reads two bounds.  Each anchor first reads only its first
@@ -271,10 +270,9 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
 
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
-    cp_memo: dict = {}
-    # the two-point bound runs before the anchor images and the prefix exist
+    # the two-point bound runs before the anchor images and the stream exist
     bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
-    prefix = progressive_prefix(anchor_q, batch)
+    stream = RowStream(anchor_q, batch)
     refined = False
     samples = 0
     min_radius = math.inf
@@ -282,8 +280,8 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     images = _anchor_images(x, grid.kind, anchors)
     for i, alpha_i in enumerate(anchors):
         image = ImageTensor(next(images))
-        prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch, prefix=prefix,
-                                   cp_memo=cp_memo, first_check_only=not refined)
+        prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch, stream=stream,
+                                   first_check_only=not refined)
         if not refined and prog.label == label and not prog.certified:
             refined = True
             if grid.n_inner != 2:
@@ -294,7 +292,7 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
                 bound = min(aliasing_bound(x, grid.kind, grid), bound, key=lambda b: b.m_value)
                 images = _anchor_images(x, grid.kind, anchors[i + 1:])
             prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch,
-                                       prefix=prefix, cp_memo=cp_memo)
+                                       stream=stream)
         samples += prog.samples_used
         if prog.certified:
             min_radius = min(min_radius, prog.radius)

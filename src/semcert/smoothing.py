@@ -17,12 +17,13 @@ stopped so with probability at most alpha.
 
 All sampling is draw-indexed through :mod:`semcert.streams`: identical
 (seed, query, input) produce bitwise-identical counts, and all anchors
-of a rotation/scaling row read their draws from one stream.
+of a rotation/scaling row read their draws from one ``RowStream``.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,10 @@ __all__ = [
     "BaseClassifier",
     "SmoothedQuery",
     "CountVector",
-    "DrawPrefix",
+    "RowStream",
     "sample_counts",
     "predict",
     "certify",
-    "progressive_prefix",
     "progressive_certify",
     "CertifyOutcome",
     "ProgressiveOutcome",
@@ -127,7 +127,7 @@ class CountVector:
 
 
 def _label_params(classifier: BaseClassifier, transform: Transform, x: ImageTensor,
-                  params: np.ndarray, bank: dict | None = None) -> np.ndarray:
+                  params: np.ndarray) -> np.ndarray:
     """Label of ``classifier`` on ``x`` transformed at each row of ``params``.
 
     A transform linear in the image builds its basis once per call
@@ -137,19 +137,10 @@ def _label_params(classifier: BaseClassifier, transform: Transform, x: ImageTens
     costs C columns where its image costs d pixels, and no image is
     built.  Parameters are taken ``_BLOCK_IMAGES`` at a time, so memory
     stays flat in their number.
-
-    ``bank`` is a dict kept by inputs that read the same ``params`` with
-    the same classifier.  Under additive pixel noise the product
-    params @ W.T does not depend on ``x``: it is computed on the first
-    call and read from the bank after, so each later input costs O(C)
-    per parameter.
     """
     params = transform.check_params(params)
     form = transform.linear_form(x)
     affine = None if form is None else classifier.affine(x.shape)
-    # only an identity basis (additive noise) projects to W.T, whatever x is
-    if affine is None or form.basis is not None:
-        bank = None
     if affine is not None:
         form = form.project(*affine)
     labels = np.empty(len(params), dtype=np.int64)
@@ -160,12 +151,8 @@ def _label_params(classifier: BaseClassifier, transform: Transform, x: ImageTens
             flats = (transform.apply_many(x, block) if form is None else form.apply(block))
             labels[lo:hi] = classifier.classify_flat_batch(flats.reshape(len(block), -1),
                                                            x.shape)
-        elif bank is None:
-            labels[lo:hi] = np.argmax(form.apply(block), axis=1)
         else:
-            if lo not in bank:
-                bank[lo] = form.product(block)
-            labels[lo:hi] = np.argmax(bank[lo] + form.offset, axis=1)
+            labels[lo:hi] = np.argmax(form.apply(block), axis=1)
     return labels
 
 
@@ -193,50 +180,74 @@ def _distinct_shifts(shifts: np.ndarray, kind: str, x: ImageTensor):
     return rows.astype(np.float64), inverse
 
 
-def _sample_labels(q: SmoothedQuery, x: ImageTensor, params: np.ndarray,
-                   bank: dict | None = None) -> np.ndarray:
-    """Label of the base classifier on each transformed draw."""
-    kind = q.transform.kind
-    if kind in ("translation_reflect", "translation_black"):
-        # integer shifts repeat heavily: classify each distinct shift once
-        shifts, inverse = _distinct_shifts(np.floor(params + 0.5), kind, x)
-        return _label_params(q.classifier, q.transform, x, shifts)[inverse]
-    return _label_params(q.classifier, q.transform, x, params, bank)
+class RowStream:
+    """One additive-noise query's stream, read by every anchor of a row.
 
-
-class DrawPrefix:
-    """The leading draws of one query's stream, read by many inputs.
-
-    ``sample_counts`` reads it one (offset, n) slice at a time; each
-    slice keeps a ``_label_params`` bank, so the work on a slice that
-    does not depend on the input is done once per prefix, not once per
-    input.  A prefix serves one query: one stream and one classifier.
+    All anchors read the same (offset, n) slices: the n0 guess draws,
+    then their checks.  An affine classifier labels argmax(E @ W.T +
+    x @ W.T + b), and E @ W.T does not depend on the image: it is kept
+    per slice, drawn and projected once per row in ``_BLOCK_IMAGES`` row
+    blocks.  Other classifiers read the raw prefix (the guess draws and
+    a first check of ``batch``) and draw later checks per read.  The
+    last image's projected form is kept, keyed by a weak reference that
+    lets the image's block be freed, and ``bounds`` memoises
+    Clopper-Pearson bounds by (hits, used, alpha).
     """
 
-    def __init__(self, draws: np.ndarray):
-        self.draws = draws
-        self.banks: dict[tuple[int, int], dict] = {}
+    def __init__(self, q: SmoothedQuery, batch: int = 400):
+        if q.transform.kind != "additive_pixel":
+            raise ValueError(f"a row stream needs an additive_pixel query, "
+                             f"got {q.transform.kind!r}")
+        self.q = q
+        self.bounds: dict[tuple[int, int, float], float] = {}
+        self._prefix_len = q.conf.n0_samples + min(batch, q.conf.n_samples)
+        self._prefix = None
+        self._scores: dict[tuple[int, int], np.ndarray] = {}
+        self._image = self._form = None
+
+    def labels(self, x: ImageTensor, offset: int, n: int) -> np.ndarray:
+        """Base-classifier labels of ``x`` plus draws [offset, offset + n)."""
+        q = self.q
+        if self._image is None or self._image() is not x:
+            affine = q.classifier.affine(x.shape)
+            self._image = weakref.ref(x)
+            self._form = None if affine is None else q.transform.linear_form(x).project(*affine)
+        form = self._form
+        if form is None:
+            if self._prefix is None:  # the first read is the guess, inside the prefix
+                self._prefix = draw_params(q.noise, q.seed, 0, self._prefix_len)
+            params = (self._prefix[offset:offset + n] if offset + n <= self._prefix_len
+                      else draw_params(q.noise, q.seed, offset, n))
+            return _label_params(q.classifier, q.transform, x, params)
+        if (offset, n) not in self._scores:
+            draws = draw_params(q.noise, q.seed, offset, n)
+            self._scores[offset, n] = np.concatenate(
+                [form.product(draws[lo:lo + _BLOCK_IMAGES]) for lo in range(0, n, _BLOCK_IMAGES)])
+        return np.argmax(self._scores[offset, n] + form.offset, axis=1)
 
 
 def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0,
-                  prefix: DrawPrefix | None = None) -> CountVector:
+                  stream: RowStream | None = None) -> CountVector:
     """Tally base-classifier labels over n noisy transform draws.
 
     ``draw_offset`` positions the draws in the query's global stream, so
-    selection and estimation samples never overlap.  ``prefix``, when
-    given, holds the stream's leading draws (``progressive_prefix``);
-    draws it covers are read from it instead of drawn again, which
-    cannot change a bit because each draw is a function of (seed, index).
+    selection and estimation samples never overlap.  ``stream``, when
+    given, is ``q``'s ``RowStream`` and serves the draws.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    bank = None
-    if prefix is not None and draw_offset + n <= len(prefix.draws):
-        params = prefix.draws[draw_offset:draw_offset + n]
-        bank = prefix.banks.setdefault((draw_offset, n), {})
+    if stream is not None:
+        if stream.q is not q:
+            raise ValueError("the stream serves another query")
+        labels = stream.labels(x, draw_offset, n)
+    elif q.transform.kind in ("translation_reflect", "translation_black"):
+        # integer shifts repeat heavily: classify each distinct shift once
+        params = np.floor(draw_params(q.noise, q.seed, draw_offset, n) + 0.5)
+        shifts, inverse = _distinct_shifts(params, q.transform.kind, x)
+        labels = _label_params(q.classifier, q.transform, x, shifts)[inverse]
     else:
-        params = draw_params(q.noise, q.seed, draw_offset, n)
-    labels = _sample_labels(q, x, params, bank)
+        labels = _label_params(q.classifier, q.transform, x,
+                               draw_params(q.noise, q.seed, draw_offset, n))
     counts = np.bincount(labels, minlength=q.classifier.num_classes)
     return CountVector(counts)
 
@@ -320,16 +331,8 @@ def _certify_floor(target_radius: float, sigma: float) -> float:
     return max(0.5, std_normal_cdf(target_radius / sigma))
 
 
-def progressive_prefix(q: SmoothedQuery, batch: int = 400) -> DrawPrefix:
-    """The draws every ``progressive_certify(q, ..., batch=batch)`` reads
-    first: the n0 guess draws and the first check's batch."""
-    return DrawPrefix(draw_params(q.noise, q.seed, 0,
-                                  q.conf.n0_samples + min(batch, q.conf.n_samples)))
-
-
 def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
-                        batch: int = 400, prefix: DrawPrefix | None = None,
-                        cp_memo: dict | None = None,
+                        batch: int = 400, stream: RowStream | None = None,
                         first_check_only: bool = False) -> ProgressiveOutcome:
     """Accumulate samples in batches until the certified radius beats a target.
 
@@ -360,10 +363,8 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     together with probability at most alpha.  The test costs O(1); the
     Clopper-Pearson bound is computed only where the sampling stops.
 
-    Callers that certify many inputs on one stream may pass that
-    stream's ``progressive_prefix`` and one ``cp_memo`` dict, which maps
-    (hits, used, alpha) to its Clopper-Pearson bound; neither changes
-    the outcome.
+    Callers that certify many inputs on one additive-noise query may
+    pass its ``RowStream``, which does not change the outcome.
 
     ``first_check_only`` stops after the first check, still at the
     per-check alpha of the whole budget, so the check it reads is one of
@@ -381,8 +382,8 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     p_floor = _certify_floor(target_radius, sigma)
 
     n0 = q.conf.n0_samples
-    guess, _ = sample_counts(q, x, n0, prefix=prefix).top_two()
-    memo = {} if cp_memo is None else cp_memo
+    guess, _ = sample_counts(q, x, n0, stream=stream).top_two()
+    memo = {} if stream is None else stream.bounds
     # Hoeffding's one-sided bound at alpha_check is hits/used + sqrt(slack / used)
     slack = math.log(1.0 / alpha_check) / 2.0
 
@@ -399,7 +400,7 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     radius = 0.0
     while used < q.conf.n_samples:
         m = min(batch, q.conf.n_samples - used)
-        counts = sample_counts(q, x, m, draw_offset=n0 + used, prefix=prefix)
+        counts = sample_counts(q, x, m, draw_offset=n0 + used, stream=stream)
         hits += int(counts.counts[guess])
         used += m
         checks += 1

@@ -1,13 +1,14 @@
 """Direct tests of the four certification pipelines.
 
-``certify_diff_resolvable`` (rotation and scaling) shares one noise
-stream across anchors, draws its prefix once (again after a handover),
-memoises Clopper-Pearson bounds and reads the anchors' first checks
-against a two-point aliasing bound until one cannot be decided there;
-from that anchor on it runs the anchors in full against the grid's
-bound.  None of that may change a verdict, so the pipeline is compared
-with a plain loop written here that runs every anchor in full against
-the grid's bound; its certified verdicts are checked against the exact
+``certify_diff_resolvable`` (rotation and scaling) shares one
+``RowStream`` across anchors, which draws each slice once per row for
+an affine classifier and the prefix once otherwise, and memoises
+Clopper-Pearson bounds; it reads the anchors' first checks against a
+two-point aliasing bound until one cannot be decided there; from that
+anchor on it runs the anchors in full against the grid's bound.  None
+of that may change a verdict, so the pipeline is compared with a plain
+loop written here that runs every anchor in full against the grid's
+bound; its certified verdicts are checked against the exact
 smoothed confidence of a mean-threshold classifier, and a coverage test
 counts the Clopper-Pearson bounds it reads that exceed that confidence.
 ``certify_translation_enum`` is compared with a loop that classifies
@@ -38,7 +39,7 @@ from semcert.smoothing import SmoothedQuery, progressive_certify
 from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
                             std_normal_quantile)
 from semcert.tensor import ImageTensor
-from semcert.transforms import additive_pixel_transform, transform_spec, translate
+from semcert.transforms import LinearForm, additive_pixel_transform, transform_spec, translate
 
 _RANGES = {"rotation": (math.radians(-5), math.radians(5)), "scaling": (0.95, 1.05)}
 
@@ -56,6 +57,14 @@ def _grid(kind, n_outer=10, n_inner=50):
 
 def _certify(x, q, grid, label=1, batch=400):
     return certify_diff_resolvable(x, label, q, grid, batch=batch)
+
+
+def _mean_linear(shape, threshold, cls=LinearClassifier):
+    """``MeanThresholdClassifier(threshold)`` as an affine classifier:
+    class 1 scores the mean pixel, class 0 the threshold."""
+    weights = np.zeros((2, math.prod(shape)))
+    weights[1] = 1.0 / weights.shape[1]
+    return cls(weights, np.array([threshold, 0.0]), shape)
 
 
 def _summary(res):
@@ -293,7 +302,7 @@ class TestCoverage:
     of the check it stopped at, first-check reads included.  By the
     union bound over anchors and checks, the number X of distinct
     (anchor, check) bounds a run reads above their truth has mean at
-    most alpha.  The shared noise bank makes anchors fail together, so
+    most alpha.  The shared noise stream makes anchors fail together, so
     X is bunched; but each anchor is read at most twice (its first check
     and where its full run stops), so 0 <= X <= 2N, the variance is at
     most 2N alpha, and over S independent seeds Cantelli's inequality
@@ -412,8 +421,8 @@ def test_memory_holds_one_check_not_the_bank(image_9x9):
 
 @pytest.mark.parametrize("kind", ["rotation", "scaling"])
 def test_class_scores_equal_image_path(kind):
-    # the anchors of a LinearClassifier read class scores (a prefix bank
-    # shared across anchors, scores past it); hiding the hook builds and
+    # the anchors of a LinearClassifier read class scores (the row
+    # stream's, one product per slice); hiding the hook builds and
     # classifies every image, and every result field must agree
     shape = (1, 9, 9)
     transform = additive_pixel_transform(shape)
@@ -438,6 +447,64 @@ def test_class_scores_equal_image_path(kind):
     assert {("certified", False), ("certified", True), ("not_certified", False),
             ("not_certified", True)} <= verdicts
     assert "abstain" in {v for v, _ in verdicts}
+
+
+def test_memory_holds_scores_not_draws(image_9x9):
+    # the class-score counterpart of the test above: the stream keeps C
+    # scores per draw read, so ten times the budget grows the peak by
+    # less than one check's raw draws
+    x = image_9x9
+    grid = _grid("rotation", n_outer=3, n_inner=5)
+    first = apply_one(transform_spec("rotation"), x, float(grid.anchors()[0]))
+    floor = std_normal_cdf(aliasing_bound(x, "rotation", grid).sqrt_m / 0.5)
+    threshold = float(first.data.mean()) - 0.5 / 9.0 * std_normal_quantile(floor + 0.002)
+    peaks = {}
+    for n in (800, 8_000):
+        q = replace(_query(x, threshold, n=n), classifier=_mean_linear(x.shape, threshold))
+        tracemalloc.start()
+        res = _certify(x, q, grid)
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert not res.certified and res.samples_used == 100 + n
+    assert peaks[8_000] - peaks[800] < 400 * x.data.size * 8, peaks
+
+
+@pytest.mark.parametrize("kind,threshold", [("rotation", 0.27), ("scaling", 0.30)])
+def test_class_score_row_draws_each_slice_once(image_9x9, monkeypatch, kind, threshold):
+    # a refined row whose anchors read checks past the prefix: each
+    # (offset, n) slice is drawn once for the whole row, and the row is
+    # the image path's
+    draws = []
+    draw_params = smoothing.draw_params
+    monkeypatch.setattr(smoothing, "draw_params", lambda noise, seed, start, count:
+                        draws.append((start, count)) or draw_params(noise, seed, start, count))
+    grid = _grid(kind)
+    q = _query(image_9x9, threshold)
+    scores = _certify(image_9x9, replace(q, classifier=_mean_linear(image_9x9.shape, threshold)),
+                      grid)
+    assert scores.certified and scores.refined
+    assert len(draws) == len(set(draws)) and max(draws)[0] > 500
+    monkeypatch.undo()
+    hidden = _mean_linear(image_9x9.shape, threshold, ImageOnlyLinear)
+    images = _certify(image_9x9, replace(q, classifier=hidden), grid)
+    assert hidden.evals > 0
+    assert _summary(scores) + (scores.refined,) == _summary(images) + (images.refined,)
+
+
+@pytest.mark.parametrize("threshold,refined", [(0.2, False), (0.27, True)])
+def test_class_score_row_projects_each_anchor_once_per_call(image_9x9, monkeypatch,
+                                                            threshold, refined):
+    # an anchor's guess and checks read one projection of its image
+    projections, calls = [], []
+    project, anchor_certify = LinearForm.project, pipeline.progressive_certify
+    monkeypatch.setattr(LinearForm, "project",
+                        lambda form, *args: projections.append(1) or project(form, *args))
+    monkeypatch.setattr(pipeline, "progressive_certify",
+                        lambda *args, **kwargs: calls.append(1) or anchor_certify(*args, **kwargs))
+    q = replace(_query(image_9x9, threshold), classifier=_mean_linear(image_9x9.shape, threshold))
+    res = _certify(image_9x9, q, _grid("rotation"))
+    assert res.certified and res.refined == refined
+    assert len(projections) == len(calls) >= 10
 
 
 @pytest.mark.parametrize("hidden", [False, True], ids=["class-scores", "images"])

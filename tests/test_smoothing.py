@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from helpers import ImageOnlyLinear, analytic_smoothed_confidence, apply_one, ra
 from semcert import smoothing, streams, transforms
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.radii import NOISE_FAMILIES, DistributionSpec
-from semcert.smoothing import (ABSTAIN, SmoothedQuery, _certify_floor, _distinct_shifts,
-                               _label_params, certify, predict, progressive_certify,
-                               progressive_prefix, sample_counts)
+from semcert.smoothing import (ABSTAIN, RowStream, SmoothedQuery, _certify_floor,
+                               _distinct_shifts, _label_params, certify, predict,
+                               progressive_certify, sample_counts)
 from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
                             std_normal_cdf, std_normal_quantile)
 from semcert.streams import DRAWS_PER_BLOCK, draw_params, uniforms_per_draw
@@ -285,46 +287,64 @@ class TestClassScorePath:
         assert built == [x.shape] and hidden.evals == 1000
         np.testing.assert_array_equal(labels, _label_params(clf, blur, x, params))
 
-    def test_prefix_bank_projects_each_slice_once(self, monkeypatch):
-        # inputs sharing a prefix share its draws' product with W.T; the
-        # counts equal those of fresh draws and of the built images
+    def test_row_stream_draws_and_projects_each_slice_once(self, monkeypatch):
+        # inputs sharing a stream share each slice's product with W.T,
+        # inside the prefix and past it; the counts equal those of fresh
+        # draws and of the built images
         g = np.random.default_rng(5)
         shape = (1, 9, 9)
         transform = additive_pixel_transform(shape)
         noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
         clf = random_linear(6, shape, classes=3)
         q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.001, 1000, 100), 5)
-        prefix = progressive_prefix(q, batch=400)
+        stream = RowStream(q, batch=400)
         images = [ImageTensor(g.random(shape)) for _ in range(4)]
-        reads = ((0, 100), (100, 400), (150, 100))
-        products = []
-        product = LinearForm.product
+        reads = ((0, 100), (100, 400), (150, 100), (500, 400))
+        products, draws = [], []
+        product, draw = LinearForm.product, smoothing.draw_params
         monkeypatch.setattr(LinearForm, "product",
                             lambda form, p: products.append(len(p)) or product(form, p))
-        banked = [sample_counts(q, x, n, offset, prefix).counts
-                  for x in images for offset, n in reads]
-        assert products == [100, 400, 100]
+        monkeypatch.setattr(smoothing, "draw_params",
+                            lambda *args: draws.append(args[2:]) or draw(*args))
+        streamed = [sample_counts(q, x, n, offset, stream).counts
+                    for x in images for offset, n in reads]
+        assert products == [100, 400, 100, 400] and draws == list(reads)
         monkeypatch.undo()
         fresh = [sample_counts(q, x, n, offset).counts for x in images for offset, n in reads]
         built = [np.bincount(_image_labels(clf, transform, x, draw_params(noise, 5, offset, n)),
                              minlength=3) for x in images for offset, n in reads]
-        np.testing.assert_array_equal(banked, fresh)
-        np.testing.assert_array_equal(banked, built)
+        np.testing.assert_array_equal(streamed, fresh)
+        np.testing.assert_array_equal(streamed, built)
 
-    def test_prefix_bank_keeps_no_image_dependent_product(self):
-        # brightness/contrast's basis [x; 1] depends on the input, so a
-        # shared prefix must not reuse one input's product for the next
-        g = np.random.default_rng(7)
+    def test_row_stream_holds_no_image(self):
+        # the projected form is keyed by a weak reference, so a stream
+        # kept through a row frees each anchor image (and its block)
         shape = (1, 9, 9)
-        clf = random_linear(8, shape, classes=3, bias=0.0)
-        q = _bc_query(clf, sigma_k=0.3, sigma_b=0.3, seed=4)
-        prefix = progressive_prefix(q, batch=400)
-        for _ in range(3):
-            x = ImageTensor(g.random(shape))
-            for offset, n in ((0, 100), (100, 400)):
-                np.testing.assert_array_equal(
-                    sample_counts(q, x, n, offset, prefix).counts,
-                    sample_counts(q, x, n, offset).counts)
+        transform = additive_pixel_transform(shape)
+        noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
+        for clf in (random_linear(6, shape, classes=3), MeanThresholdClassifier(0.5)):
+            q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.001, 1000, 100), 5)
+            stream = RowStream(q)
+            x = ImageTensor(np.random.default_rng(3).random(shape))
+            alive = weakref.ref(x)
+            counts = sample_counts(q, x, 100, 0, stream).counts
+            np.testing.assert_array_equal(sample_counts(q, x, 100, 0, stream).counts, counts)
+            del x
+            assert alive() is None
+
+    def test_row_stream_refuses_other_transforms_and_queries(self):
+        # brightness/contrast's basis [x; 1] depends on the input, so no
+        # product of its draws may be shared across inputs: the stream
+        # takes additive pixel noise only, and serves its own query only
+        clf = random_linear(8, (1, 9, 9), classes=3, bias=0.0)
+        with pytest.raises(ValueError, match="additive_pixel query, got 'brightness_contrast'"):
+            RowStream(_bc_query(clf, sigma_k=0.3, sigma_b=0.3, seed=4))
+        transform = additive_pixel_transform((1, 9, 9))
+        noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
+        q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.001, 1000, 100), 5)
+        with pytest.raises(ValueError, match="serves another query"):
+            sample_counts(replace(q, seed=6), ImageTensor(np.zeros((1, 9, 9))), 100, 0,
+                          RowStream(q))
 
     def test_blur_scores_hold_no_image_block(self):
         # 20,000 blur draws on 1x28x28: the peak stays below one block of

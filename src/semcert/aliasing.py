@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ImageTensor
-from .transforms import (_BLOCK_IMAGES, _BLOCK_POINTS, _pixel_geometry, _source_map,
-                         _warp_pixels, center_coords)
+from .transforms import (_BLOCK_IMAGES, _BLOCK_POINTS, _kernel_rows, _pixel_geometry,
+                         _source_map, _warp_pixels, center_coords)
 
 __all__ = [
     "ConfigurationError",
@@ -393,12 +393,16 @@ def _at_and_above_crossing_bound(points: np.ndarray, values: np.ndarray, lip: fl
 def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBound:
     """Upper bound M >= (maximum l2 sampling error)^2 over grid's range.
 
-    An interval's anchors are its first and last inner points, so one
-    warp of those points gives its squared distances to both anchors
-    exactly at each; between them the min of the two anchor distances
-    is bounded by the endpoint-pair envelope plus Lipschitz slack.  The
-    warps read only the pixels the distances sum (``_bound_pixels``:
-    rotation's disk), and a block's intervals are reduced together.
+    An interval's anchors are its first and last inner points, so the
+    squared distances of its inner images to those two end images are
+    exact at each point; between them the min of the two anchor
+    distances is bounded by the endpoint-pair envelope plus Lipschitz
+    slack.  The warps read only the pixels the distances sum
+    (``_bound_pixels``: rotation's disk).  Intervals are taken a block
+    at a time, and a block holds only its end images and its distances
+    (and a scaling crossing's image): the points between the ends are
+    warped one kernel block at a time, and each kernel block is reduced
+    to its distances to both ends before the next overwrites it.
     Scaling intervals containing a border-crossing parameter are bounded
     one-sidedly around the crossing (each side against its own anchor
     only).  Requires at most one crossing per outer interval; configure
@@ -426,31 +430,45 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
     worst = None
 
     per_block = max(1, _BLOCK_IMAGES // grid.n_inner)
+    between = grid.n_inner - 2  # points of an interval strictly between its ends
+    # a kernel block's squared differences, one image per row, each row
+    # summed alone and contiguous
+    diff = np.empty((min(_kernel_rows(len(rr)), per_block * grid.n_inner),
+                     x.channels * len(rr)))
     for block_lo in range(0, n_int, per_block):
         block = slice(block_lo, min(block_lo + per_block, n_int))
         inner = grid.inner_points(intervals[block, 0], intervals[block, 1])
+        n_b = len(inner)
         # adjacent intervals share an end, warped once: in ascending order (backwards
-        # for scaling, whose anchors descend) each interval starts at the last one's end
+        # for scaling, whose anchors descend) interval r runs from end r to end r + 1
         order = slice(None) if kind == "rotation" else slice(None, None, -1)
         rising = inner[order]
-        flat = _warp_pixels(x, kind, np.append(rising[:, :-1], rising[-1, -1]), rr, ss)
-        flat = flat.reshape(len(flat), -1)
-        # interval by interval, views whose first and last images are the anchors
-        step, col = flat.strides
-        imgs = np.lib.stride_tricks.as_strided(
-            flat, (len(inner), grid.n_inner, flat.shape[1]),
-            ((grid.n_inner - 1) * step, step, col), writeable=False)[order]
-        g_lo, g_hi = _anchor_distances(imgs)
+        crossings = [(i - block_lo, t) for i, t in discs.items() if 0 <= i - block_lo < n_b]
+        # the end images are held only where points lie between them or a
+        # crossing's image is compared with one
+        ends = np.empty((n_b + 1, diff.shape[1])) if between or crossings else None
+        g_lo, g_hi = np.zeros((n_b, grid.n_inner)), np.zeros((n_b, grid.n_inner))
+        g_lo[:, -1] = g_hi[:, 0] = _end_spans(
+            x, kind, np.append(rising[:, 0], rising[-1, -1]), rr, ss, diff, ends)
+        for lo, warped in _warp_pixels(x, kind, rising[:, 1:-1].ravel(), rr, ss):
+            part = diff[:len(warped)]
+            point = np.arange(lo, lo + len(warped))
+            r = point // between
+            at = point + 2 * r + 1  # the point's entry in the flat (n_b, n_inner) rows
+            for g, end in ((g_lo, r), (g_hi, r + 1)):
+                np.take(ends, end, axis=0, out=part, mode="clip")
+                np.subtract(warped.reshape(len(part), -1), part, out=part)
+                part *= part
+                g.reshape(-1)[at] = part.sum(axis=1)
+        g_lo, g_hi = g_lo[order], g_hi[order]
 
         lip = slack[block]
         pair_min = np.minimum(g_lo[:, :-1] + g_lo[:, 1:], g_hi[:, :-1] + g_hi[:, 1:])
         bounds = np.max(0.5 * pair_min + 0.5 * lip[:, None] * np.diff(inner, axis=1), axis=1)
-        for i, t in discs.items():
-            row = i - block_lo
-            if not 0 <= row < len(inner):
-                continue
-            img_t = _warp_pixels(x, kind, np.array([t]), rr, ss).reshape(-1)
-            g_hi_t = float(np.sum((img_t - imgs[row, -1]) ** 2))
+        for row, t in crossings:
+            _, img_t = next(_warp_pixels(x, kind, np.array([t]), rr, ss))  # one kernel block
+            last = row + 1 if kind == "rotation" else n_b - row  # its upper end, rising order
+            g_hi_t = float(np.sum((img_t.reshape(-1) - ends[last]) ** 2))
             left = _below_crossing_bound(inner[row], g_lo[row], float(lip[row]), t)
             right = _at_and_above_crossing_bound(inner[row], g_hi[row], float(lip[row]), t,
                                                  g_hi_t)
@@ -466,18 +484,25 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
     return AliasingBound(worst, float(exposed.max(initial=0.0)))
 
 
-def _anchor_distances(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances of each interval's images to its first and to its last.
+def _end_spans(x: ImageTensor, kind: str, params: np.ndarray, rr: np.ndarray, ss: np.ndarray,
+               diff: np.ndarray, ends: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the warps of consecutive ``params``.
 
-    ``imgs`` is (n_intervals, n_inner, d); each distance sums its own
-    d-long row.  Intervals are taken about _BLOCK_POINTS values at a time.
+    The warps stream through one kernel block at a time, with the last
+    image of a block carried over to pair with the next block's first;
+    ``ends``, (B, K * P), keeps them when given.  ``diff`` is scratch of
+    one kernel block of images.
     """
-    g_lo, g_hi = np.empty(imgs.shape[:2]), np.empty(imgs.shape[:2])
-    chunk = max(1, _BLOCK_POINTS // max(imgs[0].size, 1))
-    for lo in range(0, len(imgs), chunk):
-        part = imgs[lo:lo + chunk]
-        for g, anchor in ((g_lo, part[:, :1]), (g_hi, part[:, -1:])):
-            diff = part - anchor
-            diff *= diff
-            g[lo:lo + chunk] = diff.sum(axis=2)
-    return g_lo, g_hi
+    spans = np.empty(len(params) - 1)
+    prev = np.zeros(diff.shape[1])
+    out = None if ends is None else ends.reshape(len(params), x.channels, len(rr))
+    for lo, warped in _warp_pixels(x, kind, params, rr, ss, out):
+        images = warped.reshape(len(warped), -1)
+        part = diff[:len(images)]
+        np.subtract(images[0], prev, out=part[0])
+        np.subtract(images[1:], images[:-1], out=part[1:])
+        part *= part
+        first = 0 if lo else 1  # the first block has no image before it
+        spans[lo - 1 + first:lo - 1 + len(images)] = part[first:].sum(axis=1)
+        prev[:] = images[-1]
+    return spans

@@ -185,13 +185,15 @@ class RowStream:
 
     All anchors read the same (offset, n) slices: the n0 guess draws,
     then their checks.  An affine classifier labels argmax(E @ W.T +
-    x @ W.T + b), and E @ W.T does not depend on the image: it is kept
-    per slice, drawn and projected once per row in ``_BLOCK_IMAGES`` row
-    blocks.  Other classifiers read the raw prefix (the guess draws and
-    a first check of ``batch``) and draw later checks per read.  The
-    last image's projected form is kept, keyed by a weak reference that
-    lets the image's block be freed, and ``bounds`` memoises
-    Clopper-Pearson bounds by (hits, used, alpha).
+    x @ W.T + b), and E @ W.T does not depend on the image: each slice is
+    drawn once per row into one draw buffer that the whole row reuses
+    (n0 or ``batch`` rows, whichever is more, at most ``_BLOCK_IMAGES``),
+    projected, and only its C class scores per draw are kept.  Other
+    classifiers keep the raw prefix (the guess draws and a first check of
+    ``batch``) and draw later checks per read.  The last image's
+    projected form is kept, keyed by a weak reference that lets the
+    image's block be freed, and ``bounds`` memoises Clopper-Pearson
+    bounds by (hits, used, alpha).
     """
 
     def __init__(self, q: SmoothedQuery, batch: int = 400):
@@ -200,8 +202,11 @@ class RowStream:
                              f"got {q.transform.kind!r}")
         self.q = q
         self.bounds: dict[tuple[int, int, float], float] = {}
-        self._prefix_len = q.conf.n0_samples + min(batch, q.conf.n_samples)
+        check = min(batch, q.conf.n_samples)
+        self._prefix_len = q.conf.n0_samples + check
         self._prefix = None
+        self._draw_rows = min(max(q.conf.n0_samples, check), _BLOCK_IMAGES)
+        self._draws = None
         self._scores: dict[tuple[int, int], np.ndarray] = {}
         self._image = self._form = None
 
@@ -220,9 +225,14 @@ class RowStream:
                       else draw_params(q.noise, q.seed, offset, n))
             return _label_params(q.classifier, q.transform, x, params)
         if (offset, n) not in self._scores:
-            draws = draw_params(q.noise, q.seed, offset, n)
-            self._scores[offset, n] = np.concatenate(
-                [form.product(draws[lo:lo + _BLOCK_IMAGES]) for lo in range(0, n, _BLOCK_IMAGES)])
+            if self._draws is None:
+                self._draws = np.empty((self._draw_rows, q.noise.dim))
+            parts = []
+            for lo in range(0, n, len(self._draws)):
+                draws = self._draws[:min(len(self._draws), n - lo)]
+                draw_params(q.noise, q.seed, offset + lo, len(draws), out=draws)
+                parts.append(form.product(draws))
+            self._scores[offset, n] = np.concatenate(parts)
         return np.argmax(self._scores[offset, n] + form.offset, axis=1)
 
 

@@ -122,16 +122,32 @@ def _log_binom_tail_terms(successes: int, trials: int) -> np.ndarray:
     return first + np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def _log_survival(log_comb: np.ndarray, successes: int, trials: int, p: float) -> float:
-    """log P[X >= successes] for X ~ Binomial(trials, p)."""
-    if p <= 0.0:
-        return -math.inf
-    if p >= 1.0:
-        return 0.0
+def _log_survival(successes: int, trials: int):
+    """log P[X >= successes] for X ~ Binomial(trials, p), as a function of p.
+
+    The tail's terms and two work arrays are built once, so a bisection
+    evaluates each p without allocating.
+    """
+    log_comb = _log_binom_tail_terms(successes, trials)
     k = np.arange(successes, trials + 1, dtype=np.float64)
-    logs = log_comb + k * math.log(p) + (trials - k) * math.log1p(-p)
-    m = np.max(logs)
-    return float(m + math.log(np.sum(np.exp(logs - m))))
+    rest = trials - k
+    logs, part = np.empty_like(k), np.empty_like(k)
+
+    def at(p: float) -> float:
+        if p <= 0.0:
+            return -math.inf
+        if p >= 1.0:
+            return 0.0
+        # log_comb + k log p + (trials - k) log(1 - p), summed in that order
+        np.multiply(k, math.log(p), out=logs)
+        np.add(log_comb, logs, out=logs)
+        np.multiply(rest, math.log1p(-p), out=part)
+        np.add(logs, part, out=logs)
+        m = np.max(logs)
+        np.subtract(logs, m, out=logs)
+        np.exp(logs, out=logs)
+        return float(m + math.log(np.sum(logs)))
+    return at
 
 
 def _check_counts(successes: int, trials: int) -> None:
@@ -155,7 +171,7 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
     if successes == 0:
         return 0.0
     log_alpha = math.log(alpha)
-    log_comb = _log_binom_tail_terms(successes, trials)
+    log_survival = _log_survival(successes, trials)
     # survival is strictly increasing in p on (0, 1): bisect to the
     # machine-adjacent pair of doubles
     lo, hi = 0.0, 1.0
@@ -163,7 +179,7 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _log_survival(log_comb, successes, trials, mid) < log_alpha:
+        if log_survival(mid) < log_alpha:
             lo = mid
         else:
             hi = mid
@@ -177,9 +193,7 @@ def binom_two_sided_p(successes: int, trials: int) -> float:
     tail, clamped to 1.
     """
     _check_counts(successes, trials)
-    upper_comb = _log_binom_tail_terms(successes, trials)
-    upper = math.exp(_log_survival(upper_comb, successes, trials, 0.5))
+    upper = math.exp(_log_survival(successes, trials)(0.5))
     # P[X <= s] = P[X >= n - s] by symmetry of Binomial(n, 1/2)
-    lower_comb = _log_binom_tail_terms(trials - successes, trials)
-    lower = math.exp(_log_survival(lower_comb, trials - successes, trials, 0.5))
+    lower = math.exp(_log_survival(trials - successes, trials)(0.5))
     return min(1.0, 2.0 * min(lower, upper))

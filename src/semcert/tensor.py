@@ -61,7 +61,8 @@ class ImageTensor:
         return self.data.shape
 
 
-def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray,
+                  out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Vectorized bilinear interpolation over arrays of coordinates.
 
     ``ii`` and ``jj`` must have the same shape; the result has that
@@ -72,6 +73,12 @@ def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.
     read; a 1-pixel-wide axis has a single corner.  The four corners
     are read by flat gathers from one base index, and outside points
     are masked only when some point lies outside Omega.
+
+    The result is written into ``out`` when given (any array of that
+    shape, strided views included), and ``work``, a float64 array of
+    shape (5,) + ii.shape, holds the intermediates: a caller that
+    interpolates many blocks of one shape then allocates nothing per
+    block beyond a mask of outside points.
     """
     if not 0 <= k < x.channels:
         raise ValueError(f"channel index {k} out of range for {x.channels} channels")
@@ -80,35 +87,56 @@ def bilinear_many(x: ImageTensor, k: int, ii: np.ndarray, jj: np.ndarray) -> np.
     if ii.shape != jj.shape:
         raise ValueError("coordinate arrays must have matching shapes")
     W, H = x.width, x.height
+    if out is None:
+        out = np.empty(ii.shape)
+    if work is None:
+        work = np.empty((5,) + ii.shape)
+    corner_i, corner_j, frac_i, frac_j = work[:4]
+    base = work[4].view(np.int64)
 
-    inside = None
+    outside = None
     if ii.size and not (ii.min() >= 0.0 and ii.max() <= W - 1
                         and jj.min() >= 0.0 and jj.max() <= H - 1):
-        inside = (ii >= 0.0) & (ii <= W - 1) & (jj >= 0.0) & (jj <= H - 1)
-        ii = np.where(inside, ii, 0.0)
-        jj = np.where(inside, jj, 0.0)
+        outside = ~((ii >= 0.0) & (ii <= W - 1) & (jj >= 0.0) & (jj <= H - 1))
+        np.copyto(frac_i, ii)
+        np.copyto(frac_i, 0.0, where=outside)
+        np.copyto(frac_j, jj)
+        np.copyto(frac_j, 0.0, where=outside)
+        ii, jj = frac_i, frac_j
 
-    i0 = np.minimum(np.floor(ii), max(W - 2, 0))
-    j0 = np.minimum(np.floor(jj), max(H - 2, 0))
-    fi = ii - i0
-    fj = jj - j0
-    i0 *= H
-    i0 += j0
-    base = i0.astype(np.intp)
+    # lower corner (i0, j0) and fractions fi = ii - i0, fj = jj - j0
+    np.floor(ii, out=corner_i)
+    np.minimum(corner_i, max(W - 2, 0), out=corner_i)
+    np.floor(jj, out=corner_j)
+    np.minimum(corner_j, max(H - 2, 0), out=corner_j)
+    np.subtract(ii, corner_i, out=frac_i)
+    np.subtract(jj, corner_j, out=frac_j)
+    corner_i *= H
+    corner_i += corner_j
+    np.copyto(base, corner_i, casting="unsafe")
 
     # corner (i0 + a, j0 + b) is flat[base + a * di + b * dj]: gather it
-    # from the flat plane shifted by that offset
+    # from the flat plane shifted by that offset (in range by the clamp)
     flat = x.data[k].reshape(-1)
     di = H if W > 1 else 0
     dj = 1 if H > 1 else 0
-    gj = 1.0 - fj
-    out = gj * flat.take(base)
-    out += fj * flat[dj:].take(base)
-    far = gj * flat[di:].take(base)
-    far += fj * flat[di + dj:].take(base)
-    out *= 1.0 - fi
-    far *= fi
+    gj, near = corner_j, corner_i
+    np.subtract(1.0, frac_j, out=gj)
+    np.multiply(gj, flat.take(base, out=near, mode="clip"), out=out)
+    flat[dj:].take(base, out=near, mode="clip")
+    near *= frac_j
+    out += near
+    far = near
+    flat[di:].take(base, out=far, mode="clip")
+    far *= gj
+    corner = gj
+    flat[di + dj:].take(base, out=corner, mode="clip")
+    corner *= frac_j
+    far += corner
+    np.subtract(1.0, frac_i, out=corner)
+    out *= corner
+    far *= frac_i
     out += far
-    if inside is not None:
-        out = np.where(inside, out, 0.0)
+    if outside is not None:
+        np.copyto(out, 0.0, where=outside)
     return out

@@ -66,9 +66,10 @@ __all__ = [
     "center_coords",
 ]
 
-# Transformed images held at once by a loop over many parameters:
-# sampling in ``smoothing`` and inner points in ``aliasing``.  4096 images
-# of 28x28 take about 26 MB.
+# Transformed images (or rows as large) held at once by a loop over many
+# parameters: sampling in ``smoothing`` and anchor images in ``pipeline``.
+# 4096 images of 28x28 take about 26 MB.  ``aliasing`` holds no inner
+# images: it takes intervals in blocks of about this many distances.
 _BLOCK_IMAGES = 4096
 
 
@@ -337,10 +338,15 @@ def center_coords(width: int, height: int) -> tuple[float, float]:
     return (width - 1) / 2.0, (height - 1) / 2.0
 
 
-# Interpolated points per kernel call.  Each temporary of a call then
-# stays near 256 KB, small enough to stay in cache, and a warp over many
+# Interpolated points per kernel block.  Each buffer of the kernel then
+# holds about 256 KB, small enough to stay in cache, and a warp over many
 # parameters needs little memory beyond its output.
 _BLOCK_POINTS = 1 << 15
+
+
+def _kernel_rows(points: int) -> int:
+    """Parameters per kernel block of ``_warp_pixels`` for ``points`` pixels."""
+    return max(1, _BLOCK_POINTS // max(points, 1))
 
 
 def _pixel_geometry(width: int, height: int, ii=None, jj=None):
@@ -369,22 +375,29 @@ def _source_map(kind: str, width: int, height: int, ii: np.ndarray, jj: np.ndarr
     angle addition, so it takes one cos and one sin per angle and no trigonometry
     per point.  Scaling by t reads c + (di, dj) / t.  The warps and the aliasing
     bound read these coordinates, and no other code computes them.
+
+    ``coords(params, out)`` writes into ``out``, a float64 array of shape
+    (3,) + params.shape + ii.shape (the two coordinates, then scratch), when given.
     """
     if kind not in ("rotation", "scaling"):
         raise ValueError(f"unknown transform kind {kind!r}")
     c_w, c_h = center_coords(width, height)
     di, dj = ii - c_w, jj - c_h
 
-    def coords(params):
+    def coords(params, out=None):
         t = np.reshape(params, np.shape(params) + (1,) * np.ndim(ii))
+        if out is None:
+            out = np.empty((3,) + np.shape(t)[:np.ndim(params)] + np.shape(ii))
+        src_i, src_j, part = out
         if kind == "scaling":
-            src_i, src_j = di / t, dj / t
+            np.divide(di, t, out=src_i)
+            np.divide(dj, t, out=src_j)
         else:
             cos_t, sin_t = np.cos(t), np.sin(t)
-            src_i = di * cos_t
-            part = dj * sin_t
+            np.multiply(di, cos_t, out=src_i)
+            np.multiply(dj, sin_t, out=part)
             src_i += part
-            src_j = dj * cos_t
+            np.multiply(dj, cos_t, out=src_j)
             np.multiply(di, sin_t, out=part)
             src_j -= part
         src_i += c_w
@@ -394,20 +407,28 @@ def _source_map(kind: str, width: int, height: int, ii: np.ndarray, jj: np.ndarr
 
 
 def _warp_pixels(x: ImageTensor, kind: str, params: np.ndarray, ii: np.ndarray,
-                 jj: np.ndarray) -> np.ndarray:
-    """Pixels (ii, jj), 1-d, of ``x`` warped by each of ``params``; returns (B, K, P).
+                 jj: np.ndarray, out: np.ndarray | None = None):
+    """Pixels (ii, jj), 1-d, of ``x`` warped by ``params``, one kernel block at a time.
 
     The one interpolation loop of rotation, scaling and the aliasing bound:
-    blocks of about _BLOCK_POINTS points, one ``bilinear_many`` per channel.
+    blocks of about _BLOCK_POINTS points, one ``bilinear_many`` per
+    channel, through buffers allocated once per call.  Yields (lo, block),
+    block the (b, K, P) pixels at params[lo:lo + b]: a view of ``out``,
+    (B, K, P), when given, else of one buffer that the next block
+    overwrites, so a caller copies or reduces each block before the next.
     """
     coords = _source_map(kind, x.width, x.height, ii, jj)
-    out = np.empty((len(params), x.channels, len(ii)))
-    block = max(1, _BLOCK_POINTS // max(len(ii), 1))
-    for lo in range(0, len(params), block):
-        src_i, src_j = coords(params[lo:lo + block])
+    step = _kernel_rows(len(ii))
+    rows = min(step, len(params))
+    work = np.empty((7, rows, len(ii)))  # source coordinates, then interpolation scratch
+    own = np.empty((rows, x.channels, len(ii))) if out is None else None
+    for lo in range(0, len(params), step):
+        n = min(step, len(params) - lo)
+        src_i, src_j = coords(params[lo:lo + n], out=work[:3, :n])
+        block = own[:n] if out is None else out[lo:lo + n]
         for k in range(x.channels):
-            out[lo:lo + block, k] = bilinear_many(x, k, src_i, src_j)
-    return out
+            bilinear_many(x, k, src_i, src_j, out=block[:, k], work=work[2:, :n])
+        yield lo, block
 
 
 def rotate_many(x: ImageTensor, angles) -> np.ndarray:
@@ -423,12 +444,9 @@ def rotate_many(x: ImageTensor, angles) -> np.ndarray:
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=np.float64))
     ii, jj, _, disk = _pixel_geometry(x.width, x.height)
-    ii, jj = ii[disk], jj[disk]
     out = np.zeros((len(angles),) + x.shape)
-    # scattered a kernel block at a time: no second copy of the disk pixels
-    step = max(1, _BLOCK_POINTS // max(len(ii), 1))
-    for lo in range(0, len(angles), step):
-        out[lo:lo + step][:, :, disk] = _warp_pixels(x, "rotation", angles[lo:lo + step], ii, jj)
+    for lo, block in _warp_pixels(x, "rotation", angles, ii[disk], jj[disk]):
+        out[lo:lo + len(block)][:, :, disk] = block
     return out
 
 
@@ -438,5 +456,7 @@ def scale_many(x: ImageTensor, factors) -> np.ndarray:
     if np.any(factors <= 0.0):
         raise ValueError("scaling factor must be > 0")
     ii, jj, _, _ = _pixel_geometry(x.width, x.height)
-    out = _warp_pixels(x, "scaling", factors, ii.ravel(), jj.ravel())
+    out = np.empty((len(factors), x.channels, x.width * x.height))
+    for _ in _warp_pixels(x, "scaling", factors, ii.ravel(), jj.ravel(), out):
+        pass
     return out.reshape((len(factors),) + x.shape)

@@ -6,8 +6,8 @@ polar source coordinates, a direct circular Gaussian blur and its kernel
 spectra by an FFT, the cells a pixel's source curve visits and their
 colour statistics, single interval Lipschitz constants, the aliasing
 bound one interval at a time, exact smoothed confidences of the
-synthetic classifiers, a report-CSV reader, and dense enumeration of
-the sampling error.
+synthetic classifiers, the Clopper-Pearson bisection as first written, a
+report-CSV reader, and dense enumeration of the sampling error.
 
 The cell statistics and the enumeration deliberately avoid the bound
 machinery they validate: statistics are read from each cell's four
@@ -22,7 +22,7 @@ import numpy as np
 from semcert import aliasing
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.io import _CSV_FIELDS, FormatError, ReportRow
-from semcert.statfn import std_normal_cdf
+from semcert.statfn import _log_binom_tail_terms, std_normal_cdf
 from semcert.tensor import ImageTensor, bilinear_many
 from semcert.transforms import center_coords, transform_spec
 
@@ -282,6 +282,48 @@ def dense_max_min_error(x, kind, grid, n_dense=10_000, chunk=2_000):
         d2 = (t ** 2).sum(axis=1)[:, None] + a_sq[None, :] - 2.0 * t @ anchors.T
         worst = max(worst, float(np.sqrt(np.maximum(d2, 0.0)).min(axis=1).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Clopper-Pearson as first written
+
+def _log_survival_reference(log_comb, successes, trials, p):
+    """log P[X >= successes] for X ~ Binomial(trials, p), building its arrays afresh."""
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return 0.0
+    k = np.arange(successes, trials + 1, dtype=np.float64)
+    logs = log_comb + k * math.log(p) + (trials - k) * math.log1p(-p)
+    m = np.max(logs)
+    return float(m + math.log(np.sum(np.exp(logs - m))))
+
+
+def clopper_pearson_lower_reference(successes, trials, alpha):
+    """``clopper_pearson_lower`` with every bisection step rebuilding k and trials - k."""
+    if successes == 0:
+        return 0.0
+    log_alpha = math.log(alpha)
+    log_comb = _log_binom_tail_terms(successes, trials)
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if _log_survival_reference(log_comb, successes, trials, mid) < log_alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def binom_two_sided_p_reference(successes, trials):
+    """``binom_two_sided_p`` through the reference tail."""
+    upper = math.exp(_log_survival_reference(_log_binom_tail_terms(successes, trials),
+                                             successes, trials, 0.5))
+    lower = math.exp(_log_survival_reference(_log_binom_tail_terms(trials - successes, trials),
+                                             trials - successes, trials, 0.5))
+    return min(1.0, 2.0 * min(lower, upper))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from semcert.aliasing import (ConfigurationError, IntervalGrid, aliasing_bound,
 from semcert import aliasing, transforms
 from semcert.aliasing import _source_curves
 from semcert.tensor import ImageTensor
-from semcert.transforms import _pixel_geometry, center_coords, rotate_many, scale_many
+from semcert.transforms import (_BLOCK_POINTS, _pixel_geometry, center_coords, rotate_many,
+                                scale_many)
 
 # anchors ascend for rotation and descend for scaling, whose grid holds
 # the crossing 1.0 and intervals whose unpinned inner points miss an end
@@ -386,6 +387,15 @@ class TestAliasingBound:
                  for n_inner in (500, 4000)]
         assert peaks[1] <= 2 * peaks[0]
 
+    def test_memory_holds_no_block_of_inner_images(self):
+        # 20 x 400 at +-5 deg on 28x28 warps 7,980 inner points of 560 disk
+        # pixels, 17.9 MB as one block; streamed a kernel block at a time
+        # against the interval ends, the bound peaks far below that
+        x = ImageTensor(np.random.default_rng(2).random((1, 28, 28)))
+        a = math.radians(5.0)
+        peak = _peak_bytes(x, IntervalGrid("rotation", -a, a, 20, 400))
+        assert peak < 6_000_000, peak
+
     def test_memory_flat_in_outer_anchors(self, image_9x9):
         # the interval constants are built in bounded chunks: ten times the
         # intervals may add the anchor images, not ten times the work arrays
@@ -410,10 +420,10 @@ def _record_warps(monkeypatch):
     """(parameter, (K, P) pixels) of every warp the aliasing bound makes."""
     seen = []
 
-    def recording(x, kind, params, ii, jj, warp=transforms._warp_pixels):
-        out = warp(x, kind, params, ii, jj)
-        seen.extend(zip(np.asarray(params).tolist(), out))
-        return out
+    def recording(x, kind, params, ii, jj, out=None, warp=transforms._warp_pixels):
+        for lo, block in warp(x, kind, params, ii, jj, out):
+            seen.extend(zip(np.asarray(params[lo:lo + len(block)]).tolist(), block.copy()))
+            yield lo, block
 
     monkeypatch.setattr(aliasing, "_warp_pixels", recording)
     return seen
@@ -483,19 +493,27 @@ class TestBlockReduction:
         g = IntervalGrid(*grid)
         want = interval_by_interval_bound(x, g.kind, g)
         assert aliasing_bound(x, g.kind, g) == want
-        # several blocks, and several distance chunks in each
+        # several blocks, and several interval-constant chunks in each
         monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 3 * g.n_inner)
         monkeypatch.setattr(aliasing, "_BLOCK_POINTS", 50)
         assert aliasing_bound(x, g.kind, g) == want
+        # kernel blocks of a few points, which intervals and their ends straddle
+        pixels = len(aliasing._bound_pixels(x, g.kind)[0])
+        for points in (1, 3, 7):
+            monkeypatch.setattr(transforms, "_BLOCK_POINTS", points * pixels)
+            assert aliasing_bound(x, g.kind, g) == want
 
     @pytest.mark.parametrize("grid", _GUARD_GRIDS)
     def test_first_interval_on_ties(self, monkeypatch, grid):
         # every interval of a black image bounds 0: the first one is kept
         g = IntervalGrid(*grid)
+        x = ImageTensor(np.zeros((1, 9, 9)))
         monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 3 * g.n_inner)
-        worst = aliasing_bound(ImageTensor(np.zeros((1, 9, 9))), g.kind, g).worst
-        assert worst.bound == 0.0
-        assert (worst.lo, worst.hi) == tuple(g.intervals()[0])
+        for points in (_BLOCK_POINTS, 3 * len(aliasing._bound_pixels(x, g.kind)[0])):
+            monkeypatch.setattr(transforms, "_BLOCK_POINTS", points)
+            worst = aliasing_bound(x, g.kind, g).worst
+            assert worst.bound == 0.0
+            assert (worst.lo, worst.hi) == tuple(g.intervals()[0])
 
 
 class TestOneSourceMap:
@@ -515,9 +533,9 @@ class TestOneSourceMap:
         x = ImageTensor(np.random.default_rng(8).random(shape))
         read = []
 
-        def recording(x, k, src_i, src_j, bilinear=transforms.bilinear_many):
+        def recording(x, k, src_i, src_j, out=None, work=None, bilinear=transforms.bilinear_many):
             read.append((src_i.reshape(len(src_i), -1), src_j.reshape(len(src_j), -1)))
-            return bilinear(x, k, src_i, src_j)
+            return bilinear(x, k, src_i, src_j, out, work)
 
         monkeypatch.setattr(transforms, "bilinear_many", recording)
         transforms.transform_spec(kind).apply_many(x, [lo, hi])

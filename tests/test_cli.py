@@ -403,6 +403,11 @@ class TestBlasThreads:
         ("rotation", ["--interval", "-2", "2", "--grid-n", "10", "--grid-r", "5",
                       "--noise-sigma", "0.25"],
          "0,0,0,certified,0.9709908594055916,0.4738899425219254,0.40162186813446726,5000"),
+        # refined: the two-point bound (sqrt_m 1.0038) lies above the radius,
+        # so the row reads the grid bound, its inner points streamed
+        ("rotation", ["--interval", "-5", "5", "--grid-n", "10", "--grid-r", "100",
+                      "--noise-sigma", "0.25"],
+         "0,0,0,certified,0.9709908594055916,0.4738899425219254,0.18265137570960296,5000"),
     ])
     def test_rows_independent_of_blas_threads(self, tmp_path, transform, flags, expected):
         # a textured centred blob; class 0's weights are that blob, the

@@ -236,9 +236,9 @@ class TestAgainstReference:
         draws, bounds = [], []
         draw_params, clopper_pearson_lower = smoothing.draw_params, smoothing.clopper_pearson_lower
 
-        def recording_draws(noise, seed, start, count):
+        def recording_draws(noise, seed, start, count, out=None):
             draws.append((start, count))
-            return draw_params(noise, seed, start, count)
+            return draw_params(noise, seed, start, count, out)
 
         def recording_bounds(*args):
             bounds.append(args)
@@ -476,8 +476,9 @@ def test_class_score_row_draws_each_slice_once(image_9x9, monkeypatch, kind, thr
     # the image path's
     draws = []
     draw_params = smoothing.draw_params
-    monkeypatch.setattr(smoothing, "draw_params", lambda noise, seed, start, count:
-                        draws.append((start, count)) or draw_params(noise, seed, start, count))
+    monkeypatch.setattr(smoothing, "draw_params",
+                        lambda noise, seed, start, count, out=None: draws.append((start, count))
+                        or draw_params(noise, seed, start, count, out))
     grid = _grid(kind)
     q = _query(image_9x9, threshold)
     scores = _certify(image_9x9, replace(q, classifier=_mean_linear(image_9x9.shape, threshold)),

@@ -21,6 +21,14 @@ from semcert.transforms import (LinearForm, Transform, additive_pixel_transform,
                                 transform_spec, translate)
 
 
+def _uniforms(seed, start, count, per_draw, rows=7):
+    """The stream's uniforms of draws [start, start + count), read ``rows`` draws at a time."""
+    out = np.empty((count, per_draw))
+    for i, u in streams._uniform_chunks(seed, start, count, np.empty((rows, per_draw))):
+        out[i:i + len(u)] = u
+    return out
+
+
 class TestStreams:
     def test_uniform_budgets(self):
         assert uniforms_per_draw(DistributionSpec("gaussian", (1.0,), dim=1)) == 2
@@ -59,11 +67,10 @@ class TestStreams:
                       .random(DRAWS_PER_BLOCK * per_draw).reshape(-1, per_draw)
                       for b in range(3)]
             reference = np.concatenate(blocks)[:bounds[-1]]
-            np.testing.assert_array_equal(
-                streams._uniform_matrix(seed, 0, bounds[-1], per_draw), reference)
+            np.testing.assert_array_equal(_uniforms(seed, 0, bounds[-1], per_draw), reference)
             for lo, hi in zip(bounds, bounds[1:]):
-                np.testing.assert_array_equal(
-                    streams._uniform_matrix(seed, lo, hi - lo, per_draw), reference[lo:hi])
+                np.testing.assert_array_equal(_uniforms(seed, lo, hi - lo, per_draw),
+                                              reference[lo:hi])
                 unaligned_skip |= (lo % DRAWS_PER_BLOCK) * per_draw % 4 != 0
             whole = draw_params(noise, seed, 0, bounds[-1])
             parts = np.concatenate([draw_params(noise, seed, lo, hi - lo)
@@ -75,19 +82,58 @@ class TestStreams:
         # 400-draw requests enter their block mid-way; none may
         # regenerate the block's uniforms before its start
         generated = []
-        block_uniforms = streams._block_uniforms
+        block_generator = streams._block_generator
 
-        def counting(*args):
-            u = block_uniforms(*args)
-            generated.append(len(u))
-            return u
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
 
-        monkeypatch.setattr(streams, "_block_uniforms", counting)
+            def random(self, out):
+                generated.append(out.size)
+                return self.gen.random(out=out)
+
+        monkeypatch.setattr(streams, "_block_generator",
+                            lambda *args: Counting(block_generator(*args)))
         noise = DistributionSpec("gaussian", (0.5,), dim=81)
         count = 10 * 400
         for start in range(0, count, 400):
             draw_params(noise, 3, 100 + start, 400)
         assert sum(generated) == count * uniforms_per_draw(noise)
+
+    _FAMILIES = (DistributionSpec("gaussian", (0.5,), dim=784),
+                 DistributionSpec("gaussian", (0.3, 0.7, 0.2), dim=3),
+                 DistributionSpec("folded_gaussian", (0.7,), dim=5),
+                 DistributionSpec("exponential", (2.0,), dim=1),
+                 DistributionSpec("uniform", (-1.0, 2.0), dim=2))
+
+    @pytest.mark.parametrize("noise", _FAMILIES, ids=lambda noise: noise.family)
+    def test_draws_into_given_buffer(self, monkeypatch, noise):
+        # bit for bit the fresh draws, whatever the chunk of uniforms
+        # transformed at once, across a Philox block boundary
+        fresh = draw_params(noise, 9, 1000, 300)
+        buf = np.full((300, noise.dim), np.nan)
+        assert draw_params(noise, 9, 1000, 300, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        for chunk in (1, 5, 3 * uniforms_per_draw(noise) + 1):
+            monkeypatch.setattr(streams, "_CHUNK_UNIFORMS", chunk)
+            buf[:] = np.nan
+            draw_params(noise, 9, 1000, 300, out=buf)
+            assert buf.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match=r"\(300, %d\) output" % noise.dim):
+            draw_params(noise, 9, 1000, 300, out=buf[:299])
+
+    def test_draws_hold_little_beyond_their_output(self):
+        # 400 draws of 784-d gaussian noise: 2.5 MB of output, and
+        # temporaries of one chunk of uniforms, not of the whole request
+        noise = DistributionSpec("gaussian", (1.0,), dim=784)
+        out = np.empty((400, 784))
+        tracemalloc.start()
+        try:
+            draw_params(noise, 1, 500, 400, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_distribution_moments(self):
         n = 200_000
@@ -305,7 +351,8 @@ class TestClassScorePath:
         monkeypatch.setattr(LinearForm, "product",
                             lambda form, p: products.append(len(p)) or product(form, p))
         monkeypatch.setattr(smoothing, "draw_params",
-                            lambda *args: draws.append(args[2:]) or draw(*args))
+                            lambda *args, **kwargs:
+                            draws.append(args[2:]) or draw(*args, **kwargs))
         streamed = [sample_counts(q, x, n, offset, stream).counts
                     for x in images for offset, n in reads]
         assert products == [100, 400, 100, 400] and draws == list(reads)
@@ -315,6 +362,26 @@ class TestClassScorePath:
                              minlength=3) for x in images for offset, n in reads]
         np.testing.assert_array_equal(streamed, fresh)
         np.testing.assert_array_equal(streamed, built)
+
+    def test_row_stream_draws_into_one_buffer(self, monkeypatch):
+        # an affine row draws every slice, the guess's and each check's,
+        # into one buffer of max(n0, batch) rows that it reuses
+        shape = (1, 9, 9)
+        transform = additive_pixel_transform(shape)
+        noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
+        q = SmoothedQuery(random_linear(6, shape, classes=3), transform, noise,
+                          ConfidenceParams(0.001, 1000, 100), 5)
+        stream = RowStream(q, batch=400)
+        outs, draw = [], smoothing.draw_params
+        monkeypatch.setattr(smoothing, "draw_params",
+                            lambda *args, out=None: outs.append(out) or draw(*args, out=out))
+        x = ImageTensor(np.random.default_rng(2).random(shape))
+        reads = ((0, 100), (100, 400), (500, 400), (900, 100))
+        for offset, n in reads:
+            sample_counts(q, x, n, offset, stream)
+        assert [len(out) for out in outs] == [n for _, n in reads]
+        assert len({id(out.base) for out in outs}) == 1
+        assert outs[0].base.shape == (400, x.data.size)
 
     def test_row_stream_holds_no_image(self):
         # the projected form is keyed by a weak reference, so a stream

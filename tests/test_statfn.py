@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import binom_two_sided_p_reference, clopper_pearson_lower_reference
 from mpmath import mp, mpf
 
 from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
@@ -155,6 +156,28 @@ class TestTwoSidedBinomial:
         for s, n in [(10, 100), (33, 77)]:
             assert binom_two_sided_p(s, n) == pytest.approx(
                 binom_two_sided_p(n - s, n), rel=1e-12)
+
+
+class TestReusedTailArrays:
+    """The tail sums reuse their arrays across bisection steps, with the
+    bits of the bisection that rebuilt them at every step."""
+
+    _CASES = [(hits, trials, alpha)
+              for trials in (1, 2, 12, 400, 1000)
+              for hits in sorted({1, 2, trials // 2, trials - 1, trials})
+              if 1 <= hits <= trials
+              for alpha in (0.001 / 250, 0.001, 0.05)]
+    _CASES += [(hits, 100_000, 0.001 / 250) for hits in (1, 50_000, 99_999, 100_000)]
+
+    @pytest.mark.parametrize("hits,trials,alpha", _CASES)
+    def test_clopper_pearson_equals_fresh_arrays(self, hits, trials, alpha):
+        assert (clopper_pearson_lower(hits, trials, alpha)
+                == clopper_pearson_lower_reference(hits, trials, alpha))
+
+    @pytest.mark.parametrize("hits,trials", sorted({(h, n) for h, n, _ in _CASES}
+                                                   | {(0, 1), (0, 400)}))
+    def test_two_sided_p_equals_fresh_arrays(self, hits, trials):
+        assert binom_two_sided_p(hits, trials) == binom_two_sided_p_reference(hits, trials)
 
 
 class TestConfidenceParams:

@@ -399,10 +399,12 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
     distances is bounded by the endpoint-pair envelope plus Lipschitz
     slack.  The warps read only the pixels the distances sum
     (``_bound_pixels``: rotation's disk).  Intervals are taken a block
-    at a time, and a block holds only its end images and its distances
-    (and a scaling crossing's image): the points between the ends are
-    warped one kernel block at a time, and each kernel block is reduced
-    to its distances to both ends before the next overwrites it.
+    at a time.  A block's ends (its anchors) are warped once, in anchor
+    order, into one buffer that every block reuses; the points between
+    the ends are warped one kernel block at a time, and each kernel
+    block is reduced to its distances to both ends before the next
+    overwrites it.  Every distance, end to end included, is one
+    ``_sq_dists`` row sum.
     Scaling intervals containing a border-crossing parameter are bounded
     one-sidedly around the crossing (each side against its own anchor
     only).  Requires at most one crossing per outer interval; configure
@@ -427,48 +429,39 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
 
     exposed, slack = _interval_constants(x, kind, intervals[:, 0], intervals[:, 1])
     rr, ss, _ = _bound_pixels(x, kind)
+    anchors = grid.anchors()
     worst = None
 
     per_block = max(1, _BLOCK_IMAGES // grid.n_inner)
     between = grid.n_inner - 2  # points of an interval strictly between its ends
-    # a kernel block's squared differences, one image per row, each row
-    # summed alone and contiguous
-    diff = np.empty((min(_kernel_rows(len(rr)), per_block * grid.n_inner),
-                     x.channels * len(rr)))
+    # a block's ends in anchor order: interval r runs from end r + low to end
+    # r + 1 - low, as rotation's anchors ascend and scaling's descend
+    low = 0 if kind == "rotation" else 1
+    ends = np.empty((min(per_block, n_int) + 1, x.channels, len(rr)))
+    diff = np.empty((min(_kernel_rows(len(rr)), per_block * grid.n_inner),) + ends.shape[1:])
     for block_lo in range(0, n_int, per_block):
         block = slice(block_lo, min(block_lo + per_block, n_int))
         inner = grid.inner_points(intervals[block, 0], intervals[block, 1])
         n_b = len(inner)
-        # adjacent intervals share an end, warped once: in ascending order (backwards
-        # for scaling, whose anchors descend) interval r runs from end r to end r + 1
-        order = slice(None) if kind == "rotation" else slice(None, None, -1)
-        rising = inner[order]
+        for _ in _warp_pixels(x, kind, anchors[block_lo:block_lo + n_b + 1], rr, ss, ends):
+            pass
         crossings = [(i - block_lo, t) for i, t in discs.items() if 0 <= i - block_lo < n_b]
-        # the end images are held only where points lie between them or a
-        # crossing's image is compared with one
-        ends = np.empty((n_b + 1, diff.shape[1])) if between or crossings else None
         g_lo, g_hi = np.zeros((n_b, grid.n_inner)), np.zeros((n_b, grid.n_inner))
-        g_lo[:, -1] = g_hi[:, 0] = _end_spans(
-            x, kind, np.append(rising[:, 0], rising[-1, -1]), rr, ss, diff, ends)
-        for lo, warped in _warp_pixels(x, kind, rising[:, 1:-1].ravel(), rr, ss):
-            part = diff[:len(warped)]
+        g_lo[:, -1] = g_hi[:, 0] = _sq_dists(ends[low:low + n_b], ends,
+                                             np.arange(n_b) + 1 - low, diff)
+        for lo, warped in _warp_pixels(x, kind, inner[:, 1:-1].ravel(), rr, ss):
             point = np.arange(lo, lo + len(warped))
             r = point // between
             at = point + 2 * r + 1  # the point's entry in the flat (n_b, n_inner) rows
-            for g, end in ((g_lo, r), (g_hi, r + 1)):
-                np.take(ends, end, axis=0, out=part, mode="clip")
-                np.subtract(warped.reshape(len(part), -1), part, out=part)
-                part *= part
-                g.reshape(-1)[at] = part.sum(axis=1)
-        g_lo, g_hi = g_lo[order], g_hi[order]
+            g_lo.reshape(-1)[at] = _sq_dists(warped, ends, r + low, diff)
+            g_hi.reshape(-1)[at] = _sq_dists(warped, ends, r + 1 - low, diff)
 
         lip = slack[block]
         pair_min = np.minimum(g_lo[:, :-1] + g_lo[:, 1:], g_hi[:, :-1] + g_hi[:, 1:])
         bounds = np.max(0.5 * pair_min + 0.5 * lip[:, None] * np.diff(inner, axis=1), axis=1)
         for row, t in crossings:
             _, img_t = next(_warp_pixels(x, kind, np.array([t]), rr, ss))  # one kernel block
-            last = row + 1 if kind == "rotation" else n_b - row  # its upper end, rising order
-            g_hi_t = float(np.sum((img_t.reshape(-1) - ends[last]) ** 2))
+            g_hi_t = float(_sq_dists(img_t, ends, [row + 1 - low], diff)[0])
             left = _below_crossing_bound(inner[row], g_lo[row], float(lip[row]), t)
             right = _at_and_above_crossing_bound(inner[row], g_hi[row], float(lip[row]), t,
                                                  g_hi_t)
@@ -484,25 +477,18 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
     return AliasingBound(worst, float(exposed.max(initial=0.0)))
 
 
-def _end_spans(x: ImageTensor, kind: str, params: np.ndarray, rr: np.ndarray, ss: np.ndarray,
-               diff: np.ndarray, ends: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances between the warps of consecutive ``params``.
+def _sq_dists(images: np.ndarray, ends: np.ndarray, index, diff: np.ndarray) -> np.ndarray:
+    """Squared l2 distance of each (K, P) image ``images[i]`` to ``ends[index[i]]``.
 
-    The warps stream through one kernel block at a time, with the last
-    image of a block carried over to pair with the next block's first;
-    ``ends``, (B, K * P), keeps them when given.  ``diff`` is scratch of
-    one kernel block of images.
+    The images pass through the scratch ``diff`` as many at a time as it
+    holds: gathered, subtracted and squared in place, each then summed as
+    one contiguous row.
     """
-    spans = np.empty(len(params) - 1)
-    prev = np.zeros(diff.shape[1])
-    out = None if ends is None else ends.reshape(len(params), x.channels, len(rr))
-    for lo, warped in _warp_pixels(x, kind, params, rr, ss, out):
-        images = warped.reshape(len(warped), -1)
-        part = diff[:len(images)]
-        np.subtract(images[0], prev, out=part[0])
-        np.subtract(images[1:], images[:-1], out=part[1:])
+    out = np.empty(len(images))
+    for lo in range(0, len(images), len(diff)):
+        part = diff[:min(len(diff), len(images) - lo)]
+        np.take(ends, index[lo:lo + len(part)], axis=0, out=part, mode="clip")
+        np.subtract(images[lo:lo + len(part)], part, out=part)
         part *= part
-        first = 0 if lo else 1  # the first block has no image before it
-        spans[lo - 1 + first:lo - 1 + len(images)] = part[first:].sum(axis=1)
-        prev[:] = images[-1]
-    return spans
+        out[lo:lo + len(part)] = part.reshape(len(part), -1).sum(axis=1)
+    return out

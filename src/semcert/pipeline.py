@@ -227,7 +227,8 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     the grid bound, and equal (hits, used) counts reuse one bound.
     Memory stays at the stream (C class scores per draw read for an
     affine classifier, else the guess draws plus the first check), one
-    check's draws and one block of anchor images.
+    check's draws and one block of anchor images: the current block,
+    held through the grid bound.
 
     One pass reads two bounds.  Each anchor first reads only its first
     check against the bound built from the anchors alone (two inner
@@ -277,20 +278,14 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     samples = 0
     min_radius = math.inf
     min_p = 1.0
-    images = _anchor_images(x, grid.kind, anchors)
-    for i, alpha_i in enumerate(anchors):
-        image = ImageTensor(next(images))
+    for alpha_i, data in zip(anchors, _anchor_images(x, grid.kind, anchors)):
+        image = ImageTensor(data)
         prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch, stream=stream,
                                    first_check_only=not refined)
         if not refined and prog.label == label and not prog.certified:
             refined = True
-            if grid.n_inner != 2:
-                # the block of anchor images is released while the grid bound
-                # runs; on a tie the grid's own bound is kept
-                image = ImageTensor(image.data.copy())
-                images = None
+            if grid.n_inner != 2:  # on a tie the grid's own bound is kept
                 bound = min(aliasing_bound(x, grid.kind, grid), bound, key=lambda b: b.m_value)
-                images = _anchor_images(x, grid.kind, anchors[i + 1:])
             prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch,
                                        stream=stream)
         samples += prog.samples_used

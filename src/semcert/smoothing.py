@@ -23,7 +23,6 @@ of a rotation/scaling row read their draws from one ``RowStream``.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,10 +189,9 @@ class RowStream:
     (n0 or ``batch`` rows, whichever is more, at most ``_BLOCK_IMAGES``),
     projected, and only its C class scores per draw are kept.  Other
     classifiers keep the raw prefix (the guess draws and a first check of
-    ``batch``) and draw later checks per read.  The last image's
-    projected form is kept, keyed by a weak reference that lets the
-    image's block be freed, and ``bounds`` memoises Clopper-Pearson
-    bounds by (hits, used, alpha).
+    ``batch``) and draw later checks per read.  The last image read is
+    kept with its projected form, so reading it again reuses the form,
+    and ``bounds`` memoises Clopper-Pearson bounds by (hits, used, alpha).
     """
 
     def __init__(self, q: SmoothedQuery, batch: int = 400):
@@ -213,9 +211,9 @@ class RowStream:
     def labels(self, x: ImageTensor, offset: int, n: int) -> np.ndarray:
         """Base-classifier labels of ``x`` plus draws [offset, offset + n)."""
         q = self.q
-        if self._image is None or self._image() is not x:
+        if self._image is not x:
             affine = q.classifier.affine(x.shape)
-            self._image = weakref.ref(x)
+            self._image = x
             self._form = None if affine is None else q.transform.linear_form(x).project(*affine)
         form = self._form
         if form is None:

@@ -68,8 +68,8 @@ __all__ = [
 
 # Transformed images (or rows as large) held at once by a loop over many
 # parameters: sampling in ``smoothing`` and anchor images in ``pipeline``.
-# 4096 images of 28x28 take about 26 MB.  ``aliasing`` holds no inner
-# images: it takes intervals in blocks of about this many distances.
+# 4096 images of 28x28 take about 26 MB.  ``aliasing`` takes intervals in
+# blocks of about this many distances and holds only a block's end images.
 _BLOCK_IMAGES = 4096
 
 

@@ -495,7 +495,8 @@ def test_class_score_row_draws_each_slice_once(image_9x9, monkeypatch, kind, thr
 @pytest.mark.parametrize("threshold,refined", [(0.2, False), (0.27, True)])
 def test_class_score_row_projects_each_anchor_once_per_call(image_9x9, monkeypatch,
                                                             threshold, refined):
-    # an anchor's guess and checks read one projection of its image
+    # an anchor's guess and checks read one projection of its image, and
+    # the handover anchor's second call reuses it
     projections, calls = [], []
     project, anchor_certify = LinearForm.project, pipeline.progressive_certify
     monkeypatch.setattr(LinearForm, "project",
@@ -503,24 +504,31 @@ def test_class_score_row_projects_each_anchor_once_per_call(image_9x9, monkeypat
     monkeypatch.setattr(pipeline, "progressive_certify",
                         lambda *args, **kwargs: calls.append(1) or anchor_certify(*args, **kwargs))
     q = replace(_query(image_9x9, threshold), classifier=_mean_linear(image_9x9.shape, threshold))
-    res = _certify(image_9x9, q, _grid("rotation"))
+    grid = _grid("rotation")
+    res = _certify(image_9x9, q, grid)
     assert res.certified and res.refined == refined
-    assert len(projections) == len(calls) >= 10
+    assert len(projections) == grid.n_outer and len(calls) == grid.n_outer + refined
 
 
-@pytest.mark.parametrize("hidden", [False, True], ids=["class-scores", "images"])
-def test_memory_holds_one_block_of_anchors(image_9x9, monkeypatch, hidden):
-    # every anchor certifies at its first check; anchor images are built
-    # one block at a time, in the bound and in the anchor loop, so ten
-    # times the anchors cost less than twice the memory (small blocks,
-    # so that both grids fill several)
+@pytest.mark.parametrize("case", ["class-scores", "images", "refined"])
+def test_memory_holds_one_block_of_anchors(image_9x9, monkeypatch, case):
+    # every anchor certifies; anchor images are built one block at a time,
+    # in the bound and in the anchor loop, so ten times the anchors cost
+    # less than twice the memory (small blocks, so that both grids fill
+    # several).  Unrefined, each anchor certifies at its first check.
+    # Refined, anchor 0's first check cannot certify at this confidence, so
+    # the row hands over there, and the stream holds that anchor (and its
+    # block) through the grid bound
     monkeypatch.setattr(pipeline, "_BLOCK_IMAGES", 64)
     monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 64)
     monkeypatch.setattr(aliasing, "_BLOCK_POINTS", 2048)
     x = image_9x9
-    weights = 0.01 * np.random.default_rng(1).normal(size=(3, x.data.size))
-    bias = np.array([0.0, 5.0, 0.0])
-    clf = (ImageOnlyLinear if hidden else LinearClassifier)(weights, bias, x.shape)
+    if case == "refined":
+        clf = _mean_linear(x.shape, 0.274)
+    else:
+        weights = 0.01 * np.random.default_rng(1).normal(size=(3, x.data.size))
+        bias = np.array([0.0, 5.0, 0.0])
+        clf = (ImageOnlyLinear if case == "images" else LinearClassifier)(weights, bias, x.shape)
     transform = additive_pixel_transform(x.shape)
     noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
     q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.001, 4_000, 100), 0)
@@ -530,7 +538,7 @@ def test_memory_holds_one_block_of_anchors(image_9x9, monkeypatch, hidden):
         res = _certify(x, q, _grid("rotation", n_outer=n_outer, n_inner=5))
         peaks[n_outer] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert res.certified and not res.refined
+        assert res.certified and res.refined == (case == "refined")
     assert peaks[2_000] <= 2.0 * peaks[200], peaks
 
 

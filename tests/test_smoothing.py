@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -382,22 +381,6 @@ class TestClassScorePath:
         assert [len(out) for out in outs] == [n for _, n in reads]
         assert len({id(out.base) for out in outs}) == 1
         assert outs[0].base.shape == (400, x.data.size)
-
-    def test_row_stream_holds_no_image(self):
-        # the projected form is keyed by a weak reference, so a stream
-        # kept through a row frees each anchor image (and its block)
-        shape = (1, 9, 9)
-        transform = additive_pixel_transform(shape)
-        noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
-        for clf in (random_linear(6, shape, classes=3), MeanThresholdClassifier(0.5)):
-            q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.001, 1000, 100), 5)
-            stream = RowStream(q)
-            x = ImageTensor(np.random.default_rng(3).random(shape))
-            alive = weakref.ref(x)
-            counts = sample_counts(q, x, 100, 0, stream).counts
-            np.testing.assert_array_equal(sample_counts(q, x, 100, 0, stream).counts, counts)
-            del x
-            assert alive() is None
 
     def test_row_stream_refuses_other_transforms_and_queries(self):
         # brightness/contrast's basis [x; 1] depends on the input, so no

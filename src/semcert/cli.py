@@ -216,6 +216,18 @@ def _require(value, flag: str, transform: str):
 
 
 def _cmd_certify(args) -> int:
+    t = args.transform
+    if args.batch < 1:
+        raise ValueError(f"--batch must be >= 1, got {args.batch}")
+    geometric = ("rotation", "scaling")
+    for flag, readers in (("alpha-max", ("blur",)),
+                          ("rho", ("translation-reflect", "translation-black")),
+                          ("k-range", ("brightness-contrast",)),
+                          ("b-range", ("brightness-contrast",)),
+                          ("interval", geometric), ("grid-n", geometric), ("grid-r", geometric)):
+        if getattr(args, flag.replace("-", "_")) is not None and t not in readers:
+            raise ValueError(f"--{flag} applies to --transform {' or '.join(readers)} only, "
+                             f"got --transform {t}")
     _require_paths("dataset", args.dataset, args.labels)
     _require_paths("classifier", args.weights)
     images, labels = semio.read_idx(args.dataset, args.labels)
@@ -229,7 +241,6 @@ def _cmd_certify(args) -> int:
     transform, noise = _smoothing_setup(args, dataset[0][0].shape)
     query = SmoothedQuery(classifier, transform, noise, conf, args.seed)
 
-    t = args.transform
     region = grid = None
     if t in ("translation-reflect", "translation-black"):
         region = ParameterSet.translation_disk(_require(args.rho, "rho", t))

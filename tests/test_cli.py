@@ -291,7 +291,41 @@ class TestCertify:
             "--dataset", images, "--labels", labels, *_SMALL, "--batch", batch,
             "--output", str(tmp_path / "out")])
         assert code == 2
-        assert err == "error: batch size must be >= 1\n"
+        assert err == f"error: --batch must be >= 1, got {batch}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("transform,flags,message", [
+        ("blur", ["--interval", "-5", "5", "--grid-n", "3", "--rho", "2", "--batch", "0"],
+         "--batch must be >= 1, got 0"),
+        ("translation-black", ["--batch", "-3"], "--batch must be >= 1, got -3"),
+        ("blur", ["--interval", "-5", "5"],
+         "--interval applies to --transform rotation or scaling only, got --transform blur"),
+        ("brightness-contrast", ["--grid-n", "3"],
+         "--grid-n applies to --transform rotation or scaling only, "
+         "got --transform brightness-contrast"),
+        ("translation-reflect", ["--grid-r", "3"],
+         "--grid-r applies to --transform rotation or scaling only, "
+         "got --transform translation-reflect"),
+        ("blur", ["--rho", "2"], "--rho applies to --transform translation-reflect or "
+         "translation-black only, got --transform blur"),
+        ("rotation", ["--alpha-max", "0.5"],
+         "--alpha-max applies to --transform blur only, got --transform rotation"),
+        ("scaling", ["--k-range", "-0.1", "0.1"],
+         "--k-range applies to --transform brightness-contrast only, got --transform scaling"),
+        ("translation-black", ["--b-range", "-0.1", "0.1"],
+         "--b-range applies to --transform brightness-contrast only, "
+         "got --transform translation-black"),
+    ])
+    def test_flags_the_transform_does_not_read_refused(self, capsys, tmp_path, idx_set,
+                                                       transform, flags, message):
+        # a region or grid flag that the transform never reads, or a batch
+        # below 1 under any transform, is refused before anything runs
+        images, labels = idx_set
+        code, out, err = _run(capsys, [
+            "certify", "--transform", transform, *_CERTIFY_FLAGS[transform], *flags,
+            "--dataset", images, "--labels", labels, *_SMALL, "--output", str(tmp_path / "out")])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
 
     # rows of the plain certifier (every anchor's full progressive

@@ -29,12 +29,35 @@ from .transforms import additive_pixel_transform, transform_spec
 
 __all__ = ["run_cli", "main"]
 
-_UNIT_VARIANCE_SCALES = {
-    "gaussian": (1.0,),
-    "exponential": (1.0,),
-    "uniform": (-math.sqrt(3.0), math.sqrt(3.0)),
-    "laplace": (1.0 / math.sqrt(2.0),),
-    "folded_gaussian": (math.sqrt(math.pi / (math.pi - 2.0)),),
+_GEOMETRIC = ("rotation", "scaling")
+
+# Each transform-specific flag of certify, predict and aliasing (whose
+# --kind names a transform): the transforms that read it, each with the
+# flag's default there; None marks a required flag.
+_TRANSFORM_FLAGS = {
+    "alpha-max": {"blur": None},
+    "rho": {"translation-reflect": None, "translation-black": None},
+    "k-range": {"brightness-contrast": None},
+    "b-range": {"brightness-contrast": None},
+    "interval": dict.fromkeys(_GEOMETRIC),
+    "grid-n": {"rotation": 10_000, "scaling": 1_000},
+    "grid-r": {"rotation": 1_000, "scaling": 250},
+    "batch": dict.fromkeys(_GEOMETRIC, 400),
+    "noise-family": {"blur": "exponential"},
+    "noise-scale": {"blur": 1.0},
+    "noise-sigma": dict.fromkeys(("translation-reflect", "translation-black", *_GEOMETRIC,
+                                  "additive"), 0.25),
+    "sigma-k": {"brightness-contrast": 0.3},
+    "sigma-b": {"brightness-contrast": 0.3},
+}
+
+# radius-table's scale flags: the families that read each, with the
+# unit-variance default
+_FAMILY_FLAGS = {
+    "sigma": {"gaussian": 1.0, "folded_gaussian": math.sqrt(math.pi / (math.pi - 2.0))},
+    "lambda": {"exponential": 1.0},
+    "uniform-range": {"uniform": (-math.sqrt(3.0), math.sqrt(3.0))},
+    "laplace-scale": {"laplace": 1.0 / math.sqrt(2.0)},
 }
 
 
@@ -66,12 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise-scale", type=float, default=None,
                        help="blur noise scale (default 1.0): rate for exponential, "
                             "upper end for uniform [0,a], scale otherwise")
-        p.add_argument("--noise-sigma", type=float, default=0.25,
-                       help="gaussian sigma for translation / additive smoothing")
-        p.add_argument("--sigma-k", type=float, default=0.3,
-                       help="contrast noise std for brightness-contrast")
-        p.add_argument("--sigma-b", type=float, default=0.3,
-                       help="brightness noise std for brightness-contrast")
+        p.add_argument("--noise-sigma", type=float, default=None,
+                       help="gaussian sigma for translation / additive smoothing "
+                            "(default 0.25)")
+        p.add_argument("--sigma-k", type=float, default=None,
+                       help="contrast noise std for brightness-contrast (default 0.3)")
+        p.add_argument("--sigma-b", type=float, default=None,
+                       help="brightness noise std for brightness-contrast (default 0.3)")
 
     def add_grid(p):
         p.add_argument("--grid-n", type=int, default=None,
@@ -89,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="evaluate every stride-th sample (default 1)")
     add_classifier(cert)
     add_conf(cert)
-    cert.add_argument("--batch", type=int, default=400,
+    cert.add_argument("--batch", type=int, default=None,
                       help="progressive certification batch size (default 400)")
     cert.add_argument("--alpha-max", type=float, help="blur region: max squared radius")
     cert.add_argument("--rho", type=float, help="translation region: displacement radius")
@@ -108,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="closed-form radius over a p_A grid as CSV")
     table.add_argument("--family", required=True, choices=NOISE_FAMILIES)
     table.add_argument("--sigma", type=float, help="gaussian / folded gaussian sigma")
-    table.add_argument("--lambda", dest="rate", type=float, help="exponential rate")
+    table.add_argument("--lambda", type=float, help="exponential rate")
     table.add_argument("--uniform-range", type=float, nargs=2, metavar=("A", "B"))
     table.add_argument("--laplace-scale", type=float)
     table.add_argument("--p-grid", default=None,
@@ -160,24 +184,40 @@ def _classifier_from_args(args):
     raise ValueError(usage)
 
 
+def _read_flags(args, option: str, table: dict) -> None:
+    """Refuse each flag of ``table`` that the value of ``--option`` does not
+    read, and write the default of each unset one it reads into ``args``.
+
+    A flag that this command does not define is skipped.
+    """
+    chosen = getattr(args, option)
+    for flag, defaults in table.items():
+        dest = flag.replace("-", "_")
+        if not hasattr(args, dest):
+            continue
+        value = getattr(args, dest)
+        if chosen not in defaults:
+            if value is not None:
+                raise ValueError(f"--{flag} applies to --{option} {' or '.join(defaults)} "
+                                 f"only, got --{option} {chosen}")
+        elif value is None:
+            if defaults[chosen] is None:
+                raise ValueError(f"--{flag} is required for --{option} {chosen}")
+            setattr(args, dest, defaults[chosen])
+
+
 def _smoothing_setup(args, shape):
     """(transform, noise) of the smoothed classifier for ``--transform``.
 
     translation-black is certified by enumeration; its clean prediction
     smooths with reflect padding.  Blur noise is checked by
-    ``SmoothedQuery``; the blur noise flags are refused for the other
-    transforms, whose noise they would not change.
+    ``SmoothedQuery``.  ``_read_flags`` has filled the noise flags.
     """
     t = args.transform
     if t == "blur":
-        family = args.noise_family or "exponential"
-        size = 1.0 if args.noise_scale is None else args.noise_scale
-        scale = (0.0, size) if family == "uniform" else (size,)
-        return transform_spec("gaussian_blur"), DistributionSpec(family, scale, dim=1)
-    for flag, value in (("family", args.noise_family), ("scale", args.noise_scale)):
-        if value is not None:
-            raise ValueError(f"--noise-{flag} applies to --transform blur only, "
-                             f"got --transform {t}")
+        size = args.noise_scale
+        scale = (0.0, size) if args.noise_family == "uniform" else (size,)
+        return transform_spec("gaussian_blur"), DistributionSpec(args.noise_family, scale, dim=1)
     if t == "brightness-contrast":
         return (transform_spec("brightness_contrast"),
                 DistributionSpec("gaussian", (args.sigma_k, args.sigma_b), dim=2))
@@ -201,33 +241,14 @@ def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
         raise ValueError(f"--interval needs LO < HI, got [{lo!r}, {hi!r}]")
     if kind == "rotation":
         lo, hi = math.radians(lo), math.radians(hi)
-        default_n, default_r = 10_000, 1_000
-    else:
-        default_n, default_r = 1_000, 250
-    return IntervalGrid(kind, lo, hi,
-                        default_n if grid_n is None else grid_n,
-                        default_r if grid_r is None else grid_r)
-
-
-def _require(value, flag: str, transform: str):
-    if value is None:
-        raise ValueError(f"--{flag} is required for --transform {transform}")
-    return value
+    return IntervalGrid(kind, lo, hi, grid_n, grid_r)
 
 
 def _cmd_certify(args) -> int:
     t = args.transform
-    if args.batch < 1:
+    if args.batch is not None and args.batch < 1:
         raise ValueError(f"--batch must be >= 1, got {args.batch}")
-    geometric = ("rotation", "scaling")
-    for flag, readers in (("alpha-max", ("blur",)),
-                          ("rho", ("translation-reflect", "translation-black")),
-                          ("k-range", ("brightness-contrast",)),
-                          ("b-range", ("brightness-contrast",)),
-                          ("interval", geometric), ("grid-n", geometric), ("grid-r", geometric)):
-        if getattr(args, flag.replace("-", "_")) is not None and t not in readers:
-            raise ValueError(f"--{flag} applies to --transform {' or '.join(readers)} only, "
-                             f"got --transform {t}")
+    _read_flags(args, "transform", _TRANSFORM_FLAGS)
     _require_paths("dataset", args.dataset, args.labels)
     _require_paths("classifier", args.weights)
     images, labels = semio.read_idx(args.dataset, args.labels)
@@ -243,15 +264,13 @@ def _cmd_certify(args) -> int:
 
     region = grid = None
     if t in ("translation-reflect", "translation-black"):
-        region = ParameterSet.translation_disk(_require(args.rho, "rho", t))
+        region = ParameterSet.translation_disk(args.rho)
     elif t == "blur":
-        region = ParameterSet.blur_interval(_require(args.alpha_max, "alpha-max", t))
+        region = ParameterSet.blur_interval(args.alpha_max)
     elif t == "brightness-contrast":
-        region = ParameterSet.bc_rect(*_require(args.k_range, "k-range", t),
-                                      *_require(args.b_range, "b-range", t))
+        region = ParameterSet.bc_rect(*args.k_range, *args.b_range)
     else:  # rotation / scaling
-        grid = _interval_grid(t, _require(args.interval, "interval", t),
-                              args.grid_n, args.grid_r)
+        grid = _interval_grid(t, args.interval, args.grid_n, args.grid_r)
 
     def certifier(x, label):
         # the pipelines are looked up when called, so a wrapper installed
@@ -276,17 +295,11 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _radius_table_dist(args) -> DistributionSpec:
-    """The family's own scale flag, else its unit-variance default."""
-    family = args.family
-    flag = {"gaussian": args.sigma, "folded_gaussian": args.sigma, "exponential": args.rate,
-            "uniform": args.uniform_range, "laplace": args.laplace_scale}[family]
-    params = _UNIT_VARIANCE_SCALES[family] if flag is None else np.atleast_1d(flag)
-    return DistributionSpec(family, tuple(params), dim=1)
-
-
 def _cmd_radius_table(args) -> int:
-    dist = _radius_table_dist(args)
+    _read_flags(args, "family", _FAMILY_FLAGS)
+    flag = next(f for f, readers in _FAMILY_FLAGS.items() if args.family in readers)
+    params = np.atleast_1d(getattr(args, flag.replace("-", "_")))
+    dist = DistributionSpec(args.family, tuple(params), dim=1)
     if args.p_grid is not None:
         p_values = [float(s) for s in args.p_grid.split(",")]
     else:
@@ -305,6 +318,7 @@ def _cmd_radius_table(args) -> int:
 
 
 def _cmd_aliasing(args) -> int:
+    _read_flags(args, "kind", _TRANSFORM_FLAGS)
     _require_paths("image", args.image)
     x = semio.read_tensor(args.image)
     grid = _interval_grid(args.kind, args.interval, args.grid_n, args.grid_r)
@@ -319,6 +333,7 @@ def _cmd_aliasing(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _read_flags(args, "transform", _TRANSFORM_FLAGS)
     _require_paths("image", args.image)
     x = semio.read_tensor(args.image)
     classifier = _classifier_from_args(args)

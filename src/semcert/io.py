@@ -14,11 +14,13 @@ Formats:
   shortest round-trip formatting ('.' decimal, no locale), so a parsed
   row equals the row written (the tests check this with their own
   reader) and two runs with the same config and seed produce
-  byte-identical bodies.  Timing lives in the JSON summary
-  (avg/min/max seconds), never in the CSV.  ``predicted`` is the clean
+  byte-identical bodies.  Timing lives in the JSON summary, never in
+  the CSV: avg/min/max seconds of each certifier call's wall time, as
+  ``robust_accuracy_report`` took it.  ``predicted`` is the clean
   smoothed label (``predict``: n0 draws and a two-sided binomial test,
-  -1 on abstain); it does not come from the certificate, and a
-  ``certified`` verdict always certifies ``true_label``.  So robust
+  -1 on abstain); it does not come from the certificate, and the
+  verdict is about ``true_label``: a ``certified`` verdict always
+  certifies ``true_label``, whatever ``predicted`` says.  So robust
   accuracy can exceed clean accuracy, as in a row that reads
   ``5,3,-1,certified,...``.
 """
@@ -30,7 +32,6 @@ import json
 import os
 import stat
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +48,6 @@ __all__ = [
     "write_tensor",
     "load_linear_classifier",
     "save_linear_classifier",
-    "ReportRow",
     "rows_from_table",
     "write_report_csv",
     "report_summary",
@@ -198,38 +198,13 @@ _CSV_FIELDS = ("index", "true_label", "predicted", "verdict", "p_a_lower",
                "radius", "sqrt_m", "samples_used")
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One CSV row of a certification run (deterministic fields only).
-
-    ``predicted`` is the clean smoothed label; ``verdict`` is about
-    ``true_label`` whatever ``predicted`` says."""
-
-    index: int
-    true_label: int
-    predicted: int
-    verdict: str
-    p_a_lower: float | None
-    radius: float | None
-    sqrt_m: float | None
-    samples_used: int
-
-
-def rows_from_table(table: ReportTable) -> list[ReportRow]:
-    rows = []
-    for s in table.samples:
-        r = s.result
-        rows.append(ReportRow(
-            index=s.index,
-            true_label=s.true_label,
-            predicted=s.predicted,
-            verdict=r.verdict,
-            p_a_lower=r.p_a_lower,
-            radius=r.region_bound,
-            sqrt_m=r.aliasing.sqrt_m if r.aliasing is not None else None,
-            samples_used=r.samples_used,
-        ))
-    return rows
+def rows_from_table(table: ReportTable) -> list[tuple]:
+    """One tuple per sample, its values in ``_CSV_FIELDS`` order."""
+    return [(s.index, s.true_label, s.predicted, s.result.verdict, s.result.p_a_lower,
+             s.result.region_bound,
+             s.result.aliasing.sqrt_m if s.result.aliasing is not None else None,
+             s.result.samples_used)
+            for s in table.samples]
 
 
 def _fmt(v) -> str:
@@ -240,22 +215,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_report_csv(rows: list[ReportRow], path) -> None:
+def write_report_csv(rows: list[tuple], path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(_CSV_FIELDS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in _CSV_FIELDS])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def report_summary(table: ReportTable, config_echo: dict, started_at: str) -> dict:
     """JSON-ready run summary: accuracies, verdict counts, the number of
     rotation/scaling rows that read their grid's refined aliasing bound,
-    timing stats."""
+    and ``timing``: avg/min/max of each certifier call's wall time, as
+    ``robust_accuracy_report`` took it."""
     verdicts: dict[str, int] = {}
     for s in table.samples:
         verdicts[s.result.verdict] = verdicts.get(s.result.verdict, 0) + 1
-    elapsed = [s.result.elapsed for s in table.samples]
+    elapsed = [s.elapsed for s in table.samples]
     timing = {"avg_s": sum(elapsed) / len(elapsed),
               "min_s": min(elapsed), "max_s": max(elapsed)}
     return {

@@ -104,7 +104,6 @@ class CertificationResult:
     region_bound: float | None
     aliasing: AliasingBound | None
     samples_used: int
-    elapsed: float
     witness: tuple | None = None
     # rotation/scaling: an anchor's first check could not decide, so the
     # row read the smaller of the two-point and the grid's own bound
@@ -130,7 +129,6 @@ def certify_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     the displacement disk of radius rho when rho < sigma * (quantile
     gap)/2.
     """
-    t0 = time.perf_counter()
     kind = q.transform.kind
     if kind == "gaussian_blur":
         if region.kind != "blur":
@@ -150,16 +148,14 @@ def certify_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     outcome = certify(q, x)
     if outcome.abstained:
         return CertificationResult(ABSTAINED, ABSTAIN, outcome.p_a_lower, None,
-                                   None, outcome.samples_used,
-                                   time.perf_counter() - t0)
+                                   None, outcome.samples_used)
     bound = closed_form_radius(q.noise, ConfidencePair(outcome.p_a_lower))
     if kind == "translation_reflect":
         bound *= _isotropic_sigma(q.noise)
     certified = outcome.label == label and region.bounds[0] < bound
     verdict = CERTIFIED if certified else NOT_CERTIFIED
     return CertificationResult(verdict, outcome.label, outcome.p_a_lower,
-                               bound, None, outcome.samples_used,
-                               time.perf_counter() - t0)
+                               bound, None, outcome.samples_used)
 
 
 def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
@@ -173,7 +169,6 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
     is certified iff every corner passes under the worst shifted
     confidence.
     """
-    t0 = time.perf_counter()
     if q.transform.kind != "brightness_contrast":
         raise PipelineConfigError("certify_bc_rectangle needs a brightness_contrast query")
     if rect.kind != "rect":
@@ -187,8 +182,7 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
     outcome = certify(q, x)
     if outcome.abstained:
         return CertificationResult(ABSTAINED, ABSTAIN, outcome.p_a_lower, None,
-                                   None, outcome.samples_used,
-                                   time.perf_counter() - t0)
+                                   None, outcome.samples_used)
     k_lo, k_hi, b_lo, b_hi = rect.bounds
     p_shift = min(bc_confidence_shift(outcome.p_a_lower, k_lo),
                   bc_confidence_shift(outcome.p_a_lower, k_hi))
@@ -203,8 +197,7 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
     certified = outcome.label == label and corners_ok
     verdict = CERTIFIED if certified else NOT_CERTIFIED
     return CertificationResult(verdict, outcome.label, outcome.p_a_lower,
-                               quantile_gap, None, outcome.samples_used,
-                               time.perf_counter() - t0)
+                               quantile_gap, None, outcome.samples_used)
 
 
 def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
@@ -259,7 +252,6 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     would certify loses its certificate to it with probability at most
     alpha.
     """
-    t0 = time.perf_counter()
     if q.transform.kind != "additive_pixel":
         raise PipelineConfigError(
             "rotation/scaling certification smooths with additive pixel noise")
@@ -297,11 +289,11 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
                                     and prog.label == label) else NOT_CERTIFIED
             return CertificationResult(
                 verdict, prog.label, prog.p_a_lower, None, bound, samples,
-                time.perf_counter() - t0, witness=(float(alpha_i),), refined=refined)
+                witness=(float(alpha_i),), refined=refined)
 
     # certified because sqrt(M) is below every anchor's sigma * Phi_inv(p_a_lower)
     return CertificationResult(CERTIFIED, label, min_p, min_radius, bound, samples,
-                               time.perf_counter() - t0, refined=refined)
+                               refined=refined)
 
 
 def _anchor_images(x: ImageTensor, kind: str, anchors: np.ndarray):
@@ -320,7 +312,6 @@ def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,
     (m1, m2) order is reported as the witness, and ``samples_used``
     counts the displacements up to it (all of them when none fails).
     """
-    t0 = time.perf_counter()
     if region.kind != "disk":
         raise PipelineConfigError("translation enumeration needs a disk region")
     rho = region.bounds[0]
@@ -333,9 +324,8 @@ def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,
     if failing.size:
         first = int(failing[0])
         return CertificationResult(NOT_CERTIFIED, base_pred, None, rho, None, first + 1,
-                                   time.perf_counter() - t0, witness=shifts[first])
-    return CertificationResult(CERTIFIED, base_pred, None, rho, None,
-                               len(shifts), time.perf_counter() - t0)
+                                   witness=shifts[first])
+    return CertificationResult(CERTIFIED, base_pred, None, rho, None, len(shifts))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +333,14 @@ def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,
 
 @dataclass(frozen=True)
 class SampleReport:
-    """One dataset sample's certification outcome."""
+    """One dataset sample's certification outcome; ``elapsed`` is the
+    wall time of its certifier call, in seconds."""
 
     index: int
     true_label: int
     predicted: int
     result: CertificationResult
+    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -368,7 +360,7 @@ def robust_accuracy_report(dataset, query: SmoothedQuery, certifier,
     sample is evaluated, and its row keeps its index in ``dataset``.
     ``query`` is the smoothed classifier whose prediction on each image
     is the clean prediction; ``certifier`` maps (image, label) to a
-    CertificationResult.
+    CertificationResult, and each call is timed into its row.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
@@ -380,8 +372,10 @@ def robust_accuracy_report(dataset, query: SmoothedQuery, certifier,
         x, label = dataset[idx]
         predicted = predict(query, x)
         clean_hits += int(predicted == label)
+        t0 = time.perf_counter()
         result = certifier(x, label)
+        elapsed = time.perf_counter() - t0
         robust_hits += int(result.certified and result.predicted_class == label)
-        samples.append(SampleReport(idx, label, predicted, result))
+        samples.append(SampleReport(idx, label, predicted, result, elapsed))
     n = len(evaluated)
     return ReportTable(tuple(samples), robust_hits / n, clean_hits / n)

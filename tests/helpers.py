@@ -16,12 +16,13 @@ corners, and distances are recomputed from the raw transforms.
 
 import csv
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from semcert import aliasing
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
-from semcert.io import _CSV_FIELDS, FormatError, ReportRow
+from semcert.io import _CSV_FIELDS, FormatError
 from semcert.statfn import _log_binom_tail_terms, std_normal_cdf
 from semcert.tensor import ImageTensor, bilinear_many
 from semcert.transforms import center_coords, transform_spec
@@ -403,6 +404,9 @@ def bc_mean_threshold_confidence(x, threshold, sigma_k, sigma_b):
 
 def _parse_opt_float(s):
     return None if s == "" else float(s)
+
+
+ReportRow = namedtuple("ReportRow", _CSV_FIELDS)
 
 
 def read_report_csv(path):

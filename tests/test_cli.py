@@ -1,5 +1,6 @@
 """Smoke tests of the ``semcert`` command line on a tiny generated IDX set."""
 
+import argparse
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from helpers import read_report_csv
 from semcert import io as semio
 from semcert.aliasing import IntervalGrid, aliasing_bound
 from semcert.classifiers import LinearClassifier
-from semcert.cli import run_cli
+from semcert.cli import _TRANSFORM_FLAGS, _build_parser, run_cli
 from semcert.radii import ConfidencePair, DistributionSpec, closed_form_radius
 from semcert.tensor import ImageTensor
 
@@ -117,12 +118,13 @@ class TestCertify:
         assert code == 2
         assert err == f"error: classifier path not found: {missing}\n"
 
-    def test_missing_rho(self, capsys, tmp_path, idx_set):
-        images, labels = idx_set
+    def test_missing_rho(self, capsys, tmp_path):
+        # refused before the dataset is read: it does not exist
+        missing = str(tmp_path / "missing")
         for transform in ("translation-reflect", "translation-black"):
             code, _, err = _run(capsys, [
                 "certify", "--transform", transform,
-                "--dataset", images, "--labels", labels, *_SMALL,
+                "--dataset", missing, "--labels", missing, *_SMALL,
                 "--output", str(tmp_path / "out")])
             assert code == 2
             assert err == (f"error: --rho is required for --transform {transform}\n")
@@ -294,36 +296,51 @@ class TestCertify:
         assert err == f"error: --batch must be >= 1, got {batch}\n"
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("transform,flags,message", [
-        ("blur", ["--interval", "-5", "5", "--grid-n", "3", "--rho", "2", "--batch", "0"],
+    @pytest.mark.parametrize("command,transform,flags,message", [
+        ("certify", "blur",
+         ["--interval", "-5", "5", "--grid-n", "3", "--rho", "2", "--batch", "0"],
          "--batch must be >= 1, got 0"),
-        ("translation-black", ["--batch", "-3"], "--batch must be >= 1, got -3"),
-        ("blur", ["--interval", "-5", "5"],
+        ("certify", "translation-black", ["--batch", "-3"], "--batch must be >= 1, got -3"),
+        ("certify", "blur", ["--interval", "-5", "5"],
          "--interval applies to --transform rotation or scaling only, got --transform blur"),
-        ("brightness-contrast", ["--grid-n", "3"],
+        ("certify", "brightness-contrast", ["--grid-n", "3"],
          "--grid-n applies to --transform rotation or scaling only, "
          "got --transform brightness-contrast"),
-        ("translation-reflect", ["--grid-r", "3"],
+        ("certify", "translation-reflect", ["--grid-r", "3"],
          "--grid-r applies to --transform rotation or scaling only, "
          "got --transform translation-reflect"),
-        ("blur", ["--rho", "2"], "--rho applies to --transform translation-reflect or "
-         "translation-black only, got --transform blur"),
-        ("rotation", ["--alpha-max", "0.5"],
+        ("certify", "blur", ["--rho", "2"], "--rho applies to --transform translation-reflect "
+         "or translation-black only, got --transform blur"),
+        ("certify", "rotation", ["--alpha-max", "0.5"],
          "--alpha-max applies to --transform blur only, got --transform rotation"),
-        ("scaling", ["--k-range", "-0.1", "0.1"],
+        ("certify", "scaling", ["--k-range", "-0.1", "0.1"],
          "--k-range applies to --transform brightness-contrast only, got --transform scaling"),
-        ("translation-black", ["--b-range", "-0.1", "0.1"],
+        ("certify", "translation-black", ["--b-range", "-0.1", "0.1"],
          "--b-range applies to --transform brightness-contrast only, "
          "got --transform translation-black"),
+        ("certify", "blur", ["--sigma-k", "5", "--sigma-b", "7", "--noise-sigma", "9"],
+         "--noise-sigma applies to --transform translation-reflect or translation-black or "
+         "rotation or scaling or additive only, got --transform blur"),
+        ("certify", "rotation", ["--sigma-k", "5"],
+         "--sigma-k applies to --transform brightness-contrast only, got --transform rotation"),
+        ("certify", "brightness-contrast", ["--noise-sigma", "9"],
+         "--noise-sigma applies to --transform translation-reflect or translation-black or "
+         "rotation or scaling or additive only, got --transform brightness-contrast"),
+        ("certify", "blur", ["--batch", "50"],
+         "--batch applies to --transform rotation or scaling only, got --transform blur"),
+        ("predict", "additive", ["--sigma-b", "0.3"],
+         "--sigma-b applies to --transform brightness-contrast only, got --transform additive"),
     ])
-    def test_flags_the_transform_does_not_read_refused(self, capsys, tmp_path, idx_set,
+    def test_flags_the_transform_does_not_read_refused(self, capsys, tmp_path, command,
                                                        transform, flags, message):
-        # a region or grid flag that the transform never reads, or a batch
-        # below 1 under any transform, is refused before anything runs
-        images, labels = idx_set
-        code, out, err = _run(capsys, [
-            "certify", "--transform", transform, *_CERTIFY_FLAGS[transform], *flags,
-            "--dataset", images, "--labels", labels, *_SMALL, "--output", str(tmp_path / "out")])
+        # a flag that the transform never reads, or a batch below 1 under
+        # any transform, is refused before any file is read: none exists
+        missing = str(tmp_path / "missing")
+        inputs = ["--image", missing] if command == "predict" else [
+            *_CERTIFY_FLAGS[transform], "--dataset", missing, "--labels", missing,
+            "--output", str(tmp_path / "out")]
+        code, out, err = _run(capsys, [command, "--transform", transform, *inputs, *flags,
+                                       *_SMALL])
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
@@ -406,6 +423,8 @@ class TestCertify:
             rows = read_report_csv(f"{out}.csv")
             assert [r.verdict for r in rows] == ["not_certified", "certified", "certified"]
             counts[sigma] = summary["refined"]
+            timing = summary["timing"]
+            assert 0 < timing["min_s"] <= timing["avg_s"] <= timing["max_s"], timing
         assert counts == {"0.05": 2, "0.25": 0}
         out = tmp_path / "blur"
         code, _, err = _run(capsys, [
@@ -600,9 +619,38 @@ class TestRadiusTable:
                                     ConfidencePair(0.9))
         assert out.read_text() == f"p_a,radius\n0.9,{radius!r}\n"
 
+    @pytest.mark.parametrize("family,flags,readers", [
+        ("gaussian", ["--lambda", "3"], "exponential"),
+        ("exponential", ["--sigma", "2"], "gaussian or folded_gaussian"),
+        ("laplace", ["--uniform-range", "0", "1"], "uniform"),
+        ("folded_gaussian", ["--laplace-scale", "2"], "laplace"),
+        ("uniform", ["--sigma", "2"], "gaussian or folded_gaussian"),
+    ])
+    def test_other_family_scale_flag_refused(self, capsys, tmp_path, family, flags, readers):
+        out = tmp_path / "table.csv"
+        code, stdout, err = _run(capsys, ["radius-table", "--family", family, *flags,
+                                          "--p-grid", "0.9", "--output", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: {flags[0]} applies to --family {readers} only, "
+                       f"got --family {family}\n")
+        assert not out.exists()
+
     def test_default_grid(self, capsys):
         code, out, _ = _run(capsys, ["radius-table", "--family", "exponential"])
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "p_a,radius" and len(lines) == 501
         assert lines[1].startswith("0.5,") and lines[-1].startswith("0.999,")
+
+
+def test_every_transform_flag_is_in_the_table():
+    # a certify or predict flag outside the common ones must name the
+    # transforms that read it, so that the others refuse it
+    common = {"-h", "--help", "--dataset", "--labels", "--image", "--weights", "--synthetic",
+              "--alpha", "--n", "--n0", "--seed", "--stride", "--output", "--transform"}
+    table = {f"--{flag}" for flag in _TRANSFORM_FLAGS}
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {command: {o for a in sub.choices[command]._actions for o in a.option_strings}
+               for command in ("certify", "predict")}
+    assert options["certify"] - common == table
+    assert options["predict"] - common <= table

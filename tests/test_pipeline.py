@@ -18,9 +18,11 @@ whose smoothed confidence is exactly 0 or 1, so every sample agrees and
 the expected bound and verdict follow from the closed forms alone; a
 second coverage test counts the brightness/contrast bounds that exceed
 a mean-threshold classifier's confidence under both noise scales.
+``robust_accuracy_report`` times each row's certifier call.
 """
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -32,8 +34,9 @@ from helpers import (ImageOnlyLinear, analytic_smoothed_confidence, apply_one,
 from semcert import aliasing, pipeline, smoothing
 from semcert.aliasing import IntervalGrid, aliasing_bound
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
-from semcert.pipeline import (ParameterSet, certify_bc_rectangle, certify_diff_resolvable,
-                              certify_resolvable, certify_translation_enum)
+from semcert.pipeline import (CertificationResult, ParameterSet, certify_bc_rectangle,
+                              certify_diff_resolvable, certify_resolvable,
+                              certify_translation_enum, robust_accuracy_report)
 from semcert.radii import ConfidencePair, DistributionSpec, bc_condition, bc_confidence_shift
 from semcert.smoothing import SmoothedQuery, progressive_certify
 from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
@@ -518,7 +521,9 @@ def test_memory_holds_one_block_of_anchors(image_9x9, monkeypatch, case):
     # several).  Unrefined, each anchor certifies at its first check.
     # Refined, anchor 0's first check cannot certify at this confidence, so
     # the row hands over there, and the stream holds that anchor (and its
-    # block) through the grid bound
+    # block) through the grid bound.  A fixed peak of about 1.2 MB would
+    # hide the 1,800 extra anchor images (1.17 MB) of a stream that kept
+    # them, so the growth is bounded too: 2-14 kB measured, under 100 images
     monkeypatch.setattr(pipeline, "_BLOCK_IMAGES", 64)
     monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 64)
     monkeypatch.setattr(aliasing, "_BLOCK_POINTS", 2048)
@@ -540,6 +545,7 @@ def test_memory_holds_one_block_of_anchors(image_9x9, monkeypatch, case):
         tracemalloc.stop()
         assert res.certified and res.refined == (case == "refined")
     assert peaks[2_000] <= 2.0 * peaks[200], peaks
+    assert peaks[2_000] - peaks[200] <= 100 * x.data.nbytes, peaks
 
 
 def _enum_reference(x, label, h, rho):
@@ -656,3 +662,19 @@ class TestResolvableOracles:
             assert res.p_a_lower == p
             assert res.region_bound == pytest.approx(gap, rel=1e-12, abs=1e-15)
             assert res.certified == (label == 2 and corners)
+
+
+def test_report_times_each_certifier_call(image_9x9):
+    # a row's elapsed is its own certifier call's wall time, here at least
+    # the fixed sleep of a certifier that does nothing else
+    pause = 0.02
+    result = CertificationResult("certified", 1, None, 1.0, None, 1)
+
+    def certifier(x, label):
+        time.sleep(pause)
+        return result
+
+    table = robust_accuracy_report([(image_9x9, 1), (image_9x9, 0)],
+                                   _query(image_9x9, 0.5, n=200), certifier)
+    assert [s.result for s in table.samples] == [result, result]
+    assert all(s.elapsed >= pause for s in table.samples), table.samples

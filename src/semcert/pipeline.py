@@ -217,11 +217,12 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     ``progressive_certify``.  The anchors share their draws, so they are
     dependent, but the union bound over anchors and checks needs no
     independence.  One ``RowStream`` serves the whole row, kept through
-    the grid bound, and equal (hits, used) counts reuse one bound.
-    Memory stays at the stream (C class scores per draw read for an
-    affine classifier, else the guess draws plus the first check), one
-    check's draws and one block of anchor images: the current block,
-    held through the grid bound.
+    the grid bound.  Built before any bound, it checks and fixes the
+    row's sigma, batch and per-check alpha, and equal (hits, used)
+    counts reuse one bound.  Memory stays at the stream (C class scores
+    per draw read for an affine classifier, else the guess draws plus
+    the first check), one check's draws and one block of anchor images:
+    the current block, held through the grid bound.
 
     One pass reads two bounds.  Each anchor first reads only its first
     check against the bound built from the anchors alone (two inner
@@ -257,29 +258,24 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
             "rotation/scaling certification smooths with additive pixel noise")
     if q.noise.family != "gaussian":
         raise PipelineConfigError("additive smoothing noise must be gaussian")
-    if batch < 1:
-        raise ValueError("batch size must be >= 1")
-    _isotropic_sigma(q.noise)
 
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
-    # the two-point bound runs before the anchor images and the stream exist
-    bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
     stream = RowStream(anchor_q, batch)
+    # the two-point bound runs before the anchor images and the stream's draws exist
+    bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
     refined = False
     samples = 0
     min_radius = math.inf
     min_p = 1.0
     for alpha_i, data in zip(anchors, _anchor_images(x, grid.kind, anchors)):
         image = ImageTensor(data)
-        prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch, stream=stream,
-                                   first_check_only=not refined)
+        prog = progressive_certify(stream, image, bound.sqrt_m, first_check_only=not refined)
         if not refined and prog.label == label and not prog.certified:
             refined = True
             if grid.n_inner != 2:  # on a tie the grid's own bound is kept
                 bound = min(aliasing_bound(x, grid.kind, grid), bound, key=lambda b: b.m_value)
-            prog = progressive_certify(anchor_q, image, bound.sqrt_m, batch=batch,
-                                       stream=stream)
+            prog = progressive_certify(stream, image, bound.sqrt_m)
         samples += prog.samples_used
         if prog.certified:
             min_radius = min(min_radius, prog.radius)

@@ -182,6 +182,12 @@ def _distinct_shifts(shifts: np.ndarray, kind: str, x: ImageTensor):
 class RowStream:
     """One additive-noise query's stream, read by every anchor of a row.
 
+    It fixes the row's protocol for ``progressive_certify``: the
+    isotropic gaussian ``sigma``, the check size ``batch``, the per-check
+    error rate ``alpha_check`` = alpha / ceil(n_samples / batch), the
+    Hoeffding ``slack`` and ``bounds``, Clopper-Pearson bounds at
+    ``alpha_check`` memoised by (hits, used).  Building it draws nothing.
+
     All anchors read the same (offset, n) slices: the n0 guess draws,
     then their checks.  An affine classifier labels argmax(E @ W.T +
     x @ W.T + b), and E @ W.T does not depend on the image: each slice is
@@ -190,16 +196,22 @@ class RowStream:
     projected, and only its C class scores per draw are kept.  Other
     classifiers keep the raw prefix (the guess draws and a first check of
     ``batch``) and draw later checks per read.  The last image read is
-    kept with its projected form, so reading it again reuses the form,
-    and ``bounds`` memoises Clopper-Pearson bounds by (hits, used, alpha).
+    kept with its projected form, so reading it again reuses the form.
     """
 
     def __init__(self, q: SmoothedQuery, batch: int = 400):
         if q.transform.kind != "additive_pixel":
             raise ValueError(f"a row stream needs an additive_pixel query, "
                              f"got {q.transform.kind!r}")
+        if batch < 1:
+            raise ValueError("batch size must be >= 1")
         self.q = q
-        self.bounds: dict[tuple[int, int, float], float] = {}
+        self.sigma = _isotropic_sigma(q.noise)
+        self.batch = batch
+        self.alpha_check = q.conf.alpha / math.ceil(q.conf.n_samples / batch)
+        # Hoeffding's one-sided bound at alpha_check is hits/used + sqrt(slack / used)
+        self.slack = math.log(1.0 / self.alpha_check) / 2.0
+        self.bounds: dict[tuple[int, int], float] = {}
         check = min(batch, q.conf.n_samples)
         self._prefix_len = q.conf.n0_samples + check
         self._prefix = None
@@ -207,6 +219,12 @@ class RowStream:
         self._draws = None
         self._scores: dict[tuple[int, int], np.ndarray] = {}
         self._image = self._form = None
+
+    def bound(self, hits: int, used: int) -> float:
+        """Clopper-Pearson lower bound of hits/used at ``alpha_check``, memoised."""
+        if (hits, used) not in self.bounds:
+            self.bounds[hits, used] = clopper_pearson_lower(hits, used, self.alpha_check)
+        return self.bounds[hits, used]
 
     def labels(self, x: ImageTensor, offset: int, n: int) -> np.ndarray:
         """Base-classifier labels of ``x`` plus draws [offset, offset + n)."""
@@ -313,7 +331,6 @@ class ProgressiveOutcome:
     radius: float
     samples_used: int
     checks_used: int
-    per_check_alpha: float
 
 
 def _isotropic_sigma(noise: DistributionSpec) -> float:
@@ -339,22 +356,22 @@ def _certify_floor(target_radius: float, sigma: float) -> float:
     return max(0.5, std_normal_cdf(target_radius / sigma))
 
 
-def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
-                        batch: int = 400, stream: RowStream | None = None,
+def progressive_certify(stream: RowStream, x: ImageTensor, target_radius: float,
                         first_check_only: bool = False) -> ProgressiveOutcome:
     """Accumulate samples in batches until the certified radius beats a target.
 
-    After each batch the radius is recomputed from the cumulative counts
-    at per-check error rate alpha / ceil(n_samples / batch); splitting
-    alpha across the maximum number of checks keeps the overall
-    guarantee at 1 - alpha by the union bound.  Gives up after the
-    query's full sample budget, or earlier once no check can certify.
+    ``stream`` fixes the query, sigma, ``batch`` and per-check error rate
+    alpha_check = alpha / ceil(n_samples / batch).  After each batch the
+    radius is recomputed from the cumulative counts at alpha_check;
+    splitting alpha across the maximum number of checks keeps the
+    overall guarantee at 1 - alpha by the union bound.  Gives up after
+    the query's full sample budget, or earlier once no check can certify.
 
     A check whose hits/used is at or below ``_certify_floor`` cannot
     certify and skips its Clopper-Pearson bound, except the last check
-    (with two or more checks the per-check alpha is below 1/2, as the
-    floor needs).  Such a check stops the sampling (futility) when
-    Hoeffding's one-sided upper bound at the per-check alpha,
+    (with two or more checks alpha_check is below 1/2, as the floor
+    needs).  Such a check stops the sampling (futility) when Hoeffding's
+    one-sided upper bound at alpha_check,
     hits/used + sqrt(ln(1/alpha_check) / (2 used)), is also at or below
     the floor.  A failed outcome carries the Clopper-Pearson
     ``p_a_lower`` of the check it stopped at, or of its full budget; its
@@ -371,35 +388,17 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
     together with probability at most alpha.  The test costs O(1); the
     Clopper-Pearson bound is computed only where the sampling stops.
 
-    Callers that certify many inputs on one additive-noise query may
-    pass its ``RowStream``, which does not change the outcome.
-
-    ``first_check_only`` stops after the first check, still at the
-    per-check alpha of the whole budget, so the check it reads is one of
-    the checks a full run reads.  A certified outcome is then exactly
-    the full run's; a failed one carries that check's Clopper-Pearson
-    bound.
+    ``first_check_only`` stops after the first check, still at
+    alpha_check, so the check it reads is one of the checks a full run
+    reads.  A certified outcome is then exactly the full run's; a failed
+    one carries that check's Clopper-Pearson bound.
     """
     if target_radius < 0.0:
         raise ValueError("target radius must be >= 0")
-    if batch < 1:
-        raise ValueError("batch size must be >= 1")
-    sigma = _isotropic_sigma(q.noise)
-    max_checks = math.ceil(q.conf.n_samples / batch)
-    alpha_check = q.conf.alpha / max_checks
+    q, batch, sigma = stream.q, stream.batch, stream.sigma
     p_floor = _certify_floor(target_radius, sigma)
-
     n0 = q.conf.n0_samples
     guess, _ = sample_counts(q, x, n0, stream=stream).top_two()
-    memo = {} if stream is None else stream.bounds
-    # Hoeffding's one-sided bound at alpha_check is hits/used + sqrt(slack / used)
-    slack = math.log(1.0 / alpha_check) / 2.0
-
-    def bound(hits: int, used: int) -> float:
-        key = (hits, used, alpha_check)
-        if key not in memo:
-            memo[key] = clopper_pearson_lower(*key)
-        return memo[key]
 
     hits = 0
     used = 0
@@ -413,17 +412,15 @@ def progressive_certify(q: SmoothedQuery, x: ImageTensor, target_radius: float,
         used += m
         checks += 1
         if hits / used > p_floor or used == q.conf.n_samples:
-            p_lower = bound(hits, used)
+            p_lower = stream.bound(hits, used)
             if p_lower > 0.5:
                 radius = sigma * std_normal_quantile(p_lower)
                 if radius > target_radius:
-                    return ProgressiveOutcome(True, guess, p_lower, radius,
-                                              n0 + used, checks, alpha_check)
-        elif hits / used + math.sqrt(slack / used) <= p_floor:
-            return ProgressiveOutcome(False, guess, bound(hits, used), radius,
-                                      n0 + used, checks, alpha_check)
+                    return ProgressiveOutcome(True, guess, p_lower, radius, n0 + used, checks)
+        elif hits / used + math.sqrt(stream.slack / used) <= p_floor:
+            return ProgressiveOutcome(False, guess, stream.bound(hits, used), radius,
+                                      n0 + used, checks)
         if first_check_only:
-            return ProgressiveOutcome(False, guess, bound(hits, used), radius,
-                                      n0 + used, checks, alpha_check)
-    return ProgressiveOutcome(False, guess, p_lower, radius,
-                              n0 + used, checks, alpha_check)
+            return ProgressiveOutcome(False, guess, stream.bound(hits, used), radius,
+                                      n0 + used, checks)
+    return ProgressiveOutcome(False, guess, p_lower, radius, n0 + used, checks)

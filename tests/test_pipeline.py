@@ -38,7 +38,7 @@ from semcert.pipeline import (CertificationResult, ParameterSet, certify_bc_rect
                               certify_diff_resolvable, certify_resolvable,
                               certify_translation_enum, robust_accuracy_report)
 from semcert.radii import ConfidencePair, DistributionSpec, bc_condition, bc_confidence_shift
-from semcert.smoothing import SmoothedQuery, progressive_certify
+from semcert.smoothing import RowStream, SmoothedQuery, progressive_certify
 from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
                             std_normal_quantile)
 from semcert.tensor import ImageTensor
@@ -77,16 +77,17 @@ def _summary(res):
 
 def _reference(x, label, q, grid, batch=400):
     """The anchor loop with every anchor on q's own stream at alpha / N:
-    fresh draws at every check and a Clopper-Pearson bound per call.
-    Each anchor is a lone ``progressive_certify``, so the reference
-    stops an anchor by futility exactly where that function does."""
+    a fresh ``RowStream`` per anchor, so fresh draws and Clopper-Pearson
+    bounds for each.  Each anchor is a lone ``progressive_certify``, so
+    the reference stops an anchor by futility exactly where that
+    function does."""
     target = aliasing_bound(x, grid.kind, grid).sqrt_m
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
     samples, min_radius, min_p, checks = 0, math.inf, 1.0, []
     for a in anchors:
-        prog = progressive_certify(anchor_q, apply_one(transform_spec(grid.kind), x, float(a)),
-                                   target, batch=batch)
+        prog = progressive_certify(RowStream(anchor_q, batch),
+                                   apply_one(transform_spec(grid.kind), x, float(a)), target)
         samples += prog.samples_used
         checks.append(prog.checks_used)
         if prog.certified:
@@ -174,6 +175,12 @@ class TestAgainstReference:
                 grid = _grid("rotation", n_outer=5)
                 res = _certify(image_9x9, q, grid, batch=batch)
                 assert _summary(res) == _reference(image_9x9, 1, q, grid, batch)[0]
+
+    def test_batch_refused_before_the_bound(self, image_9x9, monkeypatch):
+        # the row stream is built, and refuses the batch, before any bound
+        monkeypatch.setattr(pipeline, "aliasing_bound", lambda *args: pytest.fail("bound built"))
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            _certify(image_9x9, _query(image_9x9, 0.2), _grid("rotation"), batch=0)
 
     def test_reuses_two_point_grid_bound(self, image_9x9, monkeypatch):
         # a grid of two inner points is its own coarse bound: computed once

@@ -9,7 +9,7 @@ from helpers import ImageOnlyLinear, analytic_smoothed_confidence, apply_one, ra
 from semcert import smoothing, streams, transforms
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.radii import NOISE_FAMILIES, DistributionSpec
-from semcert.smoothing import (ABSTAIN, RowStream, SmoothedQuery, _certify_floor,
+from semcert.smoothing import (ABSTAIN, CountVector, RowStream, SmoothedQuery, _certify_floor,
                                _distinct_shifts, _label_params, certify, predict,
                                progressive_certify, sample_counts)
 from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
@@ -396,6 +396,24 @@ class TestClassScorePath:
             sample_counts(replace(q, seed=6), ImageTensor(np.zeros((1, 9, 9))), 100, 0,
                           RowStream(q))
 
+    @pytest.mark.parametrize("family,params,batch,match", [
+        ("gaussian", (0.5,), 0, "batch size must be >= 1"),
+        ("uniform", (-0.5, 0.5), 400, "need isotropic gaussian noise, got uniform"),
+        ("gaussian", (0.5,) * 80 + (0.6,), 400, "isotropic gaussian noise with sigma > 0"),
+        ("gaussian", (0.0,), 400, "isotropic gaussian noise with sigma > 0"),
+    ])
+    def test_row_stream_refuses_protocol_before_any_draw(self, monkeypatch, family, params,
+                                                         batch, match):
+        # the stream fixes the row's check size and sigma, so it refuses
+        # a bad one when it is built, before anything is drawn
+        monkeypatch.setattr(smoothing, "draw_params", lambda *args, **kwargs: pytest.fail())
+        transform = additive_pixel_transform((1, 9, 9))
+        noise = DistributionSpec(family, params, dim=transform.param_dim)
+        q = SmoothedQuery(ConstantClassifier(1), transform, noise,
+                          ConfidenceParams(0.001, 1000, 100), 5)
+        with pytest.raises(ValueError, match=match):
+            RowStream(q, batch)
+
     def test_blur_scores_hold_no_image_block(self):
         # 20,000 blur draws on 1x28x28: the peak stays below one block of
         # images, so no B x d array is ever allocated
@@ -521,12 +539,13 @@ class TestProgressive:
 
     def test_constant_certifies_first_batch(self, image_9x9):
         q = self._query(ConstantClassifier(1), image_9x9)
-        out = progressive_certify(q, image_9x9, target_radius=0.1, batch=400)
+        stream = RowStream(q, 400)
+        out = progressive_certify(stream, image_9x9, target_radius=0.1)
         assert out.certified and out.checks_used == 1
         assert out.samples_used == 100 + 400
-        assert out.per_check_alpha == pytest.approx(0.001 / 250)
+        assert stream.alpha_check == pytest.approx(0.001 / 250)
         # offline recheck of the early stop
-        p = clopper_pearson_lower(400, 400, out.per_check_alpha)
+        p = clopper_pearson_lower(400, 400, stream.alpha_check)
         assert 0.5 * std_normal_quantile(p) == pytest.approx(out.radius, abs=1e-12)
         assert out.radius > 0.1
 
@@ -541,7 +560,7 @@ class TestProgressive:
 
         monkeypatch.setattr(smoothing, "clopper_pearson_lower", counting)
         q = self._query(ConstantClassifier(1), image_9x9, n=4_000)
-        out = progressive_certify(q, image_9x9, target_radius=math.inf, batch=1_000)
+        out = progressive_certify(RowStream(q, 1_000), image_9x9, target_radius=math.inf)
         assert not out.certified
         assert out.samples_used == 100 + 4_000
         assert out.checks_used == 4
@@ -550,7 +569,7 @@ class TestProgressive:
 
     def test_zero_target_certifies_when_confident(self, image_9x9):
         q = self._query(ConstantClassifier(0), image_9x9)
-        out = progressive_certify(q, image_9x9, target_radius=0.0, batch=400)
+        out = progressive_certify(RowStream(q, 400), image_9x9, target_radius=0.0)
         assert out.certified and out.radius > 0.0
 
     def test_skip_never_drops_a_certifying_check(self):
@@ -613,17 +632,18 @@ class TestProgressive:
                 q = self._query(clf, image_9x9, n=4_000, seed=seed)
                 for target in (0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.7,
                                1.0, math.inf):
-                    out = progressive_certify(q, image_9x9, target, batch=400)
+                    stream = RowStream(q, 400)
+                    out = progressive_certify(stream, image_9x9, target)
                     ref = self._full_check_reference(q, image_9x9, target, 400)
                     assert (out.certified, out.label, out.p_a_lower, out.samples_used,
                             out.checks_used) == ref
                     # the first check alone, still at the alpha of all ten
-                    first = progressive_certify(q, image_9x9, target, batch=400,
+                    first = progressive_certify(stream, image_9x9, target,
                                                 first_check_only=True)
                     assert (first.certified, first.label, first.p_a_lower, first.samples_used,
                             first.checks_used) == self._full_check_reference(
                                 q, image_9x9, target, 400, last_check=1)
-                    assert first.per_check_alpha == out.per_check_alpha
+                    assert stream.alpha_check == 0.001 / 10
                     if out.checks_used == 1:
                         assert first == out
                     seen.add((out.certified, out.checks_used == 1,
@@ -657,19 +677,37 @@ class TestProgressive:
                                             image_9x9) == pytest.approx(p)
         exhausted = 0
         for seed in range(60):
-            out = progressive_certify(self._query(clf, image_9x9, n=4_000, seed=seed),
-                                      image_9x9, target, batch=400)
+            out = progressive_certify(RowStream(self._query(clf, image_9x9, n=4_000, seed=seed),
+                                                400), image_9x9, target)
             assert out.label == 1
             assert out.certified or out.samples_used == 100 + 4_000, seed
             exhausted += not out.certified
         assert exhausted > 0
 
+    def test_row_memo_tells_sample_sizes_apart(self, image_9x9, monkeypatch):
+        # two inputs of one row reach 400 hits, one at 400 samples and one
+        # at 800: each reads the bound of its own (hits, used)
+        a, b = image_9x9, ImageTensor(1.0 - image_9x9.data)
+        monkeypatch.setattr(smoothing, "sample_counts",
+                            lambda q, x, n, draw_offset=0, stream=None:
+                            CountVector([0, n] if x is a else [n - n // 2, n // 2]))
+        stream = RowStream(self._query(ConstantClassifier(1), a, n=800), 400)
+        first = progressive_certify(stream, a, 0.1)
+        second = progressive_certify(stream, b, 0.1)
+        assert first.certified and first.samples_used == 100 + 400
+        assert first.p_a_lower == clopper_pearson_lower(400, 400, 0.001 / 2)
+        assert not second.certified and second.samples_used == 100 + 800
+        assert second.p_a_lower == clopper_pearson_lower(400, 800, 0.001 / 2)
+
     def test_requires_isotropic_gaussian(self, image_9x9):
-        q = _bc_query(ConstantClassifier(1))
-        with pytest.raises(ValueError):
-            progressive_certify(q, image_9x9, 0.1)
+        q = self._query(ConstantClassifier(1), image_9x9)
+        sigmas = np.full(q.noise.dim, 0.5)
+        sigmas[0] = 0.6
+        q = replace(q, noise=DistributionSpec("gaussian", tuple(sigmas), dim=q.noise.dim))
+        with pytest.raises(ValueError, match="isotropic gaussian noise with sigma > 0"):
+            progressive_certify(RowStream(q), image_9x9, 0.1)
 
     def test_negative_target_rejected(self, image_9x9):
         q = self._query(ConstantClassifier(1), image_9x9)
         with pytest.raises(ValueError):
-            progressive_certify(q, image_9x9, -1.0)
+            progressive_certify(RowStream(q), image_9x9, -1.0)

@@ -109,3 +109,24 @@ def test_benchmark_hooks_record_one_row_per_certification(tmp_path, capsys, hook
     assert recorder.rows[0].verdict in ("certified", "not_certified", "abstain")
     if transform == "rotation":
         assert recorder.rows[0].anchors
+
+
+def test_traced_benchmark_hooks_read_the_anchor_loop(tmp_path, capsys, hooks):
+    # the traced benchmark counts samples through ``smoothing.sample_counts``
+    # and reads each anchor's outcome from ``pipeline.progressive_certify``;
+    # a changed signature or outcome would only show as a counter error
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    pixels = np.random.default_rng(5).integers(150, 256, (1, 9, 9), dtype=np.uint8)
+    images.write_bytes(struct.pack(">IIII", 0x803, 1, 9, 9) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">II", 0x801, 1) + bytes([1]))
+    with hooks.Recorder(traced=True) as recorder:
+        code = run_cli(["certify", "--transform", "rotation", "--interval", "-2", "2",
+                        "--grid-n", "5", "--grid-r", "5", "--dataset", str(images),
+                        "--labels", str(labels), "--synthetic", "mean:0.5", "--n", "300",
+                        "--n0", "50", "--output", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert recorder.counter_errors == {}
+    # the clean prediction's 50 draws, then one anchor's 50 guess draws and
+    # its first check of 300
+    assert recorder.counts["smoothing.samples"] == 50 + 50 + 300
+    assert [row.anchors for row in recorder.rows] == [[(1, True, False)]]

@@ -352,11 +352,11 @@ class TestCertify:
     @pytest.mark.parametrize("transform,expected", [
         ("rotation", [
             "0,1,1,not_certified,0.785044996392344,,0.015104266819448525,150",
-            "1,0,0,certified,0.785044996392344,0.19733641473358188,0.015380299003930594,4500",
-            "2,0,1,certified,0.785044996392344,0.19733641473358188,0.015234544360829395,4500"]),
+            "1,0,0,certified,0.785044996392344,0.19733641473358185,0.015380299003930594,4500",
+            "2,0,1,certified,0.785044996392344,0.19733641473358185,0.015234544360829395,4500"]),
         ("scaling", [
             "0,1,1,not_certified,0.5590625936934808,,0.03647367000619238,2250",
-            "1,0,0,certified,0.785044996392344,0.19733641473358188,0.03660454438064283,4500",
+            "1,0,0,certified,0.785044996392344,0.19733641473358185,0.03660454438064283,4500",
             "2,0,1,not_certified,0.785044996392344,,0.035345237820942316,150"]),
     ])
     def test_batch_below_n0_matches_one_pass_rows(self, capsys, tmp_path, idx_set,
@@ -380,11 +380,11 @@ class TestCertify:
             "3,1,1,certified,0.9965520801347683,4.9768369868328906,,2100",
             "4,0,1,not_certified,0.9965520801347683,4.9768369868328906,,2100"]),
         ("brightness-contrast", ["--k-range", "-0.1", "0.1", "--b-range", "-0.1", "0.1"], [
-            "0,2,2,certified,0.974593079272593,1.7154723658971749,,2100",
-            "1,1,2,not_certified,0.9844415763525978,1.9017205640640975,,2100",
-            "2,0,2,not_certified,0.994398500702586,2.2511103036773568,,2100",
-            "3,1,1,certified,0.9858317956764671,1.935735422051381,,2100",
-            "4,0,1,not_certified,0.925201170234299,1.2430193184812777,,2100"]),
+            "0,2,2,certified,0.974593079272593,1.7154723658971742,,2100",
+            "1,1,2,not_certified,0.9844415763525978,1.9017205640640973,,2100",
+            "2,0,2,not_certified,0.994398500702586,2.2511103036773563,,2100",
+            "3,1,1,certified,0.9858317956764671,1.9357354220513805,,2100",
+            "4,0,1,not_certified,0.925201170234299,1.2430193184812763,,2100"]),
     ])
     def test_resolvable_rows_pinned(self, capsys, tmp_path, transform, flags, expected):
         # random 10x10 images and a random three-class linear classifier,
@@ -455,12 +455,12 @@ class TestBlasThreads:
          "0,0,0,certified,0.9986194028465247,5.892091972939721,,5100"),
         ("rotation", ["--interval", "-2", "2", "--grid-n", "10", "--grid-r", "5",
                       "--noise-sigma", "0.25"],
-         "0,0,0,certified,0.9709908594055916,0.4738899425219254,0.40162186813446726,5000"),
+         "0,0,0,certified,0.9709908594055916,0.47388994252192546,0.40162186813446726,5000"),
         # refined: the two-point bound (sqrt_m 1.0038) lies above the radius,
         # so the row reads the grid bound, its inner points streamed
         ("rotation", ["--interval", "-5", "5", "--grid-n", "10", "--grid-r", "100",
                       "--noise-sigma", "0.25"],
-         "0,0,0,certified,0.9709908594055916,0.4738899425219254,0.18265137570960296,5000"),
+         "0,0,0,certified,0.9709908594055916,0.47388994252192546,0.18265137570960296,5000"),
     ])
     def test_rows_independent_of_blas_threads(self, tmp_path, transform, flags, expected):
         # a textured centred blob; class 0's weights are that blob, the

@@ -86,6 +86,14 @@ class TestNormalQuantile:
             with pytest.raises(ValueError):
                 std_normal_quantile(bad)
 
+    @pytest.mark.parametrize("p", [0.5 + 2.0**-52, 0.5 + 1e-15, 0.5 + 2.05e-9, 0.5 + 1e-6,
+                                   0.5 + 1e-4, 0.6, 0.9, 0.999999, 1 - 2.0**-53])
+    def test_relative_error_against_mpmath(self, p):
+        # just above 1/2, where a radius sigma * Phi_inv(p_a_lower) is
+        # smallest, an absolute tolerance would accept any relative error
+        exact = mp.sqrt(2) * mp.erfinv(2 * mpf(p) - 1)
+        assert abs(std_normal_quantile(p) - exact) <= 1e-15 * abs(exact)
+
 
 class TestClopperPearson:
     def test_no_successes(self):

@@ -307,10 +307,18 @@ def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,
     pass; the verdict is exact.  The first failing displacement in
     (m1, m2) order is reported as the witness, and ``samples_used``
     counts the displacements up to it (all of them when none fails).
+    A rho above the image diagonal hypot(W, H) is refused: every shift
+    past it gives the all-black image, which the disk of radius
+    hypot(W, H) already holds at (W, 0), so no verdict would change.
     """
     if region.kind != "disk":
         raise PipelineConfigError("translation enumeration needs a disk region")
     rho = region.bounds[0]
+    diagonal = math.hypot(x.width, x.height)
+    if rho > diagonal:
+        raise PipelineConfigError(
+            f"translation-black rho {rho} exceeds the image diagonal {diagonal}: "
+            f"every shift past it gives the all-black image")
     r = int(math.floor(rho))
     shifts = [(m1, m2) for m1 in range(-r, r + 1) for m2 in range(-r, r + 1)
               if m1 * m1 + m2 * m2 <= rho * rho]

@@ -130,6 +130,17 @@ class TestCertify:
             assert err == (f"error: --rho is required for --transform {transform}\n")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_translation_black_rho_past_the_diagonal(self, capsys, tmp_path, idx_set):
+        # refused at once, not enumerated: 1e10 would hang, 3000 exhaust memory
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "translation-black", "--rho", "1e10",
+            "--dataset", images, "--labels", labels, *_SMALL, "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == ("error: translation-black rho 10000000000.0 exceeds the image "
+                       f"diagonal {math.hypot(9, 9)}: every shift past it gives the "
+                       "all-black image\n")
+
     def test_zero_images(self, capsys, tmp_path):
         images, labels = _write_idx(tmp_path, np.zeros((0, 9, 9)), [])
         code, _, err = _run(capsys, [

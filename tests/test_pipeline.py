@@ -596,6 +596,18 @@ class TestTranslationEnum:
         assert res.predicted_class == one_label(h, image_9x9)
         assert res.region_bound == rho and res.p_a_lower is None
 
+    def test_rho_past_the_diagonal_refused(self, image_9x9):
+        # past hypot(W, H) every shift gives the all-black image, which the
+        # disk of radius hypot(W, H) already holds at (W, 0)
+        h = _linear_classifier(4)
+        diagonal = math.hypot(9, 9)
+        res = certify_translation_enum(image_9x9, 1, h, ParameterSet.translation_disk(diagonal))
+        assert (res.verdict, res.witness, res.samples_used) == _enum_reference(
+            image_9x9, 1, h, diagonal)
+        with pytest.raises(pipeline.PipelineConfigError, match="exceeds the image diagonal"):
+            certify_translation_enum(image_9x9, 1, h, ParameterSet.translation_disk(
+                math.nextafter(diagonal, math.inf)))
+
 
 _RESOLVABLE_N = 300
 

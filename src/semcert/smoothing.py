@@ -417,10 +417,8 @@ def progressive_certify(stream: RowStream, x: ImageTensor, target_radius: float,
                 radius = sigma * std_normal_quantile(p_lower)
                 if radius > target_radius:
                     return ProgressiveOutcome(True, guess, p_lower, radius, n0 + used, checks)
-        elif hits / used + math.sqrt(stream.slack / used) <= p_floor:
-            return ProgressiveOutcome(False, guess, stream.bound(hits, used), radius,
-                                      n0 + used, checks)
-        if first_check_only:
+        # Hoeffding's bound lies above hits/used, so it stops no check above the floor
+        if first_check_only or hits / used + math.sqrt(stream.slack / used) <= p_floor:
             return ProgressiveOutcome(False, guess, stream.bound(hits, used), radius,
                                       n0 + used, checks)
     return ProgressiveOutcome(False, guess, p_lower, radius, n0 + used, checks)

@@ -248,12 +248,12 @@ def _cmd_certify(args) -> int:
     t = args.transform
     if args.batch is not None and args.batch < 1:
         raise ValueError(f"--batch must be >= 1, got {args.batch}")
+    if args.stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {args.stride}")
     _read_flags(args, "transform", _TRANSFORM_FLAGS)
     _require_paths("dataset", args.dataset, args.labels)
     _require_paths("classifier", args.weights)
     images, labels = semio.read_idx(args.dataset, args.labels)
-    if args.stride < 1:
-        raise ValueError("--stride must be >= 1")
     if not images:
         raise ValueError(f"dataset holds no images: {args.dataset}")
     dataset = [(image, int(label)) for image, label in zip(images, labels)]
@@ -301,7 +301,11 @@ def _cmd_radius_table(args) -> int:
     params = np.atleast_1d(getattr(args, flag.replace("-", "_")))
     dist = DistributionSpec(args.family, tuple(params), dim=1)
     if args.p_grid is not None:
-        p_values = [float(s) for s in args.p_grid.split(",")]
+        try:
+            p_values = [float(s) for s in args.p_grid.split(",")]
+        except ValueError:
+            raise ValueError(f"bad --p-grid {args.p_grid!r}: expected comma-separated "
+                             "numbers") from None
     else:
         p_values = [i / 1000.0 for i in range(500, 1000)]
     lines = ["p_a,radius"]

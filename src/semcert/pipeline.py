@@ -138,8 +138,10 @@ def certify_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     elif kind == "translation_reflect":
         if region.kind != "disk":
             raise PipelineConfigError("translation certification needs a disk region")
-        if q.noise.family != "gaussian" or q.noise.dim != 2:
-            raise PipelineConfigError("translation smoothing needs 2-d gaussian noise")
+        try:  # before any draw; ``SmoothedQuery`` has checked the dimension
+            sigma = _isotropic_sigma(q.noise)
+        except ValueError as exc:
+            raise PipelineConfigError(f"translation smoothing: {exc}") from None
     else:
         raise PipelineConfigError(
             f"certify_resolvable handles gaussian_blur and translation_reflect, "
@@ -151,7 +153,7 @@ def certify_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
                                    None, outcome.samples_used)
     bound = closed_form_radius(q.noise, ConfidencePair(outcome.p_a_lower))
     if kind == "translation_reflect":
-        bound *= _isotropic_sigma(q.noise)
+        bound *= sigma
     certified = outcome.label == label and region.bounds[0] < bound
     verdict = CERTIFIED if certified else NOT_CERTIFIED
     return CertificationResult(verdict, outcome.label, outcome.p_a_lower,
@@ -366,6 +368,8 @@ def robust_accuracy_report(dataset, query: SmoothedQuery, certifier,
     is the clean prediction; ``certifier`` maps (image, label) to a
     CertificationResult, and each call is timed into its row.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     if not dataset:
         raise ValueError("dataset must be nonempty")
     evaluated = range(0, len(dataset), stride)

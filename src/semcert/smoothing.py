@@ -134,10 +134,18 @@ def _label_params(classifier: BaseClassifier, transform: Transform, x: ImageTens
     (``BaseClassifier.affine``), the form is projected to class scores,
     argmax(coefs @ (basis @ W.T) + (offset @ W.T + b)): a parameter then
     costs C columns where its image costs d pixels, and no image is
-    built.  Parameters are taken ``_BLOCK_IMAGES`` at a time, so memory
-    stays flat in their number.
+    built.  A translation labels each distinct integer shift once
+    (``Transform.integer_shifts``; shifts repeat heavily), keyed as one
+    int64, m1 (2H + 1) + m2, distinct because |m2| <= H.  Parameters are
+    taken ``_BLOCK_IMAGES`` at a time, so memory stays flat in their
+    number.
     """
     params = transform.check_params(params)
+    inverse = None
+    if (shifts := transform.integer_shifts(x, params)) is not None:
+        key = shifts[0] * (2 * x.height + 1) + shifts[1]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        params = params[first]
     form = transform.linear_form(x)
     affine = None if form is None else classifier.affine(x.shape)
     if affine is not None:
@@ -152,31 +160,7 @@ def _label_params(classifier: BaseClassifier, transform: Transform, x: ImageTens
                                                            x.shape)
         else:
             labels[lo:hi] = np.argmax(form.apply(block), axis=1)
-    return labels
-
-
-def _distinct_shifts(shifts: np.ndarray, kind: str, x: ImageTensor):
-    """Distinct rows of integer ``shifts`` in (m1, m2) order, and each row's index.
-
-    Each row is keyed as one int64.  Reflect shifts are first taken
-    modulo W and H into [-W//2, W - W//2) x [-H//2, H - H//2), black ones
-    clipped to [-W, W] x [-H, H]: neither changes a shifted image, both
-    keep the key in range for any finite shift, and rows inside those
-    ranges are kept as they are.
-    """
-    w, h = x.width, x.height
-    if kind == "translation_reflect":
-        lo1, lo2, span = w // 2, h // 2, h
-        m1 = np.mod(shifts[:, 0] + lo1, w)
-        m2 = np.mod(shifts[:, 1] + lo2, h)
-    else:
-        lo1, lo2, span = w, h, 2 * h + 1
-        m1 = np.clip(shifts[:, 0], -w, w) + lo1
-        m2 = np.clip(shifts[:, 1], -h, h) + lo2
-    keys, inverse = np.unique(m1.astype(np.int64) * span + m2.astype(np.int64),
-                              return_inverse=True)
-    rows = np.stack([keys // span - lo1, keys % span - lo2], axis=1)
-    return rows.astype(np.float64), inverse
+    return labels if inverse is None else labels[inverse]
 
 
 class RowStream:
@@ -258,7 +242,8 @@ def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0
 
     ``draw_offset`` positions the draws in the query's global stream, so
     selection and estimation samples never overlap.  ``stream``, when
-    given, is ``q``'s ``RowStream`` and serves the draws.
+    given, is ``q``'s ``RowStream`` and serves the draws; otherwise
+    ``_label_params`` labels them, each distinct translation shift once.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -266,11 +251,6 @@ def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0
         if stream.q is not q:
             raise ValueError("the stream serves another query")
         labels = stream.labels(x, draw_offset, n)
-    elif q.transform.kind in ("translation_reflect", "translation_black"):
-        # integer shifts repeat heavily: classify each distinct shift once
-        params = np.floor(draw_params(q.noise, q.seed, draw_offset, n) + 0.5)
-        shifts, inverse = _distinct_shifts(params, q.transform.kind, x)
-        labels = _label_params(q.classifier, q.transform, x, shifts)[inverse]
     else:
         labels = _label_params(q.classifier, q.transform, x,
                                draw_params(q.noise, q.seed, draw_offset, n))

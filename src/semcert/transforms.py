@@ -27,11 +27,14 @@ Conventions fixed here:
   from that form, and ``LinearForm.project`` carries the same form
   through an affine classifier, so a caller can read class scores
   without building images (for blur, one spectrum at a time).
-* Translation rounds its continuous displacement to the nearest integer
-  (half away from zero upward: floor(v + 0.5)) once per evaluation.
-  In 'reflect' mode pixels shifted past one edge re-enter at the
-  opposite edge, so integer shifts compose additively and preserve the
-  multiset of pixel values; 'black' mode fills vacated pixels with 0.
+* Translation shifts by integers (``Transform.integer_shifts``): each
+  displacement v rounds to floor(v + 0.5).  In 'reflect' mode pixels
+  shifted past one edge re-enter at the opposite edge, so integer shifts
+  compose additively and preserve the multiset of pixel values; 'black'
+  mode fills vacated pixels with 0.  Each shift is then reduced into
+  int64 without changing the image: modulo W (or H) into [-W//2,
+  W - W//2) for reflect, clipped to [-W, W] for black.  A batch is built
+  in its output, one ``np.roll`` or one slice copy per shift.
 * Rotation is counter-clockwise about the image center, bilinearly
   interpolated, with everything outside the centered disk of radius
   min(c_W, c_H) set to 0.
@@ -46,7 +49,6 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -60,7 +62,6 @@ __all__ = [
     "LinearForm",
     "transform_spec",
     "additive_pixel_transform",
-    "translate",
     "rotate_many",
     "scale_many",
     "center_coords",
@@ -154,12 +155,27 @@ class Transform:
             return LinearForm(_identity, None, x.data.ravel())
         return None
 
+    def integer_shifts(self, x: ImageTensor, params: np.ndarray) -> tuple | None:
+        """The int64 shifts (m1, m2) of translation ``params``, as
+        ``check_params`` returns them, on ``x``; None for another kind."""
+        if self.kind not in ("translation_reflect", "translation_black"):
+            return None
+        if not np.all(np.isfinite(params)):
+            raise ValueError("translation shifts must be finite")
+        reflect = self.kind == "translation_reflect"
+        shifts = []
+        for v, n in zip(params.T, (x.width, x.height)):  # a (B, 2) broadcast was slower
+            m = np.floor(v + 0.5)
+            m = np.mod(m + n // 2, n) - n // 2 if reflect else np.clip(m, -n, n)
+            shifts.append(m.astype(np.int64))
+        return tuple(shifts)
+
     def apply_many(self, x: ImageTensor, params) -> np.ndarray:
         """Transform ``x`` at each row of ``params``; returns (B, K, W, H).
 
         ``params`` is (B, param_dim), or (B,) when param_dim is 1.  With
-        ``linear_form`` this is the one place that maps a kind to the code
-        building its images.
+        ``linear_form`` and ``integer_shifts`` this is the one place that
+        maps a kind to the code building its images.
         """
         params = self.check_params(params)
         kind = self.kind
@@ -170,12 +186,9 @@ class Transform:
             return rotate_many(x, params[:, 0])
         if kind == "scaling":
             return scale_many(x, params[:, 0])
-        if kind in ("translation_reflect", "translation_black"):
-            padding = kind.removeprefix("translation_")
-            out = np.empty((len(params),) + x.shape)
-            for row, (dx, dy) in enumerate(params):
-                out[row] = translate(x, dx, dy, padding).data
-            return out
+        shifts = self.integer_shifts(x, params)
+        if shifts is not None:
+            return _translate_many(x, kind, *shifts)
         raise ValueError(f"unknown transform kind {kind!r}")
 
 
@@ -299,35 +312,18 @@ def _blur_basis(x: ImageTensor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Translation
 
-def _round_nearest(v: float) -> int:
-    """Nearest integer, ties toward +inf (floor(v + 0.5))."""
-    return int(math.floor(v + 0.5))
-
-
-def translate(x: ImageTensor, dx: float, dy: float, padding: str = "reflect") -> ImageTensor:
-    """Shift right by round(dx) pixels and down by round(dy) pixels.
-
-    'reflect' wraps exiting content back in on the opposite side (the
-    unique fill rule under which integer shifts are additive and
-    value-preserving); 'black' zero-fills vacated pixels.
-    """
-    m1 = _round_nearest(dx)
-    m2 = _round_nearest(dy)
-    if m1 == 0 and m2 == 0:
-        return x
-    if padding == "reflect":
-        return ImageTensor(np.roll(x.data, (m1, m2), axis=(1, 2)))
-    if padding == "black":
-        out = np.zeros_like(x.data)
-        W, H = x.width, x.height
-        if abs(m1) < W and abs(m2) < H:
-            dst_i = slice(max(m1, 0), W + min(m1, 0))
-            src_i = slice(max(-m1, 0), W + min(-m1, 0))
-            dst_j = slice(max(m2, 0), H + min(m2, 0))
-            src_j = slice(max(-m2, 0), H + min(-m2, 0))
-            out[:, dst_i, dst_j] = x.data[:, src_i, src_j]
-        return ImageTensor(out)
-    raise ValueError(f"unknown padding mode {padding!r}")
+def _translate_many(x: ImageTensor, kind: str, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """``x`` shifted right by each m1 and down by each m2; returns (B, K, W, H)."""
+    w, h = x.width, x.height
+    reflect = kind == "translation_reflect"
+    out = (np.empty if reflect else np.zeros)((len(m1),) + x.shape)
+    for row, a, b in zip(out, m1.tolist(), m2.tolist()):
+        if reflect:
+            row[...] = np.roll(x.data, (a, b), axis=(1, 2))
+        else:  # a shift by a whole side leaves both slices empty
+            row[:, max(a, 0):w + min(a, 0), max(b, 0):h + min(b, 0)] = (
+                x.data[:, max(-a, 0):w + min(-a, 0), max(-b, 0):h + min(-b, 0)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Shared test oracles.
 
 Reference versions of what the package computes in batches or does not
-compute at all: one image's label and one transformed image, rotation's
-polar source coordinates, a direct circular Gaussian blur and its kernel
-spectra by an FFT, the cells a pixel's source curve visits and their
+compute at all: one image's label and one transformed image, one
+translated image built shift by shift, rotation's polar source
+coordinates, a direct circular Gaussian blur and its kernel spectra by
+an FFT, the cells a pixel's source curve visits and their
 colour statistics, single interval Lipschitz constants, the aliasing
 bound one interval at a time, exact smoothed confidences of the
 synthetic classifiers, the Clopper-Pearson bisection as first written, a
@@ -59,6 +60,29 @@ def one_label(classifier, x):
 def apply_one(transform, x, params):
     """``transform`` applied to ``x`` at one parameter vector."""
     return ImageTensor(transform.apply_many(x, np.reshape(params, (1, -1)))[0])
+
+
+def translate(x, dx, dy, padding):
+    """``x`` shifted right by round(dx) and down by round(dy) pixels, one shift alone.
+
+    Rounds floor(v + 0.5) in Python integers and reduces nothing:
+    'reflect' rolls the pixels around (``np.roll`` takes any shift);
+    'black' copies the overlap into zeros, and no overlap is left once a
+    shift reaches the side.
+    """
+    m1, m2 = math.floor(dx + 0.5), math.floor(dy + 0.5)
+    if padding == "reflect":
+        return ImageTensor(np.roll(x.data, (m1, m2), axis=(1, 2)))
+    assert padding == "black", padding
+    out = np.zeros_like(x.data)
+    W, H = x.width, x.height
+    if abs(m1) < W and abs(m2) < H:
+        dst_i = slice(max(m1, 0), W + min(m1, 0))
+        src_i = slice(max(-m1, 0), W + min(-m1, 0))
+        dst_j = slice(max(m2, 0), H + min(m2, 0))
+        src_j = slice(max(-m2, 0), H + min(-m2, 0))
+        out[:, dst_i, dst_j] = x.data[:, src_i, src_j]
+    return ImageTensor(out)
 
 
 def bilinear_one(x, k, i, j):

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import read_report_csv
 from semcert import io as semio
+from semcert import smoothing
 from semcert.aliasing import IntervalGrid, aliasing_bound
 from semcert.classifiers import LinearClassifier
 from semcert.cli import _TRANSFORM_FLAGS, _build_parser, run_cli
@@ -140,6 +141,29 @@ class TestCertify:
         assert err == ("error: translation-black rho 10000000000.0 exceeds the image "
                        f"diagonal {math.hypot(9, 9)}: every shift past it gives the "
                        "all-black image\n")
+
+    def test_translation_noise_sigma_zero_refused_before_certify(self, capsys, tmp_path,
+                                                                 idx_set, monkeypatch):
+        # the closed-form radius needs sigma > 0: the first image's clean
+        # prediction draws its n0 = 50, and its certification draws none
+        drawn = []
+        draw_params = smoothing.draw_params
+
+        def counted(noise, seed, start, count, **kwargs):
+            drawn.append(count)
+            return draw_params(noise, seed, start, count, **kwargs)
+
+        monkeypatch.setattr(smoothing, "draw_params", counted)
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "translation-reflect", "--rho", "0.5", "--noise-sigma",
+            "0", "--dataset", images, "--labels", labels, *_SMALL,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == ("error: translation smoothing: need isotropic gaussian noise with "
+                       "sigma > 0\n")
+        assert sum(drawn) <= 50
+        assert not (tmp_path / "out.csv").exists()
 
     def test_zero_images(self, capsys, tmp_path):
         images, labels = _write_idx(tmp_path, np.zeros((0, 9, 9)), [])
@@ -312,6 +336,8 @@ class TestCertify:
          ["--interval", "-5", "5", "--grid-n", "3", "--rho", "2", "--batch", "0"],
          "--batch must be >= 1, got 0"),
         ("certify", "translation-black", ["--batch", "-3"], "--batch must be >= 1, got -3"),
+        ("certify", "blur", ["--stride", "0"], "--stride must be >= 1, got 0"),
+        ("certify", "rotation", ["--stride", "-2"], "--stride must be >= 1, got -2"),
         ("certify", "blur", ["--interval", "-5", "5"],
          "--interval applies to --transform rotation or scaling only, got --transform blur"),
         ("certify", "brightness-contrast", ["--grid-n", "3"],
@@ -344,8 +370,8 @@ class TestCertify:
     ])
     def test_flags_the_transform_does_not_read_refused(self, capsys, tmp_path, command,
                                                        transform, flags, message):
-        # a flag that the transform never reads, or a batch below 1 under
-        # any transform, is refused before any file is read: none exists
+        # a flag that the transform never reads, or a batch or stride below 1
+        # under any transform, is refused before any file is read: none exists
         missing = str(tmp_path / "missing")
         inputs = ["--image", missing] if command == "predict" else [
             *_CERTIFY_FLAGS[transform], "--dataset", missing, "--labels", missing,
@@ -645,6 +671,12 @@ class TestRadiusTable:
         assert err == (f"error: {flags[0]} applies to --family {readers} only, "
                        f"got --family {family}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0.6,,0.7", "0.6,x", ""])
+    def test_bad_grid_names_its_flag(self, capsys, grid):
+        code, out, err = _run(capsys, ["radius-table", "--family", "gaussian", "--p-grid", grid])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --p-grid {grid!r}: expected comma-separated numbers\n"
 
     def test_default_grid(self, capsys):
         code, out, _ = _run(capsys, ["radius-table", "--family", "exponential"])

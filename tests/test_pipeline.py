@@ -30,7 +30,8 @@ import numpy as np
 import pytest
 
 from helpers import (ImageOnlyLinear, analytic_smoothed_confidence, apply_one,
-                     bc_mean_threshold_confidence, dense_max_min_error, one_label)
+                     bc_mean_threshold_confidence, dense_max_min_error, one_label,
+                     random_linear, translate)
 from semcert import aliasing, pipeline, smoothing
 from semcert.aliasing import IntervalGrid, aliasing_bound
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
@@ -42,7 +43,7 @@ from semcert.smoothing import RowStream, SmoothedQuery, progressive_certify
 from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
                             std_normal_quantile)
 from semcert.tensor import ImageTensor
-from semcert.transforms import LinearForm, additive_pixel_transform, transform_spec, translate
+from semcert.transforms import LinearForm, additive_pixel_transform, transform_spec
 
 _RANGES = {"rotation": (math.radians(-5), math.radians(5)), "scaling": (0.95, 1.05)}
 
@@ -608,6 +609,20 @@ class TestTranslationEnum:
             certify_translation_enum(image_9x9, 1, h, ParameterSet.translation_disk(
                 math.nextafter(diagonal, math.inf)))
 
+    @pytest.mark.parametrize("rho", [9.5, 10.0, 11.3, math.hypot(9, 7)])
+    @pytest.mark.parametrize("name", ["linear", "constant"])
+    def test_clipped_shifts_repeat(self, rng, name, rho):
+        # W < rho <= hypot(W, H) on a 2x9x7 image: shifts past the canvas
+        # clip to the same shift, and each keeps its place in (m1, m2) order
+        x = ImageTensor(rng.random((2, 9, 7)))
+        h = random_linear(6, x.shape, classes=3) if name == "linear" else (
+            ConstantClassifier(1, 3))
+        for label in range(3):
+            res = certify_translation_enum(x, label, h, ParameterSet.translation_disk(rho))
+            assert (res.verdict, res.witness, res.samples_used) == _enum_reference(
+                x, label, h, rho)
+            assert res.predicted_class == one_label(h, x)
+
 
 _RESOLVABLE_N = 300
 
@@ -681,6 +696,34 @@ class TestResolvableOracles:
             assert res.p_a_lower == p
             assert res.region_bound == pytest.approx(gap, rel=1e-12, abs=1e-15)
             assert res.certified == (label == 2 and corners)
+
+
+@pytest.mark.parametrize("family,params,match", [
+    ("gaussian", (0.5, 0.6), "isotropic gaussian noise with sigma > 0"),
+    ("gaussian", (0.0,), "isotropic gaussian noise with sigma > 0"),
+    ("uniform", (-0.5, 0.5), "need isotropic gaussian noise, got uniform"),
+])
+def test_translation_noise_refused_before_any_draw(image_9x9, monkeypatch, family, params,
+                                                   match):
+    # the radius scales by the one sigma, so noise without one is refused
+    # before ``certify`` draws its n0 + n parameters
+    monkeypatch.setattr(smoothing, "draw_params", lambda *args, **kwargs: pytest.fail())
+    q = SmoothedQuery(ConstantClassifier(1), transform_spec("translation_reflect"),
+                      DistributionSpec(family, params, dim=2), ConfidenceParams(0.001, 2000, 100))
+    with pytest.raises(pipeline.PipelineConfigError, match=f"translation smoothing: .*{match}"):
+        certify_resolvable(image_9x9, 1, q, ParameterSet.translation_disk(0.5))
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+@pytest.mark.parametrize("size", [0, 2])
+def test_report_refuses_stride_below_one(image_9x9, stride, size):
+    # refused by name before the dataset is read; -1 used to divide by zero
+    def certifier(x, label):
+        pytest.fail()
+
+    with pytest.raises(ValueError, match=f"^stride must be >= 1, got {stride}$"):
+        robust_accuracy_report([(image_9x9, 1)] * size, _query(image_9x9, 0.5, n=200),
+                               certifier, stride=stride)
 
 
 def test_report_times_each_certifier_call(image_9x9):

@@ -5,19 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import ImageOnlyLinear, analytic_smoothed_confidence, apply_one, random_linear
+from helpers import (ImageOnlyLinear, analytic_smoothed_confidence, apply_one, one_label,
+                     random_linear, translate)
 from semcert import smoothing, streams, transforms
 from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresholdClassifier
 from semcert.radii import NOISE_FAMILIES, DistributionSpec
 from semcert.smoothing import (ABSTAIN, CountVector, RowStream, SmoothedQuery, _certify_floor,
-                               _distinct_shifts, _label_params, certify, predict,
-                               progressive_certify, sample_counts)
+                               _label_params, certify, predict, progressive_certify,
+                               sample_counts)
 from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
                             std_normal_cdf, std_normal_quantile)
 from semcert.streams import DRAWS_PER_BLOCK, draw_params, uniforms_per_draw
 from semcert.tensor import ImageTensor
-from semcert.transforms import (LinearForm, Transform, additive_pixel_transform,
-                                transform_spec, translate)
+from semcert.transforms import LinearForm, Transform, additive_pixel_transform, transform_spec
 
 
 def _uniforms(seed, start, count, per_draw, rows=7):
@@ -448,16 +448,27 @@ class TestClassScorePath:
 
 class TestTranslationShifts:
     @pytest.mark.parametrize("kind", ["translation_reflect", "translation_black"])
-    def test_key_keeps_row_unique_order(self, kind):
-        # shifts inside [-W/2, W/2) x [-H/2, H/2): the int64 key gives
-        # np.unique's rows and inverse exactly
+    def test_key_keeps_row_unique_order(self, kind, monkeypatch):
+        # shifts inside [-W/2, W/2) x [-H/2, H/2): the int64 key builds each
+        # distinct shift once, in np.unique's row order, and every draw reads
+        # its own shift's label
         x = ImageTensor(np.random.default_rng(0).random((1, 28, 26)))
-        noise = DistributionSpec("gaussian", (2.0,), dim=2)
-        shifts = np.floor(draw_params(noise, 11, 0, 20_000) + 0.5)
-        rows, inverse = _distinct_shifts(shifts, kind, x)
-        ref_rows, ref_inverse = np.unique(shifts, axis=0, return_inverse=True)
-        np.testing.assert_array_equal(rows, ref_rows)
-        np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
+        clf = random_linear(3, x.shape, classes=4)
+        params = draw_params(DistributionSpec("gaussian", (2.0,), dim=2), 11, 0, 20_000)
+        built = []
+        apply_many = Transform.apply_many
+
+        def spy(self, x, block):
+            built.append(block)
+            return apply_many(self, x, block)
+
+        monkeypatch.setattr(Transform, "apply_many", spy)
+        labels = _label_params(clf, transform_spec(kind), x, params)
+        rows, inverse = np.unique(np.floor(params + 0.5), axis=0, return_inverse=True)
+        np.testing.assert_array_equal(np.floor(np.concatenate(built) + 0.5), rows)
+        padding = kind.removeprefix("translation_")
+        row_labels = np.array([one_label(clf, translate(x, *row, padding)) for row in rows])
+        np.testing.assert_array_equal(labels, row_labels[inverse.reshape(-1)])
 
     @pytest.mark.parametrize("kind", ["translation_reflect", "translation_black"])
     @pytest.mark.parametrize("sigma", [3.0, 1e15])

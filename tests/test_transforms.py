@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import helpers
 from helpers import apply_one, blur_one, polar_rotation_coords, wrapped_kernel_spectrum
 from semcert import transforms
 from semcert.tensor import ImageTensor
 from semcert.transforms import (_BLOCK_POINTS, Transform, additive_pixel_transform,
-                                center_coords, rotate_many, scale_many, transform_spec,
-                                translate)
+                                center_coords, rotate_many, scale_many, transform_spec)
 
 
 def blur_many(x, alphas):
@@ -22,6 +22,10 @@ def gaussian_blur(x, alpha):
 
 def brightness_contrast(x, k, b):
     return apply_one(transform_spec("brightness_contrast"), x, (k, b))
+
+
+def translate(x, dx, dy, padding):
+    return apply_one(transform_spec(f"translation_{padding}"), x, (dx, dy))
 
 
 def rotate(x, angle):
@@ -197,7 +201,9 @@ class TestBrightnessContrast:
 
 class TestTranslate:
     def test_subhalf_rounds_to_identity(self, image_9x9):
-        assert translate(image_9x9, 0.4, -0.4) is image_9x9
+        for padding in ("reflect", "black"):
+            out = translate(image_9x9, 0.4, -0.4, padding)
+            assert out.data.tobytes() == image_9x9.data.tobytes()
 
     def test_black_full_displacement(self, rng):
         x = ImageTensor(rng.random((1, 6, 6)))
@@ -224,9 +230,56 @@ class TestTranslate:
         np.testing.assert_array_equal(np.sort(out.data.ravel()),
                                       np.sort(x.data.ravel()))
 
-    def test_unknown_padding(self, image_9x9):
-        with pytest.raises(ValueError):
-            translate(image_9x9, 1, 0, "wrap-around")
+
+# (dx, dy) on a 2x7x5 canvas: inside it, at its edges (|shift| = W or H),
+# past them, at +-1e15, and at halves, which round upward
+_SHIFTS = {
+    "inside": [(0, 0), (1, -2), (-3, 4), (6, -4), (-6, 1), (2.4, -1.6)],
+    "edge": [(7, 0), (0, -5), (-7, 5), (7, -5), (6, 5), (-7, 4)],
+    "past": [(8, 0), (0, -6), (-9, 11), (15, -10), (-70, 3), (3, 51)],
+    "huge": [(1e15, 0), (0, -1e15), (1e15, -1e15), (-1e15 - 3, 1e15 + 0.5)],
+    "half": [(0.5, -0.5), (-0.5, 0.5), (2.5, -3.5), (-6.5, 4.5), (7.5, -5.5)],
+}
+
+
+class TestTranslateMany:
+    @pytest.mark.parametrize("case", sorted(_SHIFTS))
+    @pytest.mark.parametrize("padding", ["reflect", "black"])
+    def test_matches_per_shift_oracle(self, rng, padding, case):
+        x = ImageTensor(rng.random((2, 7, 5)))
+        out = transform_spec(f"translation_{padding}").apply_many(x, _SHIFTS[case])
+        assert out.shape == (len(_SHIFTS[case]), 2, 7, 5)
+        for row, (dx, dy) in zip(out, _SHIFTS[case]):
+            assert row.tobytes() == helpers.translate(x, dx, dy, padding).data.tobytes()
+
+    @pytest.mark.parametrize("padding", ["reflect", "black"])
+    def test_halves_round_up(self, rng, padding):
+        # floor(v + 0.5): 0.5 -> 1, -0.5 -> 0, -1.5 -> -1 and 2.5 -> 3, where
+        # ties to even give 0, 0, -2 and 2
+        x = ImageTensor(rng.random((2, 7, 5)))
+        spec = transform_spec(f"translation_{padding}")
+        np.testing.assert_array_equal(spec.apply_many(x, [(0.5, -0.5), (-1.5, 2.5)]),
+                                      spec.apply_many(x, [(1, 0), (-1, 3)]))
+
+    @pytest.mark.parametrize("padding", ["reflect", "black"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_rejected(self, image_9x9, padding, bad):
+        spec = transform_spec(f"translation_{padding}")
+        for params in ([(bad, 0.0)], [(1.0, 2.0), (0.0, bad)]):
+            with pytest.raises(ValueError, match="translation shifts must be finite"):
+                spec.apply_many(image_9x9, params)
+
+    @pytest.mark.parametrize("padding", ["reflect", "black"])
+    def test_memory_bounded_by_output(self, rng, padding):
+        x = ImageTensor(rng.random((1, 28, 28)))
+        params = rng.normal(0.0, 10.0, (4096, 2))
+        tracemalloc.start()
+        try:
+            out = transform_spec(f"translation_{padding}").apply_many(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
 
 
 def _disk_mask(width, height):

@@ -206,6 +206,15 @@ def _read_flags(args, option: str, table: dict) -> None:
             setattr(args, dest, defaults[chosen])
 
 
+def _check_sigma(args, positive: bool) -> None:
+    """Refuse a --noise-sigma that is negative, not finite, or zero where
+    ``positive``; ``_read_flags`` has set it, None where it is not read."""
+    sigma = args.noise_sigma
+    if sigma is not None and not (0.0 < sigma < math.inf or sigma == 0.0 and not positive):
+        raise ValueError(f"--noise-sigma must be finite and {'>' if positive else '>='} 0 "
+                         f"for --transform {args.transform}, got {sigma}")
+
+
 def _smoothing_setup(args, shape):
     """(transform, noise) of the smoothed classifier for ``--transform``.
 
@@ -239,6 +248,9 @@ def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
         raise ValueError(f"--interval ends must be finite, got [{lo!r}, {hi!r}]")
     if not lo < hi:
         raise ValueError(f"--interval needs LO < HI, got [{lo!r}, {hi!r}]")
+    for flag, size in (("grid-n", grid_n), ("grid-r", grid_r)):
+        if size < 2:
+            raise ValueError(f"--{flag} must be >= 2, got {size}")
     if kind == "rotation":
         lo, hi = math.radians(lo), math.radians(hi)
     return IntervalGrid(kind, lo, hi, grid_n, grid_r)
@@ -251,6 +263,17 @@ def _cmd_certify(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
     _read_flags(args, "transform", _TRANSFORM_FLAGS)
+    # the closed-form translation radius and the anchor rows need sigma > 0
+    _check_sigma(args, positive=t != "translation-black")
+    region = grid = None
+    if t in ("translation-reflect", "translation-black"):
+        region = ParameterSet.translation_disk(args.rho)
+    elif t == "blur":
+        region = ParameterSet.blur_interval(args.alpha_max)
+    elif t == "brightness-contrast":
+        region = ParameterSet.bc_rect(*args.k_range, *args.b_range)
+    else:  # rotation / scaling
+        grid = _interval_grid(t, args.interval, args.grid_n, args.grid_r)
     _require_paths("dataset", args.dataset, args.labels)
     _require_paths("classifier", args.weights)
     images, labels = semio.read_idx(args.dataset, args.labels)
@@ -261,16 +284,6 @@ def _cmd_certify(args) -> int:
     conf = ConfidenceParams(args.alpha, args.n, args.n0)
     transform, noise = _smoothing_setup(args, dataset[0][0].shape)
     query = SmoothedQuery(classifier, transform, noise, conf, args.seed)
-
-    region = grid = None
-    if t in ("translation-reflect", "translation-black"):
-        region = ParameterSet.translation_disk(args.rho)
-    elif t == "blur":
-        region = ParameterSet.blur_interval(args.alpha_max)
-    elif t == "brightness-contrast":
-        region = ParameterSet.bc_rect(*args.k_range, *args.b_range)
-    else:  # rotation / scaling
-        grid = _interval_grid(t, args.interval, args.grid_n, args.grid_r)
 
     def certifier(x, label):
         # the pipelines are looked up when called, so a wrapper installed
@@ -323,9 +336,9 @@ def _cmd_radius_table(args) -> int:
 
 def _cmd_aliasing(args) -> int:
     _read_flags(args, "kind", _TRANSFORM_FLAGS)
+    grid = _interval_grid(args.kind, args.interval, args.grid_n, args.grid_r)
     _require_paths("image", args.image)
     x = semio.read_tensor(args.image)
-    grid = _interval_grid(args.kind, args.interval, args.grid_n, args.grid_r)
     bound = aliasing_bound(x, args.kind, grid)
     worst = bound.worst
     print("m,sqrt_m,lipschitz_l,lo,hi,slack,exposed,discontinuity")
@@ -338,6 +351,7 @@ def _cmd_aliasing(args) -> int:
 
 def _cmd_predict(args) -> int:
     _read_flags(args, "transform", _TRANSFORM_FLAGS)
+    _check_sigma(args, positive=False)
     _require_paths("image", args.image)
     x = semio.read_tensor(args.image)
     classifier = _classifier_from_args(args)

@@ -22,7 +22,9 @@ Formats:
   verdict is about ``true_label``: a ``certified`` verdict always
   certifies ``true_label``, whatever ``predicted`` says.  So robust
   accuracy can exceed clean accuracy, as in a row that reads
-  ``5,3,-1,certified,...``.
+  ``5,3,-1,certified,...``.  ``sqrt_m`` is empty when the row read no
+  aliasing bound: every other transform, and a rotation/scaling row
+  that ended at its first anchor's guess or first check.
 """
 
 from __future__ import annotations

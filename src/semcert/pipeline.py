@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -212,48 +213,42 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     against target sqrt(M), in anchor order.  Certified iff all anchors
     certify the requested label; the first that does not is the witness.
 
-    Each of the N anchors runs at alpha / N, so all anchors hold jointly
-    at 1 - alpha.  Every anchor samples the query's own stream, and its
-    guess draws and estimation draws are disjoint i.i.d. draws, so each
-    anchor's per-check Clopper-Pearson bounds hold as in a lone
-    ``progressive_certify``.  The anchors share their draws, so they are
-    dependent, but the union bound over anchors and checks needs no
-    independence.  One ``RowStream`` serves the whole row, kept through
-    the grid bound.  Built before any bound, it checks and fixes the
-    row's sigma, batch and per-check alpha, and equal (hits, used)
-    counts reuse one bound.  Memory stays at the stream (C class scores
-    per draw read for an affine classifier, else the guess draws plus
-    the first check), one check's draws and one block of anchor images:
-    the current block, held through the grid bound.
+    Each of the N anchors runs at alpha / N.  All read one
+    ``RowStream``: disjoint i.i.d. guess and estimation draws, shared
+    across anchors, which the union bound over anchors and checks does
+    not mind.  Built before any bound, the stream fixes the row's sigma,
+    batch and per-check alpha, and keeps what it reads (C class scores
+    per draw for an affine classifier, else the guess draws and first
+    check) plus one check's draws; one block of anchor images is alive.
 
-    One pass reads two bounds.  Each anchor first reads only its first
-    check against the bound built from the anchors alone (two inner
-    points per interval, no inner warp).  The first anchor that guesses
-    the label but does not certify there hands the row over
-    (``refined``): the ``grid`` bound (its ``n_inner`` points) is
-    computed, the smaller of the two is kept, and that anchor and every
-    later one run ``progressive_certify`` in full against it.  (In full
-    against the larger target, an anchor whose confidence lies between
-    the two floors would grind to futility or its whole budget.)
+    Anchor 0's guess and first check are read first, from its image
+    alone and against no target.  A wrong guess ends the row there, as
+    does a hopeless check (Hoeffding's bound at the per-check alpha at
+    most 1/2, which no target clears); such a row reports no bound.
+    Otherwise the stream frees its draw buffer, the bound from the
+    anchors alone (two inner points per interval) is built, and each
+    anchor, anchor 0 again from the kept counts, reads its first check
+    against it.  The first that guesses the label but fails there ends
+    the row on that bound if hopeless; else it hands the row over
+    (``refined``): the ``grid`` bound is built, the smaller of the two
+    kept, and from that anchor on each runs in full against it.
 
-    Either bound is a valid M, and an anchor that certified against the
-    larger target clears the smaller one, so every certified anchor's
-    radius exceeds the reported ``sqrt_m``.  Every read is one of the
-    (anchor, check) events of the full budget at its per-check alpha,
-    so one union bound covers them all.  While the grid bound is at most
-    the two-point one, as on every grid measured, the row is that of
-    the plain loop (every anchor in full against the grid bound): an
-    anchor certified at its first check against the higher target is
-    certified at that check, with the same radius, against the lower
-    one.  Only a wrong label found before the handover ends a row at
-    its first check.  The handover anchor's first-check samples are not
-    counted; its full run reads them again.
-
-    An anchor stops early once Hoeffding's bound shows it cannot reach
-    the floor max(1/2, Phi(sqrt(M) / sigma)) (``progressive_certify``).
-    No certificate rests on that stop, and an image that every anchor
-    would certify loses its certificate to it with probability at most
-    alpha.
+    Either bound is a valid M, and an anchor certified against the
+    larger clears the smaller, so every certified radius exceeds the
+    reported ``sqrt_m``.  Every read, the bound-free one included, is one
+    of the (anchor, check) events of the full budget at its per-check
+    alpha, so one union bound covers them all; a read made twice is
+    counted once.  Whenever the grid bound is at most the two-point one,
+    as on every grid measured, the verdict is that of the plain loop
+    (every anchor in full against the grid bound): a first check that
+    certifies against the larger target certifies there with the same
+    radius against the smaller, and a wrong or hopeless one fails there.
+    No certificate rests on an anchor's futility stop
+    (``progressive_certify``); an image that every anchor would certify
+    loses its certificate to it with probability at most alpha.  The
+    row reports the smallest p_a_lower and radius of its anchors; as the
+    bound grows with the hits at one sample count, it bisects only the
+    fewest hits certified at each count, or the witness's.
     """
     if q.transform.kind != "additive_pixel":
         raise PipelineConfigError(
@@ -264,41 +259,39 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
     stream = RowStream(anchor_q, batch)
-    # the two-point bound runs before the anchor images and the stream's draws exist
-    bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
-    refined = False
-    samples = 0
-    min_radius = math.inf
-    min_p = 1.0
-    for alpha_i, data in zip(anchors, _anchor_images(x, grid.kind, anchors)):
-        image = ImageTensor(data)
-        prog = progressive_certify(stream, image, bound.sqrt_m, first_check_only=not refined)
-        if not refined and prog.label == label and not prog.certified:
-            refined = True
-            if grid.n_inner != 2:  # on a tie the grid's own bound is kept
-                bound = min(aliasing_bound(x, grid.kind, grid), bound, key=lambda b: b.m_value)
-            prog = progressive_certify(stream, image, bound.sqrt_m)
-        samples += prog.samples_used
-        if prog.certified:
-            min_radius = min(min_radius, prog.radius)
-            min_p = min(min_p, prog.p_a_lower)
-        if prog.label != label or not prog.certified:
-            verdict = ABSTAINED if (not prog.certified and prog.p_a_lower <= 0.5
-                                    and prog.label == label) else NOT_CERTIFIED
+    spec = transform_spec(grid.kind)
+    first = ImageTensor(spec.apply_many(x, anchors[:1])[0])
+    prog = progressive_certify(stream, first, math.inf, first_check_only=True)
+    bound, refined, samples, alpha_i = None, False, 0, anchors[0]
+    if prog.label == label and stream.upper(prog.hits, prog.used) > 0.5:
+        stream.drop_draws()
+        bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
+        fewest = {}  # used -> the certified outcome with the fewest hits
+        images = chain([first], (ImageTensor(data) for lo in range(1, len(anchors), _BLOCK_IMAGES)
+                                 for data in spec.apply_many(x, anchors[lo:lo + _BLOCK_IMAGES])))
+        for alpha_i, image in zip(anchors, images):
+            prog = progressive_certify(stream, image, bound.sqrt_m, first_check_only=not refined)
+            if (not refined and prog.label == label and not prog.certified
+                    and stream.upper(prog.hits, prog.used) > 0.5):
+                refined = True
+                if grid.n_inner != 2:  # on a tie the grid's own bound is kept
+                    bound = min(aliasing_bound(x, grid.kind, grid), bound,
+                                key=lambda b: b.m_value)
+                prog = progressive_certify(stream, image, bound.sqrt_m)
+            if prog.label != label or not prog.certified:
+                break
+            samples += prog.samples_used
+            fewest[prog.used] = min(fewest.get(prog.used, prog), prog, key=lambda o: o.hits)
+        else:
+            # certified because sqrt(M) is below every anchor's sigma * Phi_inv(p_a_lower)
             return CertificationResult(
-                verdict, prog.label, prog.p_a_lower, None, bound, samples,
-                witness=(float(alpha_i),), refined=refined)
-
-    # certified because sqrt(M) is below every anchor's sigma * Phi_inv(p_a_lower)
-    return CertificationResult(CERTIFIED, label, min_p, min_radius, bound, samples,
+                CERTIFIED, label, min(o.p_a_lower for o in fewest.values()),
+                min(o.radius for o in fewest.values()), bound, samples, refined=refined)
+    verdict = ABSTAINED if (not prog.certified and prog.p_a_lower <= 0.5
+                            and prog.label == label) else NOT_CERTIFIED
+    return CertificationResult(verdict, prog.label, prog.p_a_lower, None, bound,
+                               samples + prog.samples_used, witness=(float(alpha_i),),
                                refined=refined)
-
-
-def _anchor_images(x: ImageTensor, kind: str, anchors: np.ndarray):
-    """Anchor images in anchor order, built ``_BLOCK_IMAGES`` at a time."""
-    spec = transform_spec(kind)
-    for lo in range(0, len(anchors), _BLOCK_IMAGES):
-        yield from spec.apply_many(x, anchors[lo:lo + _BLOCK_IMAGES])
 
 
 def certify_translation_enum(x: ImageTensor, label: int, h: BaseClassifier,

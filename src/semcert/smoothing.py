@@ -22,14 +22,16 @@ of a rotation/scaling row read their draws from one ``RowStream``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .radii import DistributionSpec
-from .statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
-                     std_normal_cdf, std_normal_quantile)
+from .statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_exceeds,
+                     clopper_pearson_lower, std_normal_cdf, std_normal_quantile)
 from .streams import draw_params
 from .tensor import ImageTensor
 from .transforms import _BLOCK_IMAGES, Transform
@@ -168,9 +170,9 @@ class RowStream:
 
     It fixes the row's protocol for ``progressive_certify``: the
     isotropic gaussian ``sigma``, the check size ``batch``, the per-check
-    error rate ``alpha_check`` = alpha / ceil(n_samples / batch), the
-    Hoeffding ``slack`` and ``bounds``, Clopper-Pearson bounds at
-    ``alpha_check`` memoised by (hits, used).  Building it draws nothing.
+    error rate ``alpha_check`` = alpha / ceil(n_samples / batch), and
+    ``bound``, Clopper-Pearson bounds at ``alpha_check`` memoised by
+    (hits, used).  Building it draws nothing.
 
     All anchors read the same (offset, n) slices: the n0 guess draws,
     then their checks.  An affine classifier labels argmax(E @ W.T +
@@ -193,9 +195,10 @@ class RowStream:
         self.sigma = _isotropic_sigma(q.noise)
         self.batch = batch
         self.alpha_check = q.conf.alpha / math.ceil(q.conf.n_samples / batch)
-        # Hoeffding's one-sided bound at alpha_check is hits/used + sqrt(slack / used)
-        self.slack = math.log(1.0 / self.alpha_check) / 2.0
-        self.bounds: dict[tuple[int, int], float] = {}
+        alpha_check = self.alpha_check  # the memo holds alpha, not the stream
+        self.bound = functools.cache(lambda hits, used:
+                                     clopper_pearson_lower(hits, used, alpha_check))
+        self._clears: dict[tuple[int, int, float], bool] = {}
         check = min(batch, q.conf.n_samples)
         self._prefix_len = q.conf.n0_samples + check
         self._prefix = None
@@ -204,11 +207,27 @@ class RowStream:
         self._scores: dict[tuple[int, int], np.ndarray] = {}
         self._image = self._form = None
 
-    def bound(self, hits: int, used: int) -> float:
-        """Clopper-Pearson lower bound of hits/used at ``alpha_check``, memoised."""
-        if (hits, used) not in self.bounds:
-            self.bounds[hits, used] = clopper_pearson_lower(hits, used, self.alpha_check)
-        return self.bounds[hits, used]
+    def upper(self, hits: int, used: int) -> float:
+        """Hoeffding's one-sided upper bound on hits/used at ``alpha_check``."""
+        return hits / used + math.sqrt(math.log(1.0 / self.alpha_check) / (2.0 * used))
+
+    def clears(self, hits: int, used: int, target: float) -> bool:
+        """Whether ``bound(hits, used)`` certifies a radius above ``target``,
+        memoised: decided by ``clopper_pearson_exceeds`` at the floor, and
+        bisected for the radius test only within its margin."""
+        key = hits, used, target
+        if key not in self._clears:
+            clears = clopper_pearson_exceeds(hits, used, self.alpha_check,
+                                             _certify_floor(target, self.sigma), 2.0 ** -49)
+            if clears is None:
+                p = self.bound(hits, used)
+                clears = p > 0.5 and self.sigma * std_normal_quantile(p) > target
+            self._clears[key] = clears
+        return self._clears[key]
+
+    def drop_draws(self) -> None:
+        """Free the draw buffer; the next slice drawn allocates it again."""
+        self._draws = None
 
     def labels(self, x: ImageTensor, offset: int, n: int) -> np.ndarray:
         """Base-classifier labels of ``x`` plus draws [offset, offset + n)."""
@@ -303,14 +322,30 @@ def certify(q: SmoothedQuery, x: ImageTensor) -> CertifyOutcome:
 
 @dataclass(frozen=True)
 class ProgressiveOutcome:
-    """Result of batched certification against a target radius."""
+    """Result of batched certification against a target radius.
+
+    ``hits`` of ``used`` samples carried the label at the check the run
+    stopped at.  ``p_a_lower``, their Clopper-Pearson bound, comes from
+    the row's memo (bisected on first access), and ``radius`` is sigma
+    Phi_inv(p_a_lower).
+    """
 
     certified: bool
     label: int
-    p_a_lower: float
-    radius: float
+    hits: int
+    used: int
     samples_used: int
     checks_used: int
+    bound: Callable[[int, int], float] = field(repr=False, compare=False)
+    sigma: float = field(repr=False)
+
+    @property
+    def p_a_lower(self) -> float:
+        return self.bound(self.hits, self.used)
+
+    @property
+    def radius(self) -> float:
+        return self.sigma * std_normal_quantile(self.p_a_lower)
 
 
 def _isotropic_sigma(noise: DistributionSpec) -> float:
@@ -330,8 +365,14 @@ def _certify_floor(target_radius: float, sigma: float) -> float:
     target, i.e. p_a_lower > Phi(target / sigma).  At alpha < 1/2 the
     Clopper-Pearson lower bound lies strictly below hits/used (the
     median of Binomial(used, hits/used) is hits), so a check whose
-    hits/used is at most this floor fails.  Comparing in p keeps the
-    rounding of Phi and its inverse far inside that statistical gap.
+    hits/used is at most this floor fails.
+
+    The radius test holds for every p > floor + 2^-49 and fails for
+    every p <= floor - 2^-49: with u = 2^-53, erfc within 4 ulps and
+    Phi_inv within 16u relative (5.2u measured), the floor lies within 9u
+    of max(1/2, Phi(target / sigma)), and sigma Phi_inv(p) within 18u
+    relative of its value, which moves the p where it meets the target
+    by at most 19u z phi(z) <= 5u.
     """
     return max(0.5, std_normal_cdf(target_radius / sigma))
 
@@ -347,16 +388,14 @@ def progressive_certify(stream: RowStream, x: ImageTensor, target_radius: float,
     overall guarantee at 1 - alpha by the union bound.  Gives up after
     the query's full sample budget, or earlier once no check can certify.
 
-    A check whose hits/used is at or below ``_certify_floor`` cannot
-    certify and skips its Clopper-Pearson bound, except the last check
+    A check certifies when ``stream.clears`` it, mostly from one tail sum
+    without a bisection.  A check whose hits/used is at or below
+    ``_certify_floor`` cannot certify and is not asked, except the last
     (with two or more checks alpha_check is below 1/2, as the floor
-    needs).  Such a check stops the sampling (futility) when Hoeffding's
-    one-sided upper bound at alpha_check,
-    hits/used + sqrt(ln(1/alpha_check) / (2 used)), is also at or below
-    the floor.  A failed outcome carries the Clopper-Pearson
-    ``p_a_lower`` of the check it stopped at, or of its full budget; its
-    ``radius`` is that of the last computed check with p_a_lower > 1/2
-    (0 if none), which no caller reads.
+    needs); it stops the sampling (futility) when Hoeffding's bound at
+    alpha_check (``stream.upper``) is at or below the floor too.  The
+    outcome keeps the counts it stopped at; their bound is bisected when
+    read.
 
     The futility stop cannot make a certificate unsound: a failed
     outcome claims nothing, and no certifying check is skipped.  Its
@@ -365,40 +404,33 @@ def progressive_certify(stream: RowStream, x: ImageTensor, target_radius: float,
     lower tail at p is at most exp(-2 used (p - hits/used)^2)), so when
     the true top-class probability exceeds the floor a check stops
     wrongly with probability at most alpha_check, and all checks
-    together with probability at most alpha.  The test costs O(1); the
-    Clopper-Pearson bound is computed only where the sampling stops.
+    together with probability at most alpha.  The test costs O(1).
 
     ``first_check_only`` stops after the first check, still at
     alpha_check, so the check it reads is one of the checks a full run
     reads.  A certified outcome is then exactly the full run's; a failed
-    one carries that check's Clopper-Pearson bound.
+    one carries that check's counts.
     """
     if target_radius < 0.0:
         raise ValueError("target radius must be >= 0")
-    q, batch, sigma = stream.q, stream.batch, stream.sigma
-    p_floor = _certify_floor(target_radius, sigma)
+    q, n = stream.q, stream.q.conf.n_samples
+    p_floor = _certify_floor(target_radius, stream.sigma)
     n0 = q.conf.n0_samples
     guess, _ = sample_counts(q, x, n0, stream=stream).top_two()
 
     hits = 0
     used = 0
     checks = 0
-    p_lower = 0.0
-    radius = 0.0
-    while used < q.conf.n_samples:
-        m = min(batch, q.conf.n_samples - used)
+    while used < n:
+        m = min(stream.batch, n - used)
         counts = sample_counts(q, x, m, draw_offset=n0 + used, stream=stream)
         hits += int(counts.counts[guess])
         used += m
         checks += 1
-        if hits / used > p_floor or used == q.conf.n_samples:
-            p_lower = stream.bound(hits, used)
-            if p_lower > 0.5:
-                radius = sigma * std_normal_quantile(p_lower)
-                if radius > target_radius:
-                    return ProgressiveOutcome(True, guess, p_lower, radius, n0 + used, checks)
+        certified = ((hits / used > p_floor or used == n)
+                     and stream.clears(hits, used, target_radius))
         # Hoeffding's bound lies above hits/used, so it stops no check above the floor
-        if first_check_only or hits / used + math.sqrt(stream.slack / used) <= p_floor:
-            return ProgressiveOutcome(False, guess, stream.bound(hits, used), radius,
-                                      n0 + used, checks)
-    return ProgressiveOutcome(False, guess, p_lower, radius, n0 + used, checks)
+        if certified or first_check_only or stream.upper(hits, used) <= p_floor:
+            break
+    return ProgressiveOutcome(certified, guess, hits, used, n0 + used, checks,
+                              stream.bound, stream.sigma)

@@ -18,7 +18,7 @@ is pinned by this package's own oracle tests:
 * ``clopper_pearson_lower`` bisects the exact binomial survival
   function, accumulated in log space; no incomplete-beta dependency.
   Sample counts in this artifact stay <= 1e5, so the direct tail sum is
-  cheap.
+  cheap, and one sum can place the bound (``clopper_pearson_exceeds``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "clopper_pearson_lower",
+    "clopper_pearson_exceeds",
     "binom_two_sided_p",
 ]
 
@@ -150,6 +151,32 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def clopper_pearson_exceeds(successes: int, trials: int, alpha: float, p: float,
+                            gap: float) -> bool | None:
+    """Whether ``clopper_pearson_lower(successes, trials, alpha)`` exceeds
+    p + gap (True) or is at most p - gap (False), from one tail sum at p;
+    None within the margin.  Needs p - gap > 2^-52.
+
+    With u = 2^-53, n = trials, k = successes, and log, log1p, exp and
+    lgamma within 4 ulps, ``_log_survival`` computes f = log S to within
+    E = u n (n + 128) (ln(n + 1) + 57) at this p and at the bisection's:
+    the cumsum of n log-ratios adds at most u n^2 ln(n + 1), the rest at
+    most 128 u n (ln(n + 1) + |ln p| + |ln(1 - p)|), and log-sum-exp is
+    1-Lipschitz; |ln p| + |ln(1 - p)| <= 57 at the dyadic p >= 2^-80
+    the bisection reads.  It ends with f~(lo) < log alpha <= f~(hi) and
+    0 < hi - lo <= 2^-53, and returns a value in [lo, hi].  As
+    S'(p) = (k / p) P[X = k] <= (k / p) S(p), f moves by at most
+    D = k s / (p - s) over s = gap + 2^-52 from p.  So f~(p) < log alpha
+    - 2E - D gives f(p + s) < log alpha - E <= f(hi), hence lo > p + gap;
+    f~(p) > log alpha + 2E + D gives f(lo) < f(p - s), hence hi < p - gap.
+    """
+    s = gap + 2.0 ** -52
+    margin = (2.0 ** -52 * trials * (trials + 128) * (math.log(trials + 1) + 57.0)
+              + successes * s / (p - s))
+    excess = _log_survival(successes, trials)(p) - math.log(alpha)
+    return None if abs(excess) <= margin else excess < 0.0
 
 
 def binom_two_sided_p(successes: int, trials: int) -> float:

@@ -52,27 +52,27 @@ ROWS = {
         "rotation/1":
             "0,6,6,certified,0.6941935209710726,0.5077724137591534,0.39786368873779115,10000",
         "rotation/2":
-            "0,7,8,not_certified,0.6658168567681106,,0.45702261356566326,500",
+            "0,7,8,not_certified,0.6658168567681106,,,500",
         "rotation/4":
             "0,5,5,certified,0.8382962529822873,0.9874797730285134,0.35667287387436264,10000",
         "rotation/5":
             "0,3,3,certified,0.6770988990727347,0.4596016120175282,0.06970904421754118,10000",
         "rotation/6":
-            "0,3,5,not_certified,0.6686291186912647,,0.36115547059660247,500",
+            "0,3,5,not_certified,0.6686291186912647,,,500",
         "rotation/8":
             "0,8,8,certified,0.8840581800501555,1.1955207350664139,0.5610484547601275,10000",
         "rotation/9":
             "0,1,1,certified,0.5310727046886112,0.07796663872709866,0.04140440514090129,10000",
         "rotation/10":
-            "0,9,4,not_certified,0.6574121365852235,,0.40964079603325104,500",
+            "0,9,4,not_certified,0.6574121365852235,,,500",
         "scaling/0":
             "0,6,6,certified,0.8614094269020041,1.0866734621776164,0.023806088984429766,100000",
         "scaling/1":
             "0,6,6,certified,0.6868901353497328,0.48705447185007344,0.02118390577972231,100000",
         "scaling/2":
-            "0,7,8,not_certified,0.6955982864943406,,0.02429035012529558,500",
+            "0,7,8,not_certified,0.6955982864943406,,,500",
         "scaling/3":
-            "0,5,-1,not_certified,0.21063637828144982,,0.018928365139779028,500",
+            "0,5,-1,not_certified,0.21063637828144982,,,500",
     },
     2: {
         "blur/0":
@@ -104,27 +104,27 @@ ROWS = {
         "rotation/1":
             "0,2,2,certified,0.5704090785807565,0.1774157423704712,0.05710378699159811,10000",
         "rotation/2":
-            "0,8,3,not_certified,0.6658168567681106,,0.4415907404774837,500",
+            "0,8,3,not_certified,0.6658168567681106,,,500",
         "rotation/4":
             "0,8,8,certified,0.9073135143856164,1.324391755635746,0.2935609814493507,10000",
         "rotation/5":
             "0,7,7,certified,0.5998105756295613,0.2528568319444025,0.05619849181400173,10000",
         "rotation/6":
-            "0,1,7,not_certified,0.5998105756295613,,0.42156457625563054,500",
+            "0,1,7,not_certified,0.5998105756295613,,,500",
         "rotation/8":
             "0,6,6,certified,0.8730523664429393,1.1409390993527042,0.4488540597711182,10000",
         "rotation/9":
             "0,6,6,certified,0.6462783738232878,0.3752920844758327,0.05722511920829171,10000",
         "rotation/10":
-            "0,5,0,not_certified,0.6999400269027038,,0.3637391297250584,500",
+            "0,5,0,not_certified,0.6999400269027038,,,500",
         "scaling/0":
             "0,3,3,certified,0.8687860183671168,1.120670923590887,0.030195175972574546,100000",
         "scaling/1":
             "0,2,2,certified,0.5865172480753957,0.2185950567185293,0.02070005418245539,100000",
         "scaling/2":
-            "0,8,3,not_certified,0.7280939079822455,,0.023566632627318673,500",
+            "0,8,3,not_certified,0.7280939079822455,,,500",
         "scaling/3":
-            "0,7,-1,not_certified,0.2343542384351024,,0.019991030299350496,500",
+            "0,7,-1,not_certified,0.2343542384351024,,,500",
     },
 }
 

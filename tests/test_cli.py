@@ -144,8 +144,8 @@ class TestCertify:
 
     def test_translation_noise_sigma_zero_refused_before_certify(self, capsys, tmp_path,
                                                                  idx_set, monkeypatch):
-        # the closed-form radius needs sigma > 0: the first image's clean
-        # prediction draws its n0 = 50, and its certification draws none
+        # the closed-form radius needs sigma > 0: refused by flag, before
+        # any draw
         drawn = []
         draw_params = smoothing.draw_params
 
@@ -160,9 +160,9 @@ class TestCertify:
             "0", "--dataset", images, "--labels", labels, *_SMALL,
             "--output", str(tmp_path / "out")])
         assert code == 2
-        assert err == ("error: translation smoothing: need isotropic gaussian noise with "
-                       "sigma > 0\n")
-        assert sum(drawn) <= 50
+        assert err == ("error: --noise-sigma must be finite and > 0 for --transform "
+                       "translation-reflect, got 0.0\n")
+        assert drawn == []
         assert not (tmp_path / "out.csv").exists()
 
     def test_zero_images(self, capsys, tmp_path):
@@ -265,7 +265,8 @@ class TestCertify:
             "--dataset", images, "--labels", labels, *_SMALL,
             "--output", str(tmp_path / "out")])
         assert code == 2
-        assert err == "error: need at least 2 outer anchors and 2 inner points\n"
+        flag = "--grid-n" if sizes[0] == "0" else "--grid-r"
+        assert err == f"error: {flag} must be >= 2, got 0\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("transform,flags,message", [
@@ -367,17 +368,41 @@ class TestCertify:
          "--batch applies to --transform rotation or scaling only, got --transform blur"),
         ("predict", "additive", ["--sigma-b", "0.3"],
          "--sigma-b applies to --transform brightness-contrast only, got --transform additive"),
+        ("certify", "rotation", ["--grid-n", "1"], "--grid-n must be >= 2, got 1"),
+        ("certify", "scaling", ["--grid-r", "1"], "--grid-r must be >= 2, got 1"),
+        ("aliasing", "rotation", ["--grid-n", "1"], "--grid-n must be >= 2, got 1"),
+        ("aliasing", "scaling", ["--grid-r", "-4"], "--grid-r must be >= 2, got -4"),
+        ("certify", "rotation", ["--noise-sigma", "0"],
+         "--noise-sigma must be finite and > 0 for --transform rotation, got 0.0"),
+        ("certify", "scaling", ["--noise-sigma", "0"],
+         "--noise-sigma must be finite and > 0 for --transform scaling, got 0.0"),
+        ("certify", "translation-reflect", ["--noise-sigma", "0"],
+         "--noise-sigma must be finite and > 0 for --transform translation-reflect, got 0.0"),
+        ("certify", "rotation", ["--noise-sigma", "inf"],
+         "--noise-sigma must be finite and > 0 for --transform rotation, got inf"),
+        ("certify", "scaling", ["--noise-sigma", "nan"],
+         "--noise-sigma must be finite and > 0 for --transform scaling, got nan"),
+        ("certify", "translation-black", ["--noise-sigma", "-1"],
+         "--noise-sigma must be finite and >= 0 for --transform translation-black, got -1.0"),
+        ("predict", "additive", ["--noise-sigma", "-1"],
+         "--noise-sigma must be finite and >= 0 for --transform additive, got -1.0"),
+        ("predict", "translation-reflect", ["--noise-sigma", "inf"],
+         "--noise-sigma must be finite and >= 0 for --transform translation-reflect, got inf"),
     ])
     def test_flags_the_transform_does_not_read_refused(self, capsys, tmp_path, command,
                                                        transform, flags, message):
-        # a flag that the transform never reads, or a batch or stride below 1
-        # under any transform, is refused before any file is read: none exists
+        # a flag that the transform never reads, a batch or stride below 1
+        # under any transform, a grid size below 2, or a noise sigma the
+        # transform cannot use, is refused before any file is read: none exists
         missing = str(tmp_path / "missing")
         inputs = ["--image", missing] if command == "predict" else [
             *_CERTIFY_FLAGS[transform], "--dataset", missing, "--labels", missing,
             "--output", str(tmp_path / "out")]
-        code, out, err = _run(capsys, [command, "--transform", transform, *inputs, *flags,
-                                       *_SMALL])
+        argv = [command, "--transform", transform, *inputs, *flags, *_SMALL]
+        if command == "aliasing":
+            argv = [command, "--kind", transform, "--image", missing, "--interval", "-2", "2",
+                    *flags]
+        code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
@@ -388,13 +413,13 @@ class TestCertify:
     # every field must match
     @pytest.mark.parametrize("transform,expected", [
         ("rotation", [
-            "0,1,1,not_certified,0.785044996392344,,0.015104266819448525,150",
+            "0,1,1,not_certified,0.785044996392344,,,150",
             "1,0,0,certified,0.785044996392344,0.19733641473358185,0.015380299003930594,4500",
             "2,0,1,certified,0.785044996392344,0.19733641473358185,0.015234544360829395,4500"]),
         ("scaling", [
             "0,1,1,not_certified,0.5590625936934808,,0.03647367000619238,2250",
             "1,0,0,certified,0.785044996392344,0.19733641473358185,0.03660454438064283,4500",
-            "2,0,1,not_certified,0.785044996392344,,0.035345237820942316,150"]),
+            "2,0,1,not_certified,0.785044996392344,,,150"]),
     ])
     def test_batch_below_n0_matches_one_pass_rows(self, capsys, tmp_path, idx_set,
                                                   transform, expected):
@@ -562,7 +587,8 @@ class TestAliasing:
                                        "--grid-n", sizes[0], "--grid-r", sizes[1]])
         assert code == 2
         assert out == ""
-        assert err == "error: need at least 2 outer anchors and 2 inner points\n"
+        flag = "--grid-n" if sizes[0] == "0" else "--grid-r"
+        assert err == f"error: {flag} must be >= 2, got 0\n"
 
     def test_negative_pixels_rejected(self, capsys, tmp_path):
         # the cell bounds take the largest corner value as the bound on

@@ -127,9 +127,10 @@ def test_traced_benchmark_hooks_read_the_anchor_loop(tmp_path, capsys, hooks):
     assert code == 0, capsys.readouterr().err
     assert recorder.counter_errors == {}
     # the clean prediction's 50 draws, then one anchor's 50 guess draws and
-    # its first check of 300
+    # its first check of 300, read against no target: it guesses another
+    # label, which ends the row
     assert recorder.counts["smoothing.samples"] == 50 + 50 + 300
-    assert [row.anchors for row in recorder.rows] == [[(1, True, False)]]
+    assert [row.anchors for row in recorder.rows] == [[(1, False, False)]]
 
 
 # Module hooks that the traced benchmark cannot install, because the name

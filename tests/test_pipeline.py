@@ -39,7 +39,7 @@ from semcert.pipeline import (CertificationResult, ParameterSet, certify_bc_rect
                               certify_diff_resolvable, certify_resolvable,
                               certify_translation_enum, robust_accuracy_report)
 from semcert.radii import ConfidencePair, DistributionSpec, bc_condition, bc_confidence_shift
-from semcert.smoothing import RowStream, SmoothedQuery, progressive_certify
+from semcert.smoothing import CountVector, RowStream, SmoothedQuery, progressive_certify
 from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
                             std_normal_quantile)
 from semcert.tensor import ImageTensor
@@ -126,6 +126,9 @@ class TestAgainstReference:
         ("scaling", 0.3175, 0, "abstain", True),
         ("scaling", 0.35, 0, "not_certified", False),
     ]
+    # cases whose anchor 0 guesses another label: the row ends there,
+    # before any bound is built
+    BOUND_FREE = {("rotation", 0.30, 0), ("rotation", 0.35, 0)}
 
     @pytest.mark.parametrize("kind,threshold,seed,verdict,refined", CASES)
     def test_equal_to_reference_loop(self, image_9x9, kind, threshold, seed, verdict,
@@ -143,8 +146,63 @@ class TestAgainstReference:
             assert summary == ref
         assert res.verdict == verdict
         assert res.refined == refined
-        read = grid if refined else replace(grid, n_inner=2)
-        assert res.aliasing == aliasing_bound(image_9x9, kind, read)
+        if (kind, threshold, seed) in self.BOUND_FREE:
+            assert res.aliasing is None
+        else:
+            read = grid if refined else replace(grid, n_inner=2)
+            assert res.aliasing == aliasing_bound(image_9x9, kind, read)
+
+    @pytest.mark.parametrize("case", ["wrong guess", "hopeless"])
+    def test_rows_that_end_before_any_bound(self, image_9x9, monkeypatch, case):
+        # anchor 0 guesses another label, or guesses it with a first check
+        # whose Hoeffding bound is at most 1/2 (three near-equal classes
+        # under sigma 5): the row ends there and builds no bound
+        q = _query(image_9x9, 0.30)
+        if case == "hopeless":
+            q = replace(_query(image_9x9, 0.30, sigma=5.0),
+                        classifier=random_linear(0, image_9x9.shape, classes=3, bias=0.0))
+        grid = _grid("rotation")
+        ref, checks = _reference(image_9x9, 1, q, grid)
+        # the wrong guess's bound and samples are those of its first check,
+        # read on a fresh stream; the reference runs that anchor in full
+        anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / grid.n_outer))
+        first = progressive_certify(
+            RowStream(anchor_q), apply_one(transform_spec("rotation"), image_9x9,
+                                           float(grid.anchors()[0])), 0.0, first_check_only=True)
+        monkeypatch.setattr(pipeline, "aliasing_bound", lambda *args: pytest.fail("bound built"))
+        res = _certify(image_9x9, q, grid)
+        assert res.aliasing is None and not res.refined
+        assert _summary(res)[:2] + _summary(res)[5:] == ref[:2] + ref[5:]
+        assert (res.p_a_lower, res.samples_used) == (first.p_a_lower, first.samples_used)
+        assert res.witness == (float(grid.anchors()[0]),)
+        if case == "hopeless":
+            assert _summary(res) == ref and checks == [1]
+        assert (res.verdict, res.predicted_class == 1) == (
+            ("abstain", True) if case == "hopeless" else ("not_certified", False))
+
+    def test_hopeless_handover_ends_on_the_two_point_bound(self, image_9x9, monkeypatch):
+        # anchors 0-2 certify at their first checks; anchor 3 guesses the
+        # label, but with 120 hits of 400 no bound lets it certify, so the
+        # row ends there without the grid bound, unrefined
+        grid = _grid("rotation", n_outer=6)
+        hopeless = apply_one(transform_spec("rotation"), image_9x9,
+                             float(grid.anchors()[3])).data.tobytes()
+        monkeypatch.setattr(
+            smoothing, "sample_counts", lambda q, x, n, draw_offset=0, stream=None: CountVector(
+                [n - 3 * n // 10, 3 * n // 10] if draw_offset and x.data.tobytes() == hopeless
+                else [0, n]))
+        calls = []
+        bound = pipeline.aliasing_bound
+        monkeypatch.setattr(pipeline, "aliasing_bound",
+                            lambda x, kind, grid: calls.append(grid.n_inner) or bound(x, kind, grid))
+        q = _query(image_9x9, 0.20)
+        res = _certify(image_9x9, q, grid)
+        assert calls == [2] and not res.refined
+        assert res.aliasing == bound(image_9x9, "rotation", replace(grid, n_inner=2))
+        assert res.witness == (float(grid.anchors()[3]),)
+        assert (res.verdict, res.p_a_lower, res.samples_used) == (
+            "abstain", clopper_pearson_lower(120, 400, 0.001 / 6 / 10), 4 * 500)
+        assert _summary(res) == _reference(image_9x9, 1, q, grid)[0]
 
     def test_cases_cover_checks_past_the_prefix(self, image_9x9):
         seen, stops = set(), set()
@@ -184,7 +242,8 @@ class TestAgainstReference:
             _certify(image_9x9, _query(image_9x9, 0.2), _grid("rotation"), batch=0)
 
     def test_reuses_two_point_grid_bound(self, image_9x9, monkeypatch):
-        # a grid of two inner points is its own coarse bound: computed once
+        # a grid of two inner points is its own coarse bound: computed once;
+        # and a row certified at first checks builds only that bound
         calls = []
         bound = pipeline.aliasing_bound
 
@@ -193,10 +252,10 @@ class TestAgainstReference:
             return bound(x, kind, grid)
 
         monkeypatch.setattr(pipeline, "aliasing_bound", counting)
-        for threshold in (0.2, 0.29):
+        for threshold, n_inner in ((0.2, 2), (0.29, 2), (0.2, 50)):
             calls.clear()
             q = _query(image_9x9, threshold)
-            grid = _grid("rotation", n_inner=2)
+            grid = _grid("rotation", n_inner=n_inner)
             res = _certify(image_9x9, q, grid)
             assert calls == [2]
             assert res.refined == (threshold == 0.29)
@@ -221,8 +280,9 @@ class TestAgainstReference:
         assert _summary(res) == _reference(image_9x9, 1, q, grid)[0]
         anchors = [apply_one(transform_spec("scaling"), image_9x9, float(a)).data.tobytes()
                    for a in grid.anchors()]
-        assert [image for image, _ in reads] == anchors[:6] + anchors[5:]
-        assert [first for _, first in reads] == [True] * 6 + [False] * 5
+        # anchor 0's bound-free read comes first
+        assert [image for image, _ in reads] == anchors[:1] + anchors[:6] + anchors[5:]
+        assert [first for _, first in reads] == [True] * 7 + [False] * 5
 
     @pytest.mark.parametrize("kind,threshold", [("rotation", 0.23), ("scaling", 0.25)])
     def test_reports_the_smaller_bound(self, image_9x9, monkeypatch, kind, threshold):
@@ -518,7 +578,8 @@ def test_class_score_row_projects_each_anchor_once_per_call(image_9x9, monkeypat
     grid = _grid("rotation")
     res = _certify(image_9x9, q, grid)
     assert res.certified and res.refined == refined
-    assert len(projections) == grid.n_outer and len(calls) == grid.n_outer + refined
+    # anchor 0 is read twice, before the bound and against it
+    assert len(projections) == grid.n_outer and len(calls) == grid.n_outer + 1 + refined
 
 
 @pytest.mark.parametrize("case", ["class-scores", "images", "refined"])

@@ -13,8 +13,8 @@ from semcert.radii import NOISE_FAMILIES, DistributionSpec
 from semcert.smoothing import (ABSTAIN, CountVector, RowStream, SmoothedQuery, _certify_floor,
                                _label_params, certify, predict, progressive_certify,
                                sample_counts)
-from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
-                            std_normal_cdf, std_normal_quantile)
+from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_exceeds,
+                            clopper_pearson_lower, std_normal_cdf, std_normal_quantile)
 from semcert.streams import DRAWS_PER_BLOCK, draw_params, uniforms_per_draw
 from semcert.tensor import ImageTensor
 from semcert.transforms import LinearForm, Transform, additive_pixel_transform, transform_spec
@@ -561,8 +561,8 @@ class TestProgressive:
         assert out.radius > 0.1
 
     def test_infinite_target_exhausts_budget(self, image_9x9, monkeypatch):
-        # no check of an infinite target can certify: only the last one,
-        # which fixes p_a_lower, pays for a Clopper-Pearson bisection
+        # no check of an infinite target can certify, and one tail sum
+        # decides the last one: p_a_lower is bisected when first read
         calls = []
 
         def counting(*args):
@@ -575,8 +575,10 @@ class TestProgressive:
         assert not out.certified
         assert out.samples_used == 100 + 4_000
         assert out.checks_used == 4
-        assert calls == [(4_000, 4_000, 0.001 / 4)]
+        assert calls == []
         assert out.p_a_lower == clopper_pearson_lower(4_000, 4_000, 0.001 / 4)
+        assert out.p_a_lower == out.p_a_lower and out.radius > 0.0
+        assert calls == [(4_000, 4_000, 0.001 / 4)]
 
     def test_zero_target_certifies_when_confident(self, image_9x9):
         q = self._query(ConstantClassifier(0), image_9x9)
@@ -604,6 +606,46 @@ class TestProgressive:
                         if hits / used <= p_floor:
                             assert not (p > 0.5 and sigma * std_normal_quantile(p) > target), \
                                 (hits, used, sigma, target)
+
+    @pytest.mark.parametrize("used", [400, 800, 4_000, 20_000, 100_000])
+    def test_decision_equals_bisection(self, used):
+        # at the per-check alphas of 250 checks and of 200 anchors, the
+        # hits around where the bound crosses each floor, and targets at
+        # (and one double under) a check's own radius, which put the tail
+        # sum inside its margin: a decision equals the bisected bound's
+        # radius test and, away from those targets, CP > p*
+        sigma, shape = 0.5, (1, 9, 9)
+        transform = additive_pixel_transform(shape)
+        noise = DistributionSpec("gaussian", (sigma,), dim=transform.param_dim)
+        margins = 0
+        for alpha in (0.001, 0.0001, 0.001 / 200):
+            stream = RowStream(SmoothedQuery(ConstantClassifier(1), transform, noise,
+                                             ConfidenceParams(alpha, 100_000, 100)), 400)
+            a = stream.alpha_check
+            assert a == pytest.approx({0.001: 0.001 / 250, 0.0001: 0.001 / 2_500}.get(
+                alpha, 0.001 / (200 * 250)), rel=1e-15)
+            z = -std_normal_quantile(a)
+            cases = []
+            for target in (0.0, 0.1, 0.6, 1.2):
+                p = _certify_floor(target, sigma)
+                mid = round(used * p + z * math.sqrt(used * p * (1.0 - p)))
+                hits = range(max(0, mid - 6), min(used, mid + 6) + 1)
+                cases += [(h, target, True) for h in hits]
+            h = min(used, round(used * 0.8))
+            radius = sigma * std_normal_quantile(clopper_pearson_lower(h, used, a))
+            cases += [(h, radius, False), (h, math.nextafter(radius, 0.0), False)]
+            seen = set()
+            for hits, target, away in cases:
+                p = clopper_pearson_lower(hits, used, a)
+                radius_test = p > 0.5 and sigma * std_normal_quantile(p) > target
+                assert stream.clears(hits, used, target) == radius_test, (hits, used, a, target)
+                if away:
+                    assert radius_test == (p > _certify_floor(target, sigma))
+                    seen.add(radius_test)
+                margins += clopper_pearson_exceeds(hits, used, a, _certify_floor(target, sigma),
+                                                   2.0 ** -49) is None
+            assert seen == {False, True}
+        assert margins >= 3
 
     @staticmethod
     def _full_check_reference(q, x, target, batch, last_check=None):

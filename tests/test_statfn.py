@@ -5,8 +5,8 @@ import pytest
 from helpers import binom_two_sided_p_reference, clopper_pearson_lower_reference
 from mpmath import mp, mpf
 
-from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_lower,
-                            std_normal_cdf, std_normal_quantile)
+from semcert.statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_exceeds,
+                            clopper_pearson_lower, std_normal_cdf, std_normal_quantile)
 
 mp.dps = 40
 
@@ -120,6 +120,17 @@ class TestClopperPearson:
             oracle = float((lo + hi) / 2)
             assert clopper_pearson_lower(s, n, alpha) == pytest.approx(oracle,
                                                                        abs=1e-9)
+
+    @pytest.mark.parametrize("s,n,alpha", [(1, 5, 0.001), (37, 60, 0.05), (390, 400, 0.001 / 250),
+                                           (8_452, 20_000, 0.001 / 2_500),
+                                           (100_000, 100_000, 0.001 / 50_000)])
+    def test_exceeds_decides_outside_its_margin(self, s, n, alpha):
+        # one tail sum places the bisected bound against p +- gap: undecided
+        # at the bound itself, and decided a thousandth of it away
+        cp, gap = clopper_pearson_lower(s, n, alpha), 2.0 ** -49
+        assert clopper_pearson_exceeds(s, n, alpha, cp, gap) is None
+        assert clopper_pearson_exceeds(s, n, alpha, cp * (1 - 1e-3), gap) is True
+        assert clopper_pearson_exceeds(s, n, alpha, cp + (1 - cp) * 1e-3, gap) is False
 
     def test_tail_probability_at_bound(self):
         for s, n in [(1, 5), (9, 10), (37, 60), (199, 200), (320, 1000)]:

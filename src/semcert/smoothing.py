@@ -182,7 +182,8 @@ class RowStream:
     projected, and only its C class scores per draw are kept.  Other
     classifiers keep the raw prefix (the guess draws and a first check of
     ``batch``) and draw later checks per read.  The last image read is
-    kept with its projected form, so reading it again reuses the form.
+    kept with its projected form, or its prefix labels, so reading it
+    again reuses them.
     """
 
     def __init__(self, q: SmoothedQuery, batch: int = 400):
@@ -206,6 +207,7 @@ class RowStream:
         self._draws = None
         self._scores: dict[tuple[int, int], np.ndarray] = {}
         self._image = self._form = None
+        self._labels: dict[tuple[int, int], np.ndarray] = {}
 
     def upper(self, hits: int, used: int) -> float:
         """Hoeffding's one-sided upper bound on hits/used at ``alpha_check``."""
@@ -234,15 +236,19 @@ class RowStream:
         q = self.q
         if self._image is not x:
             affine = q.classifier.affine(x.shape)
-            self._image = x
+            self._image, self._labels = x, {}
             self._form = None if affine is None else q.transform.linear_form(x).project(*affine)
         form = self._form
         if form is None:
             if self._prefix is None:  # the first read is the guess, inside the prefix
                 self._prefix = draw_params(q.noise, q.seed, 0, self._prefix_len)
-            params = (self._prefix[offset:offset + n] if offset + n <= self._prefix_len
-                      else draw_params(q.noise, q.seed, offset, n))
-            return _label_params(q.classifier, q.transform, x, params)
+            if offset + n > self._prefix_len:
+                return _label_params(q.classifier, q.transform, x,
+                                     draw_params(q.noise, q.seed, offset, n))
+            if (offset, n) not in self._labels:
+                self._labels[offset, n] = _label_params(q.classifier, q.transform, x,
+                                                        self._prefix[offset:offset + n])
+            return self._labels[offset, n]
         if (offset, n) not in self._scores:
             if self._draws is None:
                 self._draws = np.empty((self._draw_rows, q.noise.dim))

@@ -193,8 +193,8 @@ class TestAgainstReference:
                 else [0, n]))
         calls = []
         bound = pipeline.aliasing_bound
-        monkeypatch.setattr(pipeline, "aliasing_bound",
-                            lambda x, kind, grid: calls.append(grid.n_inner) or bound(x, kind, grid))
+        monkeypatch.setattr(pipeline, "aliasing_bound", lambda x, kind, grid:
+                            calls.append(grid.n_inner) or bound(x, kind, grid))
         q = _query(image_9x9, 0.20)
         res = _certify(image_9x9, q, grid)
         assert calls == [2] and not res.refined

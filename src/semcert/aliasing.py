@@ -155,17 +155,6 @@ class AliasingBound:
 # ---------------------------------------------------------------------------
 # Source-coordinate trajectories and cell color statistics
 
-def _bound_pixels(x: ImageTensor, kind: str):
-    """Grid coordinates (rr, ss) and center distances of the pixels a bound sums.
-
-    Rotation keeps the disk: pixels outside it are 0 at every angle.
-    """
-    rr, ss, d, disk = _pixel_geometry(x.width, x.height)
-    if kind == "rotation":
-        return rr[disk], ss[disk], d[disk]
-    return rr.ravel(), ss.ravel(), d.ravel()
-
-
 def _sample_counts(kind: str, reach: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Source-curve samples per interval for a pixel ``reach`` from the center.
 
@@ -177,8 +166,9 @@ def _sample_counts(kind: str, reach: float, lo: np.ndarray, hi: np.ndarray) -> n
 
 
 def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray):
-    """Supersampled source coordinates for pixels (rr, ss) over intervals [lo, hi].
+                   dist: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Supersampled source coordinates for pixels (rr, ss), ``dist`` from
+    the center, over intervals [lo, hi].
 
     Returns (src_i, src_j) of shape (n_samples, n_intervals, n_pixels),
     the per-pixel speed bound used by the Lipschitz constants, and the
@@ -196,7 +186,6 @@ def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
     platform; ``np.power``'s vector loop and ``x * x`` can round an ulp
     apart from it.
     """
-    dist = _pixel_geometry(x.width, x.height, rr, ss)[2]
     counts = _sample_counts(kind, dist.max(initial=0.0), lo, hi)
     # np.linspace(lo, hi, count) per row, padded with repeats of hi
     last = (counts - 1)[:, None]
@@ -307,7 +296,7 @@ def _interval_constants(x: ImageTensor, kind: str, lo: np.ndarray,
     Each interval's sums run over (pixel, channel) in that order.
     """
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-    rr, ss, d = _bound_pixels(x, kind)
+    rr, ss, d = _pixel_geometry(kind, x.width, x.height)
     exposed, slack = np.zeros(len(lo)), np.zeros(len(lo))
     if len(rr) == 0:
         return exposed, slack
@@ -317,7 +306,7 @@ def _interval_constants(x: ImageTensor, kind: str, lo: np.ndarray,
     factor = 2.0 if kind == "rotation" else math.sqrt(2.0)
     for start in range(0, len(lo), per_chunk):
         part = slice(start, start + per_chunk)
-        src_i, src_j, speed, margin = _source_curves(x, kind, rr, ss, lo[part], hi[part])
+        src_i, src_j, speed, margin = _source_curves(x, kind, rr, ss, d, lo[part], hi[part])
         stats = _closure_stats(tables, src_i, src_j, margin)
         m_bar, m_delta = np.split(stats, 2, axis=-1)
         speed = speed[..., None]
@@ -398,7 +387,7 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
     exact at each point; between them the min of the two anchor
     distances is bounded by the endpoint-pair envelope plus Lipschitz
     slack.  The warps read only the pixels the distances sum
-    (``_bound_pixels``: rotation's disk).  Intervals are taken a block
+    (``_pixel_geometry``: rotation's disk).  Intervals are taken a block
     at a time.  A block's ends (its anchors) are warped once, in anchor
     order, into one buffer that every block reuses; the points between
     the ends are warped one kernel block at a time, and each kernel
@@ -428,7 +417,7 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
                         f"increase n_outer beyond {grid.n_outer}")
 
     exposed, slack = _interval_constants(x, kind, intervals[:, 0], intervals[:, 1])
-    rr, ss, _ = _bound_pixels(x, kind)
+    rr, ss, _ = _pixel_geometry(kind, x.width, x.height)
     anchors = grid.anchors()
     worst = None
 

@@ -1,9 +1,10 @@
 """Command-line surface: certify, radius-table, aliasing, predict.
 
-Defaults follow the standard certification protocol (error rate 0.001,
-1e5 estimation samples, 100 selection samples, batch 400, rotation grid
-10000 x 1000, scaling grid 1000 x 250).  Rotation angles are taken in
-degrees at the CLI and converted to radians internally.
+Each transform's and noise family's own flags are declared once, with
+their defaults, in ``_TRANSFORM_FLAGS`` and ``_FAMILY_FLAGS``, and the
+protocol defaults come from ``ConfidenceParams``; ``--help`` prints them
+all.  Rotation angles are taken in degrees at the CLI and converted to
+radians internally.
 """
 
 from __future__ import annotations
@@ -30,35 +31,65 @@ from .transforms import additive_pixel_transform, transform_spec
 __all__ = ["run_cli", "main"]
 
 _GEOMETRIC = ("rotation", "scaling")
+_RANGE = {"type": float, "nargs": 2, "metavar": ("LO", "HI")}
 
 # Each transform-specific flag of certify, predict and aliasing (whose
-# --kind names a transform): the transforms that read it, each with the
-# flag's default there; None marks a required flag.
+# --kind names a transform): its argparse settings, then the transforms
+# that read it, each with the flag's default there; None marks a
+# required flag.
 _TRANSFORM_FLAGS = {
-    "alpha-max": {"blur": None},
-    "rho": {"translation-reflect": None, "translation-black": None},
-    "k-range": {"brightness-contrast": None},
-    "b-range": {"brightness-contrast": None},
-    "interval": dict.fromkeys(_GEOMETRIC),
-    "grid-n": {"rotation": 10_000, "scaling": 1_000},
-    "grid-r": {"rotation": 1_000, "scaling": 250},
-    "batch": dict.fromkeys(_GEOMETRIC, 400),
-    "noise-family": {"blur": "exponential"},
-    "noise-scale": {"blur": 1.0},
-    "noise-sigma": dict.fromkeys(("translation-reflect", "translation-black", *_GEOMETRIC,
-                                  "additive"), 0.25),
-    "sigma-k": {"brightness-contrast": 0.3},
-    "sigma-b": {"brightness-contrast": 0.3},
+    "alpha-max": ({"type": float, "help": "blur region: max squared radius"}, {"blur": None}),
+    "rho": ({"type": float, "help": "translation region: displacement radius"},
+            {"translation-reflect": None, "translation-black": None}),
+    "k-range": ({**_RANGE, "help": "brightness/contrast region: log-contrast range"},
+                {"brightness-contrast": None}),
+    "b-range": ({**_RANGE, "help": "brightness/contrast region: brightness range"},
+                {"brightness-contrast": None}),
+    "interval": ({**_RANGE, "help": "rotation (degrees) or scaling (factor) interval"},
+                 dict.fromkeys(_GEOMETRIC)),
+    "grid-n": ({"type": int, "help": "outer anchors"}, {"rotation": 10_000, "scaling": 1_000}),
+    "grid-r": ({"type": int, "help": "inner subsamples"}, {"rotation": 1_000, "scaling": 250}),
+    "batch": ({"type": int, "help": "progressive certification batch size"},
+              dict.fromkeys(_GEOMETRIC, 400)),
+    "noise-family": ({"choices": NOISE_FAMILIES, "help": "blur smoothing noise family"},
+                     {"blur": "exponential"}),
+    "noise-scale": ({"type": float, "help": "blur noise scale: rate for exponential, upper "
+                                            "end for uniform [0,a], scale otherwise"},
+                    {"blur": 1.0}),
+    "noise-sigma": ({"type": float, "help": "gaussian smoothing noise sigma"},
+                    dict.fromkeys(("translation-reflect", "translation-black", *_GEOMETRIC,
+                                   "additive"), 0.25)),
+    "sigma-k": ({"type": float, "help": "contrast noise std"}, {"brightness-contrast": 0.3}),
+    "sigma-b": ({"type": float, "help": "brightness noise std"}, {"brightness-contrast": 0.3}),
 }
 
-# radius-table's scale flags: the families that read each, with the
-# unit-variance default
+# radius-table's scale flags: their argparse settings, then the families
+# that read each, with the unit-variance default
 _FAMILY_FLAGS = {
-    "sigma": {"gaussian": 1.0, "folded_gaussian": math.sqrt(math.pi / (math.pi - 2.0))},
-    "lambda": {"exponential": 1.0},
-    "uniform-range": {"uniform": (-math.sqrt(3.0), math.sqrt(3.0))},
-    "laplace-scale": {"laplace": 1.0 / math.sqrt(2.0)},
+    "sigma": ({"type": float, "help": "gaussian / folded gaussian sigma"},
+              {"gaussian": 1.0, "folded_gaussian": math.sqrt(math.pi / (math.pi - 2.0))}),
+    "lambda": ({"type": float, "help": "exponential rate"}, {"exponential": 1.0}),
+    "uniform-range": ({**_RANGE, "help": "uniform interval"},
+                      {"uniform": (-math.sqrt(3.0), math.sqrt(3.0))}),
+    "laplace-scale": ({"type": float, "help": "laplace scale"},
+                      {"laplace": 1.0 / math.sqrt(2.0)}),
 }
+
+
+def _add_flags(parser, option: str, choices, table: dict, flags=None) -> None:
+    """Add the required ``--option`` with ``choices``, then each flag of
+    ``table`` named in ``flags`` (all by default).  A flag's help ends with
+    its default for each choice that reads it."""
+    parser.add_argument(f"--{option}", required=True, choices=choices)
+    for flag in flags or table:
+        settings, readers = table[flag]
+        by_value = {}
+        for choice in choices:
+            if choice in readers:
+                by_value.setdefault(readers[choice], []).append(choice)
+        notes = "; ".join(f"{'required' if v is None else f'default {v}'} for {' or '.join(c)}"
+                          for v, c in by_value.items())
+        parser.add_argument(f"--{flag}", **{**settings, "help": f"{settings['help']} ({notes})"})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,14 +97,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="semcert",
         description="Certify smoothed classifiers against semantic image transforms.")
     sub = parser.add_subparsers(dest="command", required=True)
+    conf = ConfidenceParams()
 
     def add_conf(p):
-        p.add_argument("--alpha", type=float, default=0.001,
-                       help="certification error rate (default 0.001)")
-        p.add_argument("--n", type=int, default=100_000,
-                       help="estimation samples (default 100000)")
-        p.add_argument("--n0", type=int, default=100,
-                       help="class-selection samples (default 100)")
+        p.add_argument("--alpha", type=float, default=conf.alpha,
+                       help="certification error rate (default %(default)s)")
+        p.add_argument("--n", type=int, default=conf.n_samples,
+                       help="estimation samples (default %(default)s)")
+        p.add_argument("--n0", type=int, default=conf.n0_samples,
+                       help="class-selection samples (default %(default)s)")
         p.add_argument("--seed", type=int, default=0, help="reproducibility seed")
 
     def add_classifier(p):
@@ -83,78 +115,40 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="synthetic classifier: constant:<label>[:<classes>] "
                             "or mean:<threshold>")
 
-    def add_noise(p):
-        p.add_argument("--noise-family", default=None, choices=NOISE_FAMILIES,
-                       help="blur smoothing noise family (default exponential)")
-        p.add_argument("--noise-scale", type=float, default=None,
-                       help="blur noise scale (default 1.0): rate for exponential, "
-                            "upper end for uniform [0,a], scale otherwise")
-        p.add_argument("--noise-sigma", type=float, default=None,
-                       help="gaussian sigma for translation / additive smoothing "
-                            "(default 0.25)")
-        p.add_argument("--sigma-k", type=float, default=None,
-                       help="contrast noise std for brightness-contrast (default 0.3)")
-        p.add_argument("--sigma-b", type=float, default=None,
-                       help="brightness noise std for brightness-contrast (default 0.3)")
-
-    def add_grid(p):
-        p.add_argument("--grid-n", type=int, default=None,
-                       help="outer anchors for rotation/scaling (default 10000/1000)")
-        p.add_argument("--grid-r", type=int, default=None,
-                       help="inner subsamples for rotation/scaling (default 1000/250)")
-
     cert = sub.add_parser("certify", help="certify a dataset against one transform")
-    cert.add_argument("--transform", required=True,
-                      choices=["blur", "brightness-contrast", "translation-reflect",
-                               "translation-black", "rotation", "scaling"])
+    cert.set_defaults(run=_cmd_certify)
     cert.add_argument("--dataset", required=True, help="IDX image file")
     cert.add_argument("--labels", required=True, help="IDX label file")
     cert.add_argument("--stride", type=int, default=1,
                       help="evaluate every stride-th sample (default 1)")
     add_classifier(cert)
     add_conf(cert)
-    cert.add_argument("--batch", type=int, default=None,
-                      help="progressive certification batch size (default 400)")
-    cert.add_argument("--alpha-max", type=float, help="blur region: max squared radius")
-    cert.add_argument("--rho", type=float, help="translation region: displacement radius")
-    cert.add_argument("--k-range", type=float, nargs=2, metavar=("LO", "HI"),
-                      help="brightness/contrast region: log-contrast range")
-    cert.add_argument("--b-range", type=float, nargs=2, metavar=("LO", "HI"),
-                      help="brightness/contrast region: brightness range")
-    cert.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"),
-                      help="rotation (degrees) or scaling (factor) interval")
-    add_noise(cert)
-    add_grid(cert)
+    _add_flags(cert, "transform", ("blur", "brightness-contrast", "translation-reflect",
+                                   "translation-black", *_GEOMETRIC), _TRANSFORM_FLAGS)
     cert.add_argument("--output", required=True,
                       help="output prefix: writes <prefix>.csv and <prefix>.json")
 
     table = sub.add_parser("radius-table",
                            help="closed-form radius over a p_A grid as CSV")
-    table.add_argument("--family", required=True, choices=NOISE_FAMILIES)
-    table.add_argument("--sigma", type=float, help="gaussian / folded gaussian sigma")
-    table.add_argument("--lambda", type=float, help="exponential rate")
-    table.add_argument("--uniform-range", type=float, nargs=2, metavar=("A", "B"))
-    table.add_argument("--laplace-scale", type=float)
+    table.set_defaults(run=_cmd_radius_table)
+    _add_flags(table, "family", NOISE_FAMILIES, _FAMILY_FLAGS)
     table.add_argument("--p-grid", default=None,
                        help="comma-separated p_A values (default 0.500..0.999 by 0.001)")
     table.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     alias = sub.add_parser("aliasing", help="aliasing bound M and Lipschitz L")
+    alias.set_defaults(run=_cmd_aliasing)
     alias.add_argument("--image", required=True, help="SEMT1 tensor file")
-    alias.add_argument("--kind", required=True, choices=["rotation", "scaling"])
-    alias.add_argument("--interval", type=float, nargs=2, required=True,
-                       metavar=("LO", "HI"),
-                       help="rotation interval in degrees, scaling in factors")
-    add_grid(alias)
+    _add_flags(alias, "kind", _GEOMETRIC, _TRANSFORM_FLAGS, ("interval", "grid-n", "grid-r"))
 
     pred = sub.add_parser("predict", help="single-sample smoothed prediction")
+    pred.set_defaults(run=_cmd_predict)
     pred.add_argument("--image", required=True, help="SEMT1 tensor file")
     add_classifier(pred)
     add_conf(pred)
-    pred.add_argument("--transform", required=True,
-                      choices=["blur", "brightness-contrast", "translation-reflect",
-                               "additive"])
-    add_noise(pred)
+    _add_flags(pred, "transform", ("blur", "brightness-contrast", "translation-reflect",
+                                   "additive"), _TRANSFORM_FLAGS,
+               ("noise-family", "noise-scale", "noise-sigma", "sigma-k", "sigma-b"))
     return parser
 
 
@@ -191,7 +185,7 @@ def _read_flags(args, option: str, table: dict) -> None:
     A flag that this command does not define is skipped.
     """
     chosen = getattr(args, option)
-    for flag, defaults in table.items():
+    for flag, (_, defaults) in table.items():
         dest = flag.replace("-", "_")
         if not hasattr(args, dest):
             continue
@@ -207,12 +201,14 @@ def _read_flags(args, option: str, table: dict) -> None:
 
 
 def _check_sigma(args, positive: bool) -> None:
-    """Refuse a --noise-sigma that is negative, not finite, or zero where
-    ``positive``; ``_read_flags`` has set it, None where it is not read."""
-    sigma = args.noise_sigma
-    if sigma is not None and not (0.0 < sigma < math.inf or sigma == 0.0 and not positive):
-        raise ValueError(f"--noise-sigma must be finite and {'>' if positive else '>='} 0 "
-                         f"for --transform {args.transform}, got {sigma}")
+    """Refuse a --noise-sigma, --sigma-k or --sigma-b that is negative, not
+    finite, or zero where ``positive``; ``_read_flags`` has set each, None
+    where it is not read."""
+    for flag in ("noise-sigma", "sigma-k", "sigma-b"):
+        sigma = getattr(args, flag.replace("-", "_"))
+        if sigma is not None and not (0.0 < sigma < math.inf or sigma == 0.0 and not positive):
+            raise ValueError(f"--{flag} must be finite and {'>' if positive else '>='} 0 "
+                             f"for --transform {args.transform}, got {sigma}")
 
 
 def _smoothing_setup(args, shape):
@@ -233,11 +229,8 @@ def _smoothing_setup(args, shape):
     if t in ("translation-reflect", "translation-black"):
         return (transform_spec("translation_reflect"),
                 DistributionSpec("gaussian", (args.noise_sigma,), dim=2))
-    if t in ("rotation", "scaling", "additive"):
-        transform = additive_pixel_transform(shape)
-        return transform, DistributionSpec("gaussian", (args.noise_sigma,),
-                                           dim=transform.param_dim)
-    raise ValueError(f"no smoothing setup for transform {t!r}")
+    transform = additive_pixel_transform(shape)  # rotation, scaling, additive
+    return transform, DistributionSpec("gaussian", (args.noise_sigma,), dim=transform.param_dim)
 
 
 def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
@@ -263,7 +256,8 @@ def _cmd_certify(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
     _read_flags(args, "transform", _TRANSFORM_FLAGS)
-    # the closed-form translation radius and the anchor rows need sigma > 0
+    # the closed-form radii of translation and brightness/contrast, and the
+    # anchor rows, need sigma > 0
     _check_sigma(args, positive=t != "translation-black")
     region = grid = None
     if t in ("translation-reflect", "translation-black"):
@@ -299,7 +293,7 @@ def _cmd_certify(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     report = robust_accuracy_report(dataset, query, certifier, stride=args.stride)
     rows = semio.rows_from_table(report)
-    echo = {k: v for k, v in vars(args).items() if k != "command"}
+    echo = {k: v for k, v in vars(args).items() if k not in ("command", "run")}
     semio.write_report_csv(rows, args.output + ".csv")
     semio.write_summary_json(semio.report_summary(report, echo, started),
                              args.output + ".json")
@@ -310,7 +304,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_radius_table(args) -> int:
     _read_flags(args, "family", _FAMILY_FLAGS)
-    flag = next(f for f, readers in _FAMILY_FLAGS.items() if args.family in readers)
+    flag = next(f for f, (_, readers) in _FAMILY_FLAGS.items() if args.family in readers)
     params = np.atleast_1d(getattr(args, flag.replace("-", "_")))
     dist = DistributionSpec(args.family, tuple(params), dim=1)
     if args.p_grid is not None:
@@ -364,25 +358,15 @@ def _cmd_predict(args) -> int:
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "radius-table":
-            return _cmd_radius_table(args)
-        if args.command == "aliasing":
-            return _cmd_aliasing(args)
-        if args.command == "predict":
-            return _cmd_predict(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

@@ -204,7 +204,7 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
 
 
 def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
-                            grid: IntervalGrid, batch: int = 400) -> CertificationResult:
+                            grid: IntervalGrid, batch: int) -> CertificationResult:
     """Certify rotation or scaling over the range [a, b] of ``grid``.
 
     The grid is the certified interval: an aliasing bound M caps how far
@@ -216,7 +216,8 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     Each of the N anchors runs at alpha / N.  All read one
     ``RowStream``: disjoint i.i.d. guess and estimation draws, shared
     across anchors, which the union bound over anchors and checks does
-    not mind.  Built before any bound, the stream fixes the row's sigma,
+    not mind.  Built before any draw or bound, the stream refuses a query
+    without additive isotropic gaussian noise, fixes the row's sigma,
     batch and per-check alpha, and keeps what it reads (C class scores
     per draw for an affine classifier, else the guess draws and first
     check) plus one check's draws; one block of anchor images is alive.
@@ -250,12 +251,6 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     bound grows with the hits at one sample count, it bisects only the
     fewest hits certified at each count, or the witness's.
     """
-    if q.transform.kind != "additive_pixel":
-        raise PipelineConfigError(
-            "rotation/scaling certification smooths with additive pixel noise")
-    if q.noise.family != "gaussian":
-        raise PipelineConfigError("additive smoothing noise must be gaussian")
-
     anchors = grid.anchors()
     anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors)))
     stream = RowStream(anchor_q, batch)

@@ -186,7 +186,7 @@ class RowStream:
     again reuses them.
     """
 
-    def __init__(self, q: SmoothedQuery, batch: int = 400):
+    def __init__(self, q: SmoothedQuery, batch: int):
         if q.transform.kind != "additive_pixel":
             raise ValueError(f"a row stream needs an additive_pixel query, "
                              f"got {q.transform.kind!r}")

@@ -43,8 +43,9 @@ Conventions fixed here:
 * Both source maps are affine in a pixel's offset from the center
   (``_source_map``; rotation takes one cos and one sin per angle), and
   one loop interpolates any set of pixels at many parameters
-  (``_warp_pixels``): the disk for rotation, every pixel for scaling,
-  and for the aliasing bound exactly the pixels it sums.
+  (``_warp_pixels``).  ``_pixel_geometry`` names the pixels each warp
+  interpolates, and so the pixels the aliasing bound sums: the disk for
+  rotation, every pixel for scaling.
 """
 
 from __future__ import annotations
@@ -345,20 +346,24 @@ def _kernel_rows(points: int) -> int:
     return max(1, _BLOCK_POINTS // max(points, 1))
 
 
-def _pixel_geometry(width: int, height: int, ii=None, jj=None):
-    """Pixels (ii, jj) of a W x H grid, all of them by default, with center distances.
+def _pixel_geometry(kind: str, width: int, height: int):
+    """The pixels (ii, jj), 1-d, that a ``kind`` warp of a W x H grid
+    interpolates, with their center distances d.
 
-    Returns (ii, jj, d, disk).  ``disk`` marks the pixels strictly inside
-    the centered disk of radius min(c_W, c_H): rotation keeps only these,
-    and the rotation aliasing bound sums over exactly these, so the
-    predicate is written here once.
+    Rotation interpolates the pixels strictly inside the centered disk
+    of radius min(c_W, c_H) and sets the others to 0; scaling
+    interpolates every pixel.  The warps and the aliasing bound read
+    their pixels here, so the disk rule is written once.
     """
     c_w, c_h = center_coords(width, height)
-    if ii is None:
-        ii, jj = np.meshgrid(np.arange(width, dtype=np.float64),
-                             np.arange(height, dtype=np.float64), indexing="ij")
+    ii, jj = np.meshgrid(np.arange(width, dtype=np.float64),
+                         np.arange(height, dtype=np.float64), indexing="ij")
+    ii, jj = ii.ravel(), jj.ravel()
     d = np.sqrt((ii - c_w) ** 2 + (jj - c_h) ** 2)
-    return ii, jj, d, d < min(c_w, c_h)
+    if kind == "rotation":
+        disk = d < min(c_w, c_h)
+        return ii[disk], jj[disk], d[disk]
+    return ii, jj, d
 
 
 def _source_map(kind: str, width: int, height: int, ii: np.ndarray, jj: np.ndarray):
@@ -427,6 +432,19 @@ def _warp_pixels(x: ImageTensor, kind: str, params: np.ndarray, ii: np.ndarray,
         yield lo, block
 
 
+def _warp_many(x: ImageTensor, kind: str, params: np.ndarray) -> np.ndarray:
+    """``x`` warped by each of ``params``; returns (B, K, W, H).
+
+    The pixels ``_pixel_geometry`` names are interpolated, the others +0.0.
+    """
+    ii, jj, _ = _pixel_geometry(kind, x.width, x.height)
+    flat = (ii * x.height + jj).astype(np.intp)
+    out = np.zeros((len(params), x.channels, x.width * x.height))
+    for lo, block in _warp_pixels(x, kind, params, ii, jj):
+        out[lo:lo + len(block), :, flat] = block
+    return out.reshape((len(params),) + x.shape)
+
+
 def rotate_many(x: ImageTensor, angles) -> np.ndarray:
     """Rotate one image by many angles (radians, CCW); returns (B, K, W, H).
 
@@ -438,12 +456,7 @@ def rotate_many(x: ImageTensor, angles) -> np.ndarray:
     above the rounding: the source lies strictly inside Omega at every
     angle, and the interpolation needs no outside-Omega mask for it.
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=np.float64))
-    ii, jj, _, disk = _pixel_geometry(x.width, x.height)
-    out = np.zeros((len(angles),) + x.shape)
-    for lo, block in _warp_pixels(x, "rotation", angles, ii[disk], jj[disk]):
-        out[lo:lo + len(block)][:, :, disk] = block
-    return out
+    return _warp_many(x, "rotation", np.atleast_1d(np.asarray(angles, dtype=np.float64)))
 
 
 def scale_many(x: ImageTensor, factors) -> np.ndarray:
@@ -451,8 +464,4 @@ def scale_many(x: ImageTensor, factors) -> np.ndarray:
     factors = np.atleast_1d(np.asarray(factors, dtype=np.float64))
     if np.any(factors <= 0.0):
         raise ValueError("scaling factor must be > 0")
-    ii, jj, _, _ = _pixel_geometry(x.width, x.height)
-    out = np.empty((len(factors), x.channels, x.width * x.height))
-    for _ in _warp_pixels(x, "scaling", factors, ii.ravel(), jj.ravel(), out):
-        pass
-    return out.reshape((len(factors),) + x.shape)
+    return _warp_many(x, "scaling", factors)

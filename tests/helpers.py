@@ -26,7 +26,7 @@ from semcert.classifiers import ConstantClassifier, LinearClassifier, MeanThresh
 from semcert.io import _CSV_FIELDS, FormatError
 from semcert.statfn import _log_binom_tail_terms, std_normal_cdf
 from semcert.tensor import ImageTensor, bilinear_many
-from semcert.transforms import center_coords, transform_spec
+from semcert.transforms import _pixel_geometry, center_coords, transform_spec
 
 
 class ImageOnlyLinear(LinearClassifier):
@@ -189,10 +189,12 @@ def trajectory_cells(x, kind, interval, rr, ss, closure=True):
     t1, t2 = interval
     if not t1 < t2:
         raise ValueError("interval must satisfy t1 < t2")
-    bound_rr, bound_ss, _ = aliasing._bound_pixels(x, kind)
-    rr = np.concatenate([bound_rr, np.asarray(rr, dtype=float)])
-    ss = np.concatenate([bound_ss, np.asarray(ss, dtype=float)])
-    src_i, src_j, _, margin = aliasing._source_curves(x, kind, rr, ss, np.array([t1]),
+    bound_rr, bound_ss, bound_d = _pixel_geometry(kind, x.width, x.height)
+    rr, ss = np.asarray(rr, dtype=float), np.asarray(ss, dtype=float)
+    c_w, c_h = center_coords(x.width, x.height)
+    d = np.concatenate([bound_d, np.sqrt((rr - c_w) ** 2 + (ss - c_h) ** 2)])
+    rr, ss = np.concatenate([bound_rr, rr]), np.concatenate([bound_ss, ss])
+    src_i, src_j, _, margin = aliasing._source_curves(x, kind, rr, ss, d, np.array([t1]),
                                                       np.array([t2]))
     keep = slice(len(bound_rr), None)
     ci, cj, in_box = _visited_cells(src_i[:, 0, keep].T, src_j[:, 0, keep].T,
@@ -266,7 +268,7 @@ def interval_by_interval_bound(x, kind, grid):
     and the interval constants of the package; the worst interval is the
     first of the largest bounds.
     """
-    rr, ss, _ = aliasing._bound_pixels(x, kind)
+    rr, ss, _ = _pixel_geometry(kind, x.width, x.height)
     pixels = (slice(None), slice(None), rr.astype(np.intp), ss.astype(np.intp))
     intervals = grid.intervals()
     exposed, slack = aliasing._interval_constants(x, kind, intervals[:, 0], intervals[:, 1])

@@ -186,7 +186,8 @@ class TestCurveSpeed:
         rr = np.array([7.0])
         ss = np.array([1.0])
         lo, hi = np.array([0.5, 1.0]), np.array([0.6, 1.1])
-        _, _, speed, margin = _source_curves(image_9x9, "scaling", rr, ss, lo, hi)
+        d = np.sqrt((rr - 4.0) ** 2 + (ss - 4.0) ** 2)
+        _, _, speed, margin = _source_curves(image_9x9, "scaling", rr, ss, d, lo, hi)
         assert speed[1, 0] == pytest.approx(speed[0, 0] / 4.0, rel=1e-12)
         # scaling coordinates are monotone in the parameter: no overshoot
         assert np.all(margin == 0.0)
@@ -233,12 +234,11 @@ class TestIntervalLipschitz:
         # summed over (pixel, channel)
         x = ImageTensor(np.random.default_rng(seed).random(shape))
         t1, _ = interval
-        ii, jj, d, disk = _pixel_geometry(x.width, x.height)
-        keep = disk if kind == "rotation" else np.ones(d.shape, dtype=bool)
+        ii, jj, d = _pixel_geometry(kind, x.width, x.height)
         factor, speed = (2.0, d) if kind == "rotation" else (math.sqrt(2.0), d / t1 ** 2)
         terms = []
-        pixel_cells = trajectory_cells(x, kind, interval, ii[keep], jj[keep])
-        for cells, v in zip(pixel_cells, speed[keep]):
+        pixel_cells = trajectory_cells(x, kind, interval, ii, jj)
+        for cells, v in zip(pixel_cells, speed):
             stats = [max_color_stats(x, k, cells) for k in range(x.channels)]
             terms.append([factor * v * m_delta * m_bar for m_bar, m_delta in stats])
         want = float(np.sum(np.array(terms))) if terms else 0.0
@@ -431,7 +431,7 @@ def _record_warps(monkeypatch):
 
 def _bound_entries(x, kind, images):
     """The (K, P) entries of (B, K, W, H) ``images`` at the pixels the bound sums."""
-    rr, ss, _ = aliasing._bound_pixels(x, kind)
+    rr, ss, _ = _pixel_geometry(kind, x.width, x.height)
     return images[:, :, rr.astype(np.intp), ss.astype(np.intp)]
 
 
@@ -498,7 +498,7 @@ class TestBlockReduction:
         monkeypatch.setattr(aliasing, "_BLOCK_POINTS", 50)
         assert aliasing_bound(x, g.kind, g) == want
         # kernel blocks of a few points, which intervals and their ends straddle
-        pixels = len(aliasing._bound_pixels(x, g.kind)[0])
+        pixels = len(_pixel_geometry(g.kind, x.width, x.height)[0])
         for points in (1, 3, 7):
             monkeypatch.setattr(transforms, "_BLOCK_POINTS", points * pixels)
             assert aliasing_bound(x, g.kind, g) == want
@@ -509,7 +509,7 @@ class TestBlockReduction:
         g = IntervalGrid(*grid)
         x = ImageTensor(np.zeros((1, 9, 9)))
         monkeypatch.setattr(aliasing, "_BLOCK_IMAGES", 3 * g.n_inner)
-        for points in (_BLOCK_POINTS, 3 * len(aliasing._bound_pixels(x, g.kind)[0])):
+        for points in (_BLOCK_POINTS, 3 * len(_pixel_geometry(g.kind, x.width, x.height)[0])):
             monkeypatch.setattr(transforms, "_BLOCK_POINTS", points)
             worst = aliasing_bound(x, g.kind, g).worst
             assert worst.bound == 0.0
@@ -539,8 +539,8 @@ class TestOneSourceMap:
 
         monkeypatch.setattr(transforms, "bilinear_many", recording)
         transforms.transform_spec(kind).apply_many(x, [lo, hi])
-        rr, ss, _ = aliasing._bound_pixels(x, kind)
-        src_i, src_j, _, _ = _source_curves(x, kind, rr, ss, np.array([lo]), np.array([hi]))
+        rr, ss, d = _pixel_geometry(kind, x.width, x.height)
+        src_i, src_j, _, _ = _source_curves(x, kind, rr, ss, d, np.array([lo]), np.array([hi]))
         assert len(read) == x.channels  # one read per channel
         for warp_i, warp_j in read:
             assert np.array_equal(src_i[[0, -1], 0], warp_i)

@@ -165,6 +165,26 @@ class TestCertify:
         assert drawn == []
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("flag,value,shown", [
+        ("--sigma-k", "0", "0.0"), ("--sigma-b", "0", "0.0"), ("--sigma-k", "-1", "-1.0"),
+        ("--sigma-k", "nan", "nan"), ("--sigma-b", "inf", "inf"),
+    ])
+    def test_bc_noise_scale_refused_by_flag_before_any_draw(self, capsys, tmp_path, idx_set,
+                                                            monkeypatch, flag, value, shown):
+        # brightness/contrast certifies only with both scales finite and > 0
+        drawn = []
+        monkeypatch.setattr(smoothing, "draw_params", lambda *args, **kwargs: drawn.append(1))
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "brightness-contrast", *_CERTIFY_FLAGS[
+                "brightness-contrast"], flag, value, "--dataset", images, "--labels", labels,
+            *_SMALL, "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == (f"error: {flag} must be finite and > 0 for --transform "
+                       f"brightness-contrast, got {shown}\n")
+        assert drawn == []
+        assert not (tmp_path / "out.csv").exists()
+
     def test_zero_images(self, capsys, tmp_path):
         images, labels = _write_idx(tmp_path, np.zeros((0, 9, 9)), [])
         code, _, err = _run(capsys, [
@@ -388,6 +408,8 @@ class TestCertify:
          "--noise-sigma must be finite and >= 0 for --transform additive, got -1.0"),
         ("predict", "translation-reflect", ["--noise-sigma", "inf"],
          "--noise-sigma must be finite and >= 0 for --transform translation-reflect, got inf"),
+        ("predict", "brightness-contrast", ["--sigma-b", "-1"],
+         "--sigma-b must be finite and >= 0 for --transform brightness-contrast, got -1.0"),
     ])
     def test_flags_the_transform_does_not_read_refused(self, capsys, tmp_path, command,
                                                        transform, flags, message):
@@ -590,6 +612,13 @@ class TestAliasing:
         flag = "--grid-n" if sizes[0] == "0" else "--grid-r"
         assert err == f"error: {flag} must be >= 2, got 0\n"
 
+    @pytest.mark.parametrize("kind", ["rotation", "scaling"])
+    def test_missing_interval_named(self, capsys, tensor_file, kind):
+        _, path = tensor_file
+        code, out, err = _run(capsys, ["aliasing", "--image", path, "--kind", kind])
+        assert (code, out) == (2, "")
+        assert err == f"error: --interval is required for --kind {kind}\n"
+
     def test_negative_pixels_rejected(self, capsys, tmp_path):
         # the cell bounds take the largest corner value as the bound on
         # |colour|, which needs colours >= 0
@@ -723,3 +752,38 @@ def test_every_transform_flag_is_in_the_table():
                for command in ("certify", "predict")}
     assert options["certify"] - common == table
     assert options["predict"] - common <= table
+
+
+def test_certify_help_prints_each_readers_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per flag
+    code, out, _ = _run(capsys, ["certify", "--help"])
+    assert code == 0
+    for text in ("certification error rate (default 0.001)", "estimation samples (default 100000)",
+                 "class-selection samples (default 100)",
+                 "outer anchors (default 10000 for rotation; default 1000 for scaling)",
+                 "inner subsamples (default 1000 for rotation; default 250 for scaling)",
+                 "gaussian smoothing noise sigma (default 0.25 for translation-reflect or "
+                 "translation-black or rotation or scaling)",
+                 "interval (required for rotation or scaling)"):
+        assert text in out, text
+
+
+@pytest.mark.parametrize("transform", ["blur", "rotation"])
+def test_summary_config_echoes_every_option(capsys, tmp_path, idx_set, transform):
+    # every option of certify and nothing else, with the defaults filled in
+    images, labels = idx_set
+    out = str(tmp_path / "out")
+    code, _, err = _run(capsys, ["certify", "--transform", transform, *_CERTIFY_FLAGS[transform],
+                                 "--dataset", images, "--labels", labels, *_SMALL,
+                                 "--output", out])
+    assert code == 0, err
+    config = dict.fromkeys(["alpha_max", "b_range", "batch", "grid_n", "grid_r", "interval",
+                            "k_range", "noise_family", "noise_scale", "noise_sigma", "rho",
+                            "sigma_b", "sigma_k", "weights"])
+    config.update(alpha=0.001, dataset=images, labels=labels, n=300, n0=50, output=out, seed=7,
+                  stride=1, synthetic="mean:0.5", transform=transform)
+    if transform == "blur":
+        config.update(alpha_max=0.3, noise_family="exponential", noise_scale=1.0)
+    else:
+        config.update(batch=400, grid_n=30, grid_r=5, interval=[-2.0, 2.0], noise_sigma=0.25)
+    assert json.loads((tmp_path / "out.json").read_text())["config"] == config

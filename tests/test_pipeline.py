@@ -22,6 +22,7 @@ a mean-threshold classifier's confidence under both noise scales.
 """
 
 import math
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -39,7 +40,8 @@ from semcert.pipeline import (CertificationResult, ParameterSet, certify_bc_rect
                               certify_diff_resolvable, certify_resolvable,
                               certify_translation_enum, robust_accuracy_report)
 from semcert.radii import ConfidencePair, DistributionSpec, bc_condition, bc_confidence_shift
-from semcert.smoothing import CountVector, RowStream, SmoothedQuery, progressive_certify
+from semcert.smoothing import (BaseClassifier, CountVector, RowStream, SmoothedQuery, certify,
+                               progressive_certify)
 from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
                             std_normal_quantile)
 from semcert.tensor import ImageTensor
@@ -167,7 +169,7 @@ class TestAgainstReference:
         # read on a fresh stream; the reference runs that anchor in full
         anchor_q = replace(q, conf=replace(q.conf, alpha=q.conf.alpha / grid.n_outer))
         first = progressive_certify(
-            RowStream(anchor_q), apply_one(transform_spec("rotation"), image_9x9,
+            RowStream(anchor_q, 400), apply_one(transform_spec("rotation"), image_9x9,
                                            float(grid.anchors()[0])), 0.0, first_check_only=True)
         monkeypatch.setattr(pipeline, "aliasing_bound", lambda *args: pytest.fail("bound built"))
         res = _certify(image_9x9, q, grid)
@@ -775,6 +777,103 @@ def test_translation_noise_refused_before_any_draw(image_9x9, monkeypatch, famil
                       DistributionSpec(family, params, dim=2), ConfidenceParams(0.001, 2000, 100))
     with pytest.raises(pipeline.PipelineConfigError, match=f"translation smoothing: .*{match}"):
         certify_resolvable(image_9x9, 1, q, ParameterSet.translation_disk(0.5))
+
+
+class _Parity(BaseClassifier):
+    """The parity of floor(1e6 x first pixel): every smoothing noise here
+    moves that pixel over many units of 1e-6, so about half of the
+    samples carry each label."""
+
+    def classify_flat_batch(self, flats, shape):
+        return np.floor(flats[:, 0] * 1e6).astype(np.int64) % 2
+
+
+@pytest.mark.parametrize("kind,noise,region", [
+    ("gaussian_blur", DistributionSpec("exponential", (1.0,), dim=1),
+     ParameterSet.blur_interval(0.5)),
+    ("translation_reflect", DistributionSpec("gaussian", (2.0,), dim=2),
+     ParameterSet.translation_disk(0.5)),
+    ("brightness_contrast", DistributionSpec("gaussian", (0.3, 0.3), dim=2),
+     ParameterSet.bc_rect(-0.1, 0.1, -0.1, 0.1)),
+])
+def test_even_split_abstains(image_9x9, kind, noise, region):
+    q = _resolvable_query(image_9x9, _Parity(), kind, noise)
+    certifier = certify_bc_rectangle if kind == "brightness_contrast" else certify_resolvable
+    res = certifier(image_9x9, 1, q, region)
+    p_a_lower = certify(q, image_9x9).p_a_lower
+    assert p_a_lower <= 0.5
+    assert res == CertificationResult("abstain", -1, p_a_lower, None, None, 50 + _RESOLVABLE_N)
+
+
+@pytest.mark.parametrize("kind,bounds,match", [
+    ("blur", (0.0,), "blur region needs alpha_max > 0"),
+    ("disk", (-0.5,), "disk region needs radius >= 0"),
+    ("rect", (0.1, -0.1, 0.0, 0.0), "rect region needs k_lo <= k_hi and b_lo <= b_hi"),
+    ("rect", (0.0, 0.1, 0.2, 0.1), "rect region needs k_lo <= k_hi and b_lo <= b_hi"),
+    ("ball", (1.0,), "unknown region kind 'ball'"),
+])
+def test_parameter_set_refusals(kind, bounds, match):
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        ParameterSet(kind, bounds)
+
+
+_BLUR_EXP = ("gaussian_blur", DistributionSpec("exponential", (1.0,), dim=1))
+_REFLECT = ("translation_reflect", DistributionSpec("gaussian", (0.5,), dim=2))
+_BC = ("brightness_contrast", DistributionSpec("gaussian", (0.3, 0.3), dim=2))
+
+
+@pytest.mark.parametrize("certifier,query,region,match", [
+    (certify_resolvable, _BLUR_EXP, ParameterSet.translation_disk(0.5),
+     "blur certification needs a blur region"),
+    (certify_resolvable, ("gaussian_blur", DistributionSpec("uniform", (0.5, 1.0), dim=1)),
+     ParameterSet.blur_interval(0.5), "blur uniform noise must start at 0"),
+    (certify_resolvable, _REFLECT, ParameterSet.blur_interval(0.5),
+     "translation certification needs a disk region"),
+    (certify_resolvable, _BC, ParameterSet.bc_rect(0.0, 0.1, 0.0, 0.1),
+     "certify_resolvable handles gaussian_blur and translation_reflect, "
+     "got 'brightness_contrast'"),
+    (certify_bc_rectangle, _BC, ParameterSet.translation_disk(0.5),
+     "brightness/contrast certification needs a rect region"),
+    (certify_bc_rectangle, _BLUR_EXP, ParameterSet.bc_rect(0.0, 0.1, 0.0, 0.1),
+     "certify_bc_rectangle needs a brightness_contrast query"),
+    (certify_bc_rectangle, ("brightness_contrast", DistributionSpec("uniform", (-0.5, 0.5),
+                                                                    dim=2)),
+     ParameterSet.bc_rect(0.0, 0.1, 0.0, 0.1),
+     "brightness/contrast smoothing needs 2-d gaussian noise"),
+    (certify_bc_rectangle, ("brightness_contrast", DistributionSpec("gaussian", (0.3, 0.0),
+                                                                    dim=2)),
+     ParameterSet.bc_rect(0.0, 0.1, 0.0, 0.1),
+     "brightness/contrast noise scales must be positive"),
+    (certify_bc_rectangle, ("brightness_contrast", DistributionSpec("gaussian", (0.0, 0.3),
+                                                                    dim=2)),
+     ParameterSet.bc_rect(0.0, 0.1, 0.0, 0.1),
+     "brightness/contrast noise scales must be positive"),
+    (certify_translation_enum, None, ParameterSet.bc_rect(0.0, 0.1, 0.0, 0.1),
+     "translation enumeration needs a disk region"),
+])
+def test_mismatched_query_or_region_refused_before_any_draw(image_9x9, monkeypatch, certifier,
+                                                            query, region, match):
+    monkeypatch.setattr(smoothing, "draw_params", lambda *args, **kwargs: pytest.fail())
+    q = ConstantClassifier(1) if query is None else _resolvable_query(
+        image_9x9, ConstantClassifier(1), *query)
+    with pytest.raises(pipeline.PipelineConfigError, match=f"^{re.escape(match)}$"):
+        certifier(image_9x9, 1, q, region)
+
+
+@pytest.mark.parametrize("transform,noise,match", [
+    (transform_spec("brightness_contrast"), DistributionSpec("gaussian", (0.3, 0.3), dim=2),
+     "a row stream needs an additive_pixel query, got 'brightness_contrast'"),
+    (additive_pixel_transform((1, 9, 9)), DistributionSpec("uniform", (-0.5, 0.5), dim=81),
+     "need isotropic gaussian noise, got uniform"),
+])
+def test_anchor_rows_refuse_other_queries_before_any_draw_or_bound(image_9x9, monkeypatch,
+                                                                   transform, noise, match):
+    # the row's stream makes both checks when it is built
+    monkeypatch.setattr(smoothing, "draw_params", lambda *args, **kwargs: pytest.fail())
+    monkeypatch.setattr(pipeline, "aliasing_bound", lambda *args: pytest.fail())
+    q = SmoothedQuery(ConstantClassifier(1), transform, noise, ConfidenceParams(0.001, 2000, 100))
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        _certify(image_9x9, q, _grid("rotation"))
 
 
 @pytest.mark.parametrize("stride", [0, -1])

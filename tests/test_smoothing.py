@@ -388,13 +388,13 @@ class TestClassScorePath:
         # takes additive pixel noise only, and serves its own query only
         clf = random_linear(8, (1, 9, 9), classes=3, bias=0.0)
         with pytest.raises(ValueError, match="additive_pixel query, got 'brightness_contrast'"):
-            RowStream(_bc_query(clf, sigma_k=0.3, sigma_b=0.3, seed=4))
+            RowStream(_bc_query(clf, sigma_k=0.3, sigma_b=0.3, seed=4), 400)
         transform = additive_pixel_transform((1, 9, 9))
         noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
         q = SmoothedQuery(clf, transform, noise, ConfidenceParams(0.001, 1000, 100), 5)
         with pytest.raises(ValueError, match="serves another query"):
             sample_counts(replace(q, seed=6), ImageTensor(np.zeros((1, 9, 9))), 100, 0,
-                          RowStream(q))
+                          RowStream(q, 400))
 
     @pytest.mark.parametrize("family,params,batch,match", [
         ("gaussian", (0.5,), 0, "batch size must be >= 1"),
@@ -758,9 +758,9 @@ class TestProgressive:
         sigmas[0] = 0.6
         q = replace(q, noise=DistributionSpec("gaussian", tuple(sigmas), dim=q.noise.dim))
         with pytest.raises(ValueError, match="isotropic gaussian noise with sigma > 0"):
-            progressive_certify(RowStream(q), image_9x9, 0.1)
+            progressive_certify(RowStream(q, 400), image_9x9, 0.1)
 
     def test_negative_target_rejected(self, image_9x9):
         q = self._query(ConstantClassifier(1), image_9x9)
         with pytest.raises(ValueError):
-            progressive_certify(RowStream(q), image_9x9, -1.0)
+            progressive_certify(RowStream(q, 400), image_9x9, -1.0)

@@ -352,8 +352,8 @@ class TestRotationSourceMap:
 
     @pytest.mark.parametrize("width,height", [(28, 28), (9, 9), (10, 7), (7, 10), (4, 4), (5, 4)])
     def test_disk_sources_inside_omega(self, width, height):
-        ii, jj, _, disk = transforms._pixel_geometry(width, height)
-        coords = transforms._source_map("rotation", width, height, ii[disk], jj[disk])
+        ii, jj, _ = transforms._pixel_geometry("rotation", width, height)
+        coords = transforms._source_map("rotation", width, height, ii, jj)
         src_i, src_j = coords(np.linspace(-math.pi, math.pi, 20_001))
         assert src_i.min() >= 0.0 and src_i.max() <= width - 1
         assert src_j.min() >= 0.0 and src_j.max() <= height - 1

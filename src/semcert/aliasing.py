@@ -250,7 +250,7 @@ def _rect_max(tables: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
     _, _, wp, hp, n_stats = tables.shape
     r = np.clip(r0, -_PAD, wp - 2 * _PAD) + _PAD
     c = np.clip(c0, -_PAD, hp - 2 * _PAD) + _PAD
-    flat = ((((r1 - r0) * 3 + (c1 - c0)) * wp + r) * hp + c).astype(np.intp)
+    flat = (((r1 - r0) * 3 + (c1 - c0)) * wp + r) * hp + c
     return np.take(tables.reshape(-1, n_stats), flat, axis=0)
 
 
@@ -266,12 +266,21 @@ def _closure_stats(tables: np.ndarray, src_i: np.ndarray, src_j: np.ndarray,
     cell set (the sampled cells' 8-neighborhoods inside the box) is
     the max over samples of one ``_rect_max`` lookup.  Returns
     (n_intervals, n_pixels, 2K) for the curves of ``_source_curves``.
+
+    Cells are int32, each floor first clipped into [L, U] = [-_PAD - 1,
+    the padded table's longer side] (scaling by 1e-9 puts sources near
+    1e10).  The clip changes no lookup: being monotone, it moves a
+    rectangle only where fi lies at or beyond L or U, and such a rectangle
+    lies below L + 2 or above U - 2, in the zero padding, before and after.
     """
-    i_lo = np.floor(src_i.min(axis=0) - margin)
-    i_hi = np.floor(src_i.max(axis=0) + margin)
-    j_lo = np.floor(src_j.min(axis=0) - margin)
-    j_hi = np.floor(src_j.max(axis=0) + margin)
-    fi, fj = np.floor(src_i), np.floor(src_j)
+    top = max(tables.shape[2:4])
+
+    def cells(coords):
+        return np.clip(np.floor(coords), -_PAD - 1, top).astype(np.int32)
+
+    i_lo, i_hi = cells(src_i.min(axis=0) - margin), cells(src_i.max(axis=0) + margin)
+    j_lo, j_hi = cells(src_j.min(axis=0) - margin), cells(src_j.max(axis=0) + margin)
+    fi, fj = cells(src_i), cells(src_j)
     rects = _rect_max(tables, np.maximum(fi - 1, i_lo), np.minimum(fi + 1, i_hi),
                       np.maximum(fj - 1, j_lo), np.minimum(fj + 1, j_hi))
     return rects.max(axis=0)

@@ -26,6 +26,7 @@ from .pipeline import (ParameterSet, certify_bc_rectangle, certify_diff_resolvab
 from .radii import NOISE_FAMILIES, ConfidencePair, DistributionSpec, closed_form_radius
 from .smoothing import ABSTAIN, SmoothedQuery, predict
 from .statfn import ConfidenceParams
+from .streams import largest_draw
 from .transforms import additive_pixel_transform, transform_spec
 
 __all__ = ["run_cli", "main"]
@@ -216,13 +217,20 @@ def _smoothing_setup(args, shape):
 
     translation-black is certified by enumeration; its clean prediction
     smooths with reflect padding.  Blur noise is checked by
-    ``SmoothedQuery``.  ``_read_flags`` has filled the noise flags.
+    ``SmoothedQuery``, and here for a kernel that cannot be built.
+    ``_read_flags`` has filled the noise flags.
     """
     t = args.transform
     if t == "blur":
         size = args.noise_scale
         scale = (0.0, size) if args.noise_family == "uniform" else (size,)
-        return transform_spec("gaussian_blur"), DistributionSpec(args.noise_family, scale, dim=1)
+        noise = DistributionSpec(args.noise_family, scale, dim=1)
+        alpha = largest_draw(noise)
+        taps = math.ceil(4.0 * math.sqrt(alpha))  # per side, as ``transforms._blur_coefs``
+        if taps > np.iinfo(np.intp).max // 8:  # more float64 values than an array holds
+            raise ValueError(f"--noise-scale {size} draws blur squared radii up to {alpha:.3g}: "
+                             f"a kernel of {taps:.3g} taps per side cannot be built")
+        return transform_spec("gaussian_blur"), noise
     if t == "brightness-contrast":
         return (transform_spec("brightness_contrast"),
                 DistributionSpec("gaussian", (args.sigma_k, args.sigma_b), dim=2))

@@ -14,8 +14,9 @@ and the parameter-space bound the declared region was compared against.
 * ``certify_diff_resolvable``: rotation / scaling via an aliasing bound
   plus progressive certification of every anchor parameter, jointly at
   1 - alpha, in one pass.  Anchors read only their first check against
-  the bound built from the anchors alone until one cannot be decided
-  there; from that anchor on they run in full against the grid's bound.
+  the bound built from the anchors alone (as arrays, for an affine
+  classifier) until one cannot be decided there; from that anchor on
+  they run in full against the grid's bound.
 * ``certify_translation_enum``: exact brute-force enumeration for
   black-padded translation (no statistics involved).
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -176,8 +176,8 @@ def certify_bc_rectangle(x: ImageTensor, label: int, q: SmoothedQuery,
         raise PipelineConfigError("certify_bc_rectangle needs a brightness_contrast query")
     if rect.kind != "rect":
         raise PipelineConfigError("brightness/contrast certification needs a rect region")
-    if q.noise.family != "gaussian" or q.noise.dim != 2:
-        raise PipelineConfigError("brightness/contrast smoothing needs 2-d gaussian noise")
+    if q.noise.family != "gaussian":  # ``SmoothedQuery`` has checked the dimension
+        raise PipelineConfigError("brightness/contrast smoothing needs gaussian noise")
     sigma, tau = q.noise.sigmas()
     if sigma <= 0.0 or tau <= 0.0:
         raise PipelineConfigError("brightness/contrast noise scales must be positive")
@@ -213,24 +213,24 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     against target sqrt(M), in anchor order.  Certified iff all anchors
     certify the requested label; the first that does not is the witness.
 
-    Each of the N anchors runs at alpha / N.  All read one
-    ``RowStream``: disjoint i.i.d. guess and estimation draws, shared
-    across anchors, which the union bound over anchors and checks does
-    not mind.  Built before any draw or bound, the stream refuses a query
-    without additive isotropic gaussian noise, fixes the row's sigma,
-    batch and per-check alpha, and keeps what it reads (C class scores
-    per draw for an affine classifier, else the guess draws and first
-    check) plus one check's draws; one block of anchor images is alive.
+    Each of the N anchors runs at alpha / N.  All read one ``RowStream``
+    (shared i.i.d. guess and estimation draws, which the union bound over
+    anchors and checks does not mind).  Built before any draw or bound, it
+    refuses a query without additive isotropic gaussian noise, fixes the
+    row's protocol, and keeps what it reads (C class scores per draw for
+    an affine classifier, else the guess draws and first check) plus one
+    check's draws; one block of anchor images is alive.
 
-    Anchor 0's guess and first check are read first, from its image
-    alone and against no target.  A wrong guess ends the row there, as
-    does a hopeless check (Hoeffding's bound at the per-check alpha at
-    most 1/2, which no target clears); such a row reports no bound.
-    Otherwise the stream frees its draw buffer, the bound from the
-    anchors alone (two inner points per interval) is built, and each
-    anchor, anchor 0 again from the kept counts, reads its first check
-    against it.  The first that guesses the label but fails there ends
-    the row on that bound if hopeless; else it hands the row over
+    Anchor 0's guess and first check are read first, against no target.
+    A wrong guess ends the row there, as does a hopeless check
+    (Hoeffding's bound at the per-check alpha at most 1/2, which no
+    target clears); such a row reports no bound.  Otherwise the draw
+    buffer is freed, the bound from the anchors alone (two inner points
+    per interval) is built, and the anchors' first checks are read
+    against it: as arrays, a block at a time, for an affine classifier
+    (``RowStream.first_checks``), else one by one, anchor 0 again from
+    its kept counts.  The first that guesses the label but fails there
+    ends the row on that bound if hopeless; else it hands the row over
     (``refined``): the ``grid`` bound is built, the smaller of the two
     kept, and from that anchor on each runs in full against it.
 
@@ -261,10 +261,12 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     if prog.label == label and stream.upper(prog.hits, prog.used) > 0.5:
         stream.drop_draws()
         bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
-        fewest = {}  # used -> the certified outcome with the fewest hits
-        images = chain([first], (ImageTensor(data) for lo in range(1, len(anchors), _BLOCK_IMAGES)
-                                 for data in spec.apply_many(x, anchors[lo:lo + _BLOCK_IMAGES])))
-        for alpha_i, image in zip(anchors, images):
+        rest = (data for lo in range(1, len(anchors), _BLOCK_IMAGES)
+                for data in spec.apply_many(x, anchors[lo:lo + _BLOCK_IMAGES]))
+        # fewest: used -> the certified outcome with the fewest hits
+        cleared, fewest, images = stream.first_checks(first, rest, label, bound.sqrt_m)
+        samples = cleared * stream.prefix_len
+        for alpha_i, image in zip(anchors[cleared:], images):
             prog = progressive_certify(stream, image, bound.sqrt_m, first_check_only=not refined)
             if (not refined and prog.label == label and not prog.certified
                     and stream.upper(prog.hits, prog.used) > 0.5):

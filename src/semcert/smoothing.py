@@ -25,7 +25,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import chain, islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_exceed
                      clopper_pearson_lower, std_normal_cdf, std_normal_quantile)
 from .streams import draw_params
 from .tensor import ImageTensor
-from .transforms import _BLOCK_IMAGES, Transform
+from .transforms import _BLOCK_IMAGES, LinearForm, Transform, _kernel_rows
 
 __all__ = [
     "ABSTAIN",
@@ -179,11 +180,11 @@ class RowStream:
     x @ W.T + b), and E @ W.T does not depend on the image: each slice is
     drawn once per row into one draw buffer that the whole row reuses
     (n0 or ``batch`` rows, whichever is more, at most ``_BLOCK_IMAGES``),
-    projected, and only its C class scores per draw are kept.  Other
+    projected, and only its C class scores per draw are kept, so
+    ``first_checks`` reads many anchors' first checks as arrays.  Other
     classifiers keep the raw prefix (the guess draws and a first check of
-    ``batch``) and draw later checks per read.  The last image read is
-    kept with its projected form, or its prefix labels, so reading it
-    again reuses them.
+    ``batch``) and draw later checks per read.  The images last read are
+    kept with their projected forms, or prefix labels: none is read twice.
     """
 
     def __init__(self, q: SmoothedQuery, batch: int):
@@ -201,12 +202,12 @@ class RowStream:
                                      clopper_pearson_lower(hits, used, alpha_check))
         self._clears: dict[tuple[int, int, float], bool] = {}
         check = min(batch, q.conf.n_samples)
-        self._prefix_len = q.conf.n0_samples + check
+        self.prefix_len = q.conf.n0_samples + check  # the samples of a first-check decision
         self._prefix = None
         self._draw_rows = min(max(q.conf.n0_samples, check), _BLOCK_IMAGES)
         self._draws = None
         self._scores: dict[tuple[int, int], np.ndarray] = {}
-        self._image = self._form = None
+        self._kept: dict[int, tuple[ImageTensor, LinearForm | None]] = {}  # by id(image)
         self._labels: dict[tuple[int, int], np.ndarray] = {}
 
     def upper(self, hits: int, used: int) -> float:
@@ -231,18 +232,23 @@ class RowStream:
         """Free the draw buffer; the next slice drawn allocates it again."""
         self._draws = None
 
+    def certifies(self, hits: int, used: int, target: float, floor: float) -> bool:
+        """Whether a check above ``floor`` (``_certify_floor``), or the last, ``clears``."""
+        return ((hits / used > floor or used == self.q.conf.n_samples)
+                and self.clears(hits, used, target))
+
     def labels(self, x: ImageTensor, offset: int, n: int) -> np.ndarray:
         """Base-classifier labels of ``x`` plus draws [offset, offset + n)."""
         q = self.q
-        if self._image is not x:
+        if self._kept.get(id(x), (None,))[0] is not x:
             affine = q.classifier.affine(x.shape)
-            self._image, self._labels = x, {}
-            self._form = None if affine is None else q.transform.linear_form(x).project(*affine)
-        form = self._form
+            form = None if affine is None else q.transform.linear_form(x).project(*affine)
+            self._kept, self._labels = {id(x): (x, form)}, {}
+        form = self._kept[id(x)][1]
         if form is None:
             if self._prefix is None:  # the first read is the guess, inside the prefix
-                self._prefix = draw_params(q.noise, q.seed, 0, self._prefix_len)
-            if offset + n > self._prefix_len:
+                self._prefix = draw_params(q.noise, q.seed, 0, self.prefix_len)
+            if offset + n > self.prefix_len:
                 return _label_params(q.classifier, q.transform, x,
                                      draw_params(q.noise, q.seed, offset, n))
             if (offset, n) not in self._labels:
@@ -259,6 +265,55 @@ class RowStream:
                 parts.append(form.product(draws))
             self._scores[offset, n] = np.concatenate(parts)
         return np.argmax(self._scores[offset, n] + form.offset, axis=1)
+
+    def first_checks(self, first: ImageTensor, rest: Iterator[np.ndarray], label: int,
+                     target: float) -> tuple[int, dict, Iterator[ImageTensor]]:
+        """Read anchors' first checks against ``target`` as arrays, up to the
+        first anchor that does not certify there: ``first``, the image read
+        last, then those whose pixels ``rest`` yields.
+
+        An anchor labels argmax(S + o) on each kept slice of class scores S,
+        o from ``LinearForm.project`` of its own additive form (one GEMV, the
+        bits of ``labels``), a block of anchors at a time whose (b, n, C)
+        temporaries hold at most ``_BLOCK_POINTS`` values; guesses tie to the
+        smaller label.  Returns (cleared, fewest, images): the first
+        ``cleared`` anchors certify, ``fewest`` maps the check size to their
+        outcome of fewest hits, and ``images`` yields the other anchors, the
+        forms already computed kept.  A non-affine classifier clears none.
+        """
+        form = self._kept.get(id(first), (None, None))[1]
+        if form is None:
+            return 0, {}, chain([first], map(ImageTensor, rest))
+        additive = self.q.transform.linear_form(first)
+        affine, n0 = self.q.classifier.affine(first.shape), self.q.conf.n0_samples
+        used = self.prefix_len - n0
+        guess_scores, check_scores = self._scores[0, n0], self._scores[n0, used]
+        classes = guess_scores.shape[1]
+        floor = _certify_floor(target, self.sigma)
+        anchors = chain([(first.data, form)], ((data, None) for data in rest))
+        block = _kernel_rows(max(n0, used) * classes)
+        cleared, fewest, images = 0, used, iter(())
+        for part in iter(lambda: list(islice(anchors, block)), []):
+            forms = [f or LinearForm(additive.coefs, additive.basis, data.ravel()).project(*affine)
+                     for data, f in part]
+            offsets = np.stack([f.offset for f in forms])[:, None]
+            labels = np.argmax(guess_scores + offsets, axis=2)
+            labels += classes * np.arange(len(part))[:, None]  # one bincount for the block
+            counts = np.bincount(labels.ravel(), minlength=classes * len(part))
+            guesses = np.argmax(counts.reshape(len(part), classes), axis=1)
+            hits = np.count_nonzero(np.argmax(check_scores + offsets, axis=2) == guesses[:, None],
+                                    axis=1).tolist()
+            k = next((i for i, (guess, h) in enumerate(zip(guesses.tolist(), hits))
+                      if guess != label or not self.certifies(h, used, target, floor)), len(part))
+            cleared, fewest = cleared + k, min([fewest, *hits[:k]])
+            if k < len(part):
+                tail = [ImageTensor(data) for data, _ in part[k:]]
+                self._kept = {id(x): (x, f) for x, f in zip(tail, forms[k:])}
+                images = chain(tail, (ImageTensor(data) for data, _ in anchors))
+                break
+        outcome = ProgressiveOutcome(True, label, fewest, used, self.prefix_len, 1,
+                                     self.bound, self.sigma)
+        return cleared, {used: outcome} if cleared else {}, images
 
 
 def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0,
@@ -433,8 +488,7 @@ def progressive_certify(stream: RowStream, x: ImageTensor, target_radius: float,
         hits += int(counts.counts[guess])
         used += m
         checks += 1
-        certified = ((hits / used > p_floor or used == n)
-                     and stream.clears(hits, used, target_radius))
+        certified = stream.certifies(hits, used, target_radius, p_floor)
         # Hoeffding's bound lies above hits/used, so it stops no check above the floor
         if certified or first_check_only or stream.upper(hits, used) <= p_floor:
             break

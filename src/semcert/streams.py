@@ -25,7 +25,7 @@ import numpy as np
 
 from .radii import DistributionSpec
 
-__all__ = ["DRAWS_PER_BLOCK", "uniforms_per_draw", "draw_params"]
+__all__ = ["DRAWS_PER_BLOCK", "uniforms_per_draw", "largest_draw", "draw_params"]
 
 DRAWS_PER_BLOCK = 1024
 
@@ -114,6 +114,14 @@ def _fill_draws(noise: DistributionSpec, u: np.ndarray, out: np.ndarray,
         a, b = noise.params
         np.multiply(b - a, u, out=out)
         out += a
+
+
+def largest_draw(noise: DistributionSpec) -> float:
+    """The largest draw of 1-d ``noise``: ``_fill_draws`` logs uniforms up to 1 - 1e-16."""
+    tail = -float(np.log1p(-(1.0 - 1e-16)))
+    if noise.family == "exponential":
+        return tail / noise.params[0]
+    return noise.params[-1] * (1.0 if noise.family == "uniform" else float(np.sqrt(2.0 * tail)))
 
 
 # Uniforms made and transformed at once by ``draw_params``: 256 KB.

@@ -155,6 +155,52 @@ class TestMaxColorStats:
             max_color_stats(image_9x9, 0, [])
 
 
+def _closure_stats_float(tables, src_i, src_j, margin):
+    """``aliasing._closure_stats`` with float64 cells: every floor, box end,
+    rectangle corner and table index a float, cast to intp last."""
+    _, _, wp, hp, n_stats = tables.shape
+    pad = aliasing._PAD
+    i_lo, i_hi = np.floor(src_i.min(axis=0) - margin), np.floor(src_i.max(axis=0) + margin)
+    j_lo, j_hi = np.floor(src_j.min(axis=0) - margin), np.floor(src_j.max(axis=0) + margin)
+    fi, fj = np.floor(src_i), np.floor(src_j)
+    r0, r1 = np.maximum(fi - 1, i_lo), np.minimum(fi + 1, i_hi)
+    c0, c1 = np.maximum(fj - 1, j_lo), np.minimum(fj + 1, j_hi)
+    r = np.clip(r0, -pad, wp - 2 * pad) + pad
+    c = np.clip(c0, -pad, hp - 2 * pad) + pad
+    flat = ((((r1 - r0) * 3 + (c1 - c0)) * wp + r) * hp + c).astype(np.intp)
+    return np.take(tables.reshape(-1, n_stats), flat, axis=0).max(axis=0)
+
+
+class TestIntegerCells:
+    # the int32 cells give the float version's statistics bit for bit; a
+    # 2x9x11 image, so sides differ and pixel (4, 5) sits on the center
+    @pytest.mark.parametrize("kind,lo,hi", [
+        ("rotation", -0.3, 0.3), ("scaling", 0.95, 1.05), ("scaling", 0.3, 3.0)])
+    def test_equal_to_float_cells(self, rng, kind, lo, hi):
+        x = ImageTensor(rng.random((2, 9, 11)))
+        rr, ss, d = _pixel_geometry(kind, 9, 11)
+        ends = np.linspace(lo, hi, 7)
+        src_i, src_j, _, margin = _source_curves(x, kind, rr, ss, d, ends[:-1], ends[1:])
+        tables = aliasing._range_max_tables(x)
+        got = aliasing._closure_stats(tables, src_i, src_j, margin)
+        assert got.tobytes() == _closure_stats_float(tables, src_i, src_j, margin).tobytes()
+
+    @pytest.mark.parametrize("margin", [0.0, 2.5])
+    def test_clipped_far_outside(self, rng, margin):
+        # scaling by 1e-9 reads sources near 1e10, past int32: the clip
+        # changes no lookup, and the center pixel still reads its cells
+        x = ImageTensor(rng.random((2, 9, 11)))
+        rr, ss, _ = _pixel_geometry("scaling", 9, 11)
+        params = np.linspace(1e-9, 2e-9, 12).reshape(4, 3)
+        src_i, src_j = transforms._source_map("scaling", 9, 11, rr, ss)(params)
+        assert np.abs(src_i).max() > 2.0 ** 31
+        margin = np.full(src_i.shape[1:], margin)
+        tables = aliasing._range_max_tables(x)
+        got = aliasing._closure_stats(tables, src_i, src_j, margin)
+        assert got.tobytes() == _closure_stats_float(tables, src_i, src_j, margin).tobytes()
+        assert np.count_nonzero(got.max(axis=-1)) == 3  # the center pixel, per interval
+
+
 class TestCurveSpeed:
     def test_rotation_l2_speed_is_d(self, image_9x9):
         # finite differences of the source curve: l2 speed equals the

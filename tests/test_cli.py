@@ -185,6 +185,31 @@ class TestCertify:
         assert drawn == []
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("flags,shown", [
+        (["--noise-scale", "1e-300"], "1e-300 draws blur squared radii up to 3.67e+301: "
+                                      "a kernel of 2.42e+151 taps"),
+        (["--noise-family", "uniform", "--noise-scale", "1e300"],
+         "1e+300 draws blur squared radii up to 1e+300: a kernel of 4e+150 taps"),
+        (["--noise-family", "folded_gaussian", "--noise-scale", "1e300"],
+         "1e+300 draws blur squared radii up to 8.57e+300: a kernel of 1.17e+151 taps"),
+    ])
+    def test_blur_kernel_that_cannot_be_built_refused_before_any_draw(
+            self, capsys, tmp_path, idx_set, monkeypatch, flags, shown):
+        # the largest draw follows from the uniforms' clamps, so the noise
+        # scale is refused by flag before any draw, not with numpy's
+        # "Maximum allowed size exceeded" at the first blur
+        drawn = []
+        monkeypatch.setattr(smoothing, "draw_params", lambda *args, **kwargs: drawn.append(1))
+        images, labels = idx_set
+        code, _, err = _run(capsys, [
+            "certify", "--transform", "blur", "--alpha-max", "0.3", *flags,
+            "--dataset", images, "--labels", labels, *_SMALL,
+            "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert err == f"error: --noise-scale {shown} per side cannot be built\n"
+        assert drawn == []
+        assert not (tmp_path / "out.csv").exists()
+
     def test_zero_images(self, capsys, tmp_path):
         images, labels = _write_idx(tmp_path, np.zeros((0, 9, 9)), [])
         code, _, err = _run(capsys, [
@@ -545,6 +570,11 @@ class TestBlasThreads:
         ("rotation", ["--interval", "-5", "5", "--grid-n", "10", "--grid-r", "100",
                       "--noise-sigma", "0.25"],
          "0,0,0,certified,0.9709908594055916,0.47388994252192546,0.18265137570960296,5000"),
+        # every anchor certified at its first check against the two-point
+        # bound, all read as arrays (``RowStream.first_checks``)
+        ("scaling", ["--interval", "0.95", "1.05", "--grid-n", "30", "--grid-r", "5",
+                     "--noise-sigma", "0.25"],
+         "0,0,0,certified,0.968327662130477,0.46419110863614793,0.18494602246310268,15000"),
     ])
     def test_rows_independent_of_blas_threads(self, tmp_path, transform, flags, expected):
         # a textured centred blob; class 0's weights are that blob, the

@@ -45,7 +45,7 @@ from semcert.smoothing import (BaseClassifier, CountVector, RowStream, SmoothedQ
 from semcert.statfn import (ConfidenceParams, clopper_pearson_lower, std_normal_cdf,
                             std_normal_quantile)
 from semcert.tensor import ImageTensor
-from semcert.transforms import LinearForm, additive_pixel_transform, transform_spec
+from semcert.transforms import LinearForm, _kernel_rows, additive_pixel_transform, transform_spec
 
 _RANGES = {"rotation": (math.radians(-5), math.radians(5)), "scaling": (0.95, 1.05)}
 
@@ -567,23 +567,181 @@ def test_class_score_row_draws_each_slice_once(image_9x9, monkeypatch, kind, thr
     assert _summary(scores) + (scores.refined,) == _summary(images) + (images.refined,)
 
 
-@pytest.mark.parametrize("threshold,refined", [(0.2, False), (0.27, True)])
-def test_class_score_row_projects_each_anchor_once_per_call(image_9x9, monkeypatch,
-                                                            threshold, refined):
-    # an anchor's guess and checks read one projection of its image, and
-    # the handover anchor's second call reuses it
+def _bands(shape, cuts):
+    """An affine classifier that labels an image by the band of its mean
+    pixel: class c scores c * mean - (cuts[0] + ... + cuts[c - 1]), so the
+    label is the number of ``cuts`` below the mean."""
+    d = math.prod(shape)
+    weights = np.repeat(np.arange(len(cuts) + 1.0)[:, None] / d, d, axis=1)
+    return LinearClassifier(weights, -np.cumsum([0.0, *cuts]), shape)
+
+
+def _ladder(top):
+    """Nine cuts 0.02 apart up to ``top``: near ``top`` no band is likely."""
+    return tuple(round(top - 0.02 * i, 4) for i in range(8, -1, -1))
+
+
+def _per_anchor(x, label, q, grid, batch=400):
+    """``certify_diff_resolvable`` with every anchor's first check read by
+    its own ``progressive_certify`` call, on one ``RowStream``: the loop
+    that ``RowStream.first_checks`` replaces.  Also returns the index of
+    the anchor the row ended at (None when certified) and of the anchor
+    that handed it over (None when none did)."""
+    anchors = grid.anchors()
+    stream = RowStream(replace(q, conf=replace(q.conf, alpha=q.conf.alpha / len(anchors))),
+                       batch)
+    images = [apply_one(transform_spec(grid.kind), x, float(a)) for a in anchors]
+    prog = progressive_certify(stream, images[0], math.inf, first_check_only=True)
+    bound, refined, samples, stop, handover = None, False, 0, 0, None
+    if prog.label == label and stream.upper(prog.hits, prog.used) > 0.5:
+        stream.drop_draws()
+        bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
+        fewest = {}
+        for stop, image in enumerate(images):
+            prog = progressive_certify(stream, image, bound.sqrt_m, first_check_only=not refined)
+            if (not refined and prog.label == label and not prog.certified
+                    and stream.upper(prog.hits, prog.used) > 0.5):
+                refined, handover = True, stop
+                bound = min(aliasing_bound(x, grid.kind, grid), bound, key=lambda b: b.m_value)
+                prog = progressive_certify(stream, image, bound.sqrt_m)
+            if prog.label != label or not prog.certified:
+                break
+            samples += prog.samples_used
+            fewest[prog.used] = min(fewest.get(prog.used, prog), prog, key=lambda o: o.hits)
+        else:
+            return CertificationResult(
+                "certified", label, min(o.p_a_lower for o in fewest.values()),
+                min(o.radius for o in fewest.values()), bound, samples,
+                refined=refined), (None, handover)
+    verdict = ("abstain" if not prog.certified and prog.p_a_lower <= 0.5
+               and prog.label == label else "not_certified")
+    return CertificationResult(verdict, prog.label, prog.p_a_lower, None, bound,
+                               samples + prog.samples_used, witness=(float(anchors[stop]),),
+                               refined=refined), (stop, handover)
+
+
+_PASS_RANGES = {"rotation": (math.radians(-10), math.radians(10)), "scaling": (0.8, 1.2)}
+
+
+def _pass_row(x, kind, cuts, label, sigma, n0, seed, n_outer):
+    """A row of ``_bands(cuts)`` under gaussian noise ``sigma``, n = 2000:
+    its query, grid (three inner points) and label."""
+    transform = additive_pixel_transform(x.shape)
+    noise = DistributionSpec("gaussian", (sigma,), dim=transform.param_dim)
+    q = SmoothedQuery(_bands(x.shape, cuts), transform, noise,
+                      ConfidenceParams(0.001, 2_000, n0), seed)
+    return q, IntervalGrid(kind, *_PASS_RANGES[kind], n_outer, 3), label
+
+
+class TestArrayPass:
+    # (kind, cuts, label, sigma, n0, seed, n_outer).  On the 9x9 image
+    # rotation keeps the mean near 0.29; scaling anchors run from 1.2
+    # down, and the mean falls from 0.54 to 0.32 at anchor 10, where
+    # shrinking blackens the border.  Rows certified by the pass alone
+    # over three blocks of anchors (ten classes: eight anchors a block),
+    # handed over mid-block and then certified or failed, ended by a
+    # wrong guess or a hopeless first check at anchor 10, and rows whose
+    # two-draw guesses tie (every anchor reads the same guess draws, so
+    # the 1-1 tie of seed 1 at cut 0.4 holds at every rotation anchor)
+    CASES = [
+        ("rotation", (0.26,), 1, 0.5, 100, 2, 40),
+        ("rotation", (0.27,), 1, 0.5, 100, 1, 40),
+        ("rotation", (0.05, 0.1, 0.15, 0.2, 0.6, 0.7, 0.8, 0.9, 0.95), 4, 0.5, 100, 1, 24),
+        ("rotation", (0.05, 0.1, 0.15, 0.2, 0.6, 0.7, 0.8, 0.9, 0.95), 4, 0.5, 3, 1, 24),
+        ("rotation", (0.05, 0.1, 0.15, 0.2, 0.6, 0.7, 0.8, 0.9, 0.95), 4, 1.0, 100, 2, 24),
+        ("rotation", (0.2,), 1, 1.0, 2, 1, 24),
+        ("rotation", (0.4,), 0, 1.0, 2, 1, 24),
+        ("scaling", (0.4,), 1, 1.0, 100, 1, 24),
+        ("scaling", (0.2,), 1, 1.0, 100, 1, 24),
+        ("scaling", (0.2,), 1, 0.5, 100, 1, 24),
+        ("scaling", (0.27,), 1, 0.5, 100, 1, 24),
+        ("scaling", _ladder(0.34), 9, 0.5, 100, 1, 24),
+        ("scaling", _ladder(0.33), 9, 0.5, 100, 1, 24),
+        ("scaling", _ladder(0.2), 9, 0.5, 100, 1, 24),
+        ("scaling", (0.27,), 1, 1.0, 2, 1, 24),
+        ("scaling", (0.25,), 1, 1.0, 2, 2, 24),
+        ("scaling", (0.25,), 0, 1.0, 2, 2, 24),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equal_to_per_anchor_loop(self, image_9x9, case):
+        q, grid, label = _pass_row(image_9x9, *case)
+        res = _certify(image_9x9, q, grid, label)
+        ref, _ = _per_anchor(image_9x9, label, q, grid)
+        assert vars(res) == vars(ref)
+
+    def test_cases_cover_every_exit_of_the_pass(self, image_9x9):
+        seen = set()
+        for kind, cuts, *rest in self.CASES:
+            q, grid, label = _pass_row(image_9x9, kind, cuts, *rest)
+            ref, (stop, handover) = _per_anchor(image_9x9, label, q, grid)
+            block = _kernel_rows(400 * (len(cuts) + 1))
+            if stop is None and handover is None:
+                seen.add((kind, "cleared", grid.n_outer > block))
+            elif handover is not None:
+                # mid-block: anchors after the handover share its block
+                seen.add((kind, "handover", handover > 0 and (handover + 1) % block > 0,
+                          ref.verdict))
+            elif stop > 0:
+                seen.add((kind, "wrong guess" if ref.predicted_class != label else "hopeless"))
+        assert {("rotation", "cleared", True), ("scaling", "cleared", False),
+                ("rotation", "handover", True, "certified"),
+                ("scaling", "handover", True, "certified"),
+                ("scaling", "handover", True, "not_certified"),
+                ("scaling", "handover", True, "abstain"),
+                ("scaling", "wrong guess"), ("scaling", "hopeless")} <= seen, seen
+
+
+@pytest.mark.parametrize("case,handover", [
+    (("rotation", (0.2,), 1, 0.5, 100, 0, 24), None),
+    (("rotation", (0.4,), 0, 1.0, 2, 1, 24), None),  # tied guesses, to the smaller label
+    (("rotation", (0.26,), 1, 0.5, 100, 2, 40), 12),
+    (("scaling", _ladder(0.2), 9, 0.5, 100, 1, 24), 10),
+])
+def test_class_score_row_projects_each_anchor_once(image_9x9, monkeypatch, case, handover):
+    # every anchor's offset is computed once per row: anchor 0's is kept
+    # from its bound-free read, and the pass keeps those of a handover
+    # anchor and of the anchors after it in its block; only anchor 0's
+    # bound-free read and the anchors from the handover on call
+    # progressive_certify
     projections, calls = [], []
     project, anchor_certify = LinearForm.project, pipeline.progressive_certify
-    monkeypatch.setattr(LinearForm, "project",
-                        lambda form, *args: projections.append(1) or project(form, *args))
-    monkeypatch.setattr(pipeline, "progressive_certify",
-                        lambda *args, **kwargs: calls.append(1) or anchor_certify(*args, **kwargs))
-    q = replace(_query(image_9x9, threshold), classifier=_mean_linear(image_9x9.shape, threshold))
-    grid = _grid("rotation")
-    res = _certify(image_9x9, q, grid)
-    assert res.certified and res.refined == refined
-    # anchor 0 is read twice, before the bound and against it
-    assert len(projections) == grid.n_outer and len(calls) == grid.n_outer + 1 + refined
+    monkeypatch.setattr(LinearForm, "project", lambda form, *args: projections.append(
+        form.offset.tobytes()) or project(form, *args))
+    monkeypatch.setattr(pipeline, "progressive_certify", lambda stream, image, *args, **kwargs:
+                        calls.append((image.data.tobytes(), kwargs.get("first_check_only",
+                                                                       False)))
+                        or anchor_certify(stream, image, *args, **kwargs))
+    q, grid, label = _pass_row(image_9x9, *case)
+    res = _certify(image_9x9, q, grid, label)
+    assert res.certified and res.refined == (handover is not None)
+    anchors = [apply_one(transform_spec(grid.kind), image_9x9, float(a)).data.tobytes()
+               for a in grid.anchors()]
+    assert projections == anchors
+    rest = [] if handover is None else [(anchors[handover], True)] + [
+        (a, False) for a in anchors[handover:]]
+    assert calls == [(anchors[0], True)] + rest
+
+
+def test_pass_reads_each_offset_from_its_projection(image_9x9, monkeypatch):
+    # the pass labels an anchor from the offset of the anchor's own
+    # ``LinearForm.project``, not from a product of its own: an offset
+    # that favours class 0 at anchor 5 only ends the row there
+    q, grid, label = _pass_row(image_9x9, "rotation", (0.2,), 1, 0.5, 100, 0, 24)
+    assert _certify(image_9x9, q, grid, label).certified
+    fifth = apply_one(transform_spec("rotation"), image_9x9, float(grid.anchors()[5]))
+    project = LinearForm.project
+
+    def tilted(form, *args):
+        out = project(form, *args)
+        if form.offset.tobytes() == fifth.data.tobytes():
+            return replace(out, offset=out.offset + np.array([1e3, 0.0]))
+        return out
+
+    monkeypatch.setattr(LinearForm, "project", tilted)
+    res = _certify(image_9x9, q, grid, label)
+    assert (res.verdict, res.predicted_class, res.witness, res.refined) == (
+        "not_certified", 0, (float(grid.anchors()[5]),), False)
 
 
 @pytest.mark.parametrize("case", ["class-scores", "images", "refined"])
@@ -839,7 +997,7 @@ _BC = ("brightness_contrast", DistributionSpec("gaussian", (0.3, 0.3), dim=2))
     (certify_bc_rectangle, ("brightness_contrast", DistributionSpec("uniform", (-0.5, 0.5),
                                                                     dim=2)),
      ParameterSet.bc_rect(0.0, 0.1, 0.0, 0.1),
-     "brightness/contrast smoothing needs 2-d gaussian noise"),
+     "brightness/contrast smoothing needs gaussian noise"),
     (certify_bc_rectangle, ("brightness_contrast", DistributionSpec("gaussian", (0.3, 0.0),
                                                                     dim=2)),
      ParameterSet.bc_rect(0.0, 0.1, 0.0, 0.1),

@@ -13,18 +13,20 @@ The per-interval Lipschitz constants come from interpolation cell
 statistics: for every output pixel, the set of integer grid cells its
 source coordinate visits over the interval, and the per-cell maximum
 color and maximal corner spread over that set.  The cell set is the
-source curve supersampled at <= 0.25 px of arc length, each sample's
-floor cell closed with its 8-neighborhood, intersected with the
-pixel's attainable box (its sampled extremes widened by the overshoot
-margin).  The box contains every sample's own floor cell, so a
-sample's closure cells inside the box form one rectangle of 1 to 3
-cells a side, and the statistics over the whole set are the max over
-samples of one rectangle lookup in precomputed range-max tables
-(``_range_max_tables``).  Cells outside the interior read 0 there,
-exactly as the interpolation does.  Scaling is discontinuous where a
-source coordinate crosses the image border; such crossing parameters
-are enumerated exactly and each affected outer interval is bounded
-one-sidedly around its (single) crossing.
+source curve supersampled at <= 0.25 px of arc length (each distinct
+parameter mapped once, so intervals that share an end share its
+coordinates), each sample's floor cell closed with its 8-neighborhood,
+intersected with the pixel's attainable box (its sampled extremes
+widened by the overshoot margin).  The box contains every sample's own
+floor cell, so a sample's closure cells inside the box form one
+rectangle of 1 to 3 cells a side, and the statistics over the whole set
+are the max over samples of one rectangle lookup in precomputed
+range-max tables (``_range_max_tables``), or one lookup of the box
+itself where it spans at most 2 cells a side.  Cells outside the
+interior read 0 there, exactly as the interpolation does.  Scaling is
+discontinuous where a source coordinate crosses the image border; such
+crossing parameters are enumerated exactly and each affected outer
+interval is bounded one-sidedly around its (single) crossing.
 
 M is tracked as the squared quantity; compare sqrt(M) against radii.
 """
@@ -182,6 +184,7 @@ def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
     most _MAX_SOURCE_STEP apart on the curve of the pixel farthest from
     the center.  An interval that needs fewer samples than another
     repeats its last one, which changes no extreme and no visited cell.
+    Shared parameters (an interval's end, the next one's start) map once.
     Squares use ``np.float_power``, the C library's ``pow`` on every
     platform; ``np.power``'s vector loop and ``x * x`` can round an ulp
     apart from it.
@@ -192,7 +195,9 @@ def _source_curves(x: ImageTensor, kind: str, rr: np.ndarray, ss: np.ndarray,
     k = np.minimum(np.arange(counts.max()), last)
     step = (hi - lo) / (counts - 1)
     params = np.where(k == last, hi[:, None], k * step[:, None] + lo[:, None]).T
-    src_i, src_j = _source_map(kind, x.width, x.height, rr, ss)(params)
+    values, rows = np.unique(params, return_inverse=True)
+    rows = rows.reshape(params.shape)
+    src_i, src_j = (c[rows] for c in _source_map(kind, x.width, x.height, rr, ss)(values))
     if kind == "rotation":
         speed = np.broadcast_to(dist, (len(lo), len(dist)))  # exact l2 speed of the arc
         return src_i, src_j, speed, dist * np.float_power(step, 2)[:, None] / 8.0
@@ -266,6 +271,9 @@ def _closure_stats(tables: np.ndarray, src_i: np.ndarray, src_j: np.ndarray,
     cell set (the sampled cells' 8-neighborhoods inside the box) is
     the max over samples of one ``_rect_max`` lookup.  Returns
     (n_intervals, n_pixels, 2K) for the curves of ``_source_curves``.
+    Where every box spans at most 2 cells a side (i_hi - i_lo <= 1,
+    likewise j), i_lo <= fi <= i_hi gives fi - 1 <= i_lo and fi + 1 >=
+    i_hi: each sample's rectangle is the box itself, read once.
 
     Cells are int32, each floor first clipped into [L, U] = [-_PAD - 1,
     the padded table's longer side] (scaling by 1e-9 puts sources near
@@ -280,6 +288,8 @@ def _closure_stats(tables: np.ndarray, src_i: np.ndarray, src_j: np.ndarray,
 
     i_lo, i_hi = cells(src_i.min(axis=0) - margin), cells(src_i.max(axis=0) + margin)
     j_lo, j_hi = cells(src_j.min(axis=0) - margin), cells(src_j.max(axis=0) + margin)
+    if np.all(i_hi - i_lo <= 1) and np.all(j_hi - j_lo <= 1):  # every rectangle is the box
+        return _rect_max(tables, i_lo, i_hi, j_lo, j_hi)
     fi, fj = cells(src_i), cells(src_j)
     rects = _rect_max(tables, np.maximum(fi - 1, i_lo), np.minimum(fi + 1, i_hi),
                       np.maximum(fj - 1, j_lo), np.minimum(fj + 1, j_hi))
@@ -388,7 +398,7 @@ def _at_and_above_crossing_bound(points: np.ndarray, values: np.ndarray, lip: fl
     return _pairwise_envelope(pts, vals, lip)
 
 
-def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBound:
+def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid, on_ends=None) -> AliasingBound:
     """Upper bound M >= (maximum l2 sampling error)^2 over grid's range.
 
     An interval's anchors are its first and last inner points, so the
@@ -406,7 +416,10 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
     Scaling intervals containing a border-crossing parameter are bounded
     one-sidedly around the crossing (each side against its own anchor
     only).  Requires at most one crossing per outer interval; configure
-    a larger n_outer otherwise.
+    a larger n_outer otherwise.  ``on_ends(lo, ends)``, when given, sees
+    each block's ends once warped: ends[i] (K, P) is anchor lo + i at the
+    pixels, bits as ``apply_many`` writes them, in a buffer the next block
+    overwrites; ends[0] is anchor 0 or the previous block's last end.
     """
     if grid.kind != kind:
         raise ValueError(f"grid is for {grid.kind!r}, not {kind!r}")
@@ -443,6 +456,8 @@ def aliasing_bound(x: ImageTensor, kind: str, grid: IntervalGrid) -> AliasingBou
         n_b = len(inner)
         for _ in _warp_pixels(x, kind, anchors[block_lo:block_lo + n_b + 1], rr, ss, ends):
             pass
+        if on_ends is not None:
+            on_ends(block_lo, ends[:n_b + 1])
         crossings = [(i - block_lo, t) for i, t in discs.items() if 0 <= i - block_lo < n_b]
         g_lo, g_hi = np.zeros((n_b, grid.n_inner)), np.zeros((n_b, grid.n_inner))
         g_lo[:, -1] = g_hi[:, 0] = _sq_dists(ends[low:low + n_b], ends,

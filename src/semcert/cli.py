@@ -241,6 +241,17 @@ def _smoothing_setup(args, shape):
     return transform, DistributionSpec("gaussian", (args.noise_sigma,), dim=transform.param_dim)
 
 
+def _confidence(args, *rules) -> ConfidenceParams:
+    """--alpha, --n and --n0 as the protocol; each, --seed and ``rules`` refused by name."""
+    for flag, ok, rule in (("seed", 0 <= args.seed < 2**64, "be in [0, 2**64)"),
+                           ("alpha", 0.0 < args.alpha < 1.0, "be in (0, 1)"),
+                           ("n", args.n >= 1, "be >= 1"),
+                           ("n0", 1 <= args.n0 <= args.n, f"be in [1, --n {args.n}]"), *rules):
+        if not ok:
+            raise ValueError(f"--{flag} must {rule}, got {getattr(args, flag)}")
+    return ConfidenceParams(args.alpha, args.n, args.n0)
+
+
 def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
     """Anchor grid over a CLI interval: degrees for rotation, factors for scaling."""
     lo, hi = interval
@@ -252,6 +263,8 @@ def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
     for flag, size in (("grid-n", grid_n), ("grid-r", grid_r)):
         if size < 2:
             raise ValueError(f"--{flag} must be >= 2, got {size}")
+    if kind == "scaling" and lo <= 0.0:
+        raise ValueError(f"--interval scaling factors must be > 0, got [{lo!r}, {hi!r}]")
     if kind == "rotation":
         lo, hi = math.radians(lo), math.radians(hi)
     return IntervalGrid(kind, lo, hi, grid_n, grid_r)
@@ -259,10 +272,8 @@ def _interval_grid(kind: str, interval, grid_n, grid_r) -> IntervalGrid:
 
 def _cmd_certify(args) -> int:
     t = args.transform
-    if args.batch is not None and args.batch < 1:
-        raise ValueError(f"--batch must be >= 1, got {args.batch}")
-    if args.stride < 1:
-        raise ValueError(f"--stride must be >= 1, got {args.stride}")
+    conf = _confidence(args, ("batch", args.batch is None or args.batch >= 1, "be >= 1"),
+                       ("stride", args.stride >= 1, "be >= 1"))
     _read_flags(args, "transform", _TRANSFORM_FLAGS)
     # the closed-form radii of translation and brightness/contrast, and the
     # anchor rows, need sigma > 0
@@ -283,7 +294,6 @@ def _cmd_certify(args) -> int:
         raise ValueError(f"dataset holds no images: {args.dataset}")
     dataset = [(image, int(label)) for image, label in zip(images, labels)]
     classifier = _classifier_from_args(args)
-    conf = ConfidenceParams(args.alpha, args.n, args.n0)
     transform, noise = _smoothing_setup(args, dataset[0][0].shape)
     query = SmoothedQuery(classifier, transform, noise, conf, args.seed)
 
@@ -354,12 +364,12 @@ def _cmd_aliasing(args) -> int:
 def _cmd_predict(args) -> int:
     _read_flags(args, "transform", _TRANSFORM_FLAGS)
     _check_sigma(args, positive=False)
+    conf = _confidence(args)
     _require_paths("image", args.image)
     x = semio.read_tensor(args.image)
     classifier = _classifier_from_args(args)
     transform, noise = _smoothing_setup(args, x.shape)
-    q = SmoothedQuery(classifier, transform, noise,
-                      ConfidenceParams(args.alpha, args.n, args.n0), args.seed)
+    q = SmoothedQuery(classifier, transform, noise, conf, args.seed)
     label = predict(q, x)
     print("abstain" if label == ABSTAIN else str(label))
     return 0

@@ -227,12 +227,13 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     target clears); such a row reports no bound.  Otherwise the draw
     buffer is freed, the bound from the anchors alone (two inner points
     per interval) is built, and the anchors' first checks are read
-    against it: as arrays, a block at a time, for an affine classifier
-    (``RowStream.first_checks``), else one by one, anchor 0 again from
-    its kept counts.  The first that guesses the label but fails there
-    ends the row on that bound if hopeless; else it hands the row over
-    (``refined``): the ``grid`` bound is built, the smaller of the two
-    kept, and from that anchor on each runs in full against it.
+    against it: as arrays for an affine classifier, from the offsets the
+    bound's own end images give (``RowStream.end_offsets``), else one by
+    one, anchor 0 again from its kept counts.  The first that guesses
+    the label but fails there ends the row on that bound if hopeless;
+    else it hands the row over (``refined``): the ``grid`` bound is
+    built, the smaller of the two kept, and from that anchor on each is
+    warped again and runs in full against it.
 
     Either bound is a valid M, and an anchor certified against the
     larger clears the smaller, so every certified radius exceeds the
@@ -260,11 +261,16 @@ def certify_diff_resolvable(x: ImageTensor, label: int, q: SmoothedQuery,
     bound, refined, samples, alpha_i = None, False, 0, anchors[0]
     if prog.label == label and stream.upper(prog.hits, prog.used) > 0.5:
         stream.drop_draws()
-        bound = aliasing_bound(x, grid.kind, replace(grid, n_inner=2))
-        rest = (data for lo in range(1, len(anchors), _BLOCK_IMAGES)
-                for data in spec.apply_many(x, anchors[lo:lo + _BLOCK_IMAGES]))
+        offsets, keep = stream.end_offsets(first, grid.kind, len(anchors))
+        two_point = x, grid.kind, replace(grid, n_inner=2)  # a row without offsets sets no hook
+        bound = aliasing_bound(*two_point) if keep is None else aliasing_bound(*two_point, keep)
+
+        def rest(start):  # the pixels of anchors start, start + 1, ...
+            return (data for lo in range(start, len(anchors), _BLOCK_IMAGES)
+                    for data in spec.apply_many(x, anchors[lo:lo + _BLOCK_IMAGES]))
         # fewest: used -> the certified outcome with the fewest hits
-        cleared, fewest, images = stream.first_checks(first, rest, label, bound.sqrt_m)
+        cleared, fewest, images = stream.first_checks(first, offsets, rest, label,
+                                                      bound.sqrt_m)
         samples = cleared * stream.prefix_len
         for alpha_i, image in zip(anchors[cleared:], images):
             prog = progressive_certify(stream, image, bound.sqrt_m, first_check_only=not refined)

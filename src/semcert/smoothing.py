@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from itertools import chain, islice
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -35,7 +35,7 @@ from .statfn import (ConfidenceParams, binom_two_sided_p, clopper_pearson_exceed
                      clopper_pearson_lower, std_normal_cdf, std_normal_quantile)
 from .streams import draw_params
 from .tensor import ImageTensor
-from .transforms import _BLOCK_IMAGES, LinearForm, Transform, _kernel_rows
+from .transforms import _BLOCK_IMAGES, LinearForm, Transform, _kernel_rows, _pixel_geometry
 
 __all__ = [
     "ABSTAIN",
@@ -88,6 +88,7 @@ class SmoothedQuery:
     noise: DistributionSpec
     conf: ConfidenceParams
     seed: int = 0
+    _guess: dict = field(default_factory=dict, repr=False, compare=False)  # replace() shares it
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -104,6 +105,18 @@ class SmoothedQuery:
                 or noise.family == "uniform" and noise.params[0] < 0.0):
             raise ValueError(f"blur takes parameters >= 0, but {noise.family} "
                              f"noise {noise.params} draws negative ones")
+
+    def draws(self, offset: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Draws [offset, offset + n), into ``out``; the guess slice (0, n0) is kept,
+        read-only, until another slice is drawn, so reads of it in a row draw it once."""
+        key = self.noise, self.seed, offset, n
+        if key not in self._guess:  # only the guess slice is ever kept
+            self._guess.clear()
+            if (offset, n) != (0, self.conf.n0_samples):
+                return draw_params(self.noise, self.seed, offset, n, out=out)
+            self._guess[key] = draw_params(self.noise, self.seed, 0, n)
+            self._guess[key].flags.writeable = False
+        return self._guess[key]
 
 
 @dataclass(frozen=True)
@@ -177,14 +190,15 @@ class RowStream:
 
     All anchors read the same (offset, n) slices: the n0 guess draws,
     then their checks.  An affine classifier labels argmax(E @ W.T +
-    x @ W.T + b), and E @ W.T does not depend on the image: each slice is
-    drawn once per row into one draw buffer that the whole row reuses
-    (n0 or ``batch`` rows, whichever is more, at most ``_BLOCK_IMAGES``),
-    projected, and only its C class scores per draw are kept, so
-    ``first_checks`` reads many anchors' first checks as arrays.  Other
-    classifiers keep the raw prefix (the guess draws and a first check of
-    ``batch``) and draw later checks per read.  The images last read are
-    kept with their projected forms, or prefix labels: none is read twice.
+    x @ W.T + b), and E @ W.T does not depend on the image: the guess
+    slice is the query's own, and each check slice is drawn once per row
+    into one buffer that the whole row reuses (max(n0, ``batch``) rows,
+    at most ``_BLOCK_IMAGES``); only their C class scores per draw are
+    kept, so ``first_checks`` reads many anchors' first checks as arrays
+    from offsets x @ W.T + b (``end_offsets``).  Other classifiers keep
+    the raw prefix (the guess draws and a first check of ``batch``) and
+    draw later checks per read.  The images last read are kept with
+    their projected forms, or prefix labels: none is read twice.
     """
 
     def __init__(self, q: SmoothedQuery, batch: int):
@@ -203,9 +217,8 @@ class RowStream:
         self._clears: dict[tuple[int, int, float], bool] = {}
         check = min(batch, q.conf.n_samples)
         self.prefix_len = q.conf.n0_samples + check  # the samples of a first-check decision
-        self._prefix = None
         self._draw_rows = min(max(q.conf.n0_samples, check), _BLOCK_IMAGES)
-        self._draws = None
+        self._prefix = self._draws = None
         self._scores: dict[tuple[int, int], np.ndarray] = {}
         self._kept: dict[int, tuple[ImageTensor, LinearForm | None]] = {}  # by id(image)
         self._labels: dict[tuple[int, int], np.ndarray] = {}
@@ -249,8 +262,7 @@ class RowStream:
             if self._prefix is None:  # the first read is the guess, inside the prefix
                 self._prefix = draw_params(q.noise, q.seed, 0, self.prefix_len)
             if offset + n > self.prefix_len:
-                return _label_params(q.classifier, q.transform, x,
-                                     draw_params(q.noise, q.seed, offset, n))
+                return _label_params(q.classifier, q.transform, x, q.draws(offset, n))
             if (offset, n) not in self._labels:
                 self._labels[offset, n] = _label_params(q.classifier, q.transform, x,
                                                         self._prefix[offset:offset + n])
@@ -261,59 +273,77 @@ class RowStream:
             parts = []
             for lo in range(0, n, len(self._draws)):
                 draws = self._draws[:min(len(self._draws), n - lo)]
-                draw_params(q.noise, q.seed, offset + lo, len(draws), out=draws)
-                parts.append(form.product(draws))
+                parts.append(form.product(q.draws(offset + lo, len(draws), draws)))
             self._scores[offset, n] = np.concatenate(parts)
         return np.argmax(self._scores[offset, n] + form.offset, axis=1)
 
-    def first_checks(self, first: ImageTensor, rest: Iterator[np.ndarray], label: int,
-                     target: float) -> tuple[int, dict, Iterator[ImageTensor]]:
-        """Read anchors' first checks against ``target`` as arrays, up to the
-        first anchor that does not certify there: ``first``, the image read
-        last, then those whose pixels ``rest`` yields.
+    def end_offsets(self, first: ImageTensor, kind: str, count: int):
+        """(offsets, keep), or (None, None) if not affine.  ``keep``, the
+        ``on_ends`` hook of ``aliasing_bound``, sets row i to anchor i's offset,
+        ``LinearForm.project`` (one GEMV, the bits of ``labels``) of its end in
+        the zero-filled image ``apply_many`` builds.  Row 0 is ``first``'s; a
+        block's first end (anchor 0, or one seen) is skipped."""
+        form = self._kept.get(id(first), (None, None))[1]
+        if form is None:
+            return None, None
+        rr, ss, _ = _pixel_geometry(kind, first.width, first.height)
+        image, at = np.zeros(first.shape), (slice(None), rr.astype(np.intp), ss.astype(np.intp))
+        offsets, affine = np.tile(form.offset, (count, 1)), self.q.classifier.affine(first.shape)
+        flat = LinearForm(None, None, image.ravel())  # a view of image
+
+        def keep(lo, ends):
+            for i in range(1, len(ends)):
+                image[at] = ends[i]
+                offsets[lo + i] = flat.project(*affine).offset
+        return offsets, keep
+
+    def first_checks(self, first: ImageTensor, offsets: np.ndarray | None, rest: Callable,
+                     label: int, target: float) -> tuple[int, dict, Iterator[ImageTensor]]:
+        """Read anchors' first checks against ``target`` as arrays, from their
+        ``offsets`` (``end_offsets``), up to the first that does not certify.
 
         An anchor labels argmax(S + o) on each kept slice of class scores S,
-        o from ``LinearForm.project`` of its own additive form (one GEMV, the
-        bits of ``labels``), a block of anchors at a time whose (b, n, C)
+        o its offset, a block of anchors at a time whose (b, n, C)
         temporaries hold at most ``_BLOCK_POINTS`` values; guesses tie to the
         smaller label.  Returns (cleared, fewest, images): the first
         ``cleared`` anchors certify, ``fewest`` maps the check size to their
-        outcome of fewest hits, and ``images`` yields the other anchors, the
-        forms already computed kept.  A non-affine classifier clears none.
+        outcome of fewest hits, and ``images`` yields the others, built from
+        the pixels ``rest(start)`` yields from anchor start on and kept with
+        their offsets.  A non-affine classifier (``offsets`` None) clears
+        none.  Anchor 0, when yielded, is ``first``, the image read last.
         """
-        form = self._kept.get(id(first), (None, None))[1]
-        if form is None:
-            return 0, {}, chain([first], map(ImageTensor, rest))
-        additive = self.q.transform.linear_form(first)
-        affine, n0 = self.q.classifier.affine(first.shape), self.q.conf.n0_samples
+        if offsets is None:
+            return 0, {}, chain([first], map(ImageTensor, rest(1)))
+        form, n0 = self._kept[id(first)][1], self.q.conf.n0_samples
         used = self.prefix_len - n0
         guess_scores, check_scores = self._scores[0, n0], self._scores[n0, used]
         classes = guess_scores.shape[1]
         floor = _certify_floor(target, self.sigma)
-        anchors = chain([(first.data, form)], ((data, None) for data in rest))
         block = _kernel_rows(max(n0, used) * classes)
-        cleared, fewest, images = 0, used, iter(())
-        for part in iter(lambda: list(islice(anchors, block)), []):
-            forms = [f or LinearForm(additive.coefs, additive.basis, data.ravel()).project(*affine)
-                     for data, f in part]
-            offsets = np.stack([f.offset for f in forms])[:, None]
-            labels = np.argmax(guess_scores + offsets, axis=2)
+        cleared, fewest = 0, used
+        for lo in range(0, len(offsets), block):
+            part = offsets[lo:lo + block, None]
+            labels = np.argmax(guess_scores + part, axis=2)
             labels += classes * np.arange(len(part))[:, None]  # one bincount for the block
             counts = np.bincount(labels.ravel(), minlength=classes * len(part))
             guesses = np.argmax(counts.reshape(len(part), classes), axis=1)
-            hits = np.count_nonzero(np.argmax(check_scores + offsets, axis=2) == guesses[:, None],
+            hits = np.count_nonzero(np.argmax(check_scores + part, axis=2) == guesses[:, None],
                                     axis=1).tolist()
             k = next((i for i, (guess, h) in enumerate(zip(guesses.tolist(), hits))
                       if guess != label or not self.certifies(h, used, target, floor)), len(part))
             cleared, fewest = cleared + k, min([fewest, *hits[:k]])
             if k < len(part):
-                tail = [ImageTensor(data) for data, _ in part[k:]]
-                self._kept = {id(x): (x, f) for x, f in zip(tail, forms[k:])}
-                images = chain(tail, (ImageTensor(data) for data, _ in anchors))
                 break
+
+        def images():  # anchor 0 is ``first``, the image read last
+            pixels = rest(cleared) if cleared else chain([first.data], rest(1))
+            for data, offset in zip(pixels, offsets[cleared:]):
+                image = ImageTensor(data)
+                self._kept = {id(image): (image, replace(form, offset=offset))}
+                yield image
         outcome = ProgressiveOutcome(True, label, fewest, used, self.prefix_len, 1,
                                      self.bound, self.sigma)
-        return cleared, {used: outcome} if cleared else {}, images
+        return cleared, {used: outcome} if cleared else {}, images()
 
 
 def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0,
@@ -332,8 +362,7 @@ def sample_counts(q: SmoothedQuery, x: ImageTensor, n: int, draw_offset: int = 0
             raise ValueError("the stream serves another query")
         labels = stream.labels(x, draw_offset, n)
     else:
-        labels = _label_params(q.classifier, q.transform, x,
-                               draw_params(q.noise, q.seed, draw_offset, n))
+        labels = _label_params(q.classifier, q.transform, x, q.draws(draw_offset, n))
     counts = np.bincount(labels, minlength=q.classifier.num_classes)
     return CountVector(counts)
 

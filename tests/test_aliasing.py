@@ -201,6 +201,97 @@ class TestIntegerCells:
         assert np.count_nonzero(got.max(axis=-1)) == 3  # the center pixel, per interval
 
 
+def _per_sample_constants(x, kind, lo, hi):
+    """``aliasing._interval_constants`` one interval at a time, every sample
+    mapped from its own parameter and every sample's closure rectangle read
+    (``_closure_stats_float``): the rule before intervals shared their ends."""
+    rr, ss, d = _pixel_geometry(kind, x.width, x.height)
+    tables = aliasing._range_max_tables(x)
+    factor = 2.0 if kind == "rotation" else math.sqrt(2.0)
+    exposed, slack = [], []
+    for a, b in zip(lo, hi):
+        count = int(aliasing._sample_counts(kind, d.max(), np.array([a]), np.array([b]))[0])
+        step = (b - a) / (count - 1)
+        params = np.array([k * step + a for k in range(count - 1)] + [b])[:, None]
+        src_i, src_j = transforms._source_map(kind, x.width, x.height, rr, ss)(params)
+        if kind == "rotation":
+            speed, margin = d, d * np.float_power(step, 2) / 8.0
+        else:
+            speed, margin = d / np.float_power(a, 2), np.zeros_like(d)
+        stats = _closure_stats_float(tables, src_i, src_j, margin[None])[0]
+        m_bar, m_delta = np.split(stats, 2, axis=-1)
+        exposed.append(np.sum(factor * speed[:, None] * m_delta * m_bar))
+        lip_phi = math.sqrt(2.0) * speed[:, None] * m_delta
+        slack.append(np.sum(2.0 * lip_phi * np.minimum(m_bar, lip_phi * (b - a))))
+    return np.array(exposed), np.array(slack)
+
+
+_FIVE = math.radians(5.0)
+
+
+class TestSharedEnds:
+    """Constants from each distinct sample parameter once, and from one box
+    lookup per (interval, pixel) where every box is narrow, equal the
+    per-sample rule bit for bit."""
+
+    # (kind, intervals, the rectangle reads expected: one per interval and
+    # pixel where every box of the chunk is narrow, else one per sample)
+    CASES = [
+        # fine grids: two samples an interval, each end shared, several chunks
+        ("rotation", IntervalGrid("rotation", -_FIVE, _FIVE, 60, 2).intervals(), {"box"}),
+        # the crossing 1.0 lies inside one interval
+        ("scaling", IntervalGrid("scaling", 0.95, 1.05, 60, 2).intervals(), {"box"}),
+        # coarse grids (--grid-n 3): many samples an interval, wide boxes
+        ("rotation", IntervalGrid("rotation", -_FIVE, _FIVE, 3, 2).intervals(), {"samples"}),
+        ("scaling", IntervalGrid("scaling", 0.8, 1.2, 3, 2).intervals(), {"samples"}),
+        ("rotation", IntervalGrid("rotation", -0.3, 0.3, 5, 2).intervals(), {"samples"}),
+        # one wide box makes its chunk read every sample; ends not shared
+        ("rotation", np.array([(0.0, 1e-3), (0.1, 0.4), (0.4, 0.401)]), {"samples"}),
+        ("scaling", np.array([(0.99, 0.991), (0.85, 0.95), (1.2, 1.2001)]), {"samples"}),
+        # disjoint narrow intervals, equal ends at other positions
+        ("rotation", np.array([(0.2, 0.201), (0.0, 1e-3), (0.201, 0.202), (-1e-3, 0.0)]),
+         {"box"}),
+        ("scaling", np.array([(1.01, 1.011), (0.999, 1.0), (1.0, 1.001), (0.9, 0.901)]),
+         {"box"}),
+    ]
+
+    @pytest.mark.parametrize("kind,intervals,reads", CASES)
+    @pytest.mark.parametrize("shape,seed", [((1, 28, 28), 3), ((2, 10, 7), 4)])
+    def test_equal_to_per_sample_rule(self, monkeypatch, kind, intervals, reads, shape, seed):
+        x = ImageTensor(np.random.default_rng(seed).random(shape))
+        seen, rect_max = set(), aliasing._rect_max
+
+        def recording(tables, r0, *args):
+            seen.add("box" if r0.ndim == 2 else "samples")
+            return rect_max(tables, r0, *args)
+
+        monkeypatch.setattr(aliasing, "_rect_max", recording)
+        got = aliasing._interval_constants(x, kind, intervals[:, 0], intervals[:, 1])
+        want = _per_sample_constants(x, kind, intervals[:, 0], intervals[:, 1])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        if shape == (1, 28, 28):
+            assert seen == reads
+
+    def test_each_distinct_parameter_mapped_once_a_chunk(self, monkeypatch):
+        # the 59 intervals of a fine grid share 58 ends: a chunk of m of them
+        # maps m + 1 parameters, each once
+        x = ImageTensor(np.random.default_rng(3).random((1, 28, 28)))
+        intervals = IntervalGrid("rotation", -_FIVE, _FIVE, 60, 2).intervals()
+        mapped, source_map = [], aliasing._source_map
+
+        def recording(*args):
+            coords = source_map(*args)
+            return lambda params: mapped.append(np.ravel(params).tolist()) or coords(params)
+
+        monkeypatch.setattr(aliasing, "_source_map", recording)
+        aliasing._interval_constants(x, "rotation", intervals[:, 0], intervals[:, 1])
+        assert len(mapped) == 3  # chunks of 29 intervals
+        assert all(len(chunk) == len(set(chunk)) for chunk in mapped)
+        assert sum(map(len, mapped)) == len(intervals) + len(mapped)
+        assert set().union(*mapped) == set(intervals.ravel().tolist())
+
+
 class TestCurveSpeed:
     def test_rotation_l2_speed_is_d(self, image_9x9):
         # finite differences of the source curve: l2 speed equals the
@@ -409,6 +500,25 @@ class TestAliasingBound:
                 w.discontinuity, bound.lipschitz_l) == want
         assert all(type(v) is float for v in (w.lo, w.hi, w.bound, w.slack_lipschitz,
                                               w.exposed_lipschitz, bound.lipschitz_l))
+
+    # two-point grids of the CLI's sizes on one 28x28 image, pinned from the
+    # per-sample rule: rotation's 2,999 intervals take two blocks of ends
+    # (2,048 intervals a block) and chunks of 29 intervals, and the scaling
+    # default's 999 straddle the crossing 1.0
+    @pytest.mark.parametrize("grid,want", [
+        (("rotation", -_FIVE, _FIVE, 3000, 2),
+         (0.00020402124017236757, 7013.104925467258, -2.9098520373360692e-05,
+          2.9098520373360692e-05, 6.886916889739497, 7013.104925467258, None)),
+        (("scaling", 0.95, 1.05, 1000, 2),
+         (0.0011421890478759322, 8259.729117102514, 0.9999523355576739, 1.0000526870389883,
+          23.963126224415593, 8259.729117102514, 1.0)),
+    ])
+    def test_pinned_two_point_bounds_at_scale(self, grid, want):
+        x = ImageTensor(np.random.default_rng(28).random((1, 28, 28)))
+        bound = aliasing_bound(x, grid[0], IntervalGrid(*grid))
+        w = bound.worst
+        assert (bound.m_value, bound.lipschitz_l, w.lo, w.hi, w.slack_lipschitz,
+                w.exposed_lipschitz, w.discontinuity) == want
 
     @pytest.mark.parametrize("kind,lo,hi", [("rotation", -0.3, 0.3),
                                             ("scaling", 0.9, 1.1)])

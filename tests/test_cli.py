@@ -296,7 +296,7 @@ class TestCertify:
             "--dataset", images, "--labels", labels, *_SMALL, "--seed", seed,
             "--output", str(tmp_path / "out")])
         assert code == 2
-        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert err == f"error: --seed must be in [0, 2**64), got {seed}\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("transform", ["rotation", "scaling"])
@@ -694,7 +694,7 @@ class TestPredict:
         code, out, err = _run(capsys, ["predict", "--image", path, "--transform", "blur",
                                        *_SMALL, "--seed", seed])
         assert code == 2 and out == ""
-        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert err == f"error: --seed must be in [0, 2**64), got {seed}\n"
 
     def test_largest_seed_accepted(self, capsys, tensor_file):
         _, path = tensor_file
@@ -817,3 +817,84 @@ def test_summary_config_echoes_every_option(capsys, tmp_path, idx_set, transform
     else:
         config.update(batch=400, grid_n=30, grid_r=5, interval=[-2.0, 2.0], noise_sigma=0.25)
     assert json.loads((tmp_path / "out.json").read_text())["config"] == config
+
+
+def _spy_readers(monkeypatch):
+    """Calls of every reader of an input file, by reader name."""
+    reads = []
+    for name in ("read_idx", "read_tensor", "load_linear_classifier"):
+        reader = getattr(semio, name)
+        monkeypatch.setattr(semio, name, lambda *args, reader=reader, name=name:
+                            reads.append(name) or reader(*args))
+    return reads
+
+
+@pytest.mark.parametrize("command", ["certify", "predict"])
+@pytest.mark.parametrize("flags,message", [
+    (["--n0", "0"], "--n0 must be in [1, --n 300], got 0"),
+    (["--n", "0", "--n0", "1"], "--n must be >= 1, got 0"),
+    (["--n", "10", "--n0", "50"], "--n0 must be in [1, --n 10], got 50"),
+    (["--alpha", "nan"], "--alpha must be in (0, 1), got nan"),
+    (["--alpha", "1"], "--alpha must be in (0, 1), got 1.0"),
+    (["--alpha", "0"], "--alpha must be in (0, 1), got 0.0"),
+    (["--seed", "-1"], "--seed must be in [0, 2**64), got -1"),
+])
+def test_protocol_flags_refused_by_name_before_any_read(capsys, tmp_path, monkeypatch, idx_set,
+                                                        tensor_file, command, flags, message):
+    # the files exist, so only the flag can be at fault, and none is read
+    weights = tmp_path / "w.semw"
+    semio.save_linear_classifier(LinearClassifier(np.zeros((2, 81)), np.zeros(2), (1, 9, 9)),
+                                 weights)
+    reads = _spy_readers(monkeypatch)
+    images, labels = idx_set
+    inputs = (["--image", tensor_file[1]] if command == "predict" else
+              [*_CERTIFY_FLAGS["blur"], "--dataset", images, "--labels", labels,
+               "--output", str(tmp_path / "out")])
+    code, out, err = _run(capsys, [command, "--transform", "blur", *inputs,
+                                   "--weights", str(weights), *_SMALL[2:], *flags])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert reads == []
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "aliasing"])
+@pytest.mark.parametrize("interval", [("0", "1"), ("-1", "0.5")])
+def test_non_positive_scaling_interval_names_its_flag(capsys, tmp_path, monkeypatch, idx_set,
+                                                      tensor_file, command, interval):
+    reads = _spy_readers(monkeypatch)
+    images, labels = idx_set
+    argv = (["aliasing", "--kind", "scaling", "--image", tensor_file[1]] if command == "aliasing"
+            else ["certify", "--transform", "scaling", "--dataset", images, "--labels", labels,
+                  *_SMALL, "--output", str(tmp_path / "out")])
+    code, out, err = _run(capsys, [*argv, "--interval", *interval])
+    lo, hi = (float(v) for v in interval)
+    assert (code, out) == (2, "")
+    assert err == f"error: --interval scaling factors must be > 0, got [{lo!r}, {hi!r}]\n"
+    assert reads == []
+
+
+@pytest.mark.parametrize("transform", list(_CERTIFY_FLAGS))
+def test_guess_slice_drawn_once_per_image(capsys, tmp_path, monkeypatch, transform):
+    # the clean prediction, the certifier and a row's stream all read the
+    # query's one draw of (seed, 0, n0); an affine classifier, so a
+    # rotation/scaling row reads its guess from class scores
+    pixels = np.clip(200 + np.random.default_rng(3).integers(-40, 41, (1, 9, 9)), 0, 255)
+    images, labels = _write_idx(tmp_path, pixels, [1])
+    weights = np.zeros((2, 81))
+    weights[1] = 1.0 / 81.0
+    semio.save_linear_classifier(LinearClassifier(weights, np.array([0.0, -0.5]), (1, 9, 9)),
+                                 tmp_path / "w.semw")
+    requests, draw_params = [], smoothing.draw_params
+    monkeypatch.setattr(smoothing, "draw_params", lambda noise, seed, start, count, out=None:
+                        requests.append((seed, start, count))
+                        or draw_params(noise, seed, start, count, out))
+    code, _, err = _run(capsys, [
+        "certify", "--transform", transform, *_CERTIFY_FLAGS[transform], "--dataset", images,
+        "--labels", labels, "--weights", str(tmp_path / "w.semw"), *_SMALL[2:],
+        "--output", str(tmp_path / "out")])
+    assert code == 0, err
+    assert requests.count((7, 0, 50)) == 1, requests
+    # and no other request draws any of the first n0 again
+    assert sum(max(0, min(start + count, 50) - start) for _, start, count in requests) == 50
+    assert [r.predicted for r in read_report_csv(tmp_path / "out.csv")] == [1]

@@ -691,6 +691,61 @@ class TestArrayPass:
                 ("scaling", "handover", True, "abstain"),
                 ("scaling", "wrong guess"), ("scaling", "hopeless")} <= seen, seen
 
+    # rows of 2,101 anchors, whose two-point bound warps its ends in two
+    # blocks of 2,048 intervals, the second's first end the first's last:
+    # one cleared by the pass (rotation, its offsets read off disk pixels),
+    # and one handed over at anchor 2076 (scaling below 1.0 blackens the
+    # border; ten classes, eight anchors a pass block), in the second block
+    # and mid-pass-block, that then fails
+    LONG_ROWS = [
+        (("rotation", (0.2,), 1, 0.5, 100, 0, 2101), None, None),
+        (("scaling", (0.2,), 1, 0.5, 100, 1, 2101), None, None),
+        (("scaling", _ladder(0.31), 9, 0.5, 100, 1, 2101), (0.998, 1.2), 2076),
+    ]
+
+    @pytest.mark.parametrize("case,interval,handover", LONG_ROWS)
+    def test_offsets_read_off_the_bound_ends(self, image_9x9, monkeypatch, case, interval,
+                                             handover):
+        q, grid, label = _pass_row(image_9x9, *case)
+        if interval is not None:
+            grid = IntervalGrid(grid.kind, *interval, grid.n_outer, grid.n_inner)
+        kept, projected = [], []
+        end_offsets, project = RowStream.end_offsets, LinearForm.project
+        monkeypatch.setattr(RowStream, "end_offsets", lambda stream, *args: kept.append(
+            end_offsets(stream, *args)) or kept[-1])
+        monkeypatch.setattr(LinearForm, "project", lambda form, *args: projected.append(
+            form.offset.tobytes()) or project(form, *args))
+        res = _certify(image_9x9, q, grid, label)
+        monkeypatch.undo()
+        ref, (_, handed) = _per_anchor(image_9x9, label, q, grid)
+        assert vars(res) == vars(ref) and handed == handover
+        assert res.certified == (handover is None)
+        # the re-warp path: every anchor built whole and projected on its own
+        images = transform_spec(grid.kind).apply_many(image_9x9, grid.anchors())
+        affine = q.classifier.affine(image_9x9.shape)
+        want = [LinearForm(None, None, image.ravel()).project(*affine).offset.tobytes()
+                for image in images]
+        [(offsets, _)] = kept
+        assert [offset.tobytes() for offset in offsets] == want
+        # each anchor is projected once: anchor 0 at its bound-free read, the
+        # others at the bound's ends, and none again after the handover
+        assert projected == [image.tobytes() for image in images]
+
+    def test_pass_clearing_none_goes_on_from_first(self, image_9x9, monkeypatch):
+        # anchor 0 fails its first check against the bound, so the pass
+        # clears none: the row goes on from the image anchor 0 was read
+        # from, not from a second warp of it
+        q, grid, label = _pass_row(image_9x9, "rotation", (0.27,), 1, 0.5, 100, 1, 40)
+        warped, spec = [], transform_spec("rotation")
+        apply_many = type(spec).apply_many
+        monkeypatch.setattr(type(spec), "apply_many", lambda spec, x, params: warped.extend(
+            np.ravel(params).tolist()) or apply_many(spec, x, params))
+        res = _certify(image_9x9, q, grid, label)
+        monkeypatch.undo()
+        ref, (_, handover) = _per_anchor(image_9x9, label, q, grid)
+        assert vars(res) == vars(ref) and handover == 0
+        assert warped == grid.anchors().tolist()
+
 
 @pytest.mark.parametrize("case,handover", [
     (("rotation", (0.2,), 1, 0.5, 100, 0, 24), None),

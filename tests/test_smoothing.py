@@ -363,24 +363,52 @@ class TestClassScorePath:
         np.testing.assert_array_equal(streamed, built)
 
     def test_row_stream_draws_into_one_buffer(self, monkeypatch):
-        # an affine row draws every slice, the guess's and each check's,
-        # into one buffer of max(n0, batch) rows that it reuses
+        # an affine row reads the guess slice from its query's kept draws,
+        # and draws each check's slice into one buffer of max(n0, batch)
+        # rows that it reuses
         shape = (1, 9, 9)
         transform = additive_pixel_transform(shape)
         noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
         q = SmoothedQuery(random_linear(6, shape, classes=3), transform, noise,
                           ConfidenceParams(0.001, 1000, 100), 5)
         stream = RowStream(q, batch=400)
-        outs, draw = [], smoothing.draw_params
-        monkeypatch.setattr(smoothing, "draw_params",
-                            lambda *args, out=None: outs.append(out) or draw(*args, out=out))
+        calls, draw = [], smoothing.draw_params
+        monkeypatch.setattr(smoothing, "draw_params", lambda *args, out=None: calls.append(
+            (args[2:], out)) or draw(*args, out=out))
         x = ImageTensor(np.random.default_rng(2).random(shape))
         reads = ((0, 100), (100, 400), (500, 400), (900, 100))
         for offset, n in reads:
             sample_counts(q, x, n, offset, stream)
-        assert [len(out) for out in outs] == [n for _, n in reads]
+        assert [read for read, _ in calls] == list(reads)
+        (_, guess), *checks = calls
+        assert guess is None  # the query's own array, not the buffer
+        outs = [out for _, out in checks]
+        assert [len(out) for out in outs] == [n for _, n in reads[1:]]
         assert len({id(out.base) for out in outs}) == 1
         assert outs[0].base.shape == (400, x.data.size)
+
+    def test_query_keeps_the_guess_slice_until_another_is_drawn(self, monkeypatch):
+        # predict and a certifier's guess read one draw of (0, n0), shared
+        # by replace() copies; the next other slice frees it, and a copy
+        # with another seed draws its own
+        shape = (1, 9, 9)
+        transform = additive_pixel_transform(shape)
+        noise = DistributionSpec("gaussian", (0.5,), dim=transform.param_dim)
+        q = SmoothedQuery(random_linear(6, shape, classes=3), transform, noise,
+                          ConfidenceParams(0.001, 1000, 100), 5)
+        calls, draw = [], smoothing.draw_params
+        monkeypatch.setattr(smoothing, "draw_params", lambda *args, out=None: calls.append(
+            args[1:4]) or draw(*args, out=out))
+        kept = q.draws(0, 100)
+        assert not kept.flags.writeable
+        assert q.draws(0, 100) is kept
+        assert replace(q, conf=replace(q.conf, alpha=0.01)).draws(0, 100) is kept
+        other = replace(q, seed=6).draws(0, 100)
+        assert other.tobytes() == draw(noise, 6, 0, 100).tobytes() != kept.tobytes()
+        q.draws(100, 400)
+        again = q.draws(0, 100)
+        assert again is not kept and again.tobytes() == kept.tobytes()
+        assert calls == [(5, 0, 100), (6, 0, 100), (5, 100, 400), (5, 0, 100)]
 
     def test_row_stream_refuses_other_transforms_and_queries(self):
         # brightness/contrast's basis [x; 1] depends on the input, so no
